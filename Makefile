@@ -5,39 +5,26 @@ PY := PYTHONPATH=src python
 TRACE_DIR := /tmp/repro-trace-smoke
 
 .PHONY: test unit trace-smoke serve-smoke obs-smoke bench-smoke bench \
-        conform-smoke conform codebooks-smoke backends-smoke test-backends
+        conform-smoke conform codebooks-smoke test-no-native
 
 # tier-1 verification (ROADMAP.md): unit suite + telemetry smoke +
 # serving smoke + observability smoke + codebook-registry smoke +
-# kernel-backend cross-agreement smoke + differential conformance smoke
-# matrix + wall-clock smoke (the scan-pack no-regression gate)
+# no-native-kernel decoder leg + differential conformance smoke matrix +
+# wall-clock smoke (the scan-pack no-regression gate)
 test: unit trace-smoke serve-smoke obs-smoke codebooks-smoke \
-      backends-smoke conform-smoke bench-smoke
+      test-no-native conform-smoke bench-smoke
 
 unit:
 	$(PY) -m pytest -x -q
 
-# kernel-backend smoke: numpy vs njit byte-identical containers,
-# bit-exact histograms, identical decodes over small corpora (the njit
-# leg runs the pure-Python kernel sim when numba is absent), plus the
-# harness's own negative self-test: a seeded divergence MUST make the
-# smoke exit non-zero (hence the `!`)
-backends-smoke:
-	$(PY) -m repro.backends.smoke
-	! $(PY) -m repro.backends.smoke --seed-divergence > /dev/null
-
-# run the tier-1 unit suite once per kernel backend (REPRO_BACKEND
-# routes every registry-consulting hot loop); the njit leg uses real
-# numba when importable and the pure-Python kernel sim otherwise
-test-backends:
-	REPRO_BACKEND=numpy $(PY) -m pytest -x -q
-	@if $(PY) -c "import numba" 2>/dev/null; then \
-		echo "test-backends: njit leg (compiled numba)"; \
-		REPRO_BACKEND=njit $(PY) -m pytest -x -q; \
-	else \
-		echo "test-backends: njit leg (pure-Python sim; numba not installed)"; \
-		REPRO_BACKEND=njit REPRO_NJIT_SIM=1 $(PY) -m pytest -x -q; \
-	fi
+# hosts without a C compiler: with the native gap kernel switched off,
+# every gap request decodes through the lane decoder — run the gap,
+# batch and tiered decoder suites plus the conformance smoke that way
+test-no-native:
+	REPRO_GAP_DISABLE_NATIVE=1 $(PY) -m pytest -x -q \
+	        tests/test_gap_decoder.py tests/test_batch_decoder.py \
+	        tests/test_tiered_decode.py
+	REPRO_GAP_DISABLE_NATIVE=1 $(MAKE) --no-print-directory conform-smoke
 
 # serving smoke: boot an ephemeral repro-serve, fire a mixed burst
 # (including a malformed body and an oversized payload), assert the

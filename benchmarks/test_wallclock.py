@@ -99,8 +99,8 @@ def test_wallclock(results_dir, bench_rng):
         assert r.encode_stages["scan"] and r.encode_stages["iterative"]
         # the gap-array gate: bit-identity is certified inside
         # run_wallclock; the throughput bar applies only with the
-        # compiled kernel (the numpy reference backend exists for
-        # correctness, not speed, so no-toolchain hosts skip the ratio)
+        # compiled kernel (without it a gap request decodes through the
+        # lane decoder, so no-toolchain hosts skip the ratio)
         assert r.decode_gap_s > 0
         if r.gap_backend == "native":
             assert r.decode_speedup_gap >= 3.0, (
@@ -108,20 +108,6 @@ def test_wallclock(results_dir, bench_rng):
                 f"on {r.dataset} (native backend needs >= 3x)"
             )
             assert r.decode_gap_s < r.decode_batch_s
-        # the njit backend gate: wherever real numba is installed the
-        # compiled kernels must be no slower than the numpy reference
-        # in both directions (byte-identity is certified inside
-        # run_wallclock before either column is timed); hosts without
-        # numba record zeroed columns and skip the ratio
-        if r.kernel_backend == "njit":
-            assert r.encode_njit_speedup >= 1.0, (
-                f"njit encode only {r.encode_njit_speedup:.2f}x vs the "
-                f"numpy scan-pack on {r.dataset} (needs >= 1.0x)"
-            )
-            assert r.decode_njit_speedup >= 1.0, (
-                f"njit decode only {r.decode_njit_speedup:.2f}x vs the "
-                f"numpy lane decoder on {r.dataset} (needs >= 1.0x)"
-            )
 
     # serving-layer invariants: no corruption, no unexplained failures,
     # and the artifact carries the latency/shed record
@@ -233,27 +219,3 @@ def test_wallclock(results_dir, bench_rng):
     caught = check_regression(stable, degraded)
     assert not caught.ok, "sentinel missed a 30% synthetic slowdown"
     assert caught.regressions, caught.render()
-
-
-def test_njit_backend_gate(bench_rng):
-    """Dedicated njit-vs-numpy gate, visible as a skip without numba.
-
-    ``test_wallclock`` already applies the same bar when the columns are
-    timed; this test makes the host's numba status explicit in the
-    report instead of silently zeroing the columns.
-    """
-    import pytest
-
-    pytest.importorskip("numba")
-    for dataset in ("enwik8", "nyx_quant"):
-        r = run_wallclock(dataset, 1 << 19, repeats=5)
-        assert r.kernel_backend == "njit"
-        assert r.encode_njit_s > 0 and r.decode_njit_s > 0
-        assert r.encode_njit_speedup >= 1.0, (
-            f"njit encode only {r.encode_njit_speedup:.2f}x vs numpy "
-            f"scan-pack on {dataset}"
-        )
-        assert r.decode_njit_speedup >= 1.0, (
-            f"njit decode only {r.decode_njit_speedup:.2f}x vs numpy "
-            f"lanes on {dataset}"
-        )

@@ -83,9 +83,8 @@ def _record_app_metrics(op: str, report: CompressionReport) -> None:
 
 def _encode_to_bytes(
     data: np.ndarray, num_symbols: int, magnitude: int, device: DeviceSpec,
-    backend: str | None = None,
 ) -> tuple[bytes, CompressionReport]:
-    hist = gpu_histogram(data, num_symbols, device=device, backend=backend)
+    hist = gpu_histogram(data, num_symbols, device=device)
     # The codebook is a pure function of the histogram: repeated compress
     # calls over same-distribution data (timestep streams) skip the whole
     # two-phase construction via the digest-keyed cache.
@@ -96,8 +95,7 @@ def _encode_to_bytes(
     # threshold-gated multiprocess sharding: serve-sized requests stay on
     # the in-process scan path, bulk fields shard whole chunks across
     # cores with a bit-identical result (repro.core.chunk_parallel)
-    enc = parallel_encode(data, book, magnitude=magnitude, device=device,
-                          backend=backend)
+    enc = parallel_encode(data, book, magnitude=magnitude, device=device)
     payload = serialize_stream(enc.stream, book)
     report = CompressionReport(
         input_bytes=int(data.nbytes),
@@ -116,14 +114,11 @@ def compress_symbols(
     magnitude: int = DEFAULT_MAGNITUDE,
     device: DeviceSpec = V100,
     adaptive: bool = False,
-    backend: str | None = None,
 ) -> tuple[bytes, CompressionReport]:
     """Lossless Huffman compression of an integer symbol stream.
 
     ``adaptive=True`` selects the per-chunk reduction factor (better for
-    heterogeneous data, see :mod:`repro.core.adaptive`).  ``backend``
-    picks the kernel backend (:mod:`repro.backends`) for the histogram
-    and scan-pack stages; the container bytes are backend-invariant.
+    heterogeneous data, see :mod:`repro.core.adaptive`).
     """
     data = np.asarray(data)
     if not np.issubdtype(data.dtype, np.integer):
@@ -134,8 +129,7 @@ def compress_symbols(
     with _span("app.compress_symbols", bytes_in=int(data.nbytes),
                adaptive=adaptive):
         if adaptive:
-            hist = gpu_histogram(data, num_symbols, device=device,
-                                 backend=backend)
+            hist = gpu_histogram(data, num_symbols, device=device)
             book = cached_codebook(
                 hist.histogram,
                 lambda: parallel_codebook(hist.histogram, device=device).codebook,
@@ -153,7 +147,7 @@ def compress_symbols(
             )
         else:
             payload, report = _encode_to_bytes(data, num_symbols, magnitude,
-                                               device, backend=backend)
+                                               device)
         header = _SYM_MAGIC + struct.pack("<BQ", itemsize, data.size)
     _record_app_metrics("compress_symbols", report)
     return header + payload, report
@@ -207,13 +201,12 @@ def compress_symbols_registered(
 @container_guard
 def decompress_symbols(
     buf: bytes, decode_strategy: str = "auto", book=None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Inverse of :func:`compress_symbols`.
 
     ``decode_strategy`` is forwarded to
     :func:`repro.core.bitstream.decode_stream` (``"auto"`` routes large
-    streams to the gap-array decoder when its compiled backend exists).
+    streams to the gap-array decoder when its native kernel exists).
 
     ``book`` is the registry fast path (see
     :func:`repro.core.serialization.deserialize_stream`): a registered
@@ -248,8 +241,7 @@ def decompress_symbols(
             stream, book = deserialize_stream(body, book=book)
             if stream.n_symbols != n:
                 raise ValueError("symbol count mismatch in container")
-            out = decode_stream(stream, book, strategy=decode_strategy,
-                                backend=backend)
+            out = decode_stream(stream, book, strategy=decode_strategy)
         dtype = {1: np.uint8, 2: np.uint16, 4: np.uint32,
                  8: np.uint64}.get(itemsize)
         if dtype is None:
@@ -267,7 +259,6 @@ def compress_field(
     n_bins: int = 1024,
     magnitude: int = DEFAULT_MAGNITUDE,
     device: DeviceSpec = V100,
-    backend: str | None = None,
 ) -> tuple[bytes, CompressionReport]:
     """Error-bounded lossy compression of a floating-point array.
 
@@ -287,7 +278,7 @@ def compress_field(
             )
 
         payload, enc_report = _encode_to_bytes(codes, n_bins, magnitude,
-                                               device, backend=backend)
+                                               device)
         header = _FIELD_MAGIC + struct.pack(
             "<dIIQ", error_bound, n_bins, len(qf.shape), qf.outliers_idx.size
         )
@@ -314,7 +305,7 @@ def compress_field(
 
 @container_guard
 def decompress_field(
-    buf: bytes, decode_strategy: str = "auto", backend: str | None = None
+    buf: bytes, decode_strategy: str = "auto"
 ) -> np.ndarray:
     """Inverse of :func:`compress_field` (same :class:`ValueError`-only
     robustness contract and ``decode_strategy`` forwarding as
@@ -323,7 +314,7 @@ def decompress_field(
     if buf[:4] != _FIELD_MAGIC:
         raise ValueError("not a field container")
     with _span("app.decompress_field", bytes_in=len(buf)) as sp:
-        out = _decompress_field_body(buf, decode_strategy, backend)
+        out = _decompress_field_body(buf, decode_strategy)
         sp.set_attr(bytes_out=int(out.nbytes))
     _metrics().counter("repro_app_bytes_out_total",
                        op="decompress_field").inc(int(out.nbytes))
@@ -331,7 +322,7 @@ def decompress_field(
 
 
 def _decompress_field_body(
-    buf: bytes, decode_strategy: str = "auto", backend: str | None = None
+    buf: bytes, decode_strategy: str = "auto"
 ) -> np.ndarray:
     pos = 4
     eb, n_bins, ndim, n_out = struct.unpack("<dIIQ", buf[pos: pos + 24])
@@ -347,7 +338,7 @@ def _decompress_field_body(
 
     stream, book = deserialize_stream(buf[pos:])
     codes = decode_stream(
-        stream, book, strategy=decode_strategy, backend=backend
+        stream, book, strategy=decode_strategy
     ).astype(np.int32)
     qf = QuantizedField(
         codes=codes, first_value=first_value, error_bound=eb, n_bins=n_bins,

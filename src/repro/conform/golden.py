@@ -9,8 +9,9 @@ into the repo:
   byte-for-byte on every check;
 - ``<name>.gap.json`` — the gap-array side channel (per-subchunk sync
   points at a pinned subchunk width) computed by the exact reference
-  walk over the container's lanes; both gap-decoder backends must
-  reproduce it entry-for-entry (absent for books outside gap range);
+  walk over the container's lanes; the native gap kernel, where it
+  runs, must reproduce it entry-for-entry (absent for books outside gap
+  range);
 - ``manifest.json`` — per vector: SHA-256 of the container, of the dense
   serial bitstream, and of the decoded symbols; the codebook digest; and
   the full First/Entry/symbols-by-code reverse-codebook tables.
@@ -187,12 +188,13 @@ def write_golden(golden_dir: Path | str | None = None) -> Path:
 
 
 def _check_gap(name, golden_dir, gap_payload, stream, book) -> list[str]:
-    """Golden gap side channel: stored file vs reference, backends vs both.
+    """Golden gap side channel: stored file vs reference and kernel.
 
     The ``.gap.json`` file must match the fresh reference walk
-    byte-for-byte, and every available gap backend run over the *stored*
-    container's lanes must reproduce the stored array entry-for-entry.
-    Books outside gap range must have no gap artifact at all.
+    byte-for-byte, and the native gap kernel — when it runs on this host
+    and table — over the *stored* container's lanes must reproduce the
+    stored array entry-for-entry.  Books outside gap range must have no
+    gap artifact at all.
     """
     gap_path = golden_dir / f"{name}.gap.json"
     if gap_payload is None:
@@ -212,28 +214,17 @@ def _check_gap(name, golden_dir, gap_payload, stream, book) -> list[str]:
         stored = GapArray.from_payload(json.loads(stored_bytes))
     except (ValueError, KeyError, TypeError) as exc:
         return problems + [f"{name}: {gap_path.name} unreadable: {exc}"]
-    from repro.backends import njit_ready
-    from repro.decoder.gap_native import native_available
-    from repro.huffman.decoder import TieredDecodeTable
-
     buffer, starts, ends, nsyms = stream_lanes(stream)
-    table = cached_decode_table(book)
-    if isinstance(table, TieredDecodeTable):
-        # the native C kernel is flat-only; tiered books check the numpy
-        # serial reference and (when resolvable) the njit tiered kernels
-        backends = ["numpy"] + (["njit"] if njit_ready() else [])
-    else:
-        backends = ["numpy"] + (["native"] if native_available() else [])
-    for backend in backends:
-        res = gap_decode_lanes(
-            buffer, starts, ends, nsyms, book, table,
-            subchunk_bits=GAP_SUBCHUNK_BITS, backend=backend,
+    res = gap_decode_lanes(
+        buffer, starts, ends, nsyms, book, cached_decode_table(book),
+        subchunk_bits=GAP_SUBCHUNK_BITS,
+    )
+    # without the kernel (or on a tiered table) the call decodes through
+    # decode_lanes and there is no kernel gap array to compare
+    if res.gap is not None and not res.gap.equal(stored):
+        problems.append(
+            f"{name}: native gap kernel does not reproduce {gap_path.name}"
         )
-        if res.gap is None or not res.gap.equal(stored):
-            problems.append(
-                f"{name}: {backend} gap backend does not reproduce "
-                f"{gap_path.name}"
-            )
     return problems
 
 

@@ -153,14 +153,6 @@ def _enc_scan_pack(data, book, magnitude):
     return EncodeArtifact("stream", enc.stream, book, int(data.size))
 
 
-def _enc_scan_pack_njit(data, book, magnitude):
-    # the njit kernel backend driving the same scan-pack pipeline: the
-    # matrix pins it byte-identical to every other canonical encoder
-    enc = gpu_encode(data, book, magnitude=magnitude, impl="scan",
-                     backend="njit")
-    return EncodeArtifact("stream", enc.stream, book, int(data.size))
-
-
 def _enc_single_stage(data, book, magnitude):
     # the codebook-registry fast path: static pre-registered book, no
     # histogram/codebook stages; must stay byte-identical to scan_pack
@@ -253,24 +245,6 @@ def _dec_stream_gap(art):
     return decode_stream(art.payload, art.book, strategy="gap")
 
 
-def _dec_stream_batch_njit(art):
-    return decode_stream(art.payload, art.book, strategy="batch",
-                         backend="njit")
-
-
-def _dec_stream_gap_njit(art):
-    # pins the njit gap kernels specifically — decode_stream's backend
-    # routing would still prefer the native C kernel when it is present
-    from repro.core.bitstream import assemble_stream_symbols, stream_lanes
-    from repro.decoder.gap_array import gap_decode_lanes
-
-    buffer, starts, ends, nsyms = stream_lanes(art.payload)
-    decoded = gap_decode_lanes(
-        buffer, starts, ends, nsyms, art.book, backend="njit"
-    ).symbols
-    return assemble_stream_symbols(art.payload, decoded)
-
-
 def _dec_dense_scalar(art):
     buf, nbits = art.payload
     return decode_canonical(buf, nbits, art.book, art.n_symbols)
@@ -286,12 +260,6 @@ def _dec_dense_gap(art):
     return decode_batch(buf, nbits, art.book, art.n_symbols, impl="gap")
 
 
-def _dec_dense_lanes_njit(art):
-    buf, nbits = art.payload
-    return decode_batch(buf, nbits, art.book, art.n_symbols, impl="lanes",
-                        backend="njit")
-
-
 def _dec_dense_tiered(art):
     # force the tiered two-level table even for shallow books — pins the
     # tiered resolve byte-identical to the flat gather everywhere, not
@@ -302,17 +270,6 @@ def _dec_dense_tiered(art):
     table = build_tiered_decode_table(art.book)
     return decode_batch(
         buf, nbits, art.book, art.n_symbols, table=table, impl="lanes"
-    )
-
-
-def _dec_dense_tiered_njit(art):
-    from repro.huffman.decoder import build_tiered_decode_table
-
-    buf, nbits = art.payload
-    table = build_tiered_decode_table(art.book)
-    return decode_batch(
-        buf, nbits, art.book, art.n_symbols, table=table, impl="lanes",
-        backend="njit",
     )
 
 
@@ -455,18 +412,8 @@ class ConformRegistry:
 
 
 def default_registry() -> ConformRegistry:
-    """Registry of every implementation shipped in the repo.
-
-    The njit kernel-backend columns are registered only when the backend
-    is usable (numba importable, or the pure-Python sim enabled via
-    ``REPRO_NJIT_SIM``, and not kill-switched).  Under the sim the
-    kernels run uncompiled, so those columns are size-capped; with real
-    numba they run the full corpora.
-    """
-    from repro.backends import njit_compiled, njit_ready
-
+    """Registry of every implementation shipped in the repo."""
     reg = ConformRegistry()
-    njit_cap = None if njit_compiled() else 4096
     for enc in [
         EncoderImpl("serial", "dense", _enc_serial),
         EncoderImpl("prefix_sum", "dense", _enc_prefix_sum),
@@ -486,11 +433,6 @@ def default_registry() -> ConformRegistry:
         ),
     ]:
         reg.register_encoder(enc)
-    if njit_ready():
-        reg.register_encoder(EncoderImpl(
-            "scan_pack_njit", "stream", _enc_scan_pack_njit,
-            max_symbols=njit_cap,
-        ))
     for dec in [
         DecoderImpl("stream.batch", ("stream",), _dec_stream_batch),
         DecoderImpl(
@@ -535,24 +477,4 @@ def default_registry() -> ConformRegistry:
         ),
     ]:
         reg.register_decoder(dec)
-    if njit_ready():
-        for dec in [
-            DecoderImpl(
-                "stream.batch_njit", ("stream",), _dec_stream_batch_njit,
-                max_symbols=njit_cap,
-            ),
-            DecoderImpl(
-                "stream.gap_njit", ("stream",), _dec_stream_gap_njit,
-                max_symbols=njit_cap,
-            ),
-            DecoderImpl(
-                "dense.lanes_njit", ("dense",), _dec_dense_lanes_njit,
-                max_symbols=njit_cap,
-            ),
-            DecoderImpl(
-                "dense.tiered_njit", ("dense",), _dec_dense_tiered_njit,
-                max_symbols=njit_cap,
-            ),
-        ]:
-            reg.register_decoder(dec)
     return reg

@@ -228,24 +228,21 @@ def decode_stream(
     book: CanonicalCodebook,
     table: DecodeTable | TieredDecodeTable | None = None,
     strategy: str = "auto",
-    backend: str | None = None,
 ) -> np.ndarray:
     """Decode an :class:`EncodedStream` back to its symbol array.
 
     ``strategy`` picks the machinery — all produce identical symbols on
     every valid container:
 
-    - ``"auto"`` (default): the gap-array decoder when a compiled gap
-      backend (native C or the njit registry backend) is available, the
-      book is in gap range, and the stream is big enough to amortize
-      pass 1; else ``"batch"``.
+    - ``"auto"`` (default): the gap-array decoder when the native gap
+      kernel is available, the table is flat, and the stream is big
+      enough to amortize pass 1; else ``"batch"``.
     - ``"gap"``: two-pass gap-array decode (subchunk sync points, then
-      lock-step lanes; :mod:`repro.decoder.gap_array`).
+      lock-step lanes; :mod:`repro.decoder.gap_array`).  Without the
+      kernel, or on a tiered table, it decodes as ``"batch"`` and the
+      ``decode.stream`` span's ``gap_fallback`` attribute names why.
     - ``"batch"``: the vectorized chunk-lane decoder.
     - ``"scalar"``: the original per-chunk scalar reference.
-
-    ``backend`` selects the kernel backend from :mod:`repro.backends`
-    for whichever strategy runs (and feeds the auto heuristic above).
     """
     if strategy == "scalar":
         return decode_stream_scalar(stream, book, table)
@@ -255,22 +252,18 @@ def decode_stream(
     from repro.decoder import gap_array
 
     if strategy == "auto":
-        # tier-aware: a book headed for a tiered table only promotes to
-        # gap when the njit tiered kernels are resolvable (the native C
-        # kernel is flat-only)
+        # tier-aware: a book headed for a tiered table stays on batch
+        # (the native C kernel is flat-only)
         strategy = (
             "gap"
-            if gap_array.gap_auto_ready(backend, book=book, table=table)
+            if gap_array.gap_auto_ready(book=book, table=table)
             and stream.n_symbols >= gap_array.AUTO_MIN_SYMBOLS
             else "batch"
         )
-    from repro.backends import get_backend
-
     with _span("decode.stream", strategy=strategy,
                bytes_in=int(stream.payload_bytes),
                n_symbols=int(stream.n_symbols),
-               chunks=stream.n_chunks,
-               backend=get_backend(backend, quiet=True).name) as sp:
+               chunks=stream.n_chunks) as sp:
         if table is None:
             table = cached_decode_table(book)
         sp.set_attr(
@@ -282,14 +275,15 @@ def decode_stream(
             buffer, starts, ends, nsyms = stream_lanes(stream)
             lanes_span.set_attr(lanes=int(nsyms.size))
             if strategy == "gap":
-                decoded = gap_array.gap_decode_lanes(
-                    buffer, starts, ends, nsyms, book, table,
-                    registry_backend=backend,
-                ).symbols
+                res = gap_array.gap_decode_lanes(
+                    buffer, starts, ends, nsyms, book, table
+                )
+                decoded = res.symbols
+                if res.fallback:
+                    sp.set_attr(gap_fallback=res.fallback)
             else:
                 decoded = decode_lanes(
-                    buffer, starts, ends, nsyms, book, table,
-                    backend=backend,
+                    buffer, starts, ends, nsyms, book, table
                 )
         with _span("decode.assemble", broken=stream.breaking.nnz):
             out = assemble_stream_symbols(stream, decoded)

@@ -88,8 +88,7 @@ def _encode_shard(task) -> ShardResult:
     """
     from multiprocessing import shared_memory
 
-    (shm_name, dtype_str, total, start, stop, book, tuning, backend,
-     inject) = task
+    (shm_name, dtype_str, total, start, stop, book, tuning, inject) = task
     if inject:
         raise RuntimeError("injected shard failure (test hook)")
     shm = shared_memory.SharedMemory(name=shm_name)
@@ -97,7 +96,7 @@ def _encode_shard(task) -> ShardResult:
         block = np.ndarray((total,), dtype=np.dtype(dtype_str),
                            buffer=shm.buf)
         shard = block[start:stop]
-        res = scan_pack_symbols(shard, book, tuning, backend=backend)
+        res = scan_pack_symbols(shard, book, tuning)
         from repro.core.breaking import extract_breaking_symbols
 
         breaking = extract_breaking_symbols(
@@ -133,7 +132,6 @@ def parallel_encode(
     device: DeviceSpec = V100,
     workers: int | None = None,
     threshold_bytes: int = PARALLEL_THRESHOLD_BYTES,
-    backend: str | None = None,
     _inject_failure: int | None = None,
 ) -> GpuEncodeResult:
     """Encode ``data``, sharding whole chunks across worker processes.
@@ -141,29 +139,22 @@ def parallel_encode(
     Drop-in compatible with :func:`~repro.core.encoder.gpu_encode` and
     guaranteed to return a bit-identical stream with identical modeled
     costs for every ``workers`` value (including the serial fallback).
-    ``backend`` selects the scan-pack kernel backend in every worker —
-    it is resolved to a concrete name in the parent so workers do not
-    re-read the environment.  ``_inject_failure`` makes the given shard
-    index raise inside its worker — the chaos hook tests use to prove
-    the serial fallback.
+    ``_inject_failure`` makes the given shard index raise inside its
+    worker — the chaos hook tests use to prove the serial fallback.
     """
-    from repro.backends import get_backend
-
     data = np.asarray(data)
-    # resolve once in the parent: shards must all use the same kernels
-    backend = get_backend(backend, quiet=True).name
     if workers is None:
         workers = default_workers()
     if workers <= 1 or data.nbytes < threshold_bytes:
         return gpu_encode(
             data, book, tuning=tuning, magnitude=magnitude,
             reduction_factor=reduction_factor, word_bits=word_bits,
-            device=device, backend=backend,
+            device=device,
         )
     try:
         return _parallel_encode_body(
             data, book, tuning, magnitude, reduction_factor, word_bits,
-            device, workers, backend, _inject_failure,
+            device, workers, _inject_failure,
         )
     except (ValueError, TypeError, IndexError):
         raise  # user errors (bad symbols, bad shapes): not a pool fault
@@ -172,7 +163,7 @@ def parallel_encode(
         return gpu_encode(
             data, book, tuning=tuning, magnitude=magnitude,
             reduction_factor=reduction_factor, word_bits=word_bits,
-            device=device, backend=backend,
+            device=device,
         )
 
 
@@ -185,7 +176,6 @@ def _parallel_encode_body(
     word_bits: int,
     device: DeviceSpec,
     workers: int,
-    backend: str | None,
     inject: int | None,
 ) -> GpuEncodeResult:
     import multiprocessing
@@ -201,30 +191,28 @@ def _parallel_encode_body(
     # global stats drive the (M, r) choice exactly like the serial path:
     # a per-shard average would pick shard-dependent tunings and break
     # worker-count independence of the bitstream
-    avg_bits = _scan_symbol_stats(data, book, backend=backend)
+    avg_bits = _scan_symbol_stats(data, book)
     tuning = _resolve_tuning(
         tuning, magnitude, reduction_factor, word_bits, avg_bits
     )
     N = tuning.chunk_symbols
     n_full = data.size // N
     if n_full < workers:
-        return gpu_encode(data, book, tuning=tuning, device=device,
-                          backend=backend)
+        return gpu_encode(data, book, tuning=tuning, device=device)
     n_main = n_full * N
     main = np.ascontiguousarray(data[:n_main])
 
     bounds = _shard_bounds(n_full, workers)
     ctx = multiprocessing.get_context("fork")  # raises on exotic hosts
     with _span("encode.parallel", shards=len(bounds), chunks=n_full,
-               bytes_in=int(data.nbytes),
-               backend=backend or "numpy") as par_span:
+               bytes_in=int(data.nbytes)) as par_span:
         shm = shared_memory.SharedMemory(create=True, size=main.nbytes)
         try:
             buf = np.ndarray(main.shape, dtype=main.dtype, buffer=shm.buf)
             buf[:] = main  # the single copy-in; workers map, not copy
             tasks = [
                 (shm.name, main.dtype.str, main.size, lo * N, hi * N,
-                 book, tuning, backend, inject == k)
+                 book, tuning, inject == k)
                 for k, (lo, hi) in enumerate(bounds)
             ]
             with ctx.Pool(processes=len(bounds)) as pool:

@@ -25,8 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import get_backend
-from repro.backends.numpy_backend import fast_histogram
 from repro.core.bitstream import EncodedStream
 from repro.core.breaking import (
     BreakingStore,
@@ -46,6 +44,7 @@ from repro.core.tuning import (
 from repro.cuda.costmodel import KernelCost
 from repro.cuda.device import DeviceSpec, V100
 from repro.cuda.launch import KernelInfo, register_kernel
+from repro.histogram.gpu_histogram import fast_histogram
 from repro.huffman.codebook import CanonicalCodebook
 from repro.obs import metrics as _metrics
 from repro.obs import span as _span
@@ -133,14 +132,9 @@ class GpuEncodeResult:
 ENCODE_IMPLS = ("auto", "scan", "iterative")
 
 
-# moved to repro.backends.numpy_backend; alias kept for call sites
-_fast_histogram = fast_histogram
-
-
 def _scan_symbol_stats(
     data: np.ndarray,
     book: CanonicalCodebook,
-    backend: str | None = None,
 ) -> float:
     """Average codeword bitwidth + zero-codeword check, histogram-based.
 
@@ -163,7 +157,7 @@ def _scan_symbol_stats(
             )
         return float(int(lens.sum(dtype=np.int64))) / data.size
     try:
-        hist = get_backend(backend).histogram(data, book.n_symbols)
+        hist = fast_histogram(data, book.n_symbols)
     except (ValueError, TypeError):
         # negative or non-castable symbol dtypes: fall back to a length
         # gather, which reproduces lookup's indexing semantics exactly
@@ -196,18 +190,12 @@ def gpu_encode(
     word_bits: int = 32,
     device: DeviceSpec = V100,
     impl: str = "auto",
-    backend: str | None = None,
 ) -> GpuEncodeResult:
     """Encode ``data`` with the reduce-shuffle-merge scheme.
 
     ``tuning`` pins (M, r) explicitly; otherwise ``magnitude`` is used and
     ``r`` comes from the average-bitwidth rule (or ``reduction_factor``
     when given).  Every symbol must have a codeword in ``book``.
-
-    ``backend`` selects the kernel backend (``repro.backends``) for the
-    histogram and scan-pack hot loops; output is byte-identical across
-    backends (conformance-enforced).  The iterative impl stays on the
-    NumPy reference — it *is* the modeled-kernel reference semantics.
 
     ``impl`` selects the host execution strategy — the produced
     :class:`~repro.core.bitstream.EncodedStream` and the modeled kernel
@@ -226,8 +214,7 @@ def gpu_encode(
     data = np.asarray(data)
     enc_span = _span("encode.reduce_shuffle_merge",
                      bytes_in=int(data.nbytes), device=device.name,
-                     impl="scan" if use_scan else "iterative",
-                     backend=get_backend(backend, quiet=True).name)
+                     impl="scan" if use_scan else "iterative")
     with enc_span:
         if use_scan:
             with _span("encode.lookup", n_symbols=int(data.size)):
@@ -237,13 +224,13 @@ def gpu_encode(
                 stats = packed_pair_stats(data, book)
                 if stats is None:
                     avg_bits, pair_packed = (
-                        _scan_symbol_stats(data, book, backend), None
+                        _scan_symbol_stats(data, book), None
                     )
                 else:
                     avg_bits, pair_packed = stats
             result = _gpu_encode_scan_body(
                 data, book, tuning, magnitude, reduction_factor, word_bits,
-                device, avg_bits, pair_packed, backend,
+                device, avg_bits, pair_packed,
             )
         else:
             with _span("encode.lookup", n_symbols=int(data.size)):
@@ -369,7 +356,6 @@ def _gpu_encode_scan_body(
     device: DeviceSpec,
     avg_bits: float,
     pair_packed: np.ndarray | None = None,
-    backend: str | None = None,
 ) -> "GpuEncodeResult":
     """Scan-pack encode body: one fused gather/reduce/scatter pass."""
     tuning = _resolve_tuning(
@@ -384,7 +370,7 @@ def _gpu_encode_scan_body(
     with _span("encode.scan_pack", r=tuning.reduction_factor,
                s=tuning.shuffle_factor, chunks=n_full) as scan_span:
         res = scan_pack_symbols(
-            main, book, tuning, pair_packed=pair_packed, backend=backend
+            main, book, tuning, pair_packed=pair_packed
         )
     scan_span.set_attr(moved_words=res.merged.moved_words,
                        cells=res.n_cells)

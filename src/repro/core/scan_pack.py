@@ -533,7 +533,6 @@ def scan_pack_symbols(
     book: CanonicalCodebook,
     tuning: EncoderTuning,
     pair_packed: np.ndarray | None = None,
-    backend: str | None = None,
 ) -> ScanPackResult:
     """Scan-pack straight from symbols via packed gather tables.
 
@@ -546,10 +545,6 @@ def scan_pack_symbols(
     ``data`` — the first ``data.size // 2`` entries must be the packed
     merges of ``data``'s symbol pairs.  ``chunk_symbols`` is even, so a
     whole-chunk prefix never splits a pair.
-
-    ``backend`` selects the kernel backend (``repro.backends``) for the
-    fused reduce + scatter; non-reference backends run it as one cell
-    fold instead of the pairwise array passes below.
     """
     data = np.asarray(data)
     if data.size % tuning.chunk_symbols:
@@ -595,27 +590,6 @@ def scan_pack_symbols(
             r -= 1
     if p is None:
         p = packed_codeword_table(book)[data]
-
-    from repro import backends as _backends
-
-    bk = _backends.get_backend(backend)
-    if bk.name != "numpy":
-        n_chunks = data.size // tuning.chunk_symbols
-        cpc = tuning.cells_per_chunk
-        group = p.size // (n_chunks * cpc)  # == 2^r remaining per cell
-        words, bits, broken, cell_lengths = bk.scan_pack_cells(
-            p, group, n_chunks, cpc, tuning.word_bits
-        )
-        merged = ShuffleMergeResult(
-            words=words,
-            bits=bits,
-            iterations=tuning.shuffle_factor if n_chunks else 0,
-            moved_words=analytic_moved_words(n_chunks, tuning.shuffle_factor),
-            word_bits=tuning.word_bits,
-        )
-        return ScanPackResult(
-            merged=merged, broken=broken, cell_lengths=cell_lengths
-        )
 
     # when every possible cell length fits the shift budget the clamp is
     # provably a no-op and each merge drops the np.minimum pass

@@ -157,7 +157,7 @@ class StreamingDecoder:
     def __init__(self, strategy: str = "auto") -> None:
         self.symbols_decoded = 0
         #: decode_stream strategy for every segment ("auto" routes to
-        #: the gap-array decoder when its compiled backend is present)
+        #: the gap-array decoder when its native kernel is present)
         self.strategy = strategy
         # decode_segment is called concurrently by the serve layer's
         # worker shards; the counter update must not race

@@ -92,11 +92,12 @@ def parallel_decode_stream(
     the single-shot vectorized call already saturates one core).
     ``impl`` picks the per-shard machinery: ``"lanes"`` (the lock-step
     batch decoder), ``"gap"`` (the two-pass gap-array decoder), or
-    ``"auto"`` (gap when its compiled backend is available and the
-    container is large enough).  Shards are contiguous lane ranges
-    balanced by decode work at the active impl's granularity; every
-    shard reads the shared read-only buffer and decodes whole lanes, so
-    results are bit-identical regardless of ``workers`` and ``impl``.
+    ``"auto"`` (gap when the native kernel is available, the table is
+    flat and the container is large enough).  Shards are contiguous
+    lane ranges balanced by decode work at the active impl's
+    granularity; every shard reads the shared read-only buffer and
+    decodes whole lanes, so results are bit-identical regardless of
+    ``workers`` and ``impl``.
     A shard crash falls back to one serial decode of the full container.
     """
     if table is None:
@@ -104,7 +105,6 @@ def parallel_decode_stream(
     if impl not in ("auto", "gap", "lanes"):
         raise ValueError(f"unknown decode impl: {impl!r}")
     from repro.decoder import gap_array
-    from repro.decoder.gap_native import native_available
 
     with _span("decode.chunk_parallel",
                bytes_in=int(stream.payload_bytes),
@@ -114,16 +114,13 @@ def parallel_decode_stream(
         total_syms = int(nsyms.sum())
         use_gap = impl == "gap" or (
             impl == "auto"
-            and native_available()
+            and gap_array.gap_auto_ready(table=table)
             and total_syms >= gap_array.AUTO_MIN_SYMBOLS
         )
         if use_gap:
             # one subchunk width for every shard: shard outputs (and the
             # gap side channel) don't depend on how lanes were sharded
-            S = gap_array.default_subchunk_bits(
-                int((ends - starts).sum()),
-                "native" if native_available() else "numpy",
-            )
+            S = gap_array.DEFAULT_SUBCHUNK_BITS
             weights = gap_array.subchunk_lane_counts(ends - starts, S)
 
             def _decode(s, e, ns):

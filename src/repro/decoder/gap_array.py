@@ -17,29 +17,22 @@ decodes in two passes:
   depth drops to O(symbols per subchunk) with thousands of concurrent
   lanes.
 
-Two backends share this contract (the registry pattern from ROADMAP's
-"compiled-kernel backend" item — NumPy is the reference semantics, the
-compiled path is optional):
+Both passes run in :mod:`repro.decoder.gap_native`, a runtime-compiled
+C kernel with exact pass-1 discovery (an interleaved length walk).  The
+scheme pays only when pass 2 runs as compiled parallel lanes, so there
+is no NumPy gap decoder: when the kernel is missing (no toolchain, or
+``REPRO_GAP_DISABLE_NATIVE=1``) or the table is tiered (the kernel is
+flat-only), :func:`gap_decode_lanes` decodes through
+:func:`repro.huffman.decoder.decode_lanes` and counts the reason in
+``repro_decode_gap_lut_fallback_total{reason}``.
 
-- ``"numpy"`` — the paper-shaped reference.  Pass 1 is *speculative*
-  self-synchronization (the idiom of :mod:`repro.decoder.self_sync`):
-  every lane decodes from its unaligned boundary with a triple-symbol
-  16-bit-window LUT while recording its position trace; a lane's true
-  entry state is found by intersecting its predecessor's trace
-  *continuation* with its own trace (prefix codes self-synchronize, so
-  the speculative chain merges onto the true chain within a few
-  codewords).  Chunks whose speculative decode fails validation fall
-  back to :func:`repro.huffman.decoder.decode_lanes`.
-- ``"native"`` — :mod:`repro.decoder.gap_native`, a runtime-compiled C
-  kernel with *exact* pass-1 discovery (an interleaved length walk).
-  Preferred by ``backend="auto"`` when the toolchain is present.
-
-Both backends produce symbols byte-identical to ``decode_lanes`` and
-the same :class:`GapArray` (pinned by golden vectors and property
-tests).  The gap array follows the *decode chain* semantics of the
-table: on a corrupt stream the recorded offsets stay on the chain a
-serial table walk would follow, so gap output equals lane output even
-there.
+:func:`reference_gap_array` is the exact serial oracle for flat and
+tiered tables.  The kernel's symbols are byte-identical to
+``decode_lanes`` and its :class:`GapArray` equals the oracle's (pinned
+by golden vectors and property tests).  The gap array follows the
+*decode chain* semantics of the table: on a corrupt stream the recorded
+offsets stay on the chain a serial table walk would follow, so gap
+output equals lane output even there.
 """
 
 from __future__ import annotations
@@ -72,20 +65,11 @@ __all__ = [
     "gap_supported",
     "reference_gap_array",
     "subchunk_lane_counts",
-    "default_subchunk_bits",
+    "DEFAULT_SUBCHUNK_BITS",
 ]
 
-#: continuation rows the speculative fixup scans for the merge point;
-#: self-sync merges geometrically (~32% at row 0), so 24 rows leave a
-#: ~0.06% unsynced-lane tail that the per-chunk fallback absorbs.
-_MAXR = 24
-
-#: numpy backend works on int32 bit positions; streams at/over this many
-#: bits route to the native backend or to ``decode_lanes``.
-_INT32_BIT_LIMIT = (1 << 31) - (1 << 16)
-
-#: soft cap on numpy speculative-stage memory per slab (bytes)
-_SLAB_BYTES = 96 << 20
+#: subchunk width (bits) when the caller does not pin one
+DEFAULT_SUBCHUNK_BITS = 1024
 
 #: ``strategy="auto"`` stays on ``decode_lanes`` below this many symbols
 AUTO_MIN_SYMBOLS = 1 << 12
@@ -154,17 +138,16 @@ class GapArray:
 class GapDecodeResult:
     """Symbols plus the gap array that produced them.
 
-    ``backend`` is ``"native"``, ``"njit"``, ``"numpy"``, or ``"lanes"``
-    (the book was outside gap-table limits and the whole call fell back,
-    in which case ``gap`` is ``None``).  ``chunk_fallbacks`` counts
-    chunks the numpy backend re-decoded through ``decode_lanes`` after
-    validation.
+    ``backend`` is ``"native"`` (the C kernel ran) or ``"lanes"`` (the
+    whole call decoded through ``decode_lanes``; ``gap`` is then
+    ``None`` and ``fallback`` names the reason, the same label counted
+    in ``repro_decode_gap_lut_fallback_total``).
     """
 
     symbols: np.ndarray
     gap: Optional[GapArray]
     backend: str
-    chunk_fallbacks: int = 0
+    fallback: str = ""
 
 
 # ------------------------------------------------------------------- helpers
@@ -177,14 +160,6 @@ def subchunk_lane_counts(ch_bits: np.ndarray, subchunk_bits: int) -> np.ndarray:
     if S < 16:
         raise ValueError("subchunk_bits must be >= 16")
     return np.maximum(-(-ch_bits.astype(np.int64) // S), 1)
-
-
-def default_subchunk_bits(total_bits: int, backend: str) -> int:
-    if backend == "numpy":
-        # balance lane count (vector width) against rows (sequential
-        # steps): aim near 8k lanes, clamped to a sane subchunk range
-        return max(96, min(4096, (int(total_bits) // 8192 + 7) & ~7))
-    return 1024
 
 
 def gap_supported(
@@ -214,7 +189,7 @@ def gap_supported(
 
 
 class _GapTableCache(_LruCache):
-    """LRU of per-backend gap tables keyed by (digest, kind, k)."""
+    """LRU of packed kernel tables keyed by (digest, kind, k)."""
 
     def __init__(self, maxsize: int = 16) -> None:
         super().__init__(maxsize, name="gap_table")
@@ -233,46 +208,6 @@ def _native_table(book: CanonicalCodebook, table: DecodeTable) -> np.ndarray:
         ).copy()
 
     key = (codebook_digest(book), "native", int(table.k))
-    return _GAP_TABLES.get_or_build(key, build)
-
-
-def _triple_table(
-    book: CanonicalCodebook, table: DecodeTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """16-bit-window LUT emitting up to 3 codewords per step.
-
-    meta int32: bits 0..4 ``l1``, 5..9 ``l12``, 10..15 ``adv``,
-    16..17 ``cnt``; syms int32: ``s1 | s2 << 10 | s3 << 20`` (alphabet
-    <= 1024).  When fewer than 3 codewords fit the window, trailing
-    symbols repeat the last valid one and ``l12``/``adv`` collapse so
-    position arithmetic stays exact.
-    """
-
-    def build() -> tuple[np.ndarray, np.ndarray]:
-        k = table.k
-        lt = table.length.astype(np.int32)
-        st = table.symbol.astype(np.int32)
-        w = np.arange(1 << 16, dtype=np.int32)
-        l1 = lt.take(w >> (16 - k))
-        s1 = st.take(w >> (16 - k))
-        w2 = (w << l1) & 0xFFFF
-        l2 = lt.take(w2 >> (16 - k))
-        s2 = st.take(w2 >> (16 - k))
-        w3 = (w2 << l2) & 0xFFFF
-        l3 = lt.take(w3 >> (16 - k))
-        s3 = st.take(w3 >> (16 - k))
-        fit2 = (l1 + l2) <= 16
-        fit3 = fit2 & ((l1 + l2 + l3) <= 16)
-        cnt = (1 + fit2 + fit3).astype(np.int32)
-        l12 = np.where(fit2, l1 + l2, l1)
-        adv = np.where(fit3, l1 + l2 + l3, l12)
-        s2 = np.where(fit2, s2, s1)
-        s3 = np.where(fit3, s3, s2)
-        meta = (l1 | (l12 << 5) | (adv << 10) | (cnt << 16)).astype(np.int32)
-        syms = (s1 | (s2 << 10) | (s3 << 20)).astype(np.int32)
-        return meta, syms
-
-    key = (codebook_digest(book), "triple", int(table.k))
     return _GAP_TABLES.get_or_build(key, build)
 
 
@@ -318,19 +253,49 @@ def _output_ranges(
 # ------------------------------------------------------------ reference walk
 
 
+def _window(pbuf: np.ndarray, bp: int, k: int) -> int:
+    """The C kernel's ``load_be64(buf + (bp >> 3)) >> (64 - k - (bp & 7))``
+    on the >= 8-byte-padded buffer, in exact Python integers."""
+    byte = bp >> 3
+    w = int.from_bytes(pbuf[byte:byte + 8].tobytes(), "big")
+    return w >> (64 - k - (bp & 7))
+
+
+def _tiered_step(
+    pbuf, bp: int, l1, sub, node_base, node_bits, k1: int, mask1: int
+) -> int:
+    """One tiered-table codeword resolve starting at bit ``bp``.
+
+    Gathers the k1-bit root window, then descends node pointers (length
+    byte 0) through the flat subtable array until a packed
+    ``(symbol << 8) | abs_length`` entry resolves.  The oracle only
+    walks *complete* tables, so a pointer is always valid here.
+    """
+    ent = int(l1[_window(pbuf, bp, k1) & mask1])
+    q = bp + k1
+    while (ent & 0xFF) == 0:
+        node = ent >> 8
+        nb = int(node_bits[node])
+        ent = int(sub[
+            int(node_base[node]) + (_window(pbuf, q, nb) & ((1 << nb) - 1))
+        ])
+        q += nb
+    return ent
+
+
 def reference_gap_array(
     buffer: np.ndarray,
     starts: np.ndarray,
     ends: np.ndarray,
     book: CanonicalCodebook,
     subchunk_bits: int,
-    table: DecodeTable | None = None,
+    table: DecodeTable | TieredDecodeTable | None = None,
 ) -> GapArray:
-    """Exact, backend-independent gap array by per-chunk serial walk.
+    """Exact gap array by per-chunk serial walk.
 
-    The executable definition both backends are pinned against (golden
-    vectors, property tests).  Pure-Python per symbol — test-sized
-    inputs only.
+    The executable definition the C kernel is pinned against (golden
+    vectors, property tests), for flat and tiered tables alike.
+    Pure-Python per symbol — test-sized inputs only.
     """
     if table is None:
         table = (
@@ -349,10 +314,6 @@ def reference_gap_array(
     offs = np.empty(int(lane_base[-1]), np.int64)
     cnts = np.empty(int(lane_base[-1]), np.int64)
     if isinstance(table, TieredDecodeTable):
-        # function-local import: backends/__init__ registers backends at
-        # import time, so a module-level import here would be cyclic
-        from repro.backends.numpy_backend import _tiered_step
-
         l1, sub = table.l1, table.sub
         nbase, nbits = table.node_base, table.node_bits
         k1 = int(table.k1)
@@ -372,9 +333,7 @@ def reference_gap_array(
                     cnts[cur] = n
                     cur += 1
                     nb += S
-                ent, _st = _tiered_step(
-                    pbuf, p, l1, sub, nbase, nbits, k1, mask1
-                )
+                ent = _tiered_step(pbuf, p, l1, sub, nbase, nbits, k1, mask1)
                 p += ent & 0xFF
                 n += 1
             while cur < last:
@@ -410,97 +369,7 @@ def reference_gap_array(
     return GapArray(S, lane_base, offs, cnts)
 
 
-# ----------------------------------------------- native / njit kernel passes
-
-
-def _kernel_gap_decode(
-    sync_pass,
-    decode_pass,
-    label: str,
-    buffer: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    nsyms: np.ndarray,
-    book: CanonicalCodebook,
-    table: DecodeTable,
-    S: int,
-) -> GapDecodeResult:
-    """Two exact kernel passes over the same contract — shared by the
-    compiled C backend and the njit registry backend, which expose
-    signature-identical pass functions."""
-    tab = _native_table(book, table)
-    n_sub, lane_base = _lane_layout(starts, ends, S)
-    pbuf = _pad_buffer(buffer)
-    with _span(
-        "decode.gap.sync",
-        backend=label,
-        subchunk_bits=S,
-        lanes=int(lane_base[-1]),
-        chunks=int(starts.size),
-    ):
-        gap_off, gap_cnt, ch_n, ch_endpos = sync_pass(
-            pbuf, starts, ends, lane_base, S, tab, table.k
-        )
-        # replicate decode_lanes' exhaustion semantics: a chunk whose
-        # chain yields fewer codewords than the container claims, or
-        # exactly as many but with the last one straddling the chunk
-        # end, would leave a lane cursor past its end there
-        exhausted = (ch_n < nsyms) | ((ch_n == nsyms) & (ch_endpos > ends))
-        if bool(exhausted.any()):
-            raise ValueError("bitstream exhausted before all symbols decoded")
-    with _span("decode.gap.decode", backend=label, lanes=int(lane_base[-1])):
-        out_off, out_end, sym_base = _output_ranges(
-            gap_cnt, n_sub, lane_base, nsyms
-        )
-        symbols = decode_pass(
-            pbuf, gap_off, out_off, out_end, tab, table.k, int(sym_base[-1])
-        )
-    gap = GapArray(S, lane_base, gap_off, gap_cnt)
-    return GapDecodeResult(symbols, gap, label)
-
-
-def _kernel_gap_decode_tiered(
-    sync_pass,
-    decode_pass,
-    label: str,
-    buffer: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    nsyms: np.ndarray,
-    book: CanonicalCodebook,
-    table: TieredDecodeTable,
-    S: int,
-) -> GapDecodeResult:
-    """Tiered twin of :func:`_kernel_gap_decode`: the same two-pass
-    contract with the flat packed table swapped for the tiered root +
-    subtable arrays.  Serves the njit registry backend and (test-sized)
-    the NumPy reference backend's serial walks."""
-    targs = (table.l1, table.sub, table.node_base, table.node_bits,
-             int(table.k1))
-    n_sub, lane_base = _lane_layout(starts, ends, S)
-    pbuf = _pad_buffer(buffer)
-    with _span(
-        "decode.gap.sync",
-        backend=label,
-        subchunk_bits=S,
-        lanes=int(lane_base[-1]),
-        chunks=int(starts.size),
-    ):
-        gap_off, gap_cnt, ch_n, ch_endpos = sync_pass(
-            pbuf, starts, ends, lane_base, S, *targs
-        )
-        exhausted = (ch_n < nsyms) | ((ch_n == nsyms) & (ch_endpos > ends))
-        if bool(exhausted.any()):
-            raise ValueError("bitstream exhausted before all symbols decoded")
-    with _span("decode.gap.decode", backend=label, lanes=int(lane_base[-1])):
-        out_off, out_end, sym_base = _output_ranges(
-            gap_cnt, n_sub, lane_base, nsyms
-        )
-        symbols = decode_pass(
-            pbuf, gap_off, out_off, out_end, *targs, int(sym_base[-1])
-        )
-    gap = GapArray(S, lane_base, gap_off, gap_cnt)
-    return GapDecodeResult(symbols, gap, label)
+# ---------------------------------------------------------- native kernel
 
 
 def _native_gap_decode(
@@ -513,482 +382,55 @@ def _native_gap_decode(
     table: DecodeTable,
     S: int,
 ) -> GapDecodeResult:
-    return _kernel_gap_decode(
-        kernel.sync_pass, kernel.decode_pass, "native",
-        buffer, starts, ends, nsyms, book, table, S,
-    )
-
-
-def _njit_gap_decode(
-    bk,
-    buffer: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    nsyms: np.ndarray,
-    book: CanonicalCodebook,
-    table: DecodeTable,
-    S: int,
-) -> GapDecodeResult:
-    return _kernel_gap_decode(
-        bk.gap_sync_pass, bk.gap_decode_pass, "njit",
-        buffer, starts, ends, nsyms, book, table, S,
-    )
-
-
-# ------------------------------------------------------------- numpy backend
-
-
-def _speculative_trace(
-    W: np.ndarray,
-    b: np.ndarray,
-    e32: np.ndarray,
-    meta_t: np.ndarray,
-    syms_t: np.ndarray,
-    Tcap: int,
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """All lanes decode speculatively from their boundary, recording a
-    per-step position trace (``phist``), packed symbols (``stage``) and
-    emit counts (``cstage``).  After every lane crossed its own end the
-    loop runs ``_MAXR`` extra rows so each trace carries the
-    *continuation* its successor lane merges against.
-    """
-    L = b.size
-    p = b.astype(np.int32)
-    idx = np.empty(L, np.int32)
-    win = np.empty(L, np.int32)
-    mt = np.empty(L, np.int32)
-    phist = np.empty((Tcap, L), np.int32)
-    # +1 trash row at the end for clipped guard-splice scatters
-    stage = np.empty((_MAXR + Tcap + 1, L), np.int32)
-    cstage = np.zeros((_MAXR + Tcap + 1, L), np.int8)
-    mstage = stage[_MAXR:]
-    ccstage = cstage[_MAXR:]
-    sb16 = np.int32(16)
-    msk = np.int32(0xFFFF)
-    t = 0
-    tail_rows = 0
-    while True:
-        phist[t] = p
-        np.right_shift(p, 3, out=idx)
-        W.take(idx, mode="clip", out=win)
-        np.bitwise_and(p, 7, out=idx)
-        np.subtract(sb16, idx, out=idx)
-        np.right_shift(win, idx, out=win)
-        np.bitwise_and(win, msk, out=win)
-        meta_t.take(win, out=mt)
-        syms_t.take(win, out=mstage[t])
-        np.right_shift(mt, 16, out=win)  # win := cnt
-        ccstage[t] = win
-        np.right_shift(mt, 10, out=mt)
-        np.bitwise_and(mt, 63, out=mt)  # mt := adv
-        np.add(p, mt, out=p)
-        t += 1
-        if tail_rows == 0:
-            if t % 8 == 0 and not (p < e32).any():
-                tail_rows = _MAXR
-        else:
-            tail_rows -= 1
-            if tail_rows == 0:
-                break
-        if t >= Tcap:
-            raise RuntimeError("gap stage overflow")
-    return t, phist, stage, cstage
-
-
-def _windows_at(W: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """16-bit windows of the stream at the given bit positions."""
-    wv = W.take(pos >> 3, mode="clip")
-    return (wv >> (np.int32(16) - (pos & 7))) & np.int32(0xFFFF)
-
-
-def _numpy_slab(
-    buffer: np.ndarray,
-    W: np.ndarray,
-    ch_start: np.ndarray,
-    ch_end: np.ndarray,
-    ch_syms: np.ndarray,
-    S: int,
-    meta_t: np.ndarray,
-    syms_t: np.ndarray,
-    book: CanonicalCodebook,
-    table: DecodeTable,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Speculative gap decode of one chunk slab.
-
-    Returns ``(symbols, gap_offsets, gap_counts, n_fallback_chunks)``.
-    Pass 1 (``decode.gap.sync``): speculative trace plus the fixup that
-    intersects each lane's trace with its predecessor's continuation to
-    find the merge row — the sync points.  Pass 2
-    (``decode.gap.decode``): boundary trims, continuation splice into
-    guard rows, lane-major slot-mask assembly, and per-chunk
-    symbol-count validation that sends failed chunks to
-    ``decode_lanes`` (their gap entries to the reference walk).
-    """
-    n_ch = ch_start.size
-    total = int(ch_syms.sum())
-    n_sub_per, lane_base = _lane_layout(ch_start, ch_end, S)
-    L = int(lane_base[-1])
-    base = np.repeat(ch_start, n_sub_per)
-    firsts = np.repeat(lane_base[:-1], n_sub_per)
-    off = (np.arange(L) - firsts) * S
-    b = (base + off).astype(np.int64)
-    e32 = np.minimum(b + S, np.repeat(ch_end, n_sub_per)).astype(np.int32)
-    aligned = off == 0
-    Tcap = S + 64
-
+    """The two exact C kernel passes: sync, then lock-step decode."""
+    tab = _native_table(book, table)
+    n_sub, lane_base = _lane_layout(starts, ends, S)
+    pbuf = _pad_buffer(buffer)
     with _span(
         "decode.gap.sync",
-        backend="numpy",
         subchunk_bits=S,
-        lanes=L,
-        chunks=int(n_ch),
+        lanes=int(lane_base[-1]),
+        chunks=int(starts.size),
     ):
-        T, phist, stage, cstage = _speculative_trace(
-            W, b, e32, meta_t, syms_t, Tcap
+        gap_off, gap_cnt, ch_n, ch_endpos = kernel.sync_pass(
+            pbuf, starts, ends, lane_base, S, tab, table.k
         )
-        PH = phist[:T]
-        ccstage = cstage[_MAXR:]
-
-        # crossing row: first row with position >= lane end
-        ge = PH >= e32[None, :]
-        cross = ge.argmax(axis=0)
-        lanes_i = np.arange(L)
-
-        # ---- fixup: merge each lane's trace with its predecessor's
-        # continuation (positions can match a row start or an intra-row
-        # codeword start)
-        nal = np.flatnonzero(~aligned)
-        pj = nal - 1
-        crow = cross[pj].copy()
-        live = np.ones(nal.size, bool)
-        srow = np.zeros(nal.size, np.int32)
-        soff = np.zeros(nal.size, np.int8)
-        tidx = np.zeros(nal.size, np.int32)
-        fix_len = np.zeros(nal.size, np.int32)
-        for r in range(_MAXR):
-            v = PH[np.minimum(crow, T - 1), pj]
-            ti = tidx
-            for _ in range(4):
-                bump = (
-                    live
-                    & (ti < T - 1)
-                    & (PH[np.minimum(ti + 1, T - 1), nal] <= v)
-                )
-                if not bump.any():
-                    break
-                ti = ti + bump
-            tidx = ti
-            gpos = PH[np.minimum(tidx, T - 1), nal]
-            gm = meta_t.take(_windows_at(W, gpos))
-            gl1 = gm & 31
-            gl12 = (gm >> 5) & 31
-            m0 = v == gpos
-            m1 = v == gpos + gl1
-            m2 = v == gpos + gl12
-            hit = live & (m0 | m1 | m2)
-            srow[hit] = tidx[hit]
-            soff[hit] = np.where(m0[hit], 0, np.where(m1[hit], 1, 2))
-            fix_len[hit] = r
-            live &= ~hit
-            if not live.any():
-                break
-            crow = crow + live
-
-        lo = np.zeros(L, np.int8)
-        lo[nal] = soff
-        mrow = np.full(L, -1, np.int32)
-        mrow[nal] = srow
-
-        # chain validity: a lane is on the true chain if aligned, or
-        # merged with a valid predecessor whose continuation region is
-        # itself past that predecessor's own merge row
-        found = np.zeros(L, bool)
-        found[nal] = (~live) & (cross[pj] - 1 >= np.maximum(mrow.take(pj), 0))
-        valid = aligned | found
-        for _ in range(int(n_sub_per.max())):
-            vprev = np.empty(L, bool)
-            vprev[0] = True
-            vprev[1:] = valid[:-1]
-            nv = aligned | (found & vprev)
-            if (nv == valid).all():
-                break
-            valid = nv
-        ch_of_lane = np.repeat(np.arange(n_ch), n_sub_per)
-        bad_chunks = (
-            np.unique(ch_of_lane[~valid])
-            if not valid.all()
-            else np.empty(0, np.int64)
+        # replicate decode_lanes' exhaustion semantics: a chunk whose
+        # chain yields fewer codewords than the container claims, or
+        # exactly as many but with the last one straddling the chunk
+        # end, would leave a lane cursor past its end there
+        exhausted = (ch_n < nsyms) | ((ch_n == nsyms) & (ch_endpos > ends))
+        if bool(exhausted.any()):
+            raise ValueError("bitstream exhausted before all symbols decoded")
+    with _span("decode.gap.decode", lanes=int(lane_base[-1])):
+        out_off, out_end, sym_base = _output_ranges(
+            gap_cnt, n_sub, lane_base, nsyms
         )
-
-    with _span("decode.gap.decode", backend="numpy", lanes=L):
-        # boundary emit trim at the crossing row's predecessor: that
-        # row's later codewords may start at/past the lane end and
-        # belong to the successor
-        prow = np.maximum(cross - 1, 0)
-        ppos = PH[prow, lanes_i]
-        pm = meta_t.take(_windows_at(W, ppos))
-        pl1 = pm & 31
-        pl12 = (pm >> 5) & 31
-        pcnt = pm >> 16
-        pemit = (
-            (ppos < e32).astype(np.int8)
-            + (ppos + pl1 < e32)
-            + (ppos + pl12 < e32)
+        symbols = kernel.decode_pass(
+            pbuf, gap_off, out_off, out_end, tab, table.k, int(sym_base[-1])
         )
-        pemit = np.minimum(pemit, pcnt).astype(np.int8)
-        cstage[_MAXR + prow, lanes_i] = pemit
-        rows = np.arange(T)[:, None]
-        kill = rows > prow[None, :]
-        ccstage[:T][kill] = 0
-
-        # ---- splice the predecessor continuation rows
-        # [cross-1, cross+fix) into each lane's guard rows (the straddle
-        # row keeps only codewords starting at/after the boundary)
-        hj = nal
-        hp = pj
-        hc = np.maximum(cross[hp] - 1, 0)
-        hfl = fix_len + 1
-        nrr = int(hfl.max()) if hfl.size else 1
-        rr = np.arange(nrr)[:, None]
-        src_row = np.minimum(hc[None, :] + rr, T - 1)
-        use = rr < hfl[None, :]
-        spos = PH[src_row, hp[None, :]]
-        sm = meta_t.take(_windows_at(W, spos))
-        scnt = (sm >> 16).astype(np.int8)
-        ssym = syms_t.take(_windows_at(W, spos))
-        # trim guard emits against the successor's own end e_j: when the
-        # merge lies beyond e_j (tiny tail subchunks) the continuation
-        # rows overshoot lane j's range and must only count starts < e_j
-        sl1 = sm & 31
-        sl12 = (sm >> 5) & 31
-        ej = e32.take(hj)[None, :]
-        semit = (
-            (spos < ej).astype(np.int8)
-            + (spos + sl1 < ej)
-            + (spos + sl12 < ej)
-        )
-        semit = np.minimum(semit, scnt)
-        semit[~use] = 0
-        gr = rr + (_MAXR - hfl[None, :])  # top-aligned guard rows
-        gr = np.where(use, gr, _MAXR + Tcap)  # unused rows -> trash row
-        stage[gr, hj[None, :]] = ssym
-        cstage[gr, hj[None, :]] = semit
-        # guard straddle row: drop slots still owned by the predecessor
-        gpos0 = PH[hc, hp]
-        gm0 = meta_t.take(_windows_at(W, gpos0))
-        g_l1 = gm0 & 31
-        g_l12 = (gm0 >> 5) & 31
-        g_adv = (gm0 >> 10) & 63
-        g_cnt = (gm0 >> 16).astype(np.int8)
-        pe = e32.take(hp)
-        gtrim = (
-            (gpos0 < pe).astype(np.int8)
-            + (gpos0 + g_l1 < pe)
-            + (gpos0 + g_l12 < pe)
-        )
-        glo = np.minimum(gtrim, g_cnt)
-        # if the straddle row is the predecessor's own merge row, its
-        # pre-merge slots are dead too
-        at_pred_merge = hc == mrow.take(hp)
-        glo = np.maximum(glo, np.where(at_pred_merge, lo.take(hp), 0))
-        grow = np.full(L, -1, np.int32)
-        grow[nal] = _MAXR - hfl
-        glo_all = np.zeros(L, np.int8)
-        glo_all[nal] = glo
-
-        # gap offsets: the first chain codeword start at-or-after each
-        # boundary, read off the straddle row (slot ``gtrim``; slot 3
-        # means the next continuation row's position)
-        gap_off = b.copy()
-        cand = np.stack([np.zeros_like(g_l1), g_l1, g_l12, g_adv])
-        gap_off[nal] = (
-            gpos0 + cand[np.minimum(gtrim, 3), np.arange(nal.size)]
-        ).astype(np.int64)
-
-        # invalidate pre-merge speculative rows of non-aligned lanes
-        ccstage_sub = cstage[_MAXR : _MAXR + T]
-        tmp = ccstage_sub[:, nal]
-        tmp[np.arange(T)[:, None] < srow[None, :]] = 0
-        ccstage_sub[:, nal] = tmp
-
-        # ---- assembly: lane-major boolean slot-mask gather
-        Rg = _MAXR
-        ST = np.ascontiguousarray(stage[: Rg + T].T)  # (L, Rg+T)
-        CT = np.ascontiguousarray(cstage[: Rg + T].T)  # (L, Rg+T) int8
-        inter = np.empty((L, Rg + T, 3), np.int32)
-        np.bitwise_and(ST, np.int32(1023), out=inter[:, :, 0])
-        v = np.right_shift(ST, np.int32(10))
-        np.bitwise_and(v, np.int32(1023), out=inter[:, :, 1])
-        np.right_shift(ST, np.int32(20), out=inter[:, :, 2])
-        slot = np.arange(3, dtype=np.int8)
-        mask = slot[None, None, :] < CT[:, :, None]
-        rowg = np.arange(Rg + T, dtype=np.int32)
-        atm = rowg[None, :] == (Rg + mrow)[:, None]
-        lowmask = slot[None, None, :] >= lo[:, None, None]
-        mask &= ~atm[:, :, None] | lowmask
-        atg = rowg[None, :] == grow[:, None]
-        glowmask = slot[None, None, :] >= glo_all[:, None, None]
-        mask &= ~atg[:, :, None] | glowmask
-
-        # per-chunk symbol-count validation; failed chunks fall back
-        lane_cnt = mask.sum(axis=(1, 2))
-        ch_got = np.bincount(
-            ch_of_lane, weights=lane_cnt, minlength=n_ch
-        ).astype(np.int64)
-        mismatch = np.flatnonzero(ch_got != ch_syms)
-
-        # gap symbol counts: exclusive per-chunk cumsum of lane counts
-        total_excl = np.zeros(L, np.int64)
-        if L > 1:
-            np.cumsum(lane_cnt[:-1], out=total_excl[1:])
-        gap_cnt = total_excl - np.repeat(
-            total_excl[lane_base[:-1]], n_sub_per
-        )
-
-        # chain-end check (decode_lanes exhaustion semantics): walk each
-        # count-valid chunk's last subchunk from its sync point to the
-        # chunk's final chain position; a last codeword straddling the
-        # chunk end routes the chunk to the fallback, where decode_lanes
-        # raises exactly as the lanes path would
-        last = lane_base[1:] - 1
-        p_end = gap_off[last].astype(np.int32)
-        rem = ch_syms - gap_cnt[last]
-        skip = np.zeros(n_ch, bool)
-        skip[mismatch] = True
-        if bad_chunks.size:
-            skip[bad_chunks] = True
-        rem[skip] = 0
-        while True:
-            act = rem >= 3
-            if not act.any():
-                break
-            gm = meta_t.take(_windows_at(W, p_end))
-            adv = (gm >> 10) & 63
-            p_end = p_end + np.where(act, adv, 0).astype(np.int32)
-            rem = rem - np.where(act, gm >> 16, 0)
-        for _ in range(2):
-            act = rem > 0
-            if not act.any():
-                break
-            gm = meta_t.take(_windows_at(W, p_end))
-            p_end = p_end + np.where(act, gm & 31, 0).astype(np.int32)
-            rem = rem - act
-        overshoot = np.flatnonzero(~skip & (p_end.astype(np.int64) > ch_end))
-
-        if mismatch.size or bad_chunks.size or overshoot.size:
-            bad = np.union1d(
-                np.union1d(bad_chunks, mismatch), overshoot
-            ).astype(np.int64)
-            good_lane = ~np.isin(ch_of_lane, bad)
-            mask &= good_lane[:, None, None]
-            out_good = inter[mask]
-            out = np.empty(total, np.int32)
-            good_sym = np.repeat(~np.isin(np.arange(n_ch), bad), ch_syms)
-            out[good_sym] = out_good
-            fb = decode_lanes(
-                buffer, ch_start[bad], ch_end[bad], ch_syms[bad], book, table
-            )
-            out[~good_sym] = fb
-            # exact gap entries for fallback chunks via the reference walk
-            ref = reference_gap_array(
-                buffer, ch_start[bad], ch_end[bad], book, S, table
-            )
-            bad_lane = np.isin(ch_of_lane, bad)
-            gap_off[bad_lane] = ref.bit_offsets
-            gap_cnt[bad_lane] = ref.symbol_counts
-            return out.astype(np.int64), gap_off, gap_cnt, int(bad.size)
-
-        out = inter[mask]
-        return out.astype(np.int64), gap_off, gap_cnt, 0
-
-
-def _numpy_gap_decode(
-    buffer: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    nsyms: np.ndarray,
-    book: CanonicalCodebook,
-    table: DecodeTable,
-    S: int,
-) -> GapDecodeResult:
-    meta_t, syms_t = _triple_table(book, table)
-    W = _window_words(_pad_buffer(buffer), np.int32)
-    n_sub, lane_base = _lane_layout(starts, ends, S)
-    # slab chunks so speculative stage memory stays bounded
-    lanes_cap = max(256, _SLAB_BYTES // ((S + 64 + _MAXR) * 26))
-    out_parts = []
-    gap_off = np.empty(int(lane_base[-1]), np.int64)
-    gap_cnt = np.empty(int(lane_base[-1]), np.int64)
-    fallbacks = 0
-    lo = 0
-    n_ch = starts.size
-    while lo < n_ch:
-        hi = lo + 1
-        lanes = int(n_sub[lo])
-        while hi < n_ch and lanes + int(n_sub[hi]) <= lanes_cap:
-            lanes += int(n_sub[hi])
-            hi += 1
-        sym, goff, gcnt, fb = _numpy_slab(
-            buffer,
-            W,
-            starts[lo:hi],
-            ends[lo:hi],
-            nsyms[lo:hi],
-            S,
-            meta_t,
-            syms_t,
-            book,
-            table,
-        )
-        out_parts.append(sym)
-        gap_off[int(lane_base[lo]) : int(lane_base[hi])] = goff
-        gap_cnt[int(lane_base[lo]) : int(lane_base[hi])] = gcnt
-        fallbacks += fb
-        lo = hi
-    symbols = (
-        np.concatenate(out_parts) if out_parts else np.empty(0, np.int64)
-    )
     gap = GapArray(S, lane_base, gap_off, gap_cnt)
-    return GapDecodeResult(symbols, gap, "numpy", fallbacks)
+    return GapDecodeResult(symbols, gap, "native")
 
 
 # --------------------------------------------------------------- entry point
 
 
-def _resolved_njit(registry_backend: str | None):
-    """The njit registry backend, or ``None`` — only when the resolved
-    selection (arg > ``REPRO_BACKEND`` env > default) actually *is*
-    njit, so ``REPRO_BACKEND=numpy`` keeps the reference leg pure."""
-    from repro import backends as _backends
-
-    bk = _backends.get_backend(registry_backend, quiet=True)
-    return bk if bk.name == "njit" else None
-
-
 def gap_auto_ready(
-    registry_backend: str | None = None,
     book: CanonicalCodebook | None = None,
     table: DecodeTable | TieredDecodeTable | None = None,
 ) -> bool:
     """Whether ``strategy="auto"`` heuristics should promote the gap
-    path: a compiled gap kernel exists — the native C one, or the njit
-    registry backend when the selection resolves to it.
-
-    With ``book``/``table`` the answer is tier-aware: a decode that will
-    run on a :class:`TieredDecodeTable` (explicitly, or by the automatic
-    deep-book promotion) needs the njit tiered kernels — the native C
-    kernel is flat-only, so its presence alone must not promote such a
-    stream off the batch path.
+    path: the native C kernel is present and the decode will run on a
+    flat table (the kernel is flat-only, so a tiered table — explicit,
+    or the automatic deep-book promotion — stays on the batch path).
     """
     tiered = isinstance(table, TieredDecodeTable) or (
         table is None
         and book is not None
         and int(book.max_length) > _HOST_TABLE_BITS
     )
-    if tiered:
-        return _resolved_njit(registry_backend) is not None
-    return gap_native.native_available() or \
-        _resolved_njit(registry_backend) is not None
+    return not tiered and gap_native.native_available()
 
 
 def gap_decode_lanes(
@@ -997,30 +439,18 @@ def gap_decode_lanes(
     ends: np.ndarray,
     nsyms: np.ndarray,
     book: CanonicalCodebook,
-    table: DecodeTable | None = None,
+    table: DecodeTable | TieredDecodeTable | None = None,
     *,
     subchunk_bits: int | None = None,
-    backend: str = "auto",
-    registry_backend: str | None = None,
 ) -> GapDecodeResult:
     """Gap-array decode of chunk lanes (drop-in for ``decode_lanes``).
 
-    ``backend="auto"`` prefers the compiled C kernel, then the njit
-    registry backend (only when ``registry_backend`` — or the
-    ``REPRO_BACKEND`` env it defaults through — resolves to njit), then
-    the NumPy reference; ``"native"``/``"njit"``/``"numpy"`` force one
-    (the first two raise if unavailable).  Books the gap tables cannot
-    express (see :func:`gap_supported`) decode through ``decode_lanes``
-    and report ``backend="lanes"``.
-
-    Tiered tables (automatic for ``max_length`` over the host budget)
-    route differently: the native C kernel is flat-only and raises when
-    forced; ``"njit"`` runs the tiered kernel pair; ``"numpy"`` runs the
-    reference backend's serial tiered walks (exact, test-sized — the
-    vectorized speculative path stays flat-only); ``"auto"`` takes njit
-    when resolved, else falls back to ``decode_lanes`` (whose tiered
-    batch path is vectorized) with a counted
-    ``reason="tiered_no_kernel"``.
+    Runs the native C kernel when it is present and the table is a
+    complete flat table.  Otherwise the call decodes through
+    ``decode_lanes``, reports ``backend="lanes"`` and counts the reason
+    in ``repro_decode_gap_lut_fallback_total``: a :func:`gap_supported`
+    reason, ``"tiered_no_kernel"`` (the kernel is flat-only) or
+    ``"no_native_kernel"``.
     """
     buffer = np.ascontiguousarray(buffer, dtype=np.uint8)
     starts = np.ascontiguousarray(starts, dtype=np.int64)
@@ -1032,125 +462,34 @@ def gap_decode_lanes(
             if int(book.max_length) > _HOST_TABLE_BITS
             else build_decode_table(book, _HOST_TABLE_BITS)
         )
-    if backend not in ("auto", "native", "njit", "numpy"):
-        raise ValueError(f"unknown gap backend: {backend!r}")
     reg = _metrics()
-    tiered = isinstance(table, TieredDecodeTable)
     ok, why = gap_supported(book, table)
-
-    if tiered:
-        if backend == "native":
-            raise RuntimeError(
-                "native gap backend does not support tiered tables"
-            )
-        njit_bk = None
-        if backend == "njit":
-            njit_bk = _resolved_njit("njit")
-            if njit_bk is None:
-                raise RuntimeError("njit gap backend unavailable")
-        elif backend == "auto":
-            njit_bk = _resolved_njit(registry_backend)
-        if not ok or (backend == "auto" and njit_bk is None):
-            reason = why or "tiered_no_kernel"
-            reg.counter(
-                "repro_decode_gap_lut_fallback_total", reason=reason
-            ).inc()
-            symbols = decode_lanes(buffer, starts, ends, nsyms, book, table)
-            return GapDecodeResult(symbols, None, "lanes")
-        if njit_bk is not None:
-            bk, pass_bk = "njit", njit_bk
-        else:  # backend == "numpy": exact serial reference walks
-            from repro import backends as _backends
-
-            bk, pass_bk = "numpy", _backends.get_backend("numpy", quiet=True)
-        total_bits = int((ends - starts).sum())
-        S = (
-            int(subchunk_bits)
-            if subchunk_bits is not None
-            else default_subchunk_bits(total_bits, bk)
-        )
-        res = _kernel_gap_decode_tiered(
-            pass_bk.gap_sync_tiered_pass, pass_bk.gap_decode_tiered_pass,
-            bk, buffer, starts, ends, nsyms, book, table, S,
-        )
-        gap = res.gap
-        assert gap is not None
-        reg.counter(
-            "repro_decode_table_tier_total", tier="tiered"
-        ).inc()
-        reg.counter("repro_decode_symbols_total", path="gap").inc(
-            int(res.symbols.size)
-        )
-        reg.counter("repro_decode_gap_subchunks_total", backend=bk).inc(
-            gap.n_subchunks
-        )
-        reg.counter("repro_decode_gap_sync_points_total", backend=bk).inc(
-            gap.n_sync_points
-        )
-        return res
-
-    numpy_ok = ok and int(book.n_symbols) <= 1024 and (
-        int(ends.max()) if ends.size else 0
-    ) < _INT32_BIT_LIMIT
-    kern = gap_native.kernel() if backend in ("auto", "native") else None
-    if backend == "native" and kern is None:
-        raise RuntimeError(
-            f"native gap backend unavailable: {gap_native.native_error()}"
-        )
-    njit_bk = None
-    if backend == "njit":
-        njit_bk = _resolved_njit("njit")
-        if njit_bk is None:
-            raise RuntimeError("njit gap backend unavailable")
-    elif backend == "auto" and kern is None:
-        njit_bk = _resolved_njit(registry_backend)
-    if not ok or (
-        backend == "auto"
-        and kern is None
-        and njit_bk is None
-        and not numpy_ok
-    ) or (backend == "numpy" and not numpy_ok):
-        reason = why or "numpy_limits"
+    kern = None
+    if not ok:
+        reason = why
+    elif isinstance(table, TieredDecodeTable):
+        reason = "tiered_no_kernel"
+    else:
+        kern = gap_native.kernel()
+        reason = "" if kern is not None else "no_native_kernel"
+    if kern is None:
         reg.counter("repro_decode_gap_lut_fallback_total", reason=reason).inc()
         symbols = decode_lanes(buffer, starts, ends, nsyms, book, table)
-        return GapDecodeResult(symbols, None, "lanes")
+        return GapDecodeResult(symbols, None, "lanes", reason)
 
-    total_bits = int((ends - starts).sum())
-    if kern is not None and backend != "numpy" and backend != "njit":
-        bk = "native"
-    elif njit_bk is not None:
-        bk = "njit"
-    else:
-        bk = "numpy"
-    S = (
-        int(subchunk_bits)
-        if subchunk_bits is not None
-        else default_subchunk_bits(total_bits, bk)
-    )
-    if bk == "native":
-        res = _native_gap_decode(
-            kern, buffer, starts, ends, nsyms, book, table, S
-        )
-    elif bk == "njit":
-        res = _njit_gap_decode(
-            njit_bk, buffer, starts, ends, nsyms, book, table, S
-        )
-    else:
-        res = _numpy_gap_decode(buffer, starts, ends, nsyms, book, table, S)
+    S = int(subchunk_bits) if subchunk_bits is not None \
+        else DEFAULT_SUBCHUNK_BITS
+    res = _native_gap_decode(kern, buffer, starts, ends, nsyms, book, table, S)
     gap = res.gap
     assert gap is not None
     reg.counter("repro_decode_table_tier_total", tier="flat").inc()
     reg.counter("repro_decode_symbols_total", path="gap").inc(
         int(res.symbols.size)
     )
-    reg.counter("repro_decode_gap_subchunks_total", backend=bk).inc(
+    reg.counter("repro_decode_gap_subchunks_total", backend="native").inc(
         gap.n_subchunks
     )
-    reg.counter("repro_decode_gap_sync_points_total", backend=bk).inc(
+    reg.counter("repro_decode_gap_sync_points_total", backend="native").inc(
         gap.n_sync_points
     )
-    if res.chunk_fallbacks:
-        reg.counter("repro_decode_gap_chunk_fallback_total").inc(
-            res.chunk_fallbacks
-        )
     return res

@@ -1,9 +1,8 @@
 """Runtime-compiled C kernel backing the gap-array decoder.
 
-ROADMAP names a "compiled-kernel backend registry: keep the NumPy
-implementations as the reference semantics, add an optional compiled
-path" — this module is that path for :mod:`repro.decoder.gap_array`.
-The two kernels mirror the paper's two passes exactly:
+The gap-array decoder (:mod:`repro.decoder.gap_array`) runs only on
+this kernel; :func:`repro.decoder.gap_array.reference_gap_array` is its
+serial oracle.  The two kernels mirror the paper's two passes exactly:
 
 - ``gap_sync_pass``: per-chunk codeword-length walk that records, at
   every fixed-width subchunk boundary, the first codeword-aligned bit
@@ -19,9 +18,9 @@ The two kernels mirror the paper's two passes exactly:
 Compilation happens once per process via :mod:`cffi` + the system C
 compiler and is cached on disk keyed by a hash of the C source; when
 cffi, a compiler, or a writable cache directory is missing the module
-degrades to ``kernel() -> None`` and the callers stay on the NumPy
-reference backend.  ``REPRO_GAP_DISABLE_NATIVE=1`` forces that
-degradation (used by tests to pin the reference path).
+degrades to ``kernel() -> None`` and gap requests decode through
+``decode_lanes`` instead.  ``REPRO_GAP_DISABLE_NATIVE=1`` forces that
+degradation (the no-compiler test leg, ``make test-no-native``).
 """
 
 from __future__ import annotations
@@ -298,6 +297,6 @@ def native_available() -> bool:
 
 
 def native_error() -> Optional[str]:
-    """Why the native backend is off (``None`` while it works)."""
+    """Why the native kernel is off (``None`` while it works)."""
     kernel()
     return _ERROR

@@ -35,6 +35,7 @@ __all__ = [
     "GpuHistogramResult",
     "replication_factor",
     "gpu_histogram",
+    "fast_histogram",
     "hist_simt_kernel",
     "MAX_HISTOGRAM_BINS",
 ]
@@ -93,20 +94,40 @@ class GpuHistogramResult:
         return combine_costs(self.costs, name="hist")
 
 
+def fast_histogram(data: np.ndarray, n_symbols: int) -> np.ndarray:
+    """``np.bincount`` with a halved input for byte alphabets.
+
+    ``bincount`` casts its input to int64 before counting; viewing a
+    contiguous uint8 stream as uint16 *pairs* halves both the cast and
+    the count loop, and the 64 Ki pair counts fold back to exact
+    per-symbol counts (low-byte sums + high-byte sums — endian-agnostic
+    because the fold is symmetric).
+    """
+    if data.dtype == np.uint8 and data.flags.c_contiguous \
+            and data.size >= (1 << 16):
+        even = data[: data.size & ~1]
+        ph = np.bincount(even.view(np.uint16), minlength=1 << 16)
+        ph = ph.reshape(256, 256)
+        hist = ph.sum(axis=0) + ph.sum(axis=1)
+        if data.size & 1:
+            hist[int(data[-1])] += 1
+        if hist.size > n_symbols and not hist[n_symbols:].any():
+            hist = hist[:n_symbols]  # match bincount's minlength shape
+        elif hist.size < n_symbols:
+            hist = np.concatenate(
+                [hist, np.zeros(n_symbols - hist.size, dtype=hist.dtype)]
+            )
+        return hist
+    return np.bincount(data, minlength=n_symbols)
+
+
 def gpu_histogram(
     data: np.ndarray,
     num_bins: int,
     device: DeviceSpec = V100,
     blocks: int | None = None,
-    backend: str | None = None,
 ) -> GpuHistogramResult:
-    """Histogram ``data`` (integer symbols < num_bins) on the modeled GPU.
-
-    ``backend`` selects the counting kernel from ``repro.backends``;
-    bins are bit-exact across backends.
-    """
-    from repro.backends import get_backend
-
+    """Histogram ``data`` (integer symbols < num_bins) on the modeled GPU."""
     data = np.asarray(data)
     if not np.issubdtype(data.dtype, np.integer):
         raise TypeError("histogram input must be integer symbols")
@@ -115,10 +136,9 @@ def gpu_histogram(
         raise ValueError("symbol out of histogram range")
     blocks = blocks if blocks is not None else device.sm_count * 2
 
-    bk = get_backend(backend)
     with _span("encode.histogram", bytes_in=int(flat.nbytes),
-               bins=int(num_bins), device=device.name, backend=bk.name):
-        hist = bk.histogram(flat, num_bins).astype(np.int64)
+               bins=int(num_bins), device=device.name):
+        hist = fast_histogram(flat, num_bins).astype(np.int64)
         repl = replication_factor(num_bins, device)
         conflict = expected_conflict_degree(hist, device.warp_size, repl)
     block_cost = KernelCost(

@@ -113,8 +113,9 @@ class TieredDecodeTable:
     ``entry & 0xFF`` exactly as with the flat table.
 
     ``complete`` is True when every reachable index maps to a codeword
-    (no ``-256`` sentinels) — the precondition for the kernel backends,
-    whose only error source is then the final exhaustion check.
+    (no ``-256`` sentinels) — the precondition for the gap-array
+    reference walk, whose only error source is then the final
+    exhaustion check.
     """
 
     def __init__(
@@ -412,7 +413,6 @@ def decode_lanes(
     n_symbols: np.ndarray,
     book: CanonicalCodebook,
     table: DecodeTable | None = None,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Decode many independent bitstream lanes in vectorized lock-step.
 
@@ -432,11 +432,6 @@ def decode_lanes(
     Returns the decoded symbols as one flat ``int64`` array, lane-major
     (lane 0's symbols, then lane 1's, ...).  Bit-identical to running
     :func:`decode_canonical` on each lane separately.
-
-    ``backend`` selects the kernel backend (``repro.backends``); the
-    non-reference path requires a *complete* table (no First/Entry
-    fallback) — books beyond it take a counted fallback to the NumPy
-    body.
     """
     if table is None:
         # automatic tier selection: the flat 2^16 table whenever it can
@@ -469,20 +464,6 @@ def decode_lanes(
         "repro_decode_table_tier_total",
         tier="tiered" if tiered else "flat",
     ).inc()
-
-    from repro import backends as _backends
-
-    bk = _backends.get_backend(backend)
-    if bk.name != "numpy":
-        out = (
-            _kernel_decode_lanes_tiered(bk, buffer, starts, ends, nsyms,
-                                        book, table)
-            if tiered
-            else _kernel_decode_lanes(bk, buffer, starts, ends, nsyms,
-                                      book, table)
-        )
-        if out is not None:
-            return out
 
     # int32 staging: the hot-loop scatter then casts nothing, and one
     # bulk astype at the end restores the external int64 contract
@@ -623,93 +604,6 @@ def decode_lanes(
     return out.astype(np.int64)
 
 
-def _kernel_decode_lanes(
-    bk,
-    buffer: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    nsyms: np.ndarray,
-    book: CanonicalCodebook,
-    table: DecodeTable,
-) -> np.ndarray | None:
-    """Run the lane decode through a registry kernel backend.
-
-    Returns ``None`` (after counting the fallback) when the book needs
-    the First/Entry slow path — kernel backends take only *complete*
-    tables, where the final exhaustion check is the sole error source,
-    so raise behaviour matches the NumPy body exactly.
-    """
-    from repro.decoder.gap_native import MAX_NATIVE_SYMBOL
-
-    if (
-        book.max_length > table.k
-        or not bool((table.length > 0).all())
-        or book.n_symbols > MAX_NATIVE_SYMBOL
-    ):
-        _metrics().counter(
-            "repro_backend_fallback_total", reason="incomplete_table"
-        ).inc()
-        return None
-    # local import: gap_array builds on this module
-    from repro.decoder.gap_array import _native_table, _pad_buffer
-
-    tab = _native_table(book, table)
-    pbuf = _pad_buffer(buffer)
-    out_off = np.zeros(nsyms.size, dtype=np.int64)
-    np.cumsum(nsyms[:-1], out=out_off[1:])
-    out, exhausted = bk.decode_lanes_pass(
-        pbuf, starts, ends, nsyms, out_off, tab, table.k
-    )
-    if exhausted:
-        raise ValueError("bitstream exhausted before all symbols decoded")
-    reg = _metrics()
-    reg.counter("repro_decode_symbols_total", path="batch").inc(int(out.size))
-    reg.counter("repro_decode_lanes_total").inc(int(nsyms.size))
-    return out
-
-
-def _kernel_decode_lanes_tiered(
-    bk,
-    buffer: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    nsyms: np.ndarray,
-    book: CanonicalCodebook,
-    table: TieredDecodeTable,
-) -> np.ndarray | None:
-    """Run the tiered lane decode through a registry kernel backend.
-
-    Kernel backends take only *complete* tiered tables (every reachable
-    index resolves), so the final exhaustion check is the sole error
-    source and raise behaviour matches the NumPy body exactly.
-    """
-    if not table.complete or book.n_symbols - 1 > _MAX_PACKED_SYMBOL:
-        _metrics().counter(
-            "repro_backend_fallback_total", reason="incomplete_table"
-        ).inc()
-        return None
-    # local import: gap_array builds on this module
-    from repro.decoder.gap_array import _pad_buffer
-
-    pbuf = _pad_buffer(buffer)
-    out_off = np.zeros(nsyms.size, dtype=np.int64)
-    np.cumsum(nsyms[:-1], out=out_off[1:])
-    out, exhausted, sub_steps = bk.decode_lanes_tiered_pass(
-        pbuf, starts, ends, nsyms, out_off,
-        table.l1, table.sub, table.node_base, table.node_bits, table.k1,
-    )
-    if exhausted:
-        raise ValueError("bitstream exhausted before all symbols decoded")
-    reg = _metrics()
-    reg.counter("repro_decode_symbols_total", path="batch").inc(int(out.size))
-    reg.counter("repro_decode_lanes_total").inc(int(nsyms.size))
-    if sub_steps:
-        reg.counter(
-            "repro_decode_subtable_gather_total", path="batch"
-        ).inc(int(sub_steps))
-    return out
-
-
 def decode_batch(
     buffer: np.ndarray,
     total_bits: int,
@@ -717,7 +611,6 @@ def decode_batch(
     n_symbols: int,
     table: DecodeTable | None = None,
     impl: str = "auto",
-    backend: str | None = None,
 ) -> np.ndarray:
     """Table-driven batch decode of a single dense bitstream.
 
@@ -726,9 +619,9 @@ def decode_batch(
     ``"lanes"`` walks the stream as a single lane; ``"gap"`` routes
     through the gap-array decoder (:mod:`repro.decoder.gap_array`),
     which subchunks the stream so even one dense stream decodes with
-    thousands of parallel lanes; ``"auto"`` picks ``"gap"`` when a
-    compiled gap backend (native, or the selected registry backend) is
-    available and the book is in gap range, else ``"lanes"``.
+    thousands of parallel lanes; ``"auto"`` picks ``"gap"`` when the
+    compiled gap kernel is available and the table is flat, else
+    ``"lanes"``.
     """
     if impl not in ("auto", "gap", "lanes"):
         raise ValueError(f"unknown decode impl: {impl!r}")
@@ -741,14 +634,13 @@ def decode_batch(
         from repro.decoder import gap_array
 
         if impl == "gap" or (
-            gap_array.gap_auto_ready(backend, book=book, table=table)
+            gap_array.gap_auto_ready(book=book, table=table)
             and n_symbols >= gap_array.AUTO_MIN_SYMBOLS
         ):
             return gap_array.gap_decode_lanes(
-                buffer, starts, ends, nsyms, book, table,
-                registry_backend=backend,
+                buffer, starts, ends, nsyms, book, table
             ).symbols
-    return decode_lanes(buffer, starts, ends, nsyms, book, table, backend)
+    return decode_lanes(buffer, starts, ends, nsyms, book, table)
 
 
 def decode_with_tree(

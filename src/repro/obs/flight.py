@@ -57,6 +57,7 @@ _PATH_ATTRS = {
     "decode.stream": (
         ("strategy", "decode_strategy"),
         ("table_tier", "table_tier"),
+        ("gap_fallback", "gap_fallback"),
     ),
     "decode.gap": (("backend", "gap_backend"),),
 }

@@ -194,9 +194,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         status, _, body = _get(port, "/stats")
         st = json.loads(body) if status == 200 else {}
         check("GET /stats -> 200", status == 200)
+        dec = st.get("decode", {})
         check("stats: decode section",
-              st.get("decode", {}).get("gap_backend") in ("native", "numpy"),
-              str(st.get("decode", {}).get("gap_backend")))
+              (dec.get("gap_backend"), dec.get("gap_backend_reason") is None)
+              in (("native", True), ("lanes", False)),
+              str((dec.get("gap_backend"), dec.get("gap_backend_reason"))))
         check("stats: flight section",
               st.get("flight", {}).get("enabled") is True
               and st.get("flight", {}).get("kept", 0) >= 2)

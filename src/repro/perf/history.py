@@ -61,18 +61,12 @@ THROUGHPUT_METRICS = (
     "decode_scalar_mb_s",
     "decode_batch_mb_s",
     "decode_gap_mb_s",
-    # per-kernel-backend columns; zero (and therefore skipped by the
-    # gate) on hosts without real numba
-    "encode_njit_mb_s",
-    "decode_njit_mb_s",
 )
 
 _ENTRY_METRICS = THROUGHPUT_METRICS + (
     "encode_speedup",
     "decode_speedup",
     "decode_speedup_gap",
-    "encode_njit_speedup",
-    "decode_njit_speedup",
     "compressed_bytes",
     "cache_hits",
     "cache_misses",
@@ -98,16 +92,10 @@ def _fallback_counters() -> dict:
 
     reg = _metrics()
     return {
-        "gap_chunk_fallbacks": int(
-            reg.total("repro_decode_gap_chunk_fallback_total")
-        ),
         "gap_lut_fallbacks": int(
             reg.total("repro_decode_gap_lut_fallback_total")
         ),
         "lut_fallbacks": int(reg.total("repro_decode_lut_fallback_total")),
-        "backend_fallbacks": int(
-            reg.total("repro_backend_fallback_total")
-        ),
     }
 
 
@@ -120,23 +108,18 @@ def history_entry(
     """One history line from a run's :class:`WallclockResult` list."""
     datasets = {}
     backend = ""
-    kernel_backend = ""
     for r in results:
         d = r.to_dict() if hasattr(r, "to_dict") else dict(r)
         datasets[d["dataset"]] = {
             k: d[k] for k in _ENTRY_METRICS if k in d
         }
         backend = d.get("gap_backend", backend) or backend
-        kernel_backend = d.get("kernel_backend", "") or kernel_backend
     entry = {
         "ts": ts if ts is not None else time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
         ),
         "git_rev": rev if rev is not None else git_rev(),
         "gap_backend": backend,
-        # which kernel backend's columns were timed ("njit" when numba
-        # is installed, "" when only the numpy reference ran)
-        "backend": kernel_backend,
         "datasets": datasets,
         "counters": _fallback_counters(),
     }

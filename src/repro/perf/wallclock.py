@@ -86,7 +86,8 @@ class WallclockResult:
     #: best-of-N block right after the lane decoder; 0.0 when the run
     #: skipped it (book outside gap range)
     decode_gap_s: float = 0.0
-    #: which gap backend the timed runs used ("native" or "numpy")
+    #: which path the gap runs took: "native" (the C kernel) or "lanes"
+    #: (no kernel on this host, so ``strategy="gap"`` decoded as batch)
     gap_backend: str = ""
     #: decode-table + codebook cache activity during this run (digest
     #: lookups are part of any steady-state deployment, so they are
@@ -97,14 +98,6 @@ class WallclockResult:
     #: timed in its own sequential best-of-N block right after the
     #: iterative reference so the two numbers see the same cache state
     encode_scan_s: float = 0.0
-    #: the njit kernel backend driving the same scan-pack encode /
-    #: batch decode; 0.0 when numba is not importable (the pure-Python
-    #: sim is correctness-only — timing it would be meaningless)
-    encode_njit_s: float = 0.0
-    decode_njit_s: float = 0.0
-    #: which kernel backend the njit columns used ("njit" when timed,
-    #: "" when skipped)
-    kernel_backend: str = ""
     #: per-stage wall time (ms) of one traced encode per implementation:
     #: ``{"iterative": {"encode.lookup": ..., ...}, "scan": {...}}``
     encode_stages: dict = field(default_factory=dict)
@@ -151,33 +144,6 @@ class WallclockResult:
             return 1.0
         return self.decode_batch_s / self.decode_gap_s
 
-    @property
-    def encode_njit_mb_s(self) -> float:
-        if not self.encode_njit_s:
-            return 0.0
-        return self.input_bytes / self.encode_njit_s / 1e6
-
-    @property
-    def decode_njit_mb_s(self) -> float:
-        if not self.decode_njit_s:
-            return 0.0
-        return self.input_bytes / self.decode_njit_s / 1e6
-
-    @property
-    def encode_njit_speedup(self) -> float:
-        """njit scan-pack over the numpy scan-pack (the backend gate:
-        must stay >= 1.0 wherever numba is installed)."""
-        if not self.encode_njit_s or not self.encode_scan_s:
-            return 1.0
-        return self.encode_scan_s / self.encode_njit_s
-
-    @property
-    def decode_njit_speedup(self) -> float:
-        """njit batch decode over the numpy batch decode."""
-        if not self.decode_njit_s:
-            return 1.0
-        return self.decode_batch_s / self.decode_njit_s
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d.update(
@@ -189,10 +155,6 @@ class WallclockResult:
             decode_speedup=round(self.decode_speedup, 1),
             decode_gap_mb_s=round(self.decode_gap_mb_s, 2),
             decode_speedup_gap=round(self.decode_speedup_gap, 2),
-            encode_njit_mb_s=round(self.encode_njit_mb_s, 2),
-            decode_njit_mb_s=round(self.decode_njit_mb_s, 2),
-            encode_njit_speedup=round(self.encode_njit_speedup, 2),
-            decode_njit_speedup=round(self.decode_njit_speedup, 2),
         )
         return d
 
@@ -287,7 +249,7 @@ def run_wallclock(
         raise AssertionError(f"gap decoder mismatch on {dataset}")
     from repro.decoder.gap_native import native_available
 
-    gap_backend = "native" if native_available() else "numpy"
+    gap_backend = "native" if native_available() else "lanes"
     # the scan-pack fast path must serialize to the identical container
     # before its throughput number means anything
     from repro.core.serialization import serialize_stream
@@ -296,23 +258,6 @@ def run_wallclock(
     if serialize_stream(enc_scan.stream, book) != \
             serialize_stream(enc.stream, book):
         raise AssertionError(f"scan-pack container divergence on {dataset}")
-
-    # njit kernel-backend columns: timed only with real numba (the
-    # pure-Python sim covers correctness, not speed), and only after the
-    # same byte-identity checks every other column clears
-    from repro.backends import njit_compiled
-
-    time_njit = njit_compiled()
-    if time_njit:
-        enc_njit = gpu_encode(data, book, impl="scan", backend="njit")
-        if serialize_stream(enc_njit.stream, book) != \
-                serialize_stream(enc.stream, book):
-            raise AssertionError(f"njit container divergence on {dataset}")
-        njit_out = decode_stream(
-            enc.stream, book, table=table, strategy="batch", backend="njit"
-        )
-        if not np.array_equal(njit_out, fast):
-            raise AssertionError(f"njit decoder mismatch on {dataset}")
 
     # sequential best-of-N blocks, iterative first then scan: each impl
     # is timed back-to-back so the two numbers see the same cache/page
@@ -339,20 +284,6 @@ def run_wallclock(
         lambda: decode_stream(enc.stream, book, strategy="gap"),
         repeats, dataset=dataset, backend=gap_backend,
     )
-    encode_njit_s = 0.0
-    decode_njit_s = 0.0
-    if time_njit:
-        encode_njit_s = _timed_best(
-            tracer, "bench.encode_njit",
-            lambda: gpu_encode(data, book, impl="scan", backend="njit"),
-            repeats, dataset=dataset, impl="scan", backend="njit",
-        )
-        decode_njit_s = _timed_best(
-            tracer, "bench.decode_njit",
-            lambda: decode_stream(enc.stream, book, strategy="batch",
-                                  backend="njit"),
-            repeats, dataset=dataset, backend="njit",
-        )
     # the scalar reference is ~25x slower; cap its repeats to keep the
     # harness quick while still taking a best-of
     scalar_s = _timed_best(
@@ -375,9 +306,6 @@ def run_wallclock(
         decode_batch_s=batch_s,
         decode_gap_s=gap_s,
         gap_backend=gap_backend,
-        encode_njit_s=encode_njit_s,
-        decode_njit_s=decode_njit_s,
-        kernel_backend="njit" if time_njit else "",
         cache_hits=hits1 - hits0,
         cache_misses=misses1 - misses0,
     )
@@ -741,8 +669,6 @@ def run_codebooks_bench(
 
 
 def wallclock_table(results: Sequence[WallclockResult]) -> str:
-    # the per-backend columns only render when some run timed them
-    with_njit = any(r.encode_njit_s for r in results)
     rows = [
         [
             r.dataset,
@@ -755,19 +681,12 @@ def wallclock_table(results: Sequence[WallclockResult]) -> str:
             r.decode_gap_mb_s,
             round(r.decode_speedup_gap, 2),
         ]
-        + (
-            [r.encode_njit_mb_s, r.decode_njit_mb_s,
-             round(r.encode_njit_speedup, 2)]
-            if with_njit else []
-        )
         for r in results
     ]
     headers = [
         "dataset", "KiB", "enc iter MB/s", "enc scan MB/s", "enc x",
         "dec scalar MB/s", "dec lanes MB/s", "dec gap MB/s", "gap x",
     ]
-    if with_njit:
-        headers += ["enc njit MB/s", "dec njit MB/s", "njit x"]
     return render_table(
         headers,
         rows,

@@ -483,8 +483,9 @@ class CompressionService:
         hist = reg.histogram("repro_serve_batch_size")
         # decode-path health: which strategy served how many symbols,
         # whether the native gap kernel is in play, and every fallback
-        from repro.decoder.gap_native import native_available
+        from repro.decoder.gap_native import native_available, native_error
 
+        native_on = native_available()
         per_path: dict[str, int] = {}
         snap = reg.snapshot().get("repro_decode_symbols_total")
         if snap is not None:
@@ -502,7 +503,11 @@ class CompressionService:
                 table_tiers[tier] = table_tiers.get(tier, 0) \
                     + int(series["value"])
         decode = {
-            "gap_backend": "native" if native_available() else "numpy",
+            # the path a gap request takes on this host, and why the
+            # native kernel is off when it is (None while it works)
+            "gap_backend": "native" if native_on else "lanes",
+            "gap_backend_reason": None if native_on
+            else native_error() or "no_native_kernel",
             "symbols_by_path": per_path,
             "table_tiers": table_tiers,
             "subtable_gathers": int(
@@ -513,9 +518,6 @@ class CompressionService:
             ),
             "gap_sync_points": int(
                 reg.total("repro_decode_gap_sync_points_total")
-            ),
-            "gap_chunk_fallbacks": int(
-                reg.total("repro_decode_gap_chunk_fallback_total")
             ),
             "gap_lut_fallbacks": int(
                 reg.total("repro_decode_gap_lut_fallback_total")
@@ -539,25 +541,6 @@ class CompressionService:
             "cold_requests": int(
                 reg.total("repro_serve_encode_path_total", path="cold")
             ),
-        }
-        # kernel-backend registry health: which backend requests resolve
-        # to, what else is registered, and every counted degradation to
-        # the numpy reference (labelled by reason)
-        from repro import backends as _backends
-
-        backend_fallbacks: dict[str, int] = {}
-        bsnap = reg.snapshot().get("repro_backend_fallback_total")
-        if bsnap is not None:
-            for series in bsnap["series"]:
-                reason = series["labels"].get("reason", "unknown")
-                backend_fallbacks[reason] = backend_fallbacks.get(
-                    reason, 0
-                ) + int(series["value"])
-        backends = {
-            "selected": _backends.get_backend(quiet=True).name,
-            "available": _backends.available_backends(),
-            "registered": _backends.registered_backends(),
-            "fallbacks": backend_fallbacks,
         }
         slo_doc = self.slo.evaluate()
         return {
@@ -591,7 +574,6 @@ class CompressionService:
             "caches": caches,
             "decode": decode,
             "encode": encode,
-            "backends": backends,
             "codebooks": process_registry().info(),
             "flight": self.flight.stats(),
             "slo": {

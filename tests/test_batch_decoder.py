@@ -37,8 +37,8 @@ from repro.huffman.decoder import (
 )
 from repro.huffman.serial import serial_encode
 
-# every lane-decode assertion runs under each kernel backend
-pytestmark = pytest.mark.usefixtures("repro_backend")
+# every lane-decode assertion runs with and without the native gap kernel
+pytestmark = pytest.mark.usefixtures("kernel_engine")
 
 # ----------------------------------------------------------- strategies
 

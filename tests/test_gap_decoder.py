@@ -1,25 +1,27 @@
-"""Gap-array decoder: property tests pinning both backends to the spec.
+"""Gap-array decoder: property tests pinning the kernel to the spec.
 
 The contract under test, on arbitrary encoded containers (varying
 magnitude, skew, reduction factor, and subchunk width):
 
-- both gap backends (numpy always, native when the toolchain compiled)
-  produce symbols bit-identical to ``decode_lanes``;
-- the gap arrays they report are entry-for-entry equal to
-  :func:`reference_gap_array`, the executable serial definition;
+- the native C kernel (when the toolchain compiled it) produces symbols
+  bit-identical to ``decode_lanes`` and a gap array entry-for-entry
+  equal to :func:`reference_gap_array`, the executable serial oracle;
+- the oracle itself is exact on flat and tiered tables: decoding every
+  subchunk from its recorded sync point reproduces ``decode_lanes``;
 - on corrupted containers the gap path either raises the same
   ``ValueError`` as ``decode_lanes`` or returns bit-identical symbols —
   corruption must never silently change behavior between decoders;
-- deep books (``max_length`` over the flat host table) stay on the gap
-  path through the tiered table when a tiered kernel is resolvable, and
-  fall back to ``decode_lanes`` (which handles them vectorized) when
-  not — saying so either way;
+- without the kernel (no compiler, or ``REPRO_GAP_DISABLE_NATIVE``) and
+  on tiered tables every gap entry point decodes through
+  ``decode_lanes`` and counts the reason;
 - the chunk-parallel driver's output is independent of worker count at
   subchunk granularity, and an injected shard crash degrades to the
   serial path with the fallback counter bumped, never to a wrong answer.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from repro.core.bitstream import (
 )
 from repro.core.encoder import gpu_encode
 from repro.decoder.chunk_parallel import parallel_decode_stream
+from repro.decoder import gap_array, gap_native
 from repro.decoder.gap_array import (
     gap_decode_lanes,
     gap_supported,
@@ -41,19 +44,21 @@ from repro.decoder.gap_array import (
     subchunk_lane_counts,
 )
 from repro.decoder.gap_native import native_available
-from repro.backends import njit_ready
 from repro.huffman.cache import cached_decode_table
-from repro.huffman.codebook import CanonicalCodebook
-from repro.huffman.decoder import TieredDecodeTable, decode_lanes
+from repro.huffman.decoder import TieredDecodeTable, decode_batch, decode_lanes
+from repro.huffman.serial import serial_encode
 from repro.obs.metrics import MetricsRegistry, set_registry
 
-# run this whole module once per registered kernel backend (the gap
-# decoder consults the backend registry for its auto heuristic)
-pytestmark = pytest.mark.usefixtures("repro_backend")
+# run the whole module with and without the native gap kernel
+pytestmark = pytest.mark.usefixtures("kernel_engine")
 
 
-def _backends() -> list[str]:
-    return ["numpy"] + (["native"] if native_available() else [])
+@pytest.fixture
+def registry():
+    reg = MetricsRegistry()
+    prev = set_registry(reg)
+    yield reg
+    set_registry(prev)
 
 
 def _make_stream(seed: int, n: int, alphabet: int, skew: float,
@@ -70,6 +75,30 @@ def _make_stream(seed: int, n: int, alphabet: int, skew: float,
     return data, book, stream
 
 
+def _lane_slices(ref, starts, ends, nsyms):
+    """Subchunk lanes ``(start, end, count)`` read off a gap array: each
+    lane runs from its sync point to the next one in its chunk (or the
+    chunk end) and owns the symbols between their counts."""
+    offs, cnts = ref.bit_offsets, ref.symbol_counts
+    lane_end = np.empty_like(offs)
+    lane_end[:-1] = offs[1:]
+    n_next = np.empty_like(cnts)
+    n_next[:-1] = cnts[1:]
+    last = ref.lane_base[1:] - 1
+    lane_end[last] = ends
+    n_next[last] = nsyms
+    return offs, lane_end, n_next - cnts
+
+
+def _assert_reference_exact(buffer, starts, ends, nsyms, book, table, ref,
+                            want):
+    """The oracle is exact: decoding every subchunk from its recorded
+    sync point reproduces the serial lane decode symbol for symbol."""
+    lo, hi, n = _lane_slices(ref, starts, ends, nsyms)
+    got = decode_lanes(buffer, lo, np.maximum(hi, lo), n, book, table)
+    np.testing.assert_array_equal(got, want)
+
+
 def _assert_gap_matches_lanes(book, stream, subchunk_bits):
     """The full contract on one container: symbols + gap array + spec.
 
@@ -79,30 +108,29 @@ def _assert_gap_matches_lanes(book, stream, subchunk_bits):
     table = cached_decode_table(book)
     buffer, starts, ends, nsyms = stream_lanes(stream)
     want = decode_lanes(buffer, starts, ends, nsyms, book, table)
+    res = gap_decode_lanes(buffer, starts, ends, nsyms, book, table,
+                           subchunk_bits=subchunk_bits)
+    np.testing.assert_array_equal(res.symbols, want)
     if not gap_supported(book, table)[0]:
-        res = gap_decode_lanes(buffer, starts, ends, nsyms, book, table,
-                               subchunk_bits=subchunk_bits)
         assert res.backend == "lanes" and res.gap is None
-        np.testing.assert_array_equal(res.symbols, want)
         return
     ref = reference_gap_array(buffer, starts, ends, book, subchunk_bits,
                               table)
+    _assert_reference_exact(buffer, starts, ends, nsyms, book, table, ref,
+                            want)
     # full-container cross-check: the gap strategy end-to-end equals the
     # serial treeless decoder (decode_canonical chunk by chunk)
     np.testing.assert_array_equal(
         decode_stream(stream, book, strategy="gap"),
         decode_stream_scalar(stream, book),
     )
-    for backend in _backends():
-        res = gap_decode_lanes(
-            buffer, starts, ends, nsyms, book, table,
-            subchunk_bits=subchunk_bits, backend=backend,
-        )
-        assert res.backend == backend
-        np.testing.assert_array_equal(res.symbols, want)
+    if native_available():
+        assert res.backend == "native"
         assert res.gap is not None and res.gap.equal(ref), (
-            f"{backend} gap array diverges from the reference walk"
+            "native gap array diverges from the reference walk"
         )
+    else:
+        assert res.backend == "lanes" and res.gap is None
 
 
 class TestGapEqualsLanes:
@@ -146,6 +174,28 @@ class TestGapEqualsLanes:
         _assert_gap_matches_lanes(book, stream, 128)
 
 
+def _flip(buffer, flip):
+    out = buffer.copy()
+    if out.size:
+        out[flip % out.size] ^= 1 << (flip % 8)
+    return out
+
+
+def _outcome(fn):
+    """``(symbols, None)`` or ``(None, "raised")`` — raise parity only
+    compares whether a decoder raised, not its message."""
+    try:
+        return fn(), None
+    except ValueError:
+        return None, "raised"
+
+
+def _assert_same_outcome(got, want, what):
+    assert got[1] == want[1], f"{what}: raise parity broken"
+    if want[1] is None:
+        np.testing.assert_array_equal(got[0], want[0])
+
+
 class TestCorruptStreams:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -159,31 +209,14 @@ class TestCorruptStreams:
         _data, book, stream = _make_stream(seed, 2500, 64, 0.3, 8)
         table = cached_decode_table(book)
         buffer, starts, ends, nsyms = stream_lanes(stream)
-        buffer = buffer.copy()
-        if buffer.size:
-            buffer[flip % buffer.size] ^= 1 << (flip % 8)
-
-        try:
-            want = decode_lanes(buffer, starts, ends, nsyms, book, table)
-            want_raise = None
-        except ValueError as exc:
-            want, want_raise = None, str(exc)
-        for backend in _backends():
-            try:
-                got = gap_decode_lanes(
-                    buffer, starts, ends, nsyms, book, table,
-                    subchunk_bits=96, backend=backend,
-                ).symbols
-            except ValueError:
-                assert want_raise is not None, (
-                    f"{backend} raised but decode_lanes decoded"
-                )
-            else:
-                assert want_raise is None, (
-                    f"{backend} decoded but decode_lanes raised: "
-                    f"{want_raise}"
-                )
-                np.testing.assert_array_equal(got, want)
+        buffer = _flip(buffer, flip)
+        want = _outcome(
+            lambda: decode_lanes(buffer, starts, ends, nsyms, book, table)
+        )
+        got = _outcome(lambda: gap_decode_lanes(
+            buffer, starts, ends, nsyms, book, table, subchunk_bits=96,
+        ).symbols)
+        _assert_same_outcome(got, want, "gap_decode_lanes")
 
     def test_truncated_tail_raises_everywhere(self):
         _data, book, stream = _make_stream(11, 3000, 64, 0.3, 8)
@@ -197,68 +230,163 @@ class TestCorruptStreams:
         nsyms2 = np.append(nsyms[keep], nsyms[~keep][:1] + 10**6)
         with pytest.raises(ValueError):
             decode_lanes(cut, starts2, ends2, nsyms2, book, table)
-        for backend in _backends():
-            with pytest.raises(ValueError):
-                gap_decode_lanes(cut, starts2, ends2, nsyms2, book, table,
-                                 subchunk_bits=96, backend=backend)
+        with pytest.raises(ValueError):
+            gap_decode_lanes(cut, starts2, ends2, nsyms2, book, table,
+                             subchunk_bits=96)
 
 
 class TestDeepBooks:
-    def test_wide_book_stays_on_gap_path_via_tiered_table(self):
-        """W=32 codewords exceed the flat 16-bit host table, but the
-        automatic tiered promotion keeps the book gap-supported: the
-        tiered backends reproduce the reference walk and decode_lanes
-        byte-for-byte, and only the native flat-only kernel refuses."""
-        rng = np.random.default_rng(3)
+    def _deep_stream(self, seed, n):
+        rng = np.random.default_rng(seed)
         book = wbit_codebook(32)
+        data = rng.integers(0, book.n_symbols, n).astype(np.uint16)
+        stream = gpu_encode(data, book, magnitude=8,
+                            reduction_factor=2).stream
+        return book, stream
+
+    def test_wide_book_tiered_reference_is_exact(self):
+        """W=32 codewords exceed the flat 16-bit host table; the
+        automatic tiered promotion keeps the book gap-supported, and the
+        oracle's tiered walk is exact on it."""
+        book, stream = self._deep_stream(3, 800)
         table = cached_decode_table(book)
         assert isinstance(table, TieredDecodeTable)
         assert gap_supported(book, table)[0] is True
-        data = rng.integers(0, book.n_symbols, 800).astype(np.uint16)
-        stream = gpu_encode(data, book, magnitude=8,
-                            reduction_factor=2).stream
         buffer, starts, ends, nsyms = stream_lanes(stream)
         want = decode_lanes(buffer, starts, ends, nsyms, book, table)
         ref = reference_gap_array(buffer, starts, ends, book, 256, table)
-        for backend in ["numpy"] + (["njit"] if njit_ready() else []):
-            res = gap_decode_lanes(buffer, starts, ends, nsyms, book,
-                                   table, subchunk_bits=256,
-                                   backend=backend)
-            assert res.backend == backend
-            assert res.gap is not None and res.gap.equal(ref)
-            np.testing.assert_array_equal(res.symbols, want)
-        with pytest.raises(RuntimeError):
-            gap_decode_lanes(buffer, starts, ends, nsyms, book, table,
-                             subchunk_bits=256, backend="native")
+        assert ref.n_sync_points > 0
+        _assert_reference_exact(buffer, starts, ends, nsyms, book, table,
+                                ref, want)
 
-    def test_auto_without_njit_falls_back_to_lanes(self):
-        """``backend="auto"`` with a numpy-resolved registry has no
-        tiered gap kernel: the call degrades to decode_lanes (whose
-        vectorized tiered batch path handles the book) and says so."""
-        rng = np.random.default_rng(4)
-        book = wbit_codebook(32)
+    def test_tiered_table_falls_back_to_lanes(self, registry):
+        """The C kernel is flat-only: a tiered table decodes through
+        decode_lanes (whose vectorized tiered batch path handles the
+        book) and says so."""
+        book, stream = self._deep_stream(4, 500)
         table = cached_decode_table(book)
-        data = rng.integers(0, book.n_symbols, 500).astype(np.uint16)
-        stream = gpu_encode(data, book, magnitude=8,
-                            reduction_factor=2).stream
         buffer, starts, ends, nsyms = stream_lanes(stream)
         want = decode_lanes(buffer, starts, ends, nsyms, book, table)
         res = gap_decode_lanes(buffer, starts, ends, nsyms, book, table,
-                               subchunk_bits=256, backend="auto",
-                               registry_backend="numpy")
+                               subchunk_bits=256)
         assert res.backend == "lanes"
         assert res.gap is None
+        assert res.fallback == "tiered_no_kernel"
+        assert registry.total("repro_decode_gap_lut_fallback_total",
+                              reason="tiered_no_kernel") == 1
         np.testing.assert_array_equal(res.symbols, want)
 
 
-class TestChunkParallelGap:
-    @pytest.fixture
-    def registry(self):
-        reg = MetricsRegistry()
-        prev = set_registry(reg)
-        yield reg
-        set_registry(prev)
+class TestNoNativeKernel:
+    """Hosts without a C compiler: every gap entry point decodes through
+    ``decode_lanes``, reports ``backend="lanes"`` and counts why."""
 
+    @pytest.fixture
+    def no_kernel(self, monkeypatch, registry):
+        monkeypatch.setattr(gap_native, "kernel", lambda: None)
+        results = []
+        real = gap_array.gap_decode_lanes
+
+        def spy(*args, **kwargs):
+            res = real(*args, **kwargs)
+            results.append(res)
+            return res
+
+        # every entry point calls the decoder through the module
+        monkeypatch.setattr(gap_array, "gap_decode_lanes", spy)
+        return results
+
+    @staticmethod
+    def _dense(seed, n=6000):
+        rng = np.random.default_rng(seed)
+        data = rng.integers(0, 48, n)
+        freqs = np.bincount(data, minlength=48) + 1
+        from repro.core.codebook_parallel import parallel_codebook
+
+        book = parallel_codebook(freqs).codebook
+        buf, nbits = serial_encode(data, book)
+        return data, book, buf, nbits
+
+
+    def test_entry_points_match_lanes(self, no_kernel, registry):
+        data, book, stream = _make_stream(31, 20_000, 64, 0.3, 8)
+        assert not native_available()
+        np.testing.assert_array_equal(
+            decode_stream(stream, book, strategy="gap"),
+            decode_stream(stream, book, strategy="batch"),
+        )
+        np.testing.assert_array_equal(
+            parallel_decode_stream(stream, book, workers=3, impl="gap"),
+            parallel_decode_stream(stream, book, workers=3, impl="lanes"),
+        )
+        dense, dbook, buf, nbits = self._dense(32)
+        np.testing.assert_array_equal(
+            decode_batch(buf, nbits, dbook, dense.size, impl="gap"),
+            decode_batch(buf, nbits, dbook, dense.size, impl="lanes"),
+        )
+        # one call per parallel shard, plus the stream and dense calls
+        assert len(no_kernel) >= 3
+        assert all(r.backend == "lanes" and r.gap is None
+                   and r.fallback == "no_native_kernel" for r in no_kernel)
+        assert registry.total("repro_decode_gap_lut_fallback_total",
+                              reason="no_native_kernel") == len(no_kernel)
+
+    def test_auto_stays_on_lanes(self, no_kernel, registry):
+        data, book, stream = _make_stream(33, 20_000, 64, 0.3, 8)
+        np.testing.assert_array_equal(
+            decode_stream(stream, book, strategy="auto"), data
+        )
+        assert no_kernel == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+    def test_bit_flip_raise_parity(self, no_kernel, seed):
+        rng = np.random.default_rng(seed)
+        _data, book, stream = _make_stream(40 + seed, 6000, 64, 0.3, 8)
+        bad = replace(stream, payload=_flip(stream.payload,
+                                            int(rng.integers(10**9))))
+        _assert_same_outcome(
+            _outcome(lambda: decode_stream(bad, book, strategy="gap")),
+            _outcome(lambda: decode_stream(bad, book, strategy="batch")),
+            "decode_stream",
+        )
+        _assert_same_outcome(
+            _outcome(lambda: parallel_decode_stream(bad, book, workers=2,
+                                                    impl="gap")),
+            _outcome(lambda: parallel_decode_stream(bad, book, workers=2,
+                                                    impl="lanes")),
+            "parallel_decode_stream",
+        )
+        dense, dbook, buf, nbits = self._dense(50 + seed)
+        buf = _flip(buf, int(rng.integers(10**9)))
+        _assert_same_outcome(
+            _outcome(lambda: decode_batch(buf, nbits, dbook, dense.size,
+                                          impl="gap")),
+            _outcome(lambda: decode_batch(buf, nbits, dbook, dense.size,
+                                          impl="lanes")),
+            "decode_batch",
+        )
+
+    def test_truncation_raises_everywhere(self, no_kernel):
+        _data, book, stream = _make_stream(60, 6000, 64, 0.3, 8)
+        bits = stream.chunk_bits.copy()
+        bits[-1] -= 40
+        cut = replace(stream, chunk_bits=bits)
+        for fn in (
+            lambda: decode_stream(cut, book, strategy="batch"),
+            lambda: decode_stream(cut, book, strategy="gap"),
+            lambda: parallel_decode_stream(cut, book, workers=2,
+                                           impl="gap"),
+        ):
+            with pytest.raises(ValueError):
+                fn()
+        dense, dbook, buf, nbits = self._dense(61)
+        for impl in ("lanes", "gap"):
+            with pytest.raises(ValueError):
+                decode_batch(buf, nbits - 40, dbook, dense.size, impl=impl)
+        assert no_kernel and all(r.backend == "lanes" for r in no_kernel)
+
+
+class TestChunkParallelGap:
     def test_output_independent_of_workers(self, registry):
         data, book, stream = _make_stream(21, 30_000, 64, 0.2, 8)
         outs = [

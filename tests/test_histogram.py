@@ -11,8 +11,13 @@ from repro.histogram.gpu_histogram import (
 )
 from repro.histogram.serial import serial_histogram
 
-# gpu_histogram routes its counting kernel through the backend registry
-pytestmark = pytest.mark.usefixtures("repro_backend")
+pytestmark = pytest.mark.usefixtures("kernel_engine")
+
+
+@pytest.fixture(scope="module", params=["numpy"])
+def kernel_engine(request):
+    """The counting kernel is NumPy only: one leg, nothing to switch."""
+    return request.param
 
 
 class TestReplicationFactor:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.perf.history import (
+    DEFAULT_HISTORY,
     THROUGHPUT_METRICS,
     SentinelVerdict,
     append_entry,
@@ -36,11 +38,6 @@ class FakeResult:
             "decode_speedup": 40.0,
             "decode_gap_mb_s": 160.0 * self.scale,
             "decode_speedup_gap": 4.0,
-            "kernel_backend": "njit",
-            "encode_njit_mb_s": 80.0 * self.scale,
-            "encode_njit_speedup": 1.3,
-            "decode_njit_mb_s": 50.0 * self.scale,
-            "decode_njit_speedup": 1.25,
             "compressed_bytes": 1234,
             "cache_hits": 5,
             "cache_misses": 2,
@@ -59,13 +56,14 @@ def test_history_entry_shape():
     e = entry()
     assert e["git_rev"] == "abc1234"
     assert e["gap_backend"] == "native"
-    assert e["backend"] == "njit"  # which kernel backend's columns ran
+    assert "backend" not in e
     assert set(e["datasets"]) == {"enwik8", "nyx_quant"}
     ds = e["datasets"]["enwik8"]
     for m in THROUGHPUT_METRICS:
         assert m in ds
     assert ds["cache_hits"] == 5
     assert "counters" in e  # decode fallback totals ride along
+    assert set(e["counters"]) == {"gap_lut_fallbacks", "lut_fallbacks"}
 
 
 def test_append_and_load_roundtrip(tmp_path):
@@ -185,6 +183,45 @@ def test_cli_self_test_detects(tmp_path):
     assert main(["--history", str(missing), "--self-test", "0.3"]) == 1
     # a slowdown inside the noise floor is (correctly) not detected
     assert main(["--history", str(missing), "--self-test", "0.01"]) == 0
+
+
+COMMITTED_HISTORY = Path(__file__).resolve().parents[1] / DEFAULT_HISTORY
+
+
+def _committed_history() -> list[dict]:
+    return load_history(COMMITTED_HISTORY)
+
+
+def test_cli_check_passes_across_kernel_column_removal(tmp_path):
+    """The committed history's older lines carry per-kernel-backend
+    columns and counters that new lines no longer write; both kinds in
+    one history gate without complaint."""
+    old = [e for e in _committed_history() if "backend" in e]
+    assert len(old) >= 3
+    latest = old[-1]["datasets"]
+    new = history_entry(
+        [dict(m, dataset=ds, gap_backend="native")
+         for ds, m in latest.items()],
+        rev="new", ts="t",
+    )
+    # new lines drop the retired keys the old lines still carry
+    assert "backend" not in new
+    assert set(new["counters"]) < set(old[-1]["counters"])
+    for ds, m in new["datasets"].items():
+        assert set(m) < set(latest[ds])
+    hist = tmp_path / "h.jsonl"
+    for e in old + [new] * 3:
+        append_entry(hist, e)
+    bench = tmp_path / "b.json"
+    bench.write_text(json.dumps({"meta": {"generated_utc": "t"},
+                                 "datasets": new["datasets"]}))
+    assert main(["--history", str(hist), "--check", str(bench)]) == 0
+
+
+def test_committed_history_parses_and_self_test_detects():
+    assert _committed_history()
+    assert main(["--history", str(COMMITTED_HISTORY), "--self-test",
+                 "0.3"]) == 1
 
 
 def test_cli_missing_artifact(tmp_path):

@@ -28,9 +28,13 @@ from repro.core.serialization import serialize_stream
 from repro.core.shuffle_merge import shuffle_merge
 from repro.core.tuning import EncoderTuning
 
-# scan_pack_symbols dispatches its hot loops via the backend registry;
-# run the whole equivalence suite once per backend
-pytestmark = pytest.mark.usefixtures("repro_backend")
+pytestmark = pytest.mark.usefixtures("kernel_engine")
+
+
+@pytest.fixture(scope="module", params=["numpy"])
+def kernel_engine(request):
+    """The scan-pack kernels are NumPy only: one leg, nothing to switch."""
+    return request.param
 
 
 def book_for(data, n):

@@ -189,8 +189,42 @@ class TestLifecycle:
             s = svc.stats()
         for section in ("queue", "shards", "batches", "requests", "caches"):
             assert section in s
+        assert "backends" not in s
         assert s["queue"]["maxsize"] == cfg.queue_size
         assert s["uptime_s"] >= 0
+
+
+class TestDecodeTelemetry:
+    """``/stats`` names the gap path that actually runs on this host."""
+
+    @staticmethod
+    def _decode_stats():
+        data = np.random.default_rng(3).integers(0, 64, 20_000)
+        data = data.astype(np.uint16)
+        blob, _ = compress_symbols(data)
+        with CompressionService(ServiceConfig(n_shards=1)) as svc:
+            np.testing.assert_array_equal(svc.decompress(blob), data)
+            return svc.stats()["decode"]
+
+    def test_kernel_off_reports_lanes_with_reason(self, monkeypatch):
+        from repro.decoder import gap_native
+
+        monkeypatch.setattr(gap_native, "kernel", lambda: None)
+        dec = self._decode_stats()
+        assert dec["gap_backend"] == "lanes"
+        assert dec["gap_backend_reason"]
+        assert "gap_chunk_fallbacks" not in dec
+
+    def test_kernel_state_matches_host(self):
+        from repro.decoder.gap_native import native_available
+
+        dec = self._decode_stats()
+        if native_available():
+            assert dec["gap_backend"] == "native"
+            assert dec["gap_backend_reason"] is None
+        else:
+            assert dec["gap_backend"] == "lanes"
+            assert dec["gap_backend_reason"]
 
 
 def test_default_shard_count_is_bounded():

@@ -19,7 +19,7 @@ The tentpole contract under test:
   — critically — **zero** ``repro_decode_lut_fallback_total`` on deep
   books now served by the tiered table.
 
-The whole module runs once per registered kernel backend.
+The whole module runs with and without the native gap kernel.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.huffman.decoder import (
 from repro.huffman.serial import serial_encode
 from repro.obs.metrics import MetricsRegistry, set_registry
 
-pytestmark = pytest.mark.usefixtures("repro_backend")
+pytestmark = pytest.mark.usefixtures("kernel_engine")
 
 
 @pytest.fixture

@@ -21,8 +21,8 @@ Corpus families:
     Dirichlet-skewed and uniform draws: the compression-ratio extremes.
 ``large_alphabet``
     A crafted deep codebook (``max_length = 19 > 16``, 4103 symbols):
-    the regime where the flat 2^16 decode table cannot express every
-    codeword and decoders must run the tiered two-level table.
+    the regime where no 2^16 root expresses every codeword and decoders
+    must descend the decode table's subtables.
 ``genomics``
     DNA k-mer symbol streams (k = 3 and k = 4, alphabets 11^3 = 1331
     and 11^4 = 14641) — the paper's gbbct1.seq use case, with the
@@ -170,9 +170,8 @@ def deep_codebook(depth: int = 19, n_deep: int = 4096) -> CanonicalCodebook:
     """Codebook with ``n_deep`` codewords of length ``depth`` (> 16).
 
     Lengths ``[1..7]`` plus 4096 codewords at 19 bits keep the Kraft sum
-    exactly 1 while putting the bulk of the alphabet past the flat 2^16
-    host table — every decode of this book must run the tiered table
-    (or the scalar First/Entry fallback it replaces).
+    exactly 1 while putting the bulk of the alphabet past a 2^16 root —
+    every table-driven decode of this book descends subtables.
     """
     lens = np.array(
         list(range(1, 8)) + [depth] * n_deep, dtype=np.int32
@@ -197,7 +196,7 @@ def _large_alphabet(seed: int, magnitude: int) -> Corpus:
             Sample("uniform_deep", uniform, n_sym, book=book),
             Sample("short_heavy_deep", mixed, n_sym, book=book),
         ],
-        "crafted max_length=19 book: tiered-decode-table regime",
+        "crafted max_length=19 book: subtable-descent regime",
     )
 
 

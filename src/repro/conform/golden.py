@@ -130,7 +130,7 @@ def _materialize(name: str):
     decoded = decode_stream(stream, book)
     # gap-array side channel: the reference walk's sync points at the
     # pinned width (None only for books the gap machinery cannot decode
-    # at all — deep books now qualify through the tiered table, so the
+    # at all — deep books qualify through subtable descent, so the
     # crafted W=32 vector carries a gap artifact too)
     table = cached_decode_table(book)
     gap_payload = None
@@ -219,8 +219,8 @@ def _check_gap(name, golden_dir, gap_payload, stream, book) -> list[str]:
         buffer, starts, ends, nsyms, book, cached_decode_table(book),
         subchunk_bits=GAP_SUBCHUNK_BITS,
     )
-    # without the kernel (or on a tiered table) the call decodes through
-    # decode_lanes and there is no kernel gap array to compare
+    # without the kernel the call decodes through decode_lanes and
+    # there is no kernel gap array to compare
     if res.gap is not None and not res.gap.equal(stored):
         problems.append(
             f"{name}: native gap kernel does not reproduce {gap_path.name}"

@@ -59,6 +59,7 @@ from repro.huffman.codebook import CanonicalCodebook
 from repro.huffman.cpu_mp import cpu_mp_encode
 from repro.huffman.cpu_mt import cpu_mt_encode
 from repro.huffman.decoder import (
+    build_decode_table,
     decode_batch,
     decode_canonical,
     decode_lanes,
@@ -80,6 +81,10 @@ ARTIFACT_KINDS = ("stream", "dense", "chunks", "segments", "adaptive")
 #: cap above which cpu_mp would spawn a real process pool; conformance
 #: corpora stay below it so the matrix is deterministic and fast
 _MP_INPROCESS_LIMIT = 4096
+
+#: root width of the ``*.tiered`` decoder columns: narrow enough that
+#: most corpora's longer codewords descend through subtables
+_TIERED_ROOT_BITS = 12
 
 
 @dataclass
@@ -261,23 +266,19 @@ def _dec_dense_gap(art):
 
 
 def _dec_dense_tiered(art):
-    # force the tiered two-level table even for shallow books — pins the
-    # tiered resolve byte-identical to the flat gather everywhere, not
+    # force a 12-bit root even for shallow books — pins the subtable
+    # descent byte-identical to the one-gather root everywhere, not
     # just in the deep-book regime that requires it
-    from repro.huffman.decoder import build_tiered_decode_table
-
     buf, nbits = art.payload
-    table = build_tiered_decode_table(art.book)
+    table = build_decode_table(art.book, _TIERED_ROOT_BITS)
     return decode_batch(
         buf, nbits, art.book, art.n_symbols, table=table, impl="lanes"
     )
 
 
 def _dec_chunks_tiered(art):
-    from repro.huffman.decoder import build_tiered_decode_table
-
     buffer, starts, ends, syms = _chunks_lanes_layout(art)
-    table = build_tiered_decode_table(art.book)
+    table = build_decode_table(art.book, _TIERED_ROOT_BITS)
     return decode_lanes(buffer, starts, ends, syms, art.book, table)
 
 

@@ -31,7 +31,6 @@ from repro.huffman.cache import cached_decode_table
 from repro.huffman.codebook import CanonicalCodebook
 from repro.huffman.decoder import (
     DecodeTable,
-    TieredDecodeTable,
     build_decode_table,
     decode_canonical,
     decode_lanes,
@@ -226,7 +225,7 @@ def assemble_stream_symbols(
 def decode_stream(
     stream: EncodedStream,
     book: CanonicalCodebook,
-    table: DecodeTable | TieredDecodeTable | None = None,
+    table: DecodeTable | None = None,
     strategy: str = "auto",
 ) -> np.ndarray:
     """Decode an :class:`EncodedStream` back to its symbol array.
@@ -235,12 +234,12 @@ def decode_stream(
     every valid container:
 
     - ``"auto"`` (default): the gap-array decoder when the native gap
-      kernel is available, the table is flat, and the stream is big
-      enough to amortize pass 1; else ``"batch"``.
+      kernel is available and the stream is big enough to amortize
+      pass 1; else ``"batch"``.
     - ``"gap"``: two-pass gap-array decode (subchunk sync points, then
       lock-step lanes; :mod:`repro.decoder.gap_array`).  Without the
-      kernel, or on a tiered table, it decodes as ``"batch"`` and the
-      ``decode.stream`` span's ``gap_fallback`` attribute names why.
+      kernel, or on an incomplete table, it decodes as ``"batch"`` and
+      the ``decode.stream`` span's ``gap_fallback`` attribute names why.
     - ``"batch"``: the vectorized chunk-lane decoder.
     - ``"scalar"``: the original per-chunk scalar reference.
     """
@@ -249,14 +248,12 @@ def decode_stream(
     if strategy not in ("auto", "batch", "gap"):
         raise ValueError(f"unknown decode strategy: {strategy!r}")
     # local import: gap_array builds on the huffman decode machinery
-    from repro.decoder import gap_array
+    from repro.decoder import gap_array, gap_native
 
     if strategy == "auto":
-        # tier-aware: a book headed for a tiered table stays on batch
-        # (the native C kernel is flat-only)
         strategy = (
             "gap"
-            if gap_array.gap_auto_ready(book=book, table=table)
+            if gap_native.native_available()
             and stream.n_symbols >= gap_array.AUTO_MIN_SYMBOLS
             else "batch"
         )
@@ -266,11 +263,7 @@ def decode_stream(
                chunks=stream.n_chunks) as sp:
         if table is None:
             table = cached_decode_table(book)
-        sp.set_attr(
-            table_tier="tiered"
-            if isinstance(table, TieredDecodeTable)
-            else "flat"
-        )
+        sp.set_attr(table_tier=table.tier)
         with _span("decode.lanes") as lanes_span:
             buffer, starts, ends, nsyms = stream_lanes(stream)
             lanes_span.set_attr(lanes=int(nsyms.size))

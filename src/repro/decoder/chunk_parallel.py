@@ -92,8 +92,8 @@ def parallel_decode_stream(
     the single-shot vectorized call already saturates one core).
     ``impl`` picks the per-shard machinery: ``"lanes"`` (the lock-step
     batch decoder), ``"gap"`` (the two-pass gap-array decoder), or
-    ``"auto"`` (gap when the native kernel is available, the table is
-    flat and the container is large enough).  Shards are contiguous
+    ``"auto"`` (gap when the native kernel is available and the
+    container is large enough).  Shards are contiguous
     lane ranges balanced by decode work at the active impl's
     granularity; every shard reads the shared read-only buffer and
     decodes whole lanes, so results are bit-identical regardless of
@@ -104,7 +104,7 @@ def parallel_decode_stream(
         table = cached_decode_table(book)
     if impl not in ("auto", "gap", "lanes"):
         raise ValueError(f"unknown decode impl: {impl!r}")
-    from repro.decoder import gap_array
+    from repro.decoder import gap_array, gap_native
 
     with _span("decode.chunk_parallel",
                bytes_in=int(stream.payload_bytes),
@@ -114,7 +114,7 @@ def parallel_decode_stream(
         total_syms = int(nsyms.sum())
         use_gap = impl == "gap" or (
             impl == "auto"
-            and gap_array.gap_auto_ready(table=table)
+            and gap_native.native_available()
             and total_syms >= gap_array.AUTO_MIN_SYMBOLS
         )
         if use_gap:

@@ -18,16 +18,17 @@ decodes in two passes:
   lanes.
 
 Both passes run in :mod:`repro.decoder.gap_native`, a runtime-compiled
-C kernel with exact pass-1 discovery (an interleaved length walk).  The
-scheme pays only when pass 2 runs as compiled parallel lanes, so there
-is no NumPy gap decoder: when the kernel is missing (no toolchain, or
-``REPRO_GAP_DISABLE_NATIVE=1``) or the table is tiered (the kernel is
-flat-only), :func:`gap_decode_lanes` decodes through
+C kernel with exact pass-1 discovery (an interleaved length walk) that
+reads the :class:`~repro.huffman.decoder.DecodeTable` root and descends
+its subtables for long codewords.  The scheme pays only when pass 2
+runs as compiled parallel lanes, so there is no NumPy gap decoder: when
+the kernel is missing (no toolchain, or ``REPRO_GAP_DISABLE_NATIVE=1``)
+or the table is incomplete, :func:`gap_decode_lanes` decodes through
 :func:`repro.huffman.decoder.decode_lanes` and counts the reason in
 ``repro_decode_gap_lut_fallback_total{reason}``.
 
-:func:`reference_gap_array` is the exact serial oracle for flat and
-tiered tables.  The kernel's symbols are byte-identical to
+:func:`reference_gap_array` is the exact serial oracle.  The kernel's
+symbols are byte-identical to
 ``decode_lanes`` and its :class:`GapArray` equals the oracle's (pinned
 by golden vectors and property tests).  The gap array follows the
 *decode chain* semantics of the table: on a corrupt stream the recorded
@@ -43,15 +44,12 @@ from typing import Optional
 import numpy as np
 
 from repro.decoder import gap_native
-from repro.huffman.cache import _LruCache, codebook_digest
 from repro.huffman.codebook import CanonicalCodebook
 from repro.huffman.decoder import (
-    _HOST_TABLE_BITS,
+    MAX_TABLE_SYMBOL,
     DecodeTable,
-    TieredDecodeTable,
-    _window_words,
+    _check_lanes,
     build_decode_table,
-    build_tiered_decode_table,
     decode_lanes,
 )
 from repro.obs import metrics as _metrics
@@ -60,7 +58,6 @@ from repro.obs import span as _span
 __all__ = [
     "GapArray",
     "GapDecodeResult",
-    "gap_auto_ready",
     "gap_decode_lanes",
     "gap_supported",
     "reference_gap_array",
@@ -163,57 +160,25 @@ def subchunk_lane_counts(ch_bits: np.ndarray, subchunk_bits: int) -> np.ndarray:
 
 
 def gap_supported(
-    book: CanonicalCodebook, table: DecodeTable | TieredDecodeTable
+    book: CanonicalCodebook, table: DecodeTable
 ) -> tuple[bool, str]:
-    """Whether the gap machinery can decode this book at all.
-
-    Requires a *complete* table: every reachable index resolves to a
-    real codeword without First/Entry fallback.  A complete
-    :class:`TieredDecodeTable` qualifies regardless of ``max_length`` —
-    tiered tables are exactly how W=32 and genomics-scale books stay on
-    the gap path instead of degrading to ``decode_lanes``.
-    """
-    if isinstance(table, TieredDecodeTable):
-        if not table.complete:
-            return False, "incomplete_table"
-        if int(book.n_symbols) > gap_native.MAX_NATIVE_SYMBOL:
-            return False, "alphabet_too_large"
-        return True, ""
-    if int(book.max_length) > int(table.k):
-        return False, "max_length_exceeds_table"
-    if not bool((table.length > 0).all()):
+    """Whether the gap machinery can decode this book at all: the table
+    is complete (every reachable index resolves to a real codeword, at
+    the root or through subtables) and the alphabet fits a packed
+    entry."""
+    if not table.complete:
         return False, "incomplete_table"
-    if int(book.n_symbols) > gap_native.MAX_NATIVE_SYMBOL:
+    if int(book.n_symbols) - 1 > MAX_TABLE_SYMBOL:
         return False, "alphabet_too_large"
     return True, ""
 
 
-class _GapTableCache(_LruCache):
-    """LRU of packed kernel tables keyed by (digest, kind, k)."""
-
-    def __init__(self, maxsize: int = 16) -> None:
-        super().__init__(maxsize, name="gap_table")
-
-
-_GAP_TABLES = _GapTableCache()
-
-
-def _native_table(book: CanonicalCodebook, table: DecodeTable) -> np.ndarray:
-    """Packed ``(symbol << 8) | length`` entries for the C kernels."""
-
-    def build() -> np.ndarray:
-        return (
-            (table.symbol.astype(np.uint32) << np.uint32(8))
-            | table.length.astype(np.uint32)
-        ).copy()
-
-    key = (codebook_digest(book), "native", int(table.k))
-    return _GAP_TABLES.get_or_build(key, build)
-
-
-def _pad_buffer(buffer: np.ndarray) -> np.ndarray:
-    """Copy with 8 spare bytes so 64-bit window loads never run off."""
-    out = np.zeros(buffer.size + 8, np.uint8)
+def _pad_buffer(buffer: np.ndarray, max_length: int) -> np.ndarray:
+    """Copy with spare zero bytes so no kernel load runs off the end:
+    8 for the 64-bit root window at any bit before the lane end, plus
+    ``ceil(max_length / 8)`` for the subtable loads of a codeword that
+    starts there."""
+    out = np.zeros(buffer.size + 8 + -(-int(max_length) // 8), np.uint8)
     out[: buffer.size] = buffer
     return out
 
@@ -261,23 +226,22 @@ def _window(pbuf: np.ndarray, bp: int, k: int) -> int:
     return w >> (64 - k - (bp & 7))
 
 
-def _tiered_step(
-    pbuf, bp: int, l1, sub, node_base, node_bits, k1: int, mask1: int
-) -> int:
-    """One tiered-table codeword resolve starting at bit ``bp``.
+def _resolve(pbuf, bp: int, table: DecodeTable) -> int:
+    """One codeword resolve starting at bit ``bp``.
 
-    Gathers the k1-bit root window, then descends node pointers (length
+    Gathers the k-bit root window, then descends node pointers (length
     byte 0) through the flat subtable array until a packed
     ``(symbol << 8) | abs_length`` entry resolves.  The oracle only
     walks *complete* tables, so a pointer is always valid here.
     """
-    ent = int(l1[_window(pbuf, bp, k1) & mask1])
-    q = bp + k1
+    k = table.k
+    ent = int(table.root[_window(pbuf, bp, k) & ((1 << k) - 1)])
+    q = bp + k
     while (ent & 0xFF) == 0:
         node = ent >> 8
-        nb = int(node_bits[node])
-        ent = int(sub[
-            int(node_base[node]) + (_window(pbuf, q, nb) & ((1 << nb) - 1))
+        nb = int(table.node_bits[node])
+        ent = int(table.sub[
+            int(table.node_base[node]) + (_window(pbuf, q, nb) & ((1 << nb) - 1))
         ])
         q += nb
     return ent
@@ -289,20 +253,16 @@ def reference_gap_array(
     ends: np.ndarray,
     book: CanonicalCodebook,
     subchunk_bits: int,
-    table: DecodeTable | TieredDecodeTable | None = None,
+    table: DecodeTable | None = None,
 ) -> GapArray:
     """Exact gap array by per-chunk serial walk.
 
     The executable definition the C kernel is pinned against (golden
-    vectors, property tests), for flat and tiered tables alike.
-    Pure-Python per symbol — test-sized inputs only.
+    vectors, property tests).  Pure-Python per symbol — test-sized
+    inputs only.
     """
     if table is None:
-        table = (
-            build_tiered_decode_table(book)
-            if int(book.max_length) > _HOST_TABLE_BITS
-            else build_decode_table(book, _HOST_TABLE_BITS)
-        )
+        table = build_decode_table(book)
     ok, why = gap_supported(book, table)
     if not ok:
         raise ValueError(f"gap decode unsupported for this book: {why}")
@@ -310,40 +270,9 @@ def reference_gap_array(
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
     n_sub, lane_base = _lane_layout(starts, ends, S)
-    pbuf = _pad_buffer(np.asarray(buffer, dtype=np.uint8))
+    pbuf = _pad_buffer(np.asarray(buffer, dtype=np.uint8), table.max_length)
     offs = np.empty(int(lane_base[-1]), np.int64)
     cnts = np.empty(int(lane_base[-1]), np.int64)
-    if isinstance(table, TieredDecodeTable):
-        l1, sub = table.l1, table.sub
-        nbase, nbits = table.node_base, table.node_bits
-        k1 = int(table.k1)
-        mask1 = (1 << k1) - 1
-        for c in range(starts.size):
-            p = int(starts[c])
-            end = int(ends[c])
-            cur, last = int(lane_base[c]), int(lane_base[c + 1])
-            nb = p + S
-            n = 0
-            offs[cur] = p
-            cnts[cur] = 0
-            cur += 1
-            while p < end:
-                while cur < last and p >= nb:
-                    offs[cur] = p
-                    cnts[cur] = n
-                    cur += 1
-                    nb += S
-                ent = _tiered_step(pbuf, p, l1, sub, nbase, nbits, k1, mask1)
-                p += ent & 0xFF
-                n += 1
-            while cur < last:
-                offs[cur] = p
-                cnts[cur] = n
-                cur += 1
-        return GapArray(S, lane_base, offs, cnts)
-    W = _window_words(pbuf, np.int32)
-    lt = table.length
-    k = table.k
     for c in range(starts.size):
         p = int(starts[c])
         end = int(ends[c])
@@ -359,8 +288,7 @@ def reference_gap_array(
                 cnts[cur] = n
                 cur += 1
                 nb += S
-            w = (int(W[p >> 3]) >> (16 - (p & 7))) & 0xFFFF
-            p += int(lt[w >> (16 - k)])
+            p += _resolve(pbuf, p, table) & 0xFF
             n += 1
         while cur < last:  # boundaries at/past the chunk's last codeword
             offs[cur] = p
@@ -378,22 +306,21 @@ def _native_gap_decode(
     starts: np.ndarray,
     ends: np.ndarray,
     nsyms: np.ndarray,
-    book: CanonicalCodebook,
     table: DecodeTable,
     S: int,
-) -> GapDecodeResult:
-    """The two exact C kernel passes: sync, then lock-step decode."""
-    tab = _native_table(book, table)
+) -> tuple[GapDecodeResult, int]:
+    """The two exact C kernel passes: sync, then lock-step decode.
+    Returns the result and the subtable gathers the sync walk took."""
     n_sub, lane_base = _lane_layout(starts, ends, S)
-    pbuf = _pad_buffer(buffer)
+    pbuf = _pad_buffer(buffer, table.max_length)
     with _span(
         "decode.gap.sync",
         subchunk_bits=S,
         lanes=int(lane_base[-1]),
         chunks=int(starts.size),
     ):
-        gap_off, gap_cnt, ch_n, ch_endpos = kernel.sync_pass(
-            pbuf, starts, ends, lane_base, S, tab, table.k
+        gap_off, gap_cnt, ch_n, ch_endpos, ch_sub = kernel.sync_pass(
+            pbuf, starts, ends, lane_base, S, table
         )
         # replicate decode_lanes' exhaustion semantics: a chunk whose
         # chain yields fewer codewords than the container claims, or
@@ -407,30 +334,13 @@ def _native_gap_decode(
             gap_cnt, n_sub, lane_base, nsyms
         )
         symbols = kernel.decode_pass(
-            pbuf, gap_off, out_off, out_end, tab, table.k, int(sym_base[-1])
+            pbuf, gap_off, out_off, out_end, table, int(sym_base[-1])
         )
     gap = GapArray(S, lane_base, gap_off, gap_cnt)
-    return GapDecodeResult(symbols, gap, "native")
+    return GapDecodeResult(symbols, gap, "native"), int(ch_sub.sum())
 
 
 # --------------------------------------------------------------- entry point
-
-
-def gap_auto_ready(
-    book: CanonicalCodebook | None = None,
-    table: DecodeTable | TieredDecodeTable | None = None,
-) -> bool:
-    """Whether ``strategy="auto"`` heuristics should promote the gap
-    path: the native C kernel is present and the decode will run on a
-    flat table (the kernel is flat-only, so a tiered table — explicit,
-    or the automatic deep-book promotion — stays on the batch path).
-    """
-    tiered = isinstance(table, TieredDecodeTable) or (
-        table is None
-        and book is not None
-        and int(book.max_length) > _HOST_TABLE_BITS
-    )
-    return not tiered and gap_native.native_available()
 
 
 def gap_decode_lanes(
@@ -439,53 +349,46 @@ def gap_decode_lanes(
     ends: np.ndarray,
     nsyms: np.ndarray,
     book: CanonicalCodebook,
-    table: DecodeTable | TieredDecodeTable | None = None,
+    table: DecodeTable | None = None,
     *,
     subchunk_bits: int | None = None,
 ) -> GapDecodeResult:
     """Gap-array decode of chunk lanes (drop-in for ``decode_lanes``).
 
-    Runs the native C kernel when it is present and the table is a
-    complete flat table.  Otherwise the call decodes through
-    ``decode_lanes``, reports ``backend="lanes"`` and counts the reason
-    in ``repro_decode_gap_lut_fallback_total``: a :func:`gap_supported`
-    reason, ``"tiered_no_kernel"`` (the kernel is flat-only) or
-    ``"no_native_kernel"``.
+    Runs the native C kernel when it is present and the table is
+    complete.  Otherwise the call decodes through ``decode_lanes``,
+    reports ``backend="lanes"`` and counts the reason in
+    ``repro_decode_gap_lut_fallback_total``: a :func:`gap_supported`
+    reason or ``"no_native_kernel"``.
     """
-    buffer = np.ascontiguousarray(buffer, dtype=np.uint8)
-    starts = np.ascontiguousarray(starts, dtype=np.int64)
-    ends = np.ascontiguousarray(ends, dtype=np.int64)
-    nsyms = np.ascontiguousarray(nsyms, dtype=np.int64)
     if table is None:
-        table = (
-            build_tiered_decode_table(book)
-            if int(book.max_length) > _HOST_TABLE_BITS
-            else build_decode_table(book, _HOST_TABLE_BITS)
-        )
+        table = build_decode_table(book)
     reg = _metrics()
-    ok, why = gap_supported(book, table)
-    kern = None
-    if not ok:
-        reason = why
-    elif isinstance(table, TieredDecodeTable):
-        reason = "tiered_no_kernel"
-    else:
-        kern = gap_native.kernel()
-        reason = "" if kern is not None else "no_native_kernel"
+    ok, reason = gap_supported(book, table)
+    kern = gap_native.kernel() if ok else None
+    if ok and kern is None:
+        reason = "no_native_kernel"
     if kern is None:
         reg.counter("repro_decode_gap_lut_fallback_total", reason=reason).inc()
         symbols = decode_lanes(buffer, starts, ends, nsyms, book, table)
         return GapDecodeResult(symbols, None, "lanes", reason)
 
+    buffer, starts, ends, nsyms = _check_lanes(buffer, starts, ends, nsyms)
     S = int(subchunk_bits) if subchunk_bits is not None \
         else DEFAULT_SUBCHUNK_BITS
-    res = _native_gap_decode(kern, buffer, starts, ends, nsyms, book, table, S)
+    res, n_subgather = _native_gap_decode(
+        kern, buffer, starts, ends, nsyms, table, S
+    )
     gap = res.gap
     assert gap is not None
-    reg.counter("repro_decode_table_tier_total", tier="flat").inc()
+    reg.counter("repro_decode_table_tier_total", tier=table.tier).inc()
     reg.counter("repro_decode_symbols_total", path="gap").inc(
         int(res.symbols.size)
     )
+    if n_subgather:
+        reg.counter(
+            "repro_decode_subtable_gather_total", path="gap"
+        ).inc(n_subgather)
     reg.counter("repro_decode_gap_subchunks_total", backend="native").inc(
         gap.n_subchunks
     )

@@ -15,6 +15,10 @@ serial oracle.  The two kernels mirror the paper's two passes exactly:
   from the gap array, so lanes are order-independent.  Eight lanes are
   interleaved per step — the host-side stand-in for a GPU warp.
 
+Both passes read the :class:`~repro.huffman.decoder.DecodeTable`'s own
+arrays: one gather from the packed root, and for a codeword longer than
+the root a descent through the subtables in a cold branch.
+
 Compilation happens once per process via :mod:`cffi` + the system C
 compiler and is cached on disk keyed by a hash of the C source; when
 cffi, a compiler, or a writable cache directory is missing the module
@@ -38,17 +42,16 @@ import numpy as np
 
 __all__ = ["GapKernel", "kernel", "native_available", "native_error"]
 
-#: symbols must fit the 24-bit field of a packed (sym << 8 | len) entry
-MAX_NATIVE_SYMBOL = (1 << 24) - 1
-
 _CDEF = r"""
 void gap_sync_pass(const uint8_t *buf, const int64_t *ch_start,
     const int64_t *ch_end, const int64_t *lane_base, int64_t n_ch,
-    int64_t S, const uint32_t *tab, int k, int64_t *gap_off,
-    int64_t *gap_cnt, int64_t *ch_n, int64_t *ch_endpos);
+    int64_t S, const int32_t *root, int k, const int32_t *sub,
+    const int64_t *node_base, const int32_t *node_bits, int64_t *gap_off,
+    int64_t *gap_cnt, int64_t *ch_n, int64_t *ch_endpos, int64_t *ch_sub);
 void gap_decode_pass(const uint8_t *buf, const int64_t *bit_off,
     const int64_t *out_off, const int64_t *out_end, int64_t n_lanes,
-    const uint32_t *tab, int k, int64_t *out);
+    const int32_t *root, int k, const int32_t *sub,
+    const int64_t *node_base, const int32_t *node_bits, int64_t *out);
 """
 
 _CSRC = r"""
@@ -61,21 +64,42 @@ static inline uint64_t load_be64(const uint8_t *p) {
     return __builtin_bswap64(v);
 }
 
-/* Pass 1: gap-array discovery.  Table entries are (sym << 8) | len with
- * len >= 1, so the walk always advances and terminates even on corrupt
- * streams.  The caller pads buf by >= 8 bytes past the last bit. */
+/* Entries are (symbol_or_node << 8) | len.  A zero length byte is a
+ * subtable pointer: the next node_bits[node] stream bits index that
+ * node's slice of sub, until an entry carries the codeword's absolute
+ * length.  Only complete tables reach the kernel, so every pointer is
+ * valid and the walk always advances.  Returns the resolved entry and
+ * adds the subtable gathers it took to *nd. */
+static inline int32_t descend(const uint8_t *buf, int64_t q, int32_t ent,
+                              const int32_t *sub, const int64_t *node_base,
+                              const int32_t *node_bits, int64_t *nd) {
+    do {
+        int32_t node = ent >> 8;
+        int nb = node_bits[node];
+        uint64_t x = load_be64(buf + (q >> 3)) << (q & 7);
+        ent = sub[node_base[node] + (int64_t)(x >> (64 - nb))];
+        q += nb;
+        (*nd)++;
+    } while (!(ent & 0xFF));
+    return ent;
+}
+
+/* Pass 1: gap-array discovery.  The caller pads buf by
+ * 8 + ceil(max_length / 8) bytes past the last bit, which covers the
+ * root window at any bp < end and every descent load below it. */
 void gap_sync_pass(const uint8_t *buf,
                    const int64_t *ch_start, const int64_t *ch_end,
                    const int64_t *lane_base, int64_t n_ch, int64_t S,
-                   const uint32_t *tab, int k,
+                   const int32_t *root, int k, const int32_t *sub,
+                   const int64_t *node_base, const int32_t *node_bits,
                    int64_t *gap_off, int64_t *gap_cnt,
-                   int64_t *ch_n, int64_t *ch_endpos) {
+                   int64_t *ch_n, int64_t *ch_endpos, int64_t *ch_sub) {
     const int sh0 = 64 - k;
     const uint32_t mask = (1u << k) - 1;
     enum { B = 8 };
     for (int64_t cb = 0; cb < n_ch; cb += B) {
         int nbk = (int)((n_ch - cb < B) ? (n_ch - cb) : B);
-        int64_t bp[B], end[B], cur[B], last[B], nb[B], n[B];
+        int64_t bp[B], end[B], cur[B], last[B], nb[B], n[B], nd[B];
         for (int j = 0; j < nbk; j++) {
             int64_t c = cb + j;
             bp[j] = ch_start[c];
@@ -84,6 +108,7 @@ void gap_sync_pass(const uint8_t *buf,
             last[j] = lane_base[c + 1];
             nb[j] = ch_start[c] + S;
             n[j] = 0;
+            nd[j] = 0;
             gap_off[cur[j]] = bp[j];
             gap_cnt[cur[j]] = 0;
             cur[j]++;
@@ -102,7 +127,11 @@ void gap_sync_pass(const uint8_t *buf,
                     }
                     uint32_t w = (uint32_t)(load_be64(buf + (bp[j] >> 3))
                                             >> (sh0 - (bp[j] & 7)));
-                    bp[j] += tab[w & mask] & 0xFFu;
+                    int32_t ent = root[w & mask];
+                    if (__builtin_expect(!(ent & 0xFF), 0))
+                        ent = descend(buf, bp[j] + k, ent, sub, node_base,
+                                      node_bits, &nd[j]);
+                    bp[j] += ent & 0xFF;
                     n[j]++;
                 }
             }
@@ -117,6 +146,7 @@ void gap_sync_pass(const uint8_t *buf,
             }
             ch_n[cb + j] = n[j];
             ch_endpos[cb + j] = bp[j];
+            ch_sub[cb + j] = nd[j];
         }
     }
 }
@@ -125,10 +155,13 @@ void gap_sync_pass(const uint8_t *buf,
 void gap_decode_pass(const uint8_t *buf,
                      const int64_t *bit_off, const int64_t *out_off,
                      const int64_t *out_end, int64_t n_lanes,
-                     const uint32_t *tab, int k, int64_t *out) {
+                     const int32_t *root, int k, const int32_t *sub,
+                     const int64_t *node_base, const int32_t *node_bits,
+                     int64_t *out) {
     const int sh0 = 64 - k;
     const uint32_t mask = (1u << k) - 1;
     enum { B = 8 };
+    int64_t nd = 0;  /* counted once, by the sync pass */
     for (int64_t base = 0; base < n_lanes; base += B) {
         int nb = (int)((n_lanes - base < B) ? (n_lanes - base) : B);
         int64_t bp[B], oi[B], oe[B];
@@ -144,9 +177,12 @@ void gap_decode_pass(const uint8_t *buf,
                 if (oi[j] < oe[j]) {
                     uint32_t w = (uint32_t)(load_be64(buf + (bp[j] >> 3))
                                             >> (sh0 - (bp[j] & 7)));
-                    uint32_t ent = tab[w & mask];
+                    int32_t ent = root[w & mask];
+                    if (__builtin_expect(!(ent & 0xFF), 0))
+                        ent = descend(buf, bp[j] + k, ent, sub, node_base,
+                                      node_bits, &nd);
                     out[oi[j]++] = ent >> 8;
-                    bp[j] += ent & 0xFFu;
+                    bp[j] += ent & 0xFF;
                 }
             }
         }
@@ -184,6 +220,15 @@ class GapKernel:
     def _p(self, ctype: str, arr: np.ndarray):
         return self._ffi.cast(ctype, arr.ctypes.data)
 
+    def _table_args(self, table) -> tuple:
+        return (
+            self._p("int32_t *", table.root),
+            int(table.k),
+            self._p("int32_t *", table.sub),
+            self._p("int64_t *", table.node_base),
+            self._p("int32_t *", table.node_bits),
+        )
+
     def sync_pass(
         self,
         padded_buf: np.ndarray,
@@ -191,15 +236,18 @@ class GapKernel:
         ch_end: np.ndarray,
         lane_base: np.ndarray,
         subchunk_bits: int,
-        tab: np.ndarray,
-        k: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        table,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(gap_off, gap_cnt, ch_n, ch_endpos, ch_sub)``: the gap
+        array plus, per chunk, the codewords walked, the final chain
+        position and the subtable gathers taken."""
         n_ch = ch_start.shape[0]
         n_lanes = int(lane_base[-1])
         gap_off = np.empty(n_lanes, np.int64)
         gap_cnt = np.empty(n_lanes, np.int64)
         ch_n = np.empty(n_ch, np.int64)
         ch_endpos = np.empty(n_ch, np.int64)
+        ch_sub = np.empty(n_ch, np.int64)
         self._lib.gap_sync_pass(
             self._p("uint8_t *", padded_buf),
             self._p("int64_t *", ch_start),
@@ -207,14 +255,14 @@ class GapKernel:
             self._p("int64_t *", lane_base),
             n_ch,
             int(subchunk_bits),
-            self._p("uint32_t *", tab),
-            int(k),
+            *self._table_args(table),
             self._p("int64_t *", gap_off),
             self._p("int64_t *", gap_cnt),
             self._p("int64_t *", ch_n),
             self._p("int64_t *", ch_endpos),
+            self._p("int64_t *", ch_sub),
         )
-        return gap_off, gap_cnt, ch_n, ch_endpos
+        return gap_off, gap_cnt, ch_n, ch_endpos, ch_sub
 
     def decode_pass(
         self,
@@ -222,8 +270,7 @@ class GapKernel:
         bit_off: np.ndarray,
         out_off: np.ndarray,
         out_end: np.ndarray,
-        tab: np.ndarray,
-        k: int,
+        table,
         n_out: int,
     ) -> np.ndarray:
         out = np.empty(int(n_out), np.int64)
@@ -233,8 +280,7 @@ class GapKernel:
             self._p("int64_t *", out_off),
             self._p("int64_t *", out_end),
             bit_off.shape[0],
-            self._p("uint32_t *", tab),
-            int(k),
+            *self._table_args(table),
             self._p("int64_t *", out),
         )
         return out

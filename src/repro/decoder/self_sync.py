@@ -43,14 +43,16 @@ class SelfSyncResult:
     cost: KernelCost
 
 
-def _decode_span(window_vals, bits, table, book, start: int, limit: int,
+def _decode_span(window_vals, bits, lut, book, start: int, limit: int,
                  total_bits: int, collect: list | None) -> int:
     """Decode codewords from ``start`` until crossing ``limit``.
 
-    Returns the first bit position at or beyond ``limit`` where a new
-    codeword begins.  ``collect`` gathers symbols when not None.
+    ``lut`` is ``(symbol, length, k)`` read off the table root; a zero
+    length takes the First/Entry scan.  Returns the first bit position
+    at or beyond ``limit`` where a new codeword begins.  ``collect``
+    gathers symbols when not None.
     """
-    tbl_sym, tbl_len = table.symbol, table.length
+    tbl_sym, tbl_len, k = lut
     first, entry = book.first, book.entry
     maxlen = book.max_length
     symbols_by_code = book.symbols_by_code
@@ -66,7 +68,7 @@ def _decode_span(window_vals, bits, table, book, start: int, limit: int,
             pos += l
             continue
         v = int(w)
-        l = table.k
+        l = k
         while True:
             l += 1
             if l > maxlen or pos + l > total_bits:
@@ -101,6 +103,7 @@ def self_sync_decode(
         table = build_decode_table(book)
     bits = unpack_to_bits(np.asarray(buffer, dtype=np.uint8), total_bits)
     k = table.k
+    lut = (table.root >> 8, table.root & 0xFF, k)
     padded = np.concatenate([bits, np.zeros(k, dtype=np.uint8)]).astype(np.int64)
     weights = np.int64(1) << np.arange(k - 1, -1, -1, dtype=np.int64)
     if total_bits > 0:
@@ -131,7 +134,7 @@ def self_sync_decode(
             if rounds > 1:
                 redecodes += 1
             limit = min((i + 1) * S, total_bits)
-            end = _decode_span(window_vals, bits, table, book,
+            end = _decode_span(window_vals, bits, lut, book,
                                int(entry_pos[i]), limit, total_bits, None)
             exit_pos[i] = end
             if i + 1 < n_sub and entry_pos[i + 1] != end:
@@ -145,7 +148,7 @@ def self_sync_decode(
     for i in range(n_sub):
         collect: list[int] = []
         limit = min((i + 1) * S, total_bits)
-        _decode_span(window_vals, bits, table, book, int(entry_pos[i]),
+        _decode_span(window_vals, bits, lut, book, int(entry_pos[i]),
                      limit, total_bits, collect)
         counts[i] = len(collect)
         out_parts.append(collect)

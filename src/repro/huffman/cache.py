@@ -14,8 +14,8 @@ one the encoder built.  Caches are LRU-bounded, thread-safe, and expose
 hit/miss counters so tests can assert that the cache actually works.
 
 The decode-table cache additionally accounts **bytes**: every cached
-table reports its real footprint (flat tables are 2^16 entries; tiered
-tables are O(alphabet + 2^k1)), the total is capped per process
+table reports its real footprint (O(alphabet + 2^k) for a 2^k root),
+the total is capped per process
 (``REPRO_TABLE_CACHE_BYTES``, default 64 MiB), eviction runs by bytes
 as well as entry count, and the live total is exported as the
 ``repro_decode_table_bytes`` gauge.
@@ -33,13 +33,7 @@ from typing import Callable
 import numpy as np
 
 from repro.huffman.codebook import CanonicalCodebook
-from repro.huffman.decoder import (
-    _HOST_TABLE_BITS,
-    DecodeTable,
-    TieredDecodeTable,
-    build_decode_table,
-    build_tiered_decode_table,
-)
+from repro.huffman.decoder import DecodeTable, _root_bits, build_decode_table
 from repro.obs import metrics as _metrics
 from repro.obs.trace import add_attrs as _add_attrs
 
@@ -219,13 +213,11 @@ class _LruCache:
 
 
 class DecodeTableCache(_LruCache):
-    """Byte-capped LRU of decode tables keyed by ``(digest, k, tier)``.
+    """Byte-capped LRU of decode tables keyed by ``(digest, root bits)``.
 
-    Tier selection is automatic: books whose longest codeword fits the
-    flat host index get the flat 2^16 table, anything deeper gets a
-    :class:`TieredDecodeTable` — so every ``cached_decode_table`` caller
-    (decode_stream, the chunk pool, streaming, the serve shards)
-    inherits the tiered fast path without code changes.
+    ``k=None`` takes the builder's root-width rule, so every
+    ``cached_decode_table`` caller (decode_stream, the chunk pool,
+    streaming, the serve shards) shares one table per book.
     """
 
     def __init__(self, maxsize: int = 64, max_bytes: int | None = None) -> None:
@@ -238,27 +230,12 @@ class DecodeTableCache(_LruCache):
         )
 
     def get(
-        self,
-        book: CanonicalCodebook,
-        k: int = _HOST_TABLE_BITS,
-        tier: str | None = None,
-    ) -> DecodeTable | TieredDecodeTable:
-        if tier is None:
-            # the tier rule keys off the host flat-table budget, not the
-            # caller's k: explicit small-k flat tables (with First/Entry
-            # fallback) remain requestable, while any book too deep for
-            # the 2^16 host table is promoted to tiered
-            tier = "tiered" if book.max_length > _HOST_TABLE_BITS else "flat"
-        if tier not in ("flat", "tiered"):
-            raise ValueError(f"unknown table tier: {tier!r}")
-        if tier == "tiered":
-            # tiered geometry is fixed (k1/k2), so k is not part of the key
-            key = (codebook_digest(book), 0, "tiered")
-            return self.get_or_build(
-                key, lambda: build_tiered_decode_table(book)
-            )
-        key = (codebook_digest(book), int(k), "flat")
-        return self.get_or_build(key, lambda: build_decode_table(book, k))
+        self, book: CanonicalCodebook, k: int | None = None
+    ) -> DecodeTable:
+        k = _root_bits(book, k)
+        return self.get_or_build(
+            (codebook_digest(book), k), lambda: build_decode_table(book, k)
+        )
 
 
 class CodebookCache(_LruCache):
@@ -295,12 +272,10 @@ def codebook_cache() -> CodebookCache:
 
 
 def cached_decode_table(
-    book: CanonicalCodebook,
-    k: int = _HOST_TABLE_BITS,
-    tier: str | None = None,
-) -> DecodeTable | TieredDecodeTable:
-    """Memoized decode table with automatic flat/tiered selection."""
-    return _TABLE_CACHE.get(book, k, tier)
+    book: CanonicalCodebook, k: int | None = None
+) -> DecodeTable:
+    """Memoized :func:`~repro.huffman.decoder.build_decode_table`."""
+    return _TABLE_CACHE.get(book, k)
 
 
 def cached_codebook(

@@ -31,105 +31,88 @@ from repro.utils.bits import unpack_to_bits
 
 __all__ = [
     "DecodeTable",
-    "TieredDecodeTable",
+    "MAX_TABLE_SYMBOL",
     "build_decode_table",
-    "build_tiered_decode_table",
     "decode_canonical",
     "decode_lanes",
     "decode_batch",
     "decode_with_tree",
 ]
 
-#: Width of the acceleration table index in bits (see EXPERIMENTS.md,
+#: Root width for books deeper than the host index (see EXPERIMENTS.md,
 #: "Wall-clock fast paths": 2^12 entries cover every codeword the paper's
-#: datasets produce while the (symbol, length) pair table stays ~48 KB —
-#: the same budget as the shared-memory reverse codebook on the GPU).
+#: datasets produce while the table stays ~16 KB — the same budget as the
+#: shared-memory reverse codebook on the GPU).
 _TABLE_BITS = 12
 
 #: The batch decoder gathers a 32-bit big-endian window per lookup, so
 #: the table index plus the 7-bit intra-byte offset must fit in 32 bits.
 _MAX_BATCH_TABLE_BITS = 25
 
-#: Wider index used by the host-side wall-clock paths (decode_stream and
-#: the chunk-parallel pool).  On the host the table is ordinary heap
-#: memory, not a 48 KB shared-memory budget, so a 2^16-entry table is
-#: cheap — and once ``max_length <= k`` the batch decoder's per-iteration
-#: fallback check vanishes entirely (every window resolves in one
-#: gather).  ``build_decode_table`` still clamps k to ``max_length``.
+#: Widest root the default rule builds.  On the host the table is
+#: ordinary heap memory, so a book whose longest codeword fits 16 bits
+#: gets a root of exactly ``max_length`` bits and resolves every window
+#: in one gather.  Deeper books get a ``_TABLE_BITS`` root plus
+#: subtables instead: on the deep-book bench books a 2^16 root costs over
+#: 100 ms of build and over half a flat 2^16 table's memory, to save
+#: under 1 ms of decode.
 _HOST_TABLE_BITS = 16
 
-#: Tiered-table geometry (see ARCHITECTURE.md, "Tiered decode tables"):
-#: a 2^k1-entry first level resolves every codeword of <= k1 bits in one
-#: gather; longer codewords descend through per-prefix subtables of at
-#: most 2^k2 entries each, so a W=32 chain costs three extra gathers and
-#: total memory stays O(alphabet + 2^k1) instead of 2^max_length.
-_TIERED_ROOT_BITS = 12
-_TIERED_NODE_BITS = 8
+#: Subtable geometry: codewords longer than the root descend through
+#: per-prefix subtables of at most 2^_NODE_BITS entries each, so a W=32
+#: chain costs three extra gathers and total memory stays
+#: O(alphabet + 2^k) instead of 2^max_length.
+_NODE_BITS = 8
 
-#: When the bits left below a node are only slightly past ``k2``, one
-#: wider level (up to this many bits) is cheaper than a k2 level whose
-#: children are thousands of near-empty 1–3-bit tables, each paying
-#: node_base/node_bits overhead.  Capped so the node index plus the
-#: 7-bit intra-byte offset still fits the 32-bit gather window.
-_TIERED_NODE_SPILL = 12
+#: When the bits left below a node are only slightly past
+#: ``_NODE_BITS``, one wider level (up to this many bits) is cheaper
+#: than a narrow level whose children are thousands of near-empty
+#: 1–3-bit tables, each paying node_base/node_bits overhead.  Capped so
+#: the node index plus the 7-bit intra-byte offset still fits the 32-bit
+#: gather window.
+_NODE_SPILL = 12
 
-#: Packed tiered entry: ``(symbol_or_node << 8) | length``.  A nonzero
-#: low byte is a resolved symbol with its *absolute* codeword length; a
-#: zero low byte with a non-negative high part points at a subtable
-#: node; ``-256`` (node -1) marks an index no codeword reaches — hitting
-#: one means the bitstream is corrupt.
-_TIERED_INVALID = -256
+#: Packed entry: ``(symbol_or_node << 8) | length`` in an int32.  A
+#: nonzero low byte is a resolved symbol with its *absolute* codeword
+#: length; a zero low byte with a non-negative high part points at a
+#: subtable node; ``-256`` (node -1) marks an index no codeword reaches —
+#: hitting one means the bitstream is corrupt.
+_INVALID = -256
 
-#: Symbols must fit the 24-bit high part of a packed int32 entry (the
-#: same bound as the gap decoder's native table packing).
-_MAX_PACKED_SYMBOL = (1 << 23) - 1
+#: Largest symbol a packed entry holds (the high part of a non-negative
+#: int32); the builder rejects larger alphabets.
+MAX_TABLE_SYMBOL = (1 << 23) - 1
 
 
 class DecodeTable:
-    """2^K-entry lookup: next K bits → (symbol, codeword length).
+    """Packed decode table: a 2^k root plus per-prefix subtables.
 
-    Codewords longer than K bits map to ``length == 0`` entries and fall
-    back to the First/Entry scan.
-    """
-
-    def __init__(self, k: int, symbol: np.ndarray, length: np.ndarray):
-        self.k = k
-        self.symbol = symbol
-        self.length = length
-
-    def nbytes(self) -> int:
-        return int(self.symbol.nbytes + self.length.nbytes)
-
-
-class TieredDecodeTable:
-    """Two-plus-level decode table for books with codewords > k1 bits.
-
-    ``l1`` is a 2^k1-entry packed table (``(sym_or_node << 8) | len``);
-    long-code entries point into ``sub``, one flat int32 array holding
-    every subtable back to back.  Node ``n`` occupies
-    ``sub[node_base[n] : node_base[n] + 2**node_bits[n]]`` and is
-    indexed by the next ``node_bits[n]`` stream bits.  Resolved entries
-    carry the absolute codeword length, so the lane cursor advances by
-    ``entry & 0xFF`` exactly as with the flat table.
+    ``root`` is indexed by the next ``k`` stream bits.  Codewords of at
+    most ``k`` bits resolve there in one gather; longer ones point into
+    ``sub``, one flat int32 array holding every subtable back to back.
+    Node ``n`` occupies ``sub[node_base[n] : node_base[n] + 2**node_bits[n]]``
+    and is indexed by the next ``node_bits[n]`` stream bits.  Resolved
+    entries carry the absolute codeword length, so a cursor advances by
+    ``entry & 0xFF`` whichever level resolved it.  A book that fits the
+    root is the case with zero subtables.
 
     ``complete`` is True when every reachable index maps to a codeword
-    (no ``-256`` sentinels) — the precondition for the gap-array
-    reference walk, whose only error source is then the final
-    exhaustion check.
+    (no ``-256`` entries) — the precondition for the gap-array decoder,
+    whose only error source is then the final exhaustion check.
     """
 
     def __init__(
         self,
-        k1: int,
-        l1: np.ndarray,
+        k: int,
+        root: np.ndarray,
         sub: np.ndarray,
         node_base: np.ndarray,
         node_bits: np.ndarray,
         complete: bool,
         max_length: int,
     ):
-        self.k1 = k1
-        self.l1 = l1
+        self.k = k
+        self.root = root
         self.sub = sub
         self.node_base = node_base
         self.node_bits = node_bits
@@ -140,30 +123,25 @@ class TieredDecodeTable:
     def n_nodes(self) -> int:
         return int(self.node_bits.size)
 
+    @property
+    def tier(self) -> str:
+        """Telemetry label: ``"tiered"`` iff any codeword needs a subtable."""
+        return "tiered" if self.n_nodes else "flat"
+
     def nbytes(self) -> int:
         return int(
-            self.l1.nbytes + self.sub.nbytes
+            self.root.nbytes + self.sub.nbytes
             + self.node_base.nbytes + self.node_bits.nbytes
         )
 
 
-def build_decode_table(book: CanonicalCodebook, k: int = _TABLE_BITS) -> DecodeTable:
-    k = min(k, max(book.max_length, 1))
-    size = 1 << k
-    symbol = np.zeros(size, dtype=np.int32)
-    length = np.zeros(size, dtype=np.int32)
-    used = np.flatnonzero((book.lengths > 0) & (book.lengths <= k))
-    if used.size:
-        lens = book.lengths[used].astype(np.int64)
-        codes = book.codes[used].astype(np.int64)
-        starts = codes << (k - lens)
-        spans = np.int64(1) << (k - lens)
-        idx = np.repeat(starts, spans) + (
-            np.arange(int(spans.sum())) - np.repeat(np.cumsum(spans) - spans, spans)
-        )
-        symbol[idx] = np.repeat(used, spans)
-        length[idx] = np.repeat(lens, spans).astype(np.int32)
-    return DecodeTable(k, symbol, length)
+def _root_bits(book: CanonicalCodebook, k: int | None = None) -> int:
+    """Root width: an explicit ``k`` clamped to the longest codeword, or
+    the default rule — ``max_length`` up to 16 bits, else 12."""
+    maxlen = max(int(book.max_length), 1)
+    if k is not None:
+        return min(int(k), maxlen)
+    return maxlen if maxlen <= _HOST_TABLE_BITS else _TABLE_BITS
 
 
 def _packed_span_fill(
@@ -178,8 +156,7 @@ def _packed_span_fill(
 
     A codeword whose last ``rem`` bits (within this table) are ``tails``
     owns the ``2**(width - rem)`` consecutive indices starting at
-    ``tails << (width - rem)`` — the same repeat idiom as the flat
-    builder, shared by the root level and every subtable.
+    ``tails << (width - rem)`` — shared by the root and every subtable.
     """
     starts = tails << (width - rem)
     spans = np.int64(1) << (width - rem)
@@ -189,39 +166,38 @@ def _packed_span_fill(
     tbl[idx] = np.repeat((syms << 8) | lens, spans).astype(np.int32)
 
 
-def build_tiered_decode_table(
-    book: CanonicalCodebook,
-    k1: int = _TIERED_ROOT_BITS,
-    k2: int = _TIERED_NODE_BITS,
-) -> TieredDecodeTable:
-    """Build the multi-level table: 2^k1 root + per-prefix subtables.
+def build_decode_table(
+    book: CanonicalCodebook, k: int | None = None
+) -> DecodeTable:
+    """Build the packed table: a 2^k root plus per-prefix subtables.
 
-    Codewords of <= k1 bits span-fill the root exactly like the flat
-    builder; longer codewords are grouped by their first k1 bits, one
-    subtable node per distinct prefix, and each node recursively covers
-    the next ``k2`` bits — or every remaining bit at once when the
-    remainder fits a single (slightly wider) level.  Every codeword —
-    including
-    W=32 chains and 2^16+-symbol books — resolves through gathers only;
-    there is no First/Entry fallback from a tiered table.
+    ``k=None`` picks the root width by the default rule (see
+    ``_HOST_TABLE_BITS``); an explicit ``k`` is clamped to the longest
+    codeword.  Codewords of <= k bits span-fill the root; longer
+    codewords are grouped by their first k bits, one subtable node per
+    distinct prefix, and each node recursively covers the next
+    ``_NODE_BITS`` bits — or every remaining bit at once when the
+    remainder fits a single (slightly wider) level.  Every codeword,
+    including W=32 chains and 2^16+-symbol books, resolves through
+    gathers only.
     """
-    if book.n_symbols - 1 > _MAX_PACKED_SYMBOL:
+    if book.n_symbols - 1 > MAX_TABLE_SYMBOL:
         raise ValueError(
-            f"alphabet too large for packed tiered entries "
-            f"(max symbol {_MAX_PACKED_SYMBOL})"
+            f"alphabet too large for packed decode entries "
+            f"(max symbol {MAX_TABLE_SYMBOL})"
         )
     maxlen = int(book.max_length)
-    k1 = min(k1, max(maxlen, 1))
-    l1 = np.full(1 << k1, _TIERED_INVALID, dtype=np.int32)
+    k = _root_bits(book, k)
+    root = np.full(1 << k, _INVALID, dtype=np.int32)
     used = np.flatnonzero(book.lengths > 0)
     lens = book.lengths[used].astype(np.int64)
     codes = book.codes[used].astype(np.int64)
     syms = used.astype(np.int64)
 
-    short = lens <= k1
+    short = lens <= k
     if short.any():
         _packed_span_fill(
-            l1, k1, codes[short], lens[short], syms[short], lens[short]
+            root, k, codes[short], lens[short], syms[short], lens[short]
         )
 
     # worklist of nodes: (consumed_bits, codes, lens, syms) per node id,
@@ -230,12 +206,12 @@ def build_tiered_decode_table(
     deep = ~short
     if deep.any():
         dl, dc, ds = lens[deep], codes[deep], syms[deep]
-        prefixes = dc >> (dl - k1)
+        prefixes = dc >> (dl - k)
         uniq, inv = np.unique(prefixes, return_inverse=True)
         for gi, pref in enumerate(uniq.tolist()):
             sel = inv == gi
-            l1[pref] = np.int32(len(specs) << 8)
-            specs.append((k1, dc[sel], dl[sel], ds[sel]))
+            root[pref] = np.int32(len(specs) << 8)
+            specs.append((k, dc[sel], dl[sel], ds[sel]))
 
     tables: list[np.ndarray] = []
     widths: list[int] = []
@@ -244,8 +220,8 @@ def build_tiered_decode_table(
         c, gc, gl, gs = specs[qi]
         qi += 1
         rem_bits = int(gl.max()) - c  # >= 1: every code here is > c bits
-        e = rem_bits if rem_bits <= _TIERED_NODE_SPILL else k2
-        tbl = np.full(1 << e, _TIERED_INVALID, dtype=np.int32)
+        e = rem_bits if rem_bits <= _NODE_SPILL else _NODE_BITS
+        tbl = np.full(1 << e, _INVALID, dtype=np.int32)
         fit = gl <= c + e
         if fit.any():
             rem = gl[fit] - c
@@ -276,10 +252,9 @@ def build_tiered_decode_table(
         node_base = np.empty(0, dtype=np.int64)
         sub = np.empty(0, dtype=np.int32)
     complete = bool(
-        (l1 != _TIERED_INVALID).all() and (sub != _TIERED_INVALID).all()
+        (root != _INVALID).all() and (sub != _INVALID).all()
     )
-    return TieredDecodeTable(k1, l1, sub, node_base, node_bits, complete,
-                             maxlen)
+    return DecodeTable(k, root, sub, node_base, node_bits, complete, maxlen)
 
 
 def decode_canonical(
@@ -289,11 +264,14 @@ def decode_canonical(
     n_symbols: int,
     table: DecodeTable | None = None,
 ) -> np.ndarray:
-    """Decode ``n_symbols`` symbols from a dense MSB-first bitstream."""
-    if table is None or isinstance(table, TieredDecodeTable):
-        # the scalar reference stays on the flat table + First/Entry
-        # machinery — it is the yardstick the tiered path is checked
-        # against, so it never routes through the structure under test
+    """Decode ``n_symbols`` symbols from a dense MSB-first bitstream.
+
+    Reads only the table's root; a codeword the root does not resolve
+    (length byte 0: a subtable pointer or an unreachable index) takes
+    the First/Entry scan, so the reference never walks the subtables
+    the fast paths are checked through.
+    """
+    if table is None:
         table = build_decode_table(book)
     bits = unpack_to_bits(np.asarray(buffer, dtype=np.uint8), total_bits)
     k = table.k
@@ -308,7 +286,7 @@ def decode_canonical(
         window_vals = np.empty(0, dtype=np.int64)
 
     out = np.empty(n_symbols, dtype=np.int64)
-    tbl_sym, tbl_len = table.symbol, table.length
+    tbl_sym, tbl_len = table.root >> 8, table.root & 0xFF
     first, entry = book.first, book.entry
     maxlen = book.max_length
     symbols_by_code = book.symbols_by_code
@@ -369,41 +347,26 @@ def _window_words(buffer: np.ndarray, dtype=np.int64) -> np.ndarray:
     return raw.astype(np.int64)
 
 
-def _slow_lane_symbol(
-    pad_bytes: np.ndarray,
-    window: int,
-    pos: int,
-    end: int,
-    k: int,
-    book: CanonicalCodebook,
-) -> tuple[int, int]:
-    """First/Entry fallback for a codeword longer than the table index.
-
-    ``window`` holds the top ``k`` bits already gathered; extra bits are
-    read one at a time from ``pad_bytes`` (MSB-first).  Returns
-    ``(symbol, length)``.  Mirrors the slow path of
-    :func:`decode_canonical` exactly.
-    """
-    first, entry = book.first, book.entry
-    symbols_by_code = book.symbols_by_code
-    maxlen = book.max_length
-    v = int(window)
-    l = k
-    while True:
-        l += 1
-        if l > maxlen:
-            raise ValueError("corrupt bitstream: no codeword matches")
-        if pos + l > end:
-            raise ValueError("bitstream exhausted mid-codeword")
-        q = pos + l - 1
-        v = (v << 1) | ((int(pad_bytes[q >> 3]) >> (7 - (q & 7))) & 1)
-        if l < first.size:
-            offset = v - int(first[l])
-            count_l = int(entry[l + 1] - entry[l]) if l + 1 < entry.size else (
-                len(symbols_by_code) - int(entry[l])
-            )
-            if 0 <= offset < count_l:
-                return int(symbols_by_code[int(entry[l]) + offset]), l
+def _check_lanes(
+    buffer: np.ndarray,
+    start_bits: np.ndarray,
+    end_bits: np.ndarray,
+    n_symbols: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Contiguous ``(buffer, starts, ends, nsyms)`` after the bound
+    checks every lane decoder needs before it gathers: each lane must
+    lie inside the shared buffer."""
+    buffer = np.ascontiguousarray(buffer, dtype=np.uint8)
+    starts = np.ascontiguousarray(start_bits, dtype=np.int64)
+    ends = np.ascontiguousarray(end_bits, dtype=np.int64)
+    nsyms = np.ascontiguousarray(n_symbols, dtype=np.int64)
+    if not (starts.shape == ends.shape == nsyms.shape) or starts.ndim != 1:
+        raise ValueError("lane arrays must be equal-shape 1-D")
+    if np.any(nsyms < 0) or np.any(starts < 0) or np.any(ends < starts):
+        raise ValueError("invalid lane bounds")
+    if ends.size and int(ends.max()) > buffer.size * 8:
+        raise ValueError("lane extends past the shared buffer")
+    return buffer, starts, ends, nsyms
 
 
 def decode_lanes(
@@ -420,50 +383,32 @@ def decode_lanes(
     bit positions ``[start_bits[i], end_bits[i])`` and holds exactly
     ``n_symbols[i]`` symbols.  Every iteration of the (short) Python loop
     decodes **one symbol from every still-active lane** with pure NumPy
-    gathers: a 32-bit window fetch, a shift, and two table lookups.  The
+    gathers: a 32-bit window fetch, a shift, and one packed root lookup.  The
     loop therefore runs ``max(n_symbols)`` times instead of
     ``sum(n_symbols)`` — on a chunked container that is a factor of
     ``n_chunks`` fewer Python-level iterations than the scalar decoder.
 
-    Codewords longer than ``table.k`` bits (table length 0) fall back to
-    the scalar First/Entry scan per affected lane; the paper's length
-    distributions make this vanishingly rare.
+    Codewords longer than ``table.k`` bits descend through the table's
+    subtables, one more gather per level for the lanes that need it.
 
     Returns the decoded symbols as one flat ``int64`` array, lane-major
     (lane 0's symbols, then lane 1's, ...).  Bit-identical to running
     :func:`decode_canonical` on each lane separately.
     """
     if table is None:
-        # automatic tier selection: the flat 2^16 table whenever it can
-        # resolve every codeword in one gather, the tiered table beyond
-        table = (
-            build_tiered_decode_table(book)
-            if book.max_length > _HOST_TABLE_BITS
-            else build_decode_table(book, _HOST_TABLE_BITS)
-        )
-    tiered = isinstance(table, TieredDecodeTable)
-    k = table.k1 if tiered else table.k
+        table = build_decode_table(book)
+    k = table.k
     if k > _MAX_BATCH_TABLE_BITS:
         raise ValueError(f"table index must be <= {_MAX_BATCH_TABLE_BITS} bits")
-    buffer = np.ascontiguousarray(buffer, dtype=np.uint8)
-    starts = np.asarray(start_bits, dtype=np.int64)
-    ends = np.asarray(end_bits, dtype=np.int64)
-    nsyms = np.asarray(n_symbols, dtype=np.int64)
-    if not (starts.shape == ends.shape == nsyms.shape) or starts.ndim != 1:
-        raise ValueError("lane arrays must be equal-shape 1-D")
-    if np.any(nsyms < 0) or np.any(starts < 0) or np.any(ends < starts):
-        raise ValueError("invalid lane bounds")
-    if ends.size and int(ends.max()) > buffer.size * 8:
-        raise ValueError("lane extends past the shared buffer")
+    buffer, starts, ends, nsyms = _check_lanes(
+        buffer, start_bits, end_bits, n_symbols
+    )
 
     total_out = int(nsyms.sum())
     if total_out == 0:
         return np.empty(0, dtype=np.int64)
 
-    _metrics().counter(
-        "repro_decode_table_tier_total",
-        tier="tiered" if tiered else "flat",
-    ).inc()
+    _metrics().counter("repro_decode_table_tier_total", tier=table.tier).inc()
 
     # int32 staging: the hot-loop scatter then casts nothing, and one
     # bulk astype at the end restores the external int64 contract
@@ -482,27 +427,12 @@ def decode_lanes(
     W = _window_words(buffer, dt)
     kmask = dt((1 << k) - 1)
     shift_base = dt(32 - k)
-    if tiered:
-        l1_t, sub_t = table.l1, table.sub
-        nb_t, nbase_t = table.node_bits, table.node_base
-        sym_t = len_t = None
-        any_long = False
-        # a root gather may return a node pointer (length byte 0), so
-        # the resolve loop runs whenever subtables exist or the root has
-        # unreachable (invalid) indices
-        check = table.n_nodes > 0 or not table.complete
-        pad_bytes = None
-    else:
-        sym_t = table.symbol if table.symbol.dtype == np.int32 else table.symbol.astype(np.int32)
-        len_t = table.length if table.length.dtype == np.int32 else table.length.astype(np.int32)
-
-        any_long = book.max_length > k
-        # a complete table (every window maps to a codeword) needs no
-        # per-iteration validity check at all
-        check = any_long or not len_t.all()
-        pad_bytes = (
-            np.concatenate([buffer, np.zeros(8, dtype=np.uint8)]) if check else None
-        )
+    root_t, sub_t = table.root, table.sub
+    nb_t, nbase_t = table.node_bits, table.node_base
+    # a root gather may return a node pointer or an unreachable index
+    # (length byte 0), so the resolve loop runs only when the table has
+    # subtables or unreachable indices
+    check = table.n_nodes > 0 or not table.complete
 
     # Lanes sorted by symbol count (descending): the active set is always
     # a prefix, so no per-iteration masking is needed — the prefix just
@@ -525,7 +455,6 @@ def decode_lanes(
     lng = np.empty(n_lanes, dtype=np.int32)
 
     cur_m = -1
-    n_fallback = 0
     n_subgather = 0
     for t in range(max_syms):
         m = active[t]
@@ -539,52 +468,33 @@ def decode_lanes(
         np.subtract(shift_base, i, out=i)
         np.right_shift(v, i, out=v)
         np.bitwise_and(v, kmask, out=v)
-        if tiered:
-            l1_t.take(v, out=e)
-            np.bitwise_and(e, 255, out=l)
-            np.right_shift(e, 8, out=e)
-            if check and not l.all():
-                # resolve the long-code lanes: gather the next node_bits
-                # stream bits per lane and descend until every packed
-                # entry carries a nonzero (absolute) length
-                un = np.flatnonzero(l == 0)
-                q = p[un].astype(np.int64) + k
-                while un.size:
-                    nodes = e[un].astype(np.int64)
-                    if np.any(nodes < 0):
-                        raise ValueError(
-                            "corrupt bitstream: no codeword matches"
-                        )
-                    nb = nb_t.take(nodes).astype(np.int64)
-                    w = W.take(q >> 3, mode="clip").astype(np.int64)
-                    sh = 32 - nb - (q & 7)
-                    sent = sub_t.take(
-                        nbase_t.take(nodes)
-                        + ((w >> sh) & ((np.int64(1) << nb) - 1))
-                    )
-                    e[un] = sent >> 8
-                    l[un] = sent & 255
-                    n_subgather += int(un.size)
-                    q += nb
-                    still = (sent & 255) == 0
-                    un = un[still]
-                    q = q[still]
-        else:
-            sym_t.take(v, out=e)
-            len_t.take(v, out=l)
-            if check and not l.all():
-                if not any_long:
-                    # no codeword of any length matches this window
+        root_t.take(v, out=e)
+        np.bitwise_and(e, 255, out=l)
+        np.right_shift(e, 8, out=e)
+        if check and not l.all():
+            # resolve the long-code lanes: gather the next node_bits
+            # stream bits per lane and descend until every packed entry
+            # carries a nonzero (absolute) length
+            un = np.flatnonzero(l == 0)
+            q = p[un].astype(np.int64) + k
+            while un.size:
+                nodes = e[un].astype(np.int64)
+                if np.any(nodes < 0):
                     raise ValueError("corrupt bitstream: no codeword matches")
-                slow = np.flatnonzero(l == 0)
-                n_fallback += slow.size
-                for j in slow:
-                    s_j, l_j = _slow_lane_symbol(
-                        pad_bytes, int(v[j]), int(p[j]), int(lane_end[j]), k,
-                        book,
-                    )
-                    e[j] = s_j
-                    l[j] = l_j
+                nb = nb_t.take(nodes).astype(np.int64)
+                w = W.take(q >> 3, mode="clip").astype(np.int64)
+                sh = 32 - nb - (q & 7)
+                sent = sub_t.take(
+                    nbase_t.take(nodes)
+                    + ((w >> sh) & ((np.int64(1) << nb) - 1))
+                )
+                e[un] = sent >> 8
+                l[un] = sent & 255
+                n_subgather += int(un.size)
+                q += nb
+                still = (sent & 255) == 0
+                un = un[still]
+                q = q[still]
         out[d] = e
         d += 1
         p += l
@@ -594,9 +504,6 @@ def decode_lanes(
     reg = _metrics()
     reg.counter("repro_decode_symbols_total", path="batch").inc(total_out)
     reg.counter("repro_decode_lanes_total").inc(n_lanes)
-    reg.counter("repro_decode_lut_fallback_total", path="batch").inc(
-        int(n_fallback)
-    )
     if n_subgather:
         reg.counter(
             "repro_decode_subtable_gather_total", path="batch"
@@ -620,8 +527,8 @@ def decode_batch(
     through the gap-array decoder (:mod:`repro.decoder.gap_array`),
     which subchunks the stream so even one dense stream decodes with
     thousands of parallel lanes; ``"auto"`` picks ``"gap"`` when the
-    compiled gap kernel is available and the table is flat, else
-    ``"lanes"``.
+    compiled gap kernel is available and the stream is big enough to
+    amortize its sync pass, else ``"lanes"``.
     """
     if impl not in ("auto", "gap", "lanes"):
         raise ValueError(f"unknown decode impl: {impl!r}")
@@ -631,10 +538,10 @@ def decode_batch(
     nsyms = np.array([n_symbols], dtype=np.int64)
     if impl != "lanes":
         # local import: gap_array builds on this module
-        from repro.decoder import gap_array
+        from repro.decoder import gap_array, gap_native
 
         if impl == "gap" or (
-            gap_array.gap_auto_ready(book=book, table=table)
+            gap_native.native_available()
             and n_symbols >= gap_array.AUTO_MIN_SYMBOLS
         ):
             return gap_array.gap_decode_lanes(

@@ -59,7 +59,6 @@ _PATH_ATTRS = {
         ("table_tier", "table_tier"),
         ("gap_fallback", "gap_fallback"),
     ),
-    "decode.gap": (("backend", "gap_backend"),),
 }
 _CACHE_ATTRS = ("codebook_cache", "decode_table_cache", "codebook_registry")
 

@@ -126,8 +126,8 @@ def write_wallclock_json(
             doc["codebooks"] = codebooks
         tables = extra.pop("tables", None)
         if tables is not None:
-            # the deep-book decode-table scenarios (flat-table fallback
-            # vs tiered): the tiered-decode acceptance record
+            # the deep-book decode-table scenarios (NumPy lanes vs the
+            # gap kernel on one subtable-descent table)
             doc["tables"] = tables
         doc["meta"].update(extra)
     with open(path, "w") as f:

@@ -59,7 +59,9 @@ __all__ = [
     "run_serve_bench",
     "run_codebooks_bench",
     "run_table_bench",
+    "table_history",
     "TABLE_BENCH_SCENARIOS",
+    "FLAT16_TABLE_BYTES",
     "wallclock_table",
     "main",
 ]
@@ -312,9 +314,14 @@ def run_wallclock(
 
 
 #: deep-book decode scenarios timed by ``run_table_bench``: the regime
-#: where codewords exceed the flat 2^16 host index and decode must run
-#: either the tiered table or the scalar First/Entry fallback
+#: where codewords exceed the 16-bit host index and decode descends the
+#: table's subtables
 TABLE_BENCH_SCENARIOS = ("genomics", "large_alphabet")
+
+#: memory yardstick of the deep-book table gate: a 2^16-entry table of
+#: two int32 planes (symbol, length), what a one-gather table for these
+#: books would cost without subtables
+FLAT16_TABLE_BYTES = (1 << 16) * 8
 
 
 def _table_bench_input(scenario: str, n_symbols: int, seed: int):
@@ -363,59 +370,63 @@ def run_table_bench(
     seed: int = 2021,
     tracer: Tracer | None = None,
 ) -> dict:
-    """Time deep-book batch decode: flat-table fallback vs tiered table.
+    """Time deep-book decode on one table: NumPy lanes vs the gap kernel.
 
-    Both paths decode the *same* chunked container; the flat 2^16 table
-    cannot express the deep codewords, so its lanes drop to the scalar
-    First/Entry fallback (the pre-tiered behavior), while the tiered
-    table resolves every window through gathers.  The run aborts unless
-    both outputs are byte-identical to the input, and unless the tiered
-    decode takes **zero** LUT fallbacks.  The returned dict — stored
-    under ``"tables"`` in ``BENCH_wallclock.json`` — carries both
-    timings, the table memory footprints, and the fallback/subtable
-    counter deltas.
+    Both strategies decode the *same* chunked container through the
+    *same* cached decode table: ``"batch"`` is ``decode_lanes`` with
+    vectorized subtable descent, ``"gap"`` the C kernel descending the
+    same subtables (without the kernel it decodes through the lanes
+    again and ``gap_backend`` reads ``"lanes"``).  The run aborts unless
+    both outputs are byte-identical to the input, and unless decode
+    takes **zero** table fallbacks.  The returned dict — stored under
+    ``"tables"`` in ``BENCH_wallclock.json`` — carries both timings, the
+    table footprint against :data:`FLAT16_TABLE_BYTES`, and the
+    fallback/subtable counter deltas.
     """
-    from repro.huffman.decoder import (
-        build_decode_table,
-        build_tiered_decode_table,
-    )
+    from repro.decoder.gap_native import native_available
 
     if tracer is None:
         installed = get_tracer()
         tracer = installed if installed.enabled else Tracer("repro-bench")
     data, book = _table_bench_input(scenario, n_symbols, seed)
-    flat16 = build_decode_table(book, 16)
-    tiered = build_tiered_decode_table(book)
+    table = cached_decode_table(book)
     stream = gpu_encode(data, book, magnitude=10).stream
 
     reg = obs_metrics()
-    fb0 = int(reg.total("repro_decode_lut_fallback_total"))
-    sub0 = int(reg.total("repro_decode_subtable_gather_total"))
-    out_tier = decode_stream(stream, book, table=tiered, strategy="batch")
-    fb_tier = int(reg.total("repro_decode_lut_fallback_total")) - fb0
-    sub_tier = int(reg.total("repro_decode_subtable_gather_total")) - sub0
-    out_flat = decode_stream(stream, book, table=flat16, strategy="batch")
-    fb_flat = (
-        int(reg.total("repro_decode_lut_fallback_total")) - fb0 - fb_tier
-    )
-    if not np.array_equal(out_tier, data) or \
-            not np.array_equal(out_flat, out_tier):
-        raise AssertionError(f"tiered/flat decode mismatch on {scenario}")
-    if fb_tier:
-        raise AssertionError(
-            f"tiered decode took {fb_tier} LUT fallbacks on {scenario}"
+
+    def fallbacks() -> int:
+        # table fallbacks only: a gap request on a host without the
+        # kernel is counted as no_native_kernel, which is not a table's
+        # doing
+        return int(
+            reg.total("repro_decode_lut_fallback_total")
+            + reg.total("repro_decode_gap_lut_fallback_total")
+            - reg.total("repro_decode_gap_lut_fallback_total",
+                        reason="no_native_kernel")
         )
 
-    flat_s = _timed_best(
-        tracer, "bench.decode_table_flat",
-        lambda: decode_stream(stream, book, table=flat16,
-                              strategy="batch"),
+    fb0 = fallbacks()
+    sub0 = int(reg.total("repro_decode_subtable_gather_total"))
+    out_batch = decode_stream(stream, book, table=table, strategy="batch")
+    subgathers = int(reg.total("repro_decode_subtable_gather_total")) - sub0
+    out_gap = decode_stream(stream, book, table=table, strategy="gap")
+    fb = fallbacks() - fb0
+    if not np.array_equal(out_batch, data) or \
+            not np.array_equal(out_gap, out_batch):
+        raise AssertionError(f"batch/gap decode mismatch on {scenario}")
+    if fb:
+        raise AssertionError(
+            f"deep-book decode took {fb} table fallbacks on {scenario}"
+        )
+
+    batch_s = _timed_best(
+        tracer, "bench.decode_table_batch",
+        lambda: decode_stream(stream, book, table=table, strategy="batch"),
         repeats, scenario=scenario,
     )
-    tiered_s = _timed_best(
-        tracer, "bench.decode_table_tiered",
-        lambda: decode_stream(stream, book, table=tiered,
-                              strategy="batch"),
+    gap_s = _timed_best(
+        tracer, "bench.decode_table_gap",
+        lambda: decode_stream(stream, book, table=table, strategy="gap"),
         repeats, scenario=scenario,
     )
     input_bytes = int(data.nbytes)
@@ -425,21 +436,34 @@ def run_table_bench(
         "input_bytes": input_bytes,
         "alphabet": int(book.n_symbols),
         "max_length": int(book.max_length),
+        "root_bits": int(table.k),
         "table_bytes": {
-            "flat16": int(flat16.nbytes()),
-            "tiered": int(tiered.nbytes()),
-            "tiered_pct": round(
-                100.0 * tiered.nbytes() / flat16.nbytes(), 2
-            ),
+            "table": int(table.nbytes()),
+            "flat16": FLAT16_TABLE_BYTES,
+            "pct": round(100.0 * table.nbytes() / FLAT16_TABLE_BYTES, 2),
         },
-        "decode_flat_s": flat_s,
-        "decode_tiered_s": tiered_s,
-        "decode_flat_mb_s": round(input_bytes / flat_s / 1e6, 2),
-        "decode_tiered_mb_s": round(input_bytes / tiered_s / 1e6, 2),
-        "tiered_speedup": round(flat_s / tiered_s, 2),
-        "lut_fallbacks_flat": fb_flat,
-        "lut_fallbacks_tiered": fb_tier,
-        "subtable_gathers": sub_tier,
+        "gap_backend": "native" if native_available() else "lanes",
+        "decode_batch_s": batch_s,
+        "decode_gap_s": gap_s,
+        "decode_batch_mb_s": round(input_bytes / batch_s / 1e6, 2),
+        "decode_gap_mb_s": round(input_bytes / gap_s / 1e6, 2),
+        "gap_speedup": round(batch_s / gap_s, 2),
+        "lut_fallbacks": fb,
+        "subtable_gathers": subgathers,
+    }
+
+
+def table_history(tables: dict) -> dict:
+    """The per-scenario ``run_table_bench`` fields a history line keeps."""
+    return {
+        s: {
+            "decode_batch_mb_s": row["decode_batch_mb_s"],
+            "decode_gap_mb_s": row["decode_gap_mb_s"],
+            "gap_speedup": row["gap_speedup"],
+            "table_bytes": row["table_bytes"]["table"],
+            "lut_fallbacks": row["lut_fallbacks"],
+        }
+        for s, row in tables.items()
     }
 
 
@@ -728,8 +752,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     help="requests per phase of the codebooks bench")
     ap.add_argument("--tables", action="store_true",
                     help="also run the deep-book decode-table bench "
-                         "(flat-table First/Entry fallback vs tiered "
-                         "two-level table on the genomics and "
+                         "(NumPy lanes vs the gap kernel on one "
+                         "subtable-descent table, genomics and "
                          "large-alphabet scenarios) and record timings, "
                          "table bytes and fallback counters in the JSON "
                          "artifact and the history line")
@@ -801,17 +825,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             s: run_table_bench(s) for s in TABLE_BENCH_SCENARIOS
         }
         print()
-        print("deep-book decode tables (flat fallback vs tiered):")
+        print("deep-book decode tables (batch lanes vs gap kernel):")
         for s, row in tables_doc.items():
             tb = row["table_bytes"]
             print(f"  {s}: alphabet {row['alphabet']}, "
-                  f"max_length {row['max_length']}; "
-                  f"dec flat {row['decode_flat_mb_s']} MB/s "
-                  f"({row['lut_fallbacks_flat']} fallbacks) vs "
-                  f"tiered {row['decode_tiered_mb_s']} MB/s "
-                  f"({row['tiered_speedup']}x); "
-                  f"table {tb['tiered']} B vs flat16 {tb['flat16']} B "
-                  f"({tb['tiered_pct']}%)")
+                  f"max_length {row['max_length']}, "
+                  f"root {row['root_bits']} bits; "
+                  f"dec batch {row['decode_batch_mb_s']} MB/s vs "
+                  f"gap[{row['gap_backend']}] {row['decode_gap_mb_s']} "
+                  f"MB/s ({row['gap_speedup']}x); "
+                  f"table {tb['table']} B vs flat16 {tb['flat16']} B "
+                  f"({tb['pct']}%)")
     conform_doc = None
     if args.conform:
         from repro.conform.matrix import run_matrix
@@ -863,20 +887,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         hist_extra = None
         if tables_doc is not None:
-            hist_extra = {
-                "tables": {
-                    s: {
-                        "decode_flat_mb_s": row["decode_flat_mb_s"],
-                        "decode_tiered_mb_s": row["decode_tiered_mb_s"],
-                        "tiered_speedup": row["tiered_speedup"],
-                        "table_bytes_tiered":
-                            row["table_bytes"]["tiered"],
-                        "lut_fallbacks_tiered":
-                            row["lut_fallbacks_tiered"],
-                    }
-                    for s, row in tables_doc.items()
-                }
-            }
+            hist_extra = {"tables": table_history(tables_doc)}
         if codebooks_doc is not None:
             # the amortized fast-path numbers ride along on the history
             # line so the sentinel's rolling window sees them too

@@ -493,8 +493,8 @@ class CompressionService:
                 path = series["labels"].get("path", "unknown")
                 per_path[path] = per_path.get(path, 0) \
                     + int(series["value"])
-        # flat-vs-tiered table selection split (the tiered fast path for
-        # deep books; see huffman/decoder.py)
+        # decodes on a root-only table ("flat") vs one with subtables
+        # ("tiered", deep books; see huffman/decoder.py)
         table_tiers: dict[str, int] = {}
         tsnap = reg.snapshot().get("repro_decode_table_tier_total")
         if tsnap is not None:

@@ -91,8 +91,8 @@ class TestPersistenceProperty:
         t0 = build_decode_table(book)
         t1 = build_decode_table(got.book)
         assert t0.k == t1.k
-        np.testing.assert_array_equal(t0.symbol, t1.symbol)
-        np.testing.assert_array_equal(t0.length, t1.length)
+        np.testing.assert_array_equal(t0.root, t1.root)
+        np.testing.assert_array_equal(t0.sub, t1.sub)
         # the name alias persisted through the manifest too
         assert reg2.get("prop") is not None
 

@@ -6,14 +6,16 @@ magnitude, skew, reduction factor, and subchunk width):
 - the native C kernel (when the toolchain compiled it) produces symbols
   bit-identical to ``decode_lanes`` and a gap array entry-for-entry
   equal to :func:`reference_gap_array`, the executable serial oracle;
-- the oracle itself is exact on flat and tiered tables: decoding every
-  subchunk from its recorded sync point reproduces ``decode_lanes``;
+- the oracle itself is exact, with and without subtables: decoding
+  every subchunk from its recorded sync point reproduces
+  ``decode_lanes``;
 - on corrupted containers the gap path either raises the same
   ``ValueError`` as ``decode_lanes`` or returns bit-identical symbols —
   corruption must never silently change behavior between decoders;
-- without the kernel (no compiler, or ``REPRO_GAP_DISABLE_NATIVE``) and
-  on tiered tables every gap entry point decodes through
-  ``decode_lanes`` and counts the reason;
+- W=32 books run the kernel through subtable descent;
+- without the kernel (no compiler, or ``REPRO_GAP_DISABLE_NATIVE``)
+  every gap entry point decodes through ``decode_lanes`` and counts
+  the reason;
 - the chunk-parallel driver's output is independent of worker count at
   subchunk granularity, and an injected shard crash degrades to the
   serial path with the fallback counter bumped, never to a wrong answer.
@@ -45,7 +47,7 @@ from repro.decoder.gap_array import (
 )
 from repro.decoder.gap_native import native_available
 from repro.huffman.cache import cached_decode_table
-from repro.huffman.decoder import TieredDecodeTable, decode_batch, decode_lanes
+from repro.huffman.decoder import decode_batch, decode_lanes
 from repro.huffman.serial import serial_encode
 from repro.obs.metrics import MetricsRegistry, set_registry
 
@@ -245,12 +247,12 @@ class TestDeepBooks:
         return book, stream
 
     def test_wide_book_tiered_reference_is_exact(self):
-        """W=32 codewords exceed the flat 16-bit host table; the
-        automatic tiered promotion keeps the book gap-supported, and the
-        oracle's tiered walk is exact on it."""
+        """W=32 codewords exceed the 16-bit host index; the default
+        table's subtables keep the book gap-supported, and the oracle's
+        descending walk is exact on it."""
         book, stream = self._deep_stream(3, 800)
         table = cached_decode_table(book)
-        assert isinstance(table, TieredDecodeTable)
+        assert table.n_nodes > 0
         assert gap_supported(book, table)[0] is True
         buffer, starts, ends, nsyms = stream_lanes(stream)
         want = decode_lanes(buffer, starts, ends, nsyms, book, table)
@@ -259,22 +261,31 @@ class TestDeepBooks:
         _assert_reference_exact(buffer, starts, ends, nsyms, book, table,
                                 ref, want)
 
-    def test_tiered_table_falls_back_to_lanes(self, registry):
-        """The C kernel is flat-only: a tiered table decodes through
-        decode_lanes (whose vectorized tiered batch path handles the
-        book) and says so."""
+    def test_wide_book_runs_gap_kernel(self, registry):
+        """A W=32 book runs the C kernel, which descends the subtables:
+        its symbols equal decode_lanes, its gap array equals the
+        oracle's, and its descents are counted on the gap path.  (The
+        no-kernel leg only checks the counted lanes fallback;
+        TestNoNativeKernel covers that path in full.)"""
         book, stream = self._deep_stream(4, 500)
         table = cached_decode_table(book)
         buffer, starts, ends, nsyms = stream_lanes(stream)
         want = decode_lanes(buffer, starts, ends, nsyms, book, table)
         res = gap_decode_lanes(buffer, starts, ends, nsyms, book, table,
                                subchunk_bits=256)
-        assert res.backend == "lanes"
-        assert res.gap is None
-        assert res.fallback == "tiered_no_kernel"
-        assert registry.total("repro_decode_gap_lut_fallback_total",
-                              reason="tiered_no_kernel") == 1
         np.testing.assert_array_equal(res.symbols, want)
+        if not native_available():
+            assert res.backend == "lanes"
+            assert res.fallback == "no_native_kernel"
+            return
+        assert res.backend == "native" and res.fallback == ""
+        ref = reference_gap_array(buffer, starts, ends, book, 256, table)
+        assert res.gap is not None and res.gap.equal(ref)
+        assert registry.total("repro_decode_gap_lut_fallback_total") == 0
+        assert registry.total("repro_decode_subtable_gather_total",
+                              path="gap") > 0
+        assert registry.total("repro_decode_table_tier_total",
+                              tier="tiered") >= 1
 
 
 class TestNoNativeKernel:

@@ -133,13 +133,11 @@ def test_extract_paths():
         {"name": "encode.reduce_shuffle_merge", "attrs": {"impl": "scan"}},
         {"name": "encode.codebook", "attrs": {"codebook_cache": "hit"}},
         {"name": "decode.stream", "attrs": {"strategy": "gap"}},
-        {"name": "decode.gap", "attrs": {"backend": "native"}},
     )
     assert extract_paths(spans) == {
         "encode_impl": "scan",
         "codebook_cache": "hit",
         "decode_strategy": "gap",
-        "gap_backend": "native",
     }
     assert extract_paths(()) == {}
 

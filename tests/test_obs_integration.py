@@ -85,8 +85,8 @@ class TestTracedRoundTrip:
         assert "repro_cache_hits_total" in snap or \
             "repro_cache_misses_total" in snap
         # the decode path reports its machinery: the lane decoder counts
-        # LUT fallbacks, the gap decoder counts its subchunk lanes
-        assert "repro_decode_lut_fallback_total" in snap or \
+        # its lanes, the gap decoder its subchunk lanes
+        assert "repro_decode_lanes_total" in snap or \
             "repro_decode_gap_subchunks_total" in snap
         assert "repro_app_bytes_in_total" in snap
         assert registry.total("repro_encode_symbols_total") == field.size
@@ -104,7 +104,7 @@ class TestTracedRoundTrip:
         assert validate_chrome_trace(cj) == []
         assert validate_jsonl(jl) == []
         metrics = doc["otherData"]["metrics"]
-        assert "repro_decode_lut_fallback_total" in metrics or \
+        assert "repro_decode_lanes_total" in metrics or \
             "repro_decode_gap_subchunks_total" in metrics
         summary = stage_summary(tracer)
         assert "encode.reduce_shuffle_merge" in summary

@@ -51,9 +51,11 @@ class TestDecodeTable:
         book = canonical_from_lengths(np.array([1, 2, 2]))
         table = build_decode_table(book, k=4)
         assert table.k == 2  # capped at the max codeword length
-        # index 0b00, 0b01 -> symbol 0 (code '0'); 0b10 -> 1; 0b11 -> 2
-        assert table.length.tolist() == [1, 1, 2, 2]
-        assert table.symbol.tolist() == [0, 0, 1, 2]
+        # index 0b00, 0b01 -> symbol 0 (code '0'); 0b10 -> 1; 0b11 -> 2;
+        # packed root entries are (symbol << 8) | length
+        assert (table.root & 0xFF).tolist() == [1, 1, 2, 2]
+        assert (table.root >> 8).tolist() == [0, 0, 1, 2]
+        assert table.n_nodes == 0
 
     def test_long_codes_marked_fallback(self, rng):
         freqs = 2 ** np.arange(20)  # very skewed: lengths up to 19
@@ -61,7 +63,9 @@ class TestDecodeTable:
 
         book = canonical_from_lengths(codeword_lengths_serial(freqs))
         table = build_decode_table(book, k=4)
-        assert np.any(table.length == 0)
+        # longer codes leave a zero length byte at the root: a subtable
+        # pointer for the table walk, the First/Entry scan for decode_canonical
+        assert np.any((table.root & 0xFF) == 0)
 
 
 class TestDecoders:

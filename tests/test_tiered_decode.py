@@ -1,23 +1,24 @@
-"""Tiered decode tables: equality, memory, cache, and counter contracts.
+"""Subtable decode tables: equality, memory, cache, and counter contracts.
 
-The tentpole contract under test:
+The contract under test:
 
-- the tiered two-level table decodes **byte-identically** to the flat
-  table and the scalar reference on arbitrary books — including crafted
-  chain+flat books with alphabets up to 2^17 and codewords far past the
-  flat 2^16 host index, where the flat table must lean on its
-  First/Entry fallback and the tiered table must not;
+- a narrow (12-bit) root with subtables decodes **byte-identically** to
+  a wide 2^16 root and to the scalar First/Entry reference, through the
+  NumPy lanes and the gap path alike, on arbitrary books — including
+  crafted chain+flat books with alphabets up to 2^17 and codewords far
+  past the 16-bit host index;
 - on corrupted streams (bit flips, truncation) every path either raises
   ``ValueError`` like the others or returns the same symbols —
-  corruption never silently diverges the implementations;
-- tiered memory is O(alphabet + 2^k1): at most 25 % of the flat 2^16
+  corruption never silently diverges the implementations, and deep
+  books raise through the kernel exactly when the lanes do;
+- table memory is O(alphabet + 2^k): at most 25 % of a flat 2^16
   table for every alphabet >= 2^12;
 - the digest-keyed cache accounts bytes, evicts by the byte cap, and
   reports per-entry sizes;
-- the observability plane sees the tier choice
+- the observability plane sees whether a table has subtables
   (``repro_decode_table_tier_total``), the subtable gather volume, and
   — critically — **zero** ``repro_decode_lut_fallback_total`` on deep
-  books now served by the tiered table.
+  books.
 
 The whole module runs with and without the native gap kernel.
 """
@@ -35,10 +36,7 @@ from repro.core.encoder import gpu_encode
 from repro.huffman.cache import DecodeTableCache, cached_decode_table
 from repro.huffman.codebook import canonical_from_lengths
 from repro.huffman.decoder import (
-    DecodeTable,
-    TieredDecodeTable,
     build_decode_table,
-    build_tiered_decode_table,
     decode_batch,
     decode_canonical,
     decode_lanes,
@@ -47,6 +45,9 @@ from repro.huffman.serial import serial_encode
 from repro.obs.metrics import MetricsRegistry, set_registry
 
 pytestmark = pytest.mark.usefixtures("kernel_engine")
+
+#: a flat 2^16-entry table of two int32 planes: the memory yardstick
+FLAT16_BYTES = (1 << 16) * 8
 
 
 @pytest.fixture
@@ -90,17 +91,17 @@ class TestEqualityChain:
         book = _chain_flat_book(chain, flat)
         data = _skewed_symbols(book, n, skew, seed)
         buf, nbits = serial_encode(data, book)
-        flat_t = build_decode_table(book)
-        tier_t = build_tiered_decode_table(book)
+        flat_t = build_decode_table(book, 16)
+        tier_t = build_decode_table(book, 12)
         assert tier_t.complete
-        want = decode_canonical(buf, nbits, book, n, flat_t)
-        got_flat = decode_batch(buf, nbits, book, n, table=flat_t,
-                                impl="lanes")
-        got_tier = decode_batch(buf, nbits, book, n, table=tier_t,
-                                impl="lanes")
-        np.testing.assert_array_equal(got_flat, want)
-        np.testing.assert_array_equal(got_tier, want)
-        # default table selection promotes deep books to tiered
+        want = decode_canonical(buf, nbits, book, n, tier_t)
+        np.testing.assert_array_equal(want, data)
+        for table in (flat_t, tier_t):
+            for impl in ("lanes", "gap"):
+                got = decode_batch(buf, nbits, book, n, table=table,
+                                   impl=impl)
+                np.testing.assert_array_equal(got, want)
+        # the default table (root-width rule) decodes the same
         got_auto = decode_batch(buf, nbits, book, n, impl="lanes")
         np.testing.assert_array_equal(got_auto, want)
 
@@ -113,8 +114,10 @@ class TestEqualityChain:
         flip=st.integers(0, 10**9),
     )
     def test_corruption_raise_parity(self, chain, flat, seed, cut, flip):
-        """Bit-flipped and truncated streams: every decode path raises
-        ``ValueError`` or returns identical symbols."""
+        """Bit-flipped and truncated streams: every decode path — the
+        NumPy lanes and the gap path on a wide and a narrow root, and
+        the scalar reference — raises ``ValueError`` or returns
+        identical symbols."""
         book = _chain_flat_book(chain, flat)
         n = 200
         data = _skewed_symbols(book, n, 0.7, seed)
@@ -124,20 +127,21 @@ class TestEqualityChain:
         bad = buf.copy()
         bad[flip % bad.size] ^= 1 << (flip % 8)
         trunc = buf[: max(1, int(buf.size * cut))].copy()
-        flat_t = build_decode_table(book)
-        tier_t = build_tiered_decode_table(book)
+        flat_t = build_decode_table(book, 16)
+        tier_t = build_decode_table(book, 12)
         for cbuf, cbits in ((bad, nbits), (trunc, nbits)):
             outs = []
             for table in (flat_t, tier_t):
-                try:
-                    outs.append(
-                        decode_batch(cbuf, cbits, book, n, table=table,
-                                     impl="lanes")
-                    )
-                except ValueError:
-                    outs.append(None)
+                for impl in ("lanes", "gap"):
+                    try:
+                        outs.append(
+                            decode_batch(cbuf, cbits, book, n, table=table,
+                                         impl=impl)
+                        )
+                    except ValueError:
+                        outs.append(None)
             try:
-                outs.append(decode_canonical(cbuf, cbits, book, n, flat_t))
+                outs.append(decode_canonical(cbuf, cbits, book, n, tier_t))
             except ValueError:
                 outs.append(None)
             kinds = {o is None for o in outs}
@@ -145,14 +149,13 @@ class TestEqualityChain:
                 "one path raised while another returned symbols"
             )
             if outs[0] is not None:
-                np.testing.assert_array_equal(outs[0], outs[1])
-                np.testing.assert_array_equal(outs[0], outs[2])
+                for other in outs[1:]:
+                    np.testing.assert_array_equal(outs[0], other)
 
 
 class TestDeepBookEndToEnd:
     def test_wbit32_container_roundtrip(self, registry):
-        """The W=32 crafted book — the one that used to force the scalar
-        First/Entry fallback — decodes through the tiered table with
+        """The W=32 crafted book decodes through subtable descent with
         zero LUT fallbacks."""
         rng = np.random.default_rng(11)
         book = wbit_codebook(32)
@@ -160,7 +163,7 @@ class TestDeepBookEndToEnd:
         stream = gpu_encode(data, book, magnitude=8,
                             reduction_factor=2).stream
         table = cached_decode_table(book)
-        assert isinstance(table, TieredDecodeTable)
+        assert table.n_nodes > 0
         out = decode_stream(stream, book, table=table, strategy="batch")
         np.testing.assert_array_equal(out, data)
         assert registry.total("repro_decode_lut_fallback_total") == 0
@@ -170,18 +173,20 @@ class TestDeepBookEndToEnd:
         assert registry.total("repro_decode_subtable_gather_total") > 0
 
     def test_deep_genomics_scale_book(self):
-        """4103-symbol book with 4096 codewords at 19 bits: tiered and
-        scalar agree over a chunked container."""
+        """4103-symbol book with 4096 codewords at 19 bits: the 12-bit
+        root and a 2^16 root agree over a chunked container."""
         rng = np.random.default_rng(12)
         book = deep_codebook()
         data = rng.integers(0, book.n_symbols, 3_000).astype(np.int64)
         stream = gpu_encode(data, book, magnitude=9).stream
         buffer, starts, ends, nsyms = stream_lanes(stream)
-        table = build_tiered_decode_table(book)
+        table = build_decode_table(book)
+        assert table.k == 12
         got = decode_lanes(buffer, starts, ends, nsyms, book, table)
         want = decode_lanes(buffer, starts, ends, nsyms, book,
-                            build_decode_table(book))
+                            build_decode_table(book, 16))
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, data)
 
     def test_tier_counter_flat_books(self, registry):
         rng = np.random.default_rng(13)
@@ -202,28 +207,27 @@ class TestDeepBookEndToEnd:
 class TestMemoryBound:
     @pytest.mark.parametrize("flat_bits", [12, 14])
     def test_quarter_of_flat_table(self, flat_bits):
-        """Alphabets >= 2^12: tiered memory <= 25 % of the flat 2^16
-        table (the acceptance bound; typical books sit far below it)."""
+        """Alphabets >= 2^12: a 12-bit root with subtables costs
+        <= 25 % of a flat 2^16 table (the acceptance bound; typical
+        books sit far below it)."""
         book = _chain_flat_book(4, flat_bits)
         assert book.n_symbols >= (1 << 12)
-        tier_t = build_tiered_decode_table(book)
-        flat16 = build_decode_table(book, 16)
+        tier_t = build_decode_table(book, 12)
         assert tier_t.complete
-        assert tier_t.nbytes() <= flat16.nbytes() // 4
+        assert tier_t.nbytes() <= FLAT16_BYTES // 4
 
     def test_genomics_deep_book_quarter_bound(self):
         book = deep_codebook()
-        tier_t = build_tiered_decode_table(book)
-        flat16 = build_decode_table(book, 16)
+        tier_t = build_decode_table(book)
         assert tier_t.complete
-        assert tier_t.nbytes() <= flat16.nbytes() // 4
+        assert tier_t.nbytes() <= FLAT16_BYTES // 4
 
     def test_huge_alphabet_stays_linear(self):
         """A 2^17-symbol book needs >= 2^17 leaf entries, so the 25 %
         bound cannot apply — but memory must stay O(alphabet + 2^k1),
         nowhere near the 2^max_length a flat full-depth table needs."""
         book = _chain_flat_book(4, 17)
-        tier_t = build_tiered_decode_table(book)
+        tier_t = build_decode_table(book)
         assert tier_t.complete
         assert tier_t.nbytes() <= 2 * 4 * book.n_symbols + (1 << 16)
         full_depth_flat = 8 * (1 << book.max_length)  # two int32 planes
@@ -231,23 +235,22 @@ class TestMemoryBound:
 
     def test_wbit32_small_table(self):
         book = wbit_codebook(32)
-        tier_t = build_tiered_decode_table(book)
-        flat16 = build_decode_table(book, 16)
+        tier_t = build_decode_table(book)
         assert tier_t.complete
-        # tiny alphabet: dominated by the 2^k1 root, still well under flat
-        assert tier_t.nbytes() < flat16.nbytes() // 4
+        # tiny alphabet: dominated by the 2^k root, still well under flat
+        assert tier_t.nbytes() < FLAT16_BYTES // 4
 
 
 class TestTableCacheBytes:
     def test_burst_of_large_books_respects_cap(self, registry):
         """A burst of distinct deep books cannot pin unbounded table
         memory: eviction runs by bytes, newest entries stay."""
-        one = build_tiered_decode_table(deep_codebook()).nbytes()
+        one = build_decode_table(deep_codebook()).nbytes()
         cache = DecodeTableCache(maxsize=64, max_bytes=3 * one + one // 2)
         books = [deep_codebook(19, 4096 - 8 * i) for i in range(8)]
         for book in books:
             t = cache.get(book)
-            assert isinstance(t, TieredDecodeTable)
+            assert t.n_nodes > 0
         info = cache.info()
         assert info.bytes <= info.max_bytes
         assert info.size < len(books)
@@ -266,16 +269,25 @@ class TestTableCacheBytes:
         assert info.size == 1
         assert info.bytes == t.nbytes() > info.max_bytes
 
-    def test_explicit_small_k_stays_flat(self):
-        """Explicit small-k flat tables (the legacy First/Entry-fallback
-        contract) remain requestable alongside the tiered entry."""
+    def test_explicit_small_k_gets_subtables(self, registry):
+        """An explicit small ``k`` is a narrow root with subtables — its
+        own cache entry next to the default one — and decodes with zero
+        LUT fallbacks."""
         cache = DecodeTableCache(maxsize=8)
         book = wbit_codebook(32)
-        t4 = cache.get(book, k=4, tier="flat")
-        assert isinstance(t4, DecodeTable) and t4.k == 4
+        t4 = cache.get(book, k=4)
+        assert t4.k == 4 and t4.n_nodes > 0 and t4.complete
         tt = cache.get(book)
-        assert isinstance(tt, TieredDecodeTable)
+        assert tt.k == 12
         assert cache.info().size == 2
+        rng = np.random.default_rng(14)
+        data = rng.integers(0, book.n_symbols, 500).astype(np.int64)
+        buf, nbits = serial_encode(data, book)
+        out = decode_batch(buf, nbits, book, data.size, table=t4,
+                           impl="lanes")
+        np.testing.assert_array_equal(out, data)
+        assert registry.total("repro_decode_lut_fallback_total") == 0
+        assert registry.total("repro_decode_subtable_gather_total") > 0
 
 
 class TestFlightPaths:

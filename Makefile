@@ -18,12 +18,15 @@ unit:
 	$(PY) -m pytest -x -q
 
 # hosts without a C compiler: with the native gap kernel switched off,
-# every gap request decodes through the lane decoder — run the gap,
-# batch and tiered decoder suites plus the conformance smoke that way
+# every decode goes through the lane decoder — run the gap, batch and
+# tiered decoder suites, the container fuzz and the serve decode stress
+# (the only leg where hostile bytes reach the lanes through the public
+# entry points) plus the conformance smoke that way
 test-no-native:
 	REPRO_GAP_DISABLE_NATIVE=1 $(PY) -m pytest -x -q \
 	        tests/test_gap_decoder.py tests/test_batch_decoder.py \
-	        tests/test_tiered_decode.py
+	        tests/test_tiered_decode.py tests/test_serialization_fuzz.py \
+	        tests/test_decode_stress.py
 	REPRO_GAP_DISABLE_NATIVE=1 $(MAKE) --no-print-directory conform-smoke
 
 # serving smoke: boot an ephemeral repro-serve, fire a mixed burst

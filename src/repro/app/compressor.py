@@ -199,14 +199,8 @@ def compress_symbols_registered(
 
 
 @container_guard
-def decompress_symbols(
-    buf: bytes, decode_strategy: str = "auto", book=None,
-) -> np.ndarray:
+def decompress_symbols(buf: bytes, book=None) -> np.ndarray:
     """Inverse of :func:`compress_symbols`.
-
-    ``decode_strategy`` is forwarded to
-    :func:`repro.core.bitstream.decode_stream` (``"auto"`` routes large
-    streams to the gap-array decoder when its native kernel exists).
 
     ``book`` is the registry fast path (see
     :func:`repro.core.serialization.deserialize_stream`): a registered
@@ -241,7 +235,7 @@ def decompress_symbols(
             stream, book = deserialize_stream(body, book=book)
             if stream.n_symbols != n:
                 raise ValueError("symbol count mismatch in container")
-            out = decode_stream(stream, book, strategy=decode_strategy)
+            out = decode_stream(stream, book)
         dtype = {1: np.uint8, 2: np.uint16, 4: np.uint32,
                  8: np.uint64}.get(itemsize)
         if dtype is None:
@@ -304,26 +298,21 @@ def compress_field(
 
 
 @container_guard
-def decompress_field(
-    buf: bytes, decode_strategy: str = "auto"
-) -> np.ndarray:
+def decompress_field(buf: bytes) -> np.ndarray:
     """Inverse of :func:`compress_field` (same :class:`ValueError`-only
-    robustness contract and ``decode_strategy`` forwarding as
-    :func:`decompress_symbols`)."""
+    robustness contract as :func:`decompress_symbols`)."""
     buf = bytes(buf)
     if buf[:4] != _FIELD_MAGIC:
         raise ValueError("not a field container")
     with _span("app.decompress_field", bytes_in=len(buf)) as sp:
-        out = _decompress_field_body(buf, decode_strategy)
+        out = _decompress_field_body(buf)
         sp.set_attr(bytes_out=int(out.nbytes))
     _metrics().counter("repro_app_bytes_out_total",
                        op="decompress_field").inc(int(out.nbytes))
     return out
 
 
-def _decompress_field_body(
-    buf: bytes, decode_strategy: str = "auto"
-) -> np.ndarray:
+def _decompress_field_body(buf: bytes) -> np.ndarray:
     pos = 4
     eb, n_bins, ndim, n_out = struct.unpack("<dIIQ", buf[pos: pos + 24])
     pos += 24
@@ -337,9 +326,7 @@ def _decompress_field_body(
     pos += 8 * n_out
 
     stream, book = deserialize_stream(buf[pos:])
-    codes = decode_stream(
-        stream, book, strategy=decode_strategy
-    ).astype(np.int32)
+    codes = decode_stream(stream, book).astype(np.int32)
     qf = QuantizedField(
         codes=codes, first_value=first_value, error_bound=eb, n_bins=n_bins,
         shape=tuple(int(s) for s in shape),

@@ -40,8 +40,10 @@ import numpy as np
 
 from repro.core.adaptive import adaptive_decode, adaptive_encode
 from repro.core.bitstream import (
+    assemble_stream_symbols,
     decode_stream,
     decode_stream_scalar,
+    stream_lanes,
 )
 from repro.core.encoder import gpu_encode
 from repro.core.serialization import (
@@ -52,9 +54,10 @@ from repro.core.serialization import (
 )
 from repro.baselines.cusz_encoder import cusz_coarse_encode
 from repro.baselines.prefix_sum_encoder import prefix_sum_encode
-from repro.decoder.chunk_parallel import parallel_decode_stream
+from repro.decoder.chunk_parallel import chunk_parallel_decode
 from repro.decoder.self_sync import self_sync_decode
 from repro.decoder.simt_decoder import decode_stream_simt
+from repro.huffman.cache import cached_decode_table
 from repro.huffman.codebook import CanonicalCodebook
 from repro.huffman.cpu_mp import cpu_mp_encode
 from repro.huffman.cpu_mt import cpu_mt_encode
@@ -223,7 +226,13 @@ def _enc_cpu_mp(data, book, magnitude):
 # ---------------------------------------------------------------------------
 
 def _dec_stream_batch(art):
-    return decode_stream(art.payload, art.book)
+    # pins the NumPy lanes: decode_stream would run the gap kernel
+    stream = art.payload
+    buffer, starts, ends, nsyms = stream_lanes(stream)
+    table = cached_decode_table(art.book)
+    return assemble_stream_symbols(
+        stream, decode_lanes(buffer, starts, ends, nsyms, art.book, table)
+    )
 
 
 def _dec_stream_scalar(art):
@@ -231,7 +240,7 @@ def _dec_stream_scalar(art):
 
 
 def _dec_stream_pool(art):
-    return parallel_decode_stream(art.payload, art.book, workers=3)
+    return chunk_parallel_decode(art.payload, art.book).symbols
 
 
 def _dec_stream_simt(art):
@@ -247,7 +256,7 @@ def _dec_stream_container(art):
 
 
 def _dec_stream_gap(art):
-    return decode_stream(art.payload, art.book, strategy="gap")
+    return decode_stream(art.payload, art.book)
 
 
 def _dec_dense_scalar(art):
@@ -255,24 +264,30 @@ def _dec_dense_scalar(art):
     return decode_canonical(buf, nbits, art.book, art.n_symbols)
 
 
-def _dec_dense_lanes(art):
+def _dense_one_lane(art, table=None):
+    """The dense stream as a single ``decode_lanes`` lane."""
     buf, nbits = art.payload
-    return decode_batch(buf, nbits, art.book, art.n_symbols, impl="lanes")
+    one = lambda v: np.array([v], dtype=np.int64)  # noqa: E731
+    return decode_lanes(
+        buf, one(0), one(nbits), one(art.n_symbols), art.book, table
+    )
+
+
+def _dec_dense_lanes(art):
+    return _dense_one_lane(art)
 
 
 def _dec_dense_gap(art):
     buf, nbits = art.payload
-    return decode_batch(buf, nbits, art.book, art.n_symbols, impl="gap")
+    return decode_batch(buf, nbits, art.book, art.n_symbols)
 
 
 def _dec_dense_tiered(art):
     # force a 12-bit root even for shallow books — pins the subtable
     # descent byte-identical to the one-gather root everywhere, not
     # just in the deep-book regime that requires it
-    buf, nbits = art.payload
-    table = build_decode_table(art.book, _TIERED_ROOT_BITS)
-    return decode_batch(
-        buf, nbits, art.book, art.n_symbols, table=table, impl="lanes"
+    return _dense_one_lane(
+        art, build_decode_table(art.book, _TIERED_ROOT_BITS)
     )
 
 

@@ -10,13 +10,15 @@ global cell index; trailing symbols that do not fill a chunk are encoded
 with the reference packer into a tail section.
 
 :func:`decode_stream` is the full inverse used by tests and examples.
-By default it runs the vectorized lane decoder
-(:func:`repro.huffman.decoder.decode_lanes`): every chunk, every broken
-cell, and the tail become independent *lanes* over one shared byte
-buffer, decoded in lock-step.  ``strategy="scalar"`` (or
-:func:`decode_stream_scalar`) keeps the original per-chunk scalar
-reference path, which the fast path is cross-checked against
-bit-for-bit.
+Every chunk, every broken cell, and the tail become independent
+*lanes* over one shared byte buffer (:func:`stream_lanes`), decoded by
+:func:`repro.decoder.gap_array.gap_decode_lanes` — the one place that
+picks a decoder: the compiled gap kernel, or the vectorized lane
+decoder (:func:`repro.huffman.decoder.decode_lanes`) when the kernel
+is missing or the table is outside its range — and scattered back
+into stream order (:func:`assemble_stream_symbols`).
+:func:`decode_stream_scalar` keeps the original per-chunk scalar
+reference path, which both are cross-checked against bit-for-bit.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "decode_stream",
     "decode_stream_scalar",
     "stream_lanes",
+    "decode_lanes",
     "assemble_stream_symbols",
 ]
 
@@ -226,38 +229,19 @@ def decode_stream(
     stream: EncodedStream,
     book: CanonicalCodebook,
     table: DecodeTable | None = None,
-    strategy: str = "auto",
 ) -> np.ndarray:
     """Decode an :class:`EncodedStream` back to its symbol array.
 
-    ``strategy`` picks the machinery — all produce identical symbols on
-    every valid container:
-
-    - ``"auto"`` (default): the gap-array decoder when the native gap
-      kernel is available and the stream is big enough to amortize
-      pass 1; else ``"batch"``.
-    - ``"gap"``: two-pass gap-array decode (subchunk sync points, then
-      lock-step lanes; :mod:`repro.decoder.gap_array`).  Without the
-      kernel, or on an incomplete table, it decodes as ``"batch"`` and
-      the ``decode.stream`` span's ``gap_fallback`` attribute names why.
-    - ``"batch"``: the vectorized chunk-lane decoder.
-    - ``"scalar"``: the original per-chunk scalar reference.
+    The lanes go through :func:`repro.decoder.gap_array.gap_decode_lanes`
+    at every size: the two-pass gap-array C kernel when it loads and the
+    table is complete, else ``decode_lanes``.  The ``decode.stream``
+    span records the choice as ``strategy`` (``"gap"`` or ``"batch"``)
+    and a fallback's reason as ``gap_fallback``.
     """
-    if strategy == "scalar":
-        return decode_stream_scalar(stream, book, table)
-    if strategy not in ("auto", "batch", "gap"):
-        raise ValueError(f"unknown decode strategy: {strategy!r}")
     # local import: gap_array builds on the huffman decode machinery
-    from repro.decoder import gap_array, gap_native
+    from repro.decoder import gap_array
 
-    if strategy == "auto":
-        strategy = (
-            "gap"
-            if gap_native.native_available()
-            and stream.n_symbols >= gap_array.AUTO_MIN_SYMBOLS
-            else "batch"
-        )
-    with _span("decode.stream", strategy=strategy,
+    with _span("decode.stream",
                bytes_in=int(stream.payload_bytes),
                n_symbols=int(stream.n_symbols),
                chunks=stream.n_chunks) as sp:
@@ -267,19 +251,14 @@ def decode_stream(
         with _span("decode.lanes") as lanes_span:
             buffer, starts, ends, nsyms = stream_lanes(stream)
             lanes_span.set_attr(lanes=int(nsyms.size))
-            if strategy == "gap":
-                res = gap_array.gap_decode_lanes(
-                    buffer, starts, ends, nsyms, book, table
-                )
-                decoded = res.symbols
-                if res.fallback:
-                    sp.set_attr(gap_fallback=res.fallback)
-            else:
-                decoded = decode_lanes(
-                    buffer, starts, ends, nsyms, book, table
-                )
+            res = gap_array.gap_decode_lanes(
+                buffer, starts, ends, nsyms, book, table
+            )
+        sp.set_attr(strategy="gap" if res.backend == "native" else "batch")
+        if res.fallback:
+            sp.set_attr(gap_fallback=res.fallback)
         with _span("decode.assemble", broken=stream.breaking.nnz):
-            out = assemble_stream_symbols(stream, decoded)
+            out = assemble_stream_symbols(stream, res.symbols)
         sp.set_attr(bytes_out=int(out.nbytes))
     return out
 

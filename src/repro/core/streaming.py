@@ -154,11 +154,8 @@ class StreamingDecoder:
     returns a fresh codebook object each time.
     """
 
-    def __init__(self, strategy: str = "auto") -> None:
+    def __init__(self) -> None:
         self.symbols_decoded = 0
-        #: decode_stream strategy for every segment ("auto" routes to
-        #: the gap-array decoder when its native kernel is present)
-        self.strategy = strategy
         # decode_segment is called concurrently by the serve layer's
         # worker shards; the counter update must not race
         self._count_lock = threading.Lock()
@@ -177,10 +174,8 @@ class StreamingDecoder:
         with _span("streaming.decode_segment", bytes_in=len(segment),
                    registry_hit=book is not None) as sp:
             stream, book = deserialize_stream(segment, book=book)
-            out = decode_stream(
-                stream, book, table=cached_decode_table(book),
-                strategy=self.strategy,
-            )
+            out = decode_stream(stream, book,
+                                table=cached_decode_table(book))
             sp.set_attr(bytes_out=int(out.nbytes))
         with self._count_lock:
             self.symbols_decoded += out.size

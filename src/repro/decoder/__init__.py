@@ -5,7 +5,6 @@ container was designed to facilitate."""
 from repro.decoder.chunk_parallel import (
     ChunkDecodeResult,
     chunk_parallel_decode,
-    parallel_decode_stream,
 )
 from repro.decoder.gap_array import (
     GapArray,
@@ -20,7 +19,6 @@ from repro.decoder.self_sync import SelfSyncResult, self_sync_decode
 __all__ = [
     "ChunkDecodeResult",
     "chunk_parallel_decode",
-    "parallel_decode_stream",
     "GapArray",
     "GapDecodeResult",
     "gap_decode_lanes",

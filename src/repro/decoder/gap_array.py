@@ -27,6 +27,11 @@ or the table is incomplete, :func:`gap_decode_lanes` decodes through
 :func:`repro.huffman.decoder.decode_lanes` and counts the reason in
 ``repro_decode_gap_lut_fallback_total{reason}``.
 
+:func:`gap_decode_lanes` is the only place that picks a decoder:
+``decode_stream``, ``decode_batch`` and everything above them call it
+at every input size — the kernel is faster than the lanes even on a
+few hundred symbols, so there is no size rule.
+
 :func:`reference_gap_array` is the exact serial oracle.  The kernel's
 symbols are byte-identical to
 ``decode_lanes`` and its :class:`GapArray` equals the oracle's (pinned
@@ -67,9 +72,6 @@ __all__ = [
 
 #: subchunk width (bits) when the caller does not pin one
 DEFAULT_SUBCHUNK_BITS = 1024
-
-#: ``strategy="auto"`` stays on ``decode_lanes`` below this many symbols
-AUTO_MIN_SYMBOLS = 1 << 12
 
 
 # --------------------------------------------------------------------- types

@@ -6,12 +6,15 @@ precisely to enable treeless canonical decoding (§IV-B2).  We implement:
 - :func:`decode_canonical` — table-accelerated *scalar* canonical decoder
   over a dense MSB-first bitstream.  This is the reference path: every
   faster decoder must match it bit for bit;
-- :func:`decode_lanes` / :func:`decode_batch` — the wall-clock fast
-  path: many independent bitstream *lanes* (chunks, breaking cells, the
-  tail) decoded in lock-step with NumPy gather/shift arithmetic, one
-  table lookup per (lane, symbol) instead of a Python loop per bit.
-  This is the host-side analogue of the paper's one-thread-per-chunk
-  coarse decoder: the vectorization axis is the chunk lane;
+- :func:`decode_lanes` — the NumPy lane decoder: many independent
+  bitstream *lanes* (chunks, breaking cells, the tail) decoded in
+  lock-step with gather/shift arithmetic, one table lookup per (lane,
+  symbol) instead of a Python loop per bit.  This is the host-side
+  analogue of the paper's one-thread-per-chunk coarse decoder: the
+  vectorization axis is the chunk lane;
+- :func:`decode_batch` — one dense bitstream through the gap-array
+  decoder (:mod:`repro.decoder.gap_array`), which falls back to
+  :func:`decode_lanes`;
 - :func:`decode_with_tree` — independent slow decoder that walks the
   serial Huffman tree bit by bit, used to cross-check the canonical
   decoder itself.
@@ -517,37 +520,25 @@ def decode_batch(
     book: CanonicalCodebook,
     n_symbols: int,
     table: DecodeTable | None = None,
-    impl: str = "auto",
 ) -> np.ndarray:
     """Table-driven batch decode of a single dense bitstream.
 
-    Drop-in counterpart of :func:`decode_canonical` built on
-    :func:`decode_lanes` (one lane).  ``impl`` selects the machinery:
-    ``"lanes"`` walks the stream as a single lane; ``"gap"`` routes
-    through the gap-array decoder (:mod:`repro.decoder.gap_array`),
-    which subchunks the stream so even one dense stream decodes with
-    thousands of parallel lanes; ``"auto"`` picks ``"gap"`` when the
-    compiled gap kernel is available and the stream is big enough to
-    amortize its sync pass, else ``"lanes"``.
+    Drop-in counterpart of :func:`decode_canonical`: the stream is one
+    lane through :func:`repro.decoder.gap_array.gap_decode_lanes`, which
+    subchunks it so even one dense stream decodes with many parallel
+    lanes in the compiled kernel, and falls back to :func:`decode_lanes`
+    where the kernel cannot run.
     """
-    if impl not in ("auto", "gap", "lanes"):
-        raise ValueError(f"unknown decode impl: {impl!r}")
-    buffer = np.asarray(buffer, dtype=np.uint8)
-    starts = np.array([0], dtype=np.int64)
-    ends = np.array([total_bits], dtype=np.int64)
-    nsyms = np.array([n_symbols], dtype=np.int64)
-    if impl != "lanes":
-        # local import: gap_array builds on this module
-        from repro.decoder import gap_array, gap_native
+    # local import: gap_array builds on this module
+    from repro.decoder import gap_array
 
-        if impl == "gap" or (
-            gap_native.native_available()
-            and n_symbols >= gap_array.AUTO_MIN_SYMBOLS
-        ):
-            return gap_array.gap_decode_lanes(
-                buffer, starts, ends, nsyms, book, table
-            ).symbols
-    return decode_lanes(buffer, starts, ends, nsyms, book, table)
+    return gap_array.gap_decode_lanes(
+        np.asarray(buffer, dtype=np.uint8),
+        np.array([0], dtype=np.int64),
+        np.array([total_bits], dtype=np.int64),
+        np.array([n_symbols], dtype=np.int64),
+        book, table,
+    ).symbols
 
 
 def decode_with_tree(

@@ -38,7 +38,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.bitstream import decode_stream, decode_stream_scalar
+from repro.core.bitstream import (
+    assemble_stream_symbols,
+    decode_lanes,
+    decode_stream,
+    decode_stream_scalar,
+    stream_lanes,
+)
 from repro.core.codebook_parallel import parallel_codebook
 from repro.core.encoder import gpu_encode
 from repro.datasets.registry import get_dataset
@@ -73,6 +79,17 @@ DEFAULT_SIZE = 1 << 20
 DEFAULT_REPEATS = 5
 
 
+def _decode_batch_column(stream, book, table=None) -> np.ndarray:
+    """The ``"batch"`` columns: the container's lanes through the NumPy
+    lane decoder (``decode_stream`` itself runs the gap kernel)."""
+    if table is None:
+        table = cached_decode_table(book)
+    buffer, starts, ends, nsyms = stream_lanes(stream)
+    return assemble_stream_symbols(
+        stream, decode_lanes(buffer, starts, ends, nsyms, book, table)
+    )
+
+
 @dataclass(frozen=True)
 class WallclockResult:
     """Best-of-N wall-clock numbers for one dataset surrogate."""
@@ -84,12 +101,12 @@ class WallclockResult:
     encode_s: float
     decode_scalar_s: float
     decode_batch_s: float
-    #: the gap-array decoder (``strategy="gap"``), timed in its own
+    #: the gap-array decoder (``decode_stream``), timed in its own
     #: best-of-N block right after the lane decoder; 0.0 when the run
     #: skipped it (book outside gap range)
     decode_gap_s: float = 0.0
     #: which path the gap runs took: "native" (the C kernel) or "lanes"
-    #: (no kernel on this host, so ``strategy="gap"`` decoded as batch)
+    #: (no kernel on this host, so ``decode_stream`` decoded as batch)
     gap_backend: str = ""
     #: decode-table + codebook cache activity during this run (digest
     #: lookups are part of any steady-state deployment, so they are
@@ -241,12 +258,12 @@ def run_wallclock(
 
     enc = gpu_encode(data, book, impl="iterative")
     ref = decode_stream_scalar(enc.stream, book)
-    fast = decode_stream(enc.stream, book, table=table, strategy="batch")
+    fast = _decode_batch_column(enc.stream, book, table)
     if not np.array_equal(ref, fast) or not np.array_equal(fast, data):
         raise AssertionError(f"decoder mismatch on {dataset}")
     # the gap decoder's throughput only counts if its output is
     # bit-identical to the lane decoder's on the same container
-    gap_out = decode_stream(enc.stream, book, table=table, strategy="gap")
+    gap_out = decode_stream(enc.stream, book, table=table)
     if not np.array_equal(gap_out, fast):
         raise AssertionError(f"gap decoder mismatch on {dataset}")
     from repro.decoder.gap_native import native_available
@@ -278,12 +295,12 @@ def run_wallclock(
     # a steady-state deployment would: every repeat is a cache hit
     batch_s = _timed_best(
         tracer, "bench.decode_batch",
-        lambda: decode_stream(enc.stream, book, strategy="batch"),
+        lambda: _decode_batch_column(enc.stream, book),
         repeats, dataset=dataset,
     )
     gap_s = _timed_best(
         tracer, "bench.decode_gap",
-        lambda: decode_stream(enc.stream, book, strategy="gap"),
+        lambda: decode_stream(enc.stream, book),
         repeats, dataset=dataset, backend=gap_backend,
     )
     # the scalar reference is ~25x slower; cap its repeats to keep the
@@ -407,9 +424,9 @@ def run_table_bench(
 
     fb0 = fallbacks()
     sub0 = int(reg.total("repro_decode_subtable_gather_total"))
-    out_batch = decode_stream(stream, book, table=table, strategy="batch")
+    out_batch = _decode_batch_column(stream, book, table)
     subgathers = int(reg.total("repro_decode_subtable_gather_total")) - sub0
-    out_gap = decode_stream(stream, book, table=table, strategy="gap")
+    out_gap = decode_stream(stream, book, table=table)
     fb = fallbacks() - fb0
     if not np.array_equal(out_batch, data) or \
             not np.array_equal(out_gap, out_batch):
@@ -421,12 +438,12 @@ def run_table_bench(
 
     batch_s = _timed_best(
         tracer, "bench.decode_table_batch",
-        lambda: decode_stream(stream, book, table=table, strategy="batch"),
+        lambda: _decode_batch_column(stream, book, table),
         repeats, scenario=scenario,
     )
     gap_s = _timed_best(
         tracer, "bench.decode_table_gap",
-        lambda: decode_stream(stream, book, table=table, strategy="gap"),
+        lambda: decode_stream(stream, book, table=table),
         repeats, scenario=scenario,
     )
     input_bytes = int(data.nbytes)

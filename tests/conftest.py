@@ -109,3 +109,29 @@ def text_like(rng) -> np.ndarray:
 
 def make_book(freqs: np.ndarray) -> CanonicalCodebook:
     return parallel_codebook(np.asarray(freqs, dtype=np.int64)).codebook
+
+
+def lanes_decode_stream(stream, book, table=None) -> np.ndarray:
+    """A container through the NumPy lane decoder alone — the path
+    ``decode_stream`` takes when the gap kernel cannot run — composed
+    from the public ``stream_lanes`` / ``decode_lanes`` /
+    ``assemble_stream_symbols``."""
+    from repro.core.bitstream import (
+        assemble_stream_symbols,
+        decode_lanes,
+        stream_lanes,
+    )
+
+    buffer, starts, ends, nsyms = stream_lanes(stream)
+    return assemble_stream_symbols(
+        stream, decode_lanes(buffer, starts, ends, nsyms, book, table)
+    )
+
+
+def lanes_decode_dense(buf, nbits, book, n, table=None) -> np.ndarray:
+    """A dense bitstream as one ``decode_lanes`` lane: the lane-decoder
+    counterpart of ``decode_batch``."""
+    from repro.huffman.decoder import decode_lanes
+
+    one = lambda v: np.array([v], dtype=np.int64)  # noqa: E731
+    return decode_lanes(buf, one(0), one(nbits), one(n), book, table)

@@ -1,12 +1,12 @@
 """The batch lane decoder must be bit-identical to the scalar reference.
 
 Property tests pit :func:`decode_batch` / :func:`decode_lanes` /
-``decode_stream(strategy="batch")`` against :func:`decode_canonical` and
+:func:`decode_stream` against :func:`decode_canonical` and
 ``decode_stream_scalar`` on adversarial inputs: skewed alphabets whose
-longest codewords exceed the table index (forcing the First/Entry
-fallback), containers with broken cells and tails, and sharded
-thread-pool decodes.  Also covers the digest-keyed caches: identity on
-hits, hit/miss counters, and cross-object reuse.
+longest codewords exceed the table index (forcing subtable descent)
+and containers with broken cells and tails.  Also covers the
+digest-keyed caches: identity on hits, hit/miss counters, and
+cross-object reuse.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.core.codebook_parallel import parallel_codebook
 from repro.core.encoder import gpu_encode
 from repro.core.serialization import deserialize_stream, serialize_stream
 from repro.core.tuning import EncoderTuning
-from repro.decoder.chunk_parallel import parallel_decode_stream
 from repro.huffman.cache import (
     DecodeTableCache,
     cached_decode_table,
@@ -36,6 +35,7 @@ from repro.huffman.decoder import (
     decode_lanes,
 )
 from repro.huffman.serial import serial_encode
+from tests.conftest import lanes_decode_dense, lanes_decode_stream
 
 # every lane-decode assertion runs with and without the native gap kernel
 pytestmark = pytest.mark.usefixtures("kernel_engine")
@@ -67,7 +67,8 @@ class TestBatchMatchesScalar:
     @settings(max_examples=80, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_decode_batch_vs_canonical(self, counts, n, seed, k):
-        """Tiny k forces max_length > k: the fallback path must agree."""
+        """Tiny k forces max_length > k: subtable descent must agree, in
+        the gap kernel and in the lanes."""
         book = _book_from(counts)
         data = _symbols_from(counts, n, seed)
         buf, nbits = serial_encode(data, book)
@@ -76,6 +77,8 @@ class TestBatchMatchesScalar:
         got = decode_batch(buf, nbits, book, n, table)
         assert np.array_equal(ref, got)
         assert np.array_equal(got, data)
+        lanes = lanes_decode_dense(buf, nbits, book, n, table)
+        assert np.array_equal(lanes, ref)
 
     @given(skewed_hist, st.integers(1, 5000), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None,
@@ -91,19 +94,7 @@ class TestBatchMatchesScalar:
         got = decode_stream(enc.stream, book)
         assert np.array_equal(ref, got)
         assert np.array_equal(got, data)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
-    @settings(max_examples=10, deadline=None)
-    def test_sharded_pool_equivalence(self, seed, workers):
-        """Decoding is bit-identical for any worker count."""
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 64, 30_000)
-        book = _book_from(np.bincount(data, minlength=64) + 1)
-        enc = gpu_encode(data, book)
-        one = parallel_decode_stream(enc.stream, book, workers=1)
-        many = parallel_decode_stream(enc.stream, book, workers=workers)
-        assert np.array_equal(one, many)
-        assert np.array_equal(one, data)
+        assert np.array_equal(lanes_decode_stream(enc.stream, book), ref)
 
     def test_corrupt_stream_raises(self, rng):
         data = rng.integers(0, 32, 4000)

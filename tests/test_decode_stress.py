@@ -2,9 +2,8 @@
 
 Ten concurrent clients hammer one in-process
 :class:`~repro.serve.service.CompressionService` with decompress-heavy
-bursts over several codebooks, sized so the auto strategy routes
-decodes through the gap-array fast path when its compiled backend
-exists.  The bar is absolute: every round trip bit-identical, zero
+bursts over several codebooks; every decode goes through the gap-array
+decoder, which runs the compiled kernel when it loads.  The bar is absolute: every round trip bit-identical, zero
 service errors, and — with the native kernel present — proof via the
 metrics registry that the gap decoder actually carried the load.
 
@@ -19,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.app.compressor import compress_symbols
-from repro.decoder.gap_array import AUTO_MIN_SYMBOLS
 from repro.decoder.gap_native import native_available
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.serve.service import CompressionService, ServiceConfig
@@ -28,9 +26,8 @@ pytestmark = pytest.mark.tier2
 
 N_CLIENTS = 10
 REQUESTS_PER_CLIENT = 12
-#: comfortably past the auto-routing threshold so every decompress is a
-#: gap-path candidate, not a small-stream batch decode
-PAYLOAD_SYMBOLS = max(4 * AUTO_MIN_SYMBOLS, 16_384)
+#: symbols per request: many chunks per container
+PAYLOAD_SYMBOLS = 16_384
 
 
 def _corpus():

@@ -14,11 +14,8 @@ magnitude, skew, reduction factor, and subchunk width):
   corruption must never silently change behavior between decoders;
 - W=32 books run the kernel through subtable descent;
 - without the kernel (no compiler, or ``REPRO_GAP_DISABLE_NATIVE``)
-  every gap entry point decodes through ``decode_lanes`` and counts
-  the reason;
-- the chunk-parallel driver's output is independent of worker count at
-  subchunk granularity, and an injected shard crash degrades to the
-  serial path with the fallback counter bumped, never to a wrong answer.
+  every decode entry point goes through ``decode_lanes`` and counts
+  the reason.
 """
 
 from __future__ import annotations
@@ -37,19 +34,19 @@ from repro.core.bitstream import (
     stream_lanes,
 )
 from repro.core.encoder import gpu_encode
-from repro.decoder.chunk_parallel import parallel_decode_stream
 from repro.decoder import gap_array, gap_native
+from repro.decoder.chunk_parallel import chunk_parallel_decode
 from repro.decoder.gap_array import (
     gap_decode_lanes,
     gap_supported,
     reference_gap_array,
-    subchunk_lane_counts,
 )
 from repro.decoder.gap_native import native_available
 from repro.huffman.cache import cached_decode_table
 from repro.huffman.decoder import decode_batch, decode_lanes
 from repro.huffman.serial import serial_encode
 from repro.obs.metrics import MetricsRegistry, set_registry
+from tests.conftest import lanes_decode_dense, lanes_decode_stream
 
 # run the whole module with and without the native gap kernel
 pytestmark = pytest.mark.usefixtures("kernel_engine")
@@ -120,10 +117,10 @@ def _assert_gap_matches_lanes(book, stream, subchunk_bits):
                               table)
     _assert_reference_exact(buffer, starts, ends, nsyms, book, table, ref,
                             want)
-    # full-container cross-check: the gap strategy end-to-end equals the
+    # full-container cross-check: decode_stream end-to-end equals the
     # serial treeless decoder (decode_canonical chunk by chunk)
     np.testing.assert_array_equal(
-        decode_stream(stream, book, strategy="gap"),
+        decode_stream(stream, book),
         decode_stream_scalar(stream, book),
     )
     if native_available():
@@ -289,7 +286,7 @@ class TestDeepBooks:
 
 
 class TestNoNativeKernel:
-    """Hosts without a C compiler: every gap entry point decodes through
+    """Hosts without a C compiler: every decode entry point goes through
     ``decode_lanes``, reports ``backend="lanes"`` and counts why."""
 
     @pytest.fixture
@@ -323,31 +320,22 @@ class TestNoNativeKernel:
         data, book, stream = _make_stream(31, 20_000, 64, 0.3, 8)
         assert not native_available()
         np.testing.assert_array_equal(
-            decode_stream(stream, book, strategy="gap"),
-            decode_stream(stream, book, strategy="batch"),
+            decode_stream(stream, book), lanes_decode_stream(stream, book)
         )
         np.testing.assert_array_equal(
-            parallel_decode_stream(stream, book, workers=3, impl="gap"),
-            parallel_decode_stream(stream, book, workers=3, impl="lanes"),
+            chunk_parallel_decode(stream, book).symbols, data
         )
         dense, dbook, buf, nbits = self._dense(32)
         np.testing.assert_array_equal(
-            decode_batch(buf, nbits, dbook, dense.size, impl="gap"),
-            decode_batch(buf, nbits, dbook, dense.size, impl="lanes"),
+            decode_batch(buf, nbits, dbook, dense.size),
+            lanes_decode_dense(buf, nbits, dbook, dense.size),
         )
-        # one call per parallel shard, plus the stream and dense calls
-        assert len(no_kernel) >= 3
+        # decode_stream, chunk_parallel_decode and decode_batch
+        assert len(no_kernel) == 3
         assert all(r.backend == "lanes" and r.gap is None
                    and r.fallback == "no_native_kernel" for r in no_kernel)
         assert registry.total("repro_decode_gap_lut_fallback_total",
                               reason="no_native_kernel") == len(no_kernel)
-
-    def test_auto_stays_on_lanes(self, no_kernel, registry):
-        data, book, stream = _make_stream(33, 20_000, 64, 0.3, 8)
-        np.testing.assert_array_equal(
-            decode_stream(stream, book, strategy="auto"), data
-        )
-        assert no_kernel == []
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     def test_bit_flip_raise_parity(self, no_kernel, seed):
@@ -356,82 +344,42 @@ class TestNoNativeKernel:
         bad = replace(stream, payload=_flip(stream.payload,
                                             int(rng.integers(10**9))))
         _assert_same_outcome(
-            _outcome(lambda: decode_stream(bad, book, strategy="gap")),
-            _outcome(lambda: decode_stream(bad, book, strategy="batch")),
+            _outcome(lambda: decode_stream(bad, book)),
+            _outcome(lambda: lanes_decode_stream(bad, book)),
             "decode_stream",
         )
         _assert_same_outcome(
-            _outcome(lambda: parallel_decode_stream(bad, book, workers=2,
-                                                    impl="gap")),
-            _outcome(lambda: parallel_decode_stream(bad, book, workers=2,
-                                                    impl="lanes")),
-            "parallel_decode_stream",
+            _outcome(lambda: chunk_parallel_decode(bad, book).symbols),
+            _outcome(lambda: lanes_decode_stream(bad, book)),
+            "chunk_parallel_decode",
         )
         dense, dbook, buf, nbits = self._dense(50 + seed)
         buf = _flip(buf, int(rng.integers(10**9)))
         _assert_same_outcome(
-            _outcome(lambda: decode_batch(buf, nbits, dbook, dense.size,
-                                          impl="gap")),
-            _outcome(lambda: decode_batch(buf, nbits, dbook, dense.size,
-                                          impl="lanes")),
+            _outcome(lambda: decode_batch(buf, nbits, dbook, dense.size)),
+            _outcome(lambda: lanes_decode_dense(buf, nbits, dbook,
+                                                dense.size)),
             "decode_batch",
         )
 
-    def test_truncation_raises_everywhere(self, no_kernel):
+    def test_truncation_raises_everywhere(self, no_kernel, registry):
         _data, book, stream = _make_stream(60, 6000, 64, 0.3, 8)
         bits = stream.chunk_bits.copy()
         bits[-1] -= 40
         cut = replace(stream, chunk_bits=bits)
         for fn in (
-            lambda: decode_stream(cut, book, strategy="batch"),
-            lambda: decode_stream(cut, book, strategy="gap"),
-            lambda: parallel_decode_stream(cut, book, workers=2,
-                                           impl="gap"),
+            lambda: lanes_decode_stream(cut, book),
+            lambda: decode_stream(cut, book),
+            lambda: chunk_parallel_decode(cut, book),
         ):
             with pytest.raises(ValueError):
                 fn()
         dense, dbook, buf, nbits = self._dense(61)
-        for impl in ("lanes", "gap"):
+        for fn in (lanes_decode_dense, decode_batch):
             with pytest.raises(ValueError):
-                decode_batch(buf, nbits - 40, dbook, dense.size, impl=impl)
-        assert no_kernel and all(r.backend == "lanes" for r in no_kernel)
+                fn(buf, nbits - 40, dbook, dense.size)
+        # every routed call raised from the lanes: decode_stream,
+        # chunk_parallel_decode and decode_batch each counted the fallback
+        assert registry.total("repro_decode_gap_lut_fallback_total",
+                              reason="no_native_kernel") == 3
 
-
-class TestChunkParallelGap:
-    def test_output_independent_of_workers(self, registry):
-        data, book, stream = _make_stream(21, 30_000, 64, 0.2, 8)
-        outs = [
-            parallel_decode_stream(stream, book, workers=w, impl="gap")
-            for w in (1, 2, 3, 5)
-        ]
-        for out in outs:
-            np.testing.assert_array_equal(out, data)
-
-    def test_shards_balance_by_subchunks(self):
-        """Gap shards weight lanes by subchunk count, so a shard split
-        covers every lane exactly once in order, whatever the weights."""
-        from repro.decoder.chunk_parallel import _shard_bounds
-
-        rng = np.random.default_rng(5)
-        bits = rng.integers(0, 50_000, 200).astype(np.int64)
-        weights = subchunk_lane_counts(bits, 256)
-        for workers in (1, 2, 4, 7):
-            bounds = _shard_bounds(weights, workers)
-            assert bounds[0][0] == 0 and bounds[-1][1] == weights.size
-            for (_, hi), (lo2, _) in zip(bounds, bounds[1:]):
-                assert hi == lo2
-
-    def test_injected_shard_crash_falls_back_serial(self, registry):
-        from repro.decoder import chunk_parallel
-
-        data, book, stream = _make_stream(23, 30_000, 64, 0.2, 8)
-        chunk_parallel._fail_shards = {0}
-        try:
-            out = parallel_decode_stream(stream, book, workers=3,
-                                         impl="gap")
-        finally:
-            chunk_parallel._fail_shards = set()
-        np.testing.assert_array_equal(out, data)
-        assert registry.total(
-            "repro_decode_parallel_fallback_total"
-        ) == 1

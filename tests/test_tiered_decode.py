@@ -31,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.conform.corpora import deep_codebook, wbit_codebook
-from repro.core.bitstream import decode_stream, stream_lanes
+from repro.core.bitstream import stream_lanes
 from repro.core.encoder import gpu_encode
 from repro.huffman.cache import DecodeTableCache, cached_decode_table
 from repro.huffman.codebook import canonical_from_lengths
@@ -43,6 +43,7 @@ from repro.huffman.decoder import (
 )
 from repro.huffman.serial import serial_encode
 from repro.obs.metrics import MetricsRegistry, set_registry
+from tests.conftest import lanes_decode_dense, lanes_decode_stream
 
 pytestmark = pytest.mark.usefixtures("kernel_engine")
 
@@ -97,12 +98,11 @@ class TestEqualityChain:
         want = decode_canonical(buf, nbits, book, n, tier_t)
         np.testing.assert_array_equal(want, data)
         for table in (flat_t, tier_t):
-            for impl in ("lanes", "gap"):
-                got = decode_batch(buf, nbits, book, n, table=table,
-                                   impl=impl)
+            for decode in (lanes_decode_dense, decode_batch):
+                got = decode(buf, nbits, book, n, table)
                 np.testing.assert_array_equal(got, want)
         # the default table (root-width rule) decodes the same
-        got_auto = decode_batch(buf, nbits, book, n, impl="lanes")
+        got_auto = lanes_decode_dense(buf, nbits, book, n)
         np.testing.assert_array_equal(got_auto, want)
 
     @settings(max_examples=15, deadline=None)
@@ -132,12 +132,9 @@ class TestEqualityChain:
         for cbuf, cbits in ((bad, nbits), (trunc, nbits)):
             outs = []
             for table in (flat_t, tier_t):
-                for impl in ("lanes", "gap"):
+                for decode in (lanes_decode_dense, decode_batch):
                     try:
-                        outs.append(
-                            decode_batch(cbuf, cbits, book, n, table=table,
-                                         impl=impl)
-                        )
+                        outs.append(decode(cbuf, cbits, book, n, table))
                     except ValueError:
                         outs.append(None)
             try:
@@ -164,7 +161,7 @@ class TestDeepBookEndToEnd:
                             reduction_factor=2).stream
         table = cached_decode_table(book)
         assert table.n_nodes > 0
-        out = decode_stream(stream, book, table=table, strategy="batch")
+        out = lanes_decode_stream(stream, book, table)
         np.testing.assert_array_equal(out, data)
         assert registry.total("repro_decode_lut_fallback_total") == 0
         assert registry.total(
@@ -194,7 +191,7 @@ class TestDeepBookEndToEnd:
         book = canonical_from_lengths(lens)
         data = rng.integers(0, book.n_symbols, 500).astype(np.int64)
         buf, nbits = serial_encode(data, book)
-        out = decode_batch(buf, nbits, book, data.size, impl="lanes")
+        out = lanes_decode_dense(buf, nbits, book, data.size)
         np.testing.assert_array_equal(out, data)
         assert registry.total(
             "repro_decode_table_tier_total", tier="flat"
@@ -283,8 +280,7 @@ class TestTableCacheBytes:
         rng = np.random.default_rng(14)
         data = rng.integers(0, book.n_symbols, 500).astype(np.int64)
         buf, nbits = serial_encode(data, book)
-        out = decode_batch(buf, nbits, book, data.size, table=t4,
-                           impl="lanes")
+        out = lanes_decode_dense(buf, nbits, book, data.size, t4)
         np.testing.assert_array_equal(out, data)
         assert registry.total("repro_decode_lut_fallback_total") == 0
         assert registry.total("repro_decode_subtable_gather_total") > 0

@@ -73,12 +73,15 @@ conform-smoke:
 conform:
 	$(PY) -m repro.conform.cli --full --out CONFORMANCE.json
 
-# wall-clock smoke: regenerates benchmarks/results/BENCH_wallclock.json,
-# asserts the >=20x batch-vs-scalar decode bar on the enwik surrogate,
-# gates the scan-pack encoder (byte-identical container AND no slower
-# than the iterative reference), and gates the gap-array decoder:
-# bit-identical to the lane decoder, and >=3x faster on both surrogates
-# when the compiled kernel is available (non-zero exit on regression).
+# wall-clock smoke (benchmarks/test_wallclock.py): asserts the >=20x
+# batch-vs-scalar decode bar on the enwik surrogate, gates the scan-pack
+# encoder (byte-identical container AND no slower than the iterative
+# reference), the gap-array decoder (bit-identical to the lane decoder,
+# and >=3x faster on both surrogates when the compiled kernel is
+# available), the serve and codebook-registry round trips and the
+# deep-book decode tables, then appends the run to
+# benchmarks/results/BENCH_history.jsonl and gates it against the
+# rolling baseline (non-zero exit on regression).
 # The second line is the perf-history sentinel's negative self-test: a
 # synthetic ~30% slowdown over a stable baseline MUST make the sentinel
 # exit non-zero (hence the `!`) — a sentinel that stops catching

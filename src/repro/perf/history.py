@@ -1,12 +1,12 @@
 """Perf-history sentinel: append-only bench log + regression gate.
 
-Every ``repro-bench`` run (and the ``bench-smoke`` CI target) appends
-one JSON line to ``benchmarks/results/BENCH_history.jsonl``: git rev,
-timestamp, per-dataset throughput (MB/s for every encoder/decoder
-path), the PR-level speedup ratios, and the cache/fallback counters the
-run accumulated.  The file is the repo's longitudinal memory — the
-checked-in ``BENCH_wallclock.json`` shows only the latest run, the
-history shows the trend.
+Every wall-clock smoke run (``benchmarks/test_wallclock.py``, the
+``bench-smoke`` make target) appends one JSON line to
+``benchmarks/results/BENCH_history.jsonl``: git rev, timestamp,
+per-dataset throughput (MB/s for every encoder/decoder path), the
+PR-level speedup ratios, and the cache/fallback counters the run
+accumulated.  The file is the repo's longitudinal memory;
+``python -m repro.perf.history`` prints its last ten runs.
 
 The sentinel (:func:`check_regression`) compares a candidate run
 against a **rolling baseline**: the median of the last ``window`` runs,
@@ -105,11 +105,10 @@ def history_entry(
     ts: Optional[str] = None,
     extra: Optional[dict] = None,
 ) -> dict:
-    """One history line from a run's :class:`WallclockResult` list."""
+    """One history line from a run's per-dataset result dicts."""
     datasets = {}
     backend = ""
-    for r in results:
-        d = r.to_dict() if hasattr(r, "to_dict") else dict(r)
+    for d in results:
         datasets[d["dataset"]] = {
             k: d[k] for k in _ENTRY_METRICS if k in d
         }
@@ -302,29 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--history", type=pathlib.Path, default=DEFAULT_HISTORY,
                    help=f"JSONL history file (default {DEFAULT_HISTORY})")
-    p.add_argument("--check", type=pathlib.Path, metavar="BENCH_JSON",
-                   help="gate a BENCH_wallclock.json against the rolling "
-                        "baseline; exit 1 on regression")
-    p.add_argument("--append", action="store_true",
-                   help="with --check: also append the candidate to the "
-                        "history (after gating)")
-    p.add_argument("--window", type=int, default=8)
-    p.add_argument("--rel-tol", type=float, default=0.15)
-    p.add_argument("--min-runs", type=int, default=3)
     p.add_argument("--self-test", type=float, metavar="FRACTION",
                    help="negative control: inject a synthetic slowdown of "
                         "FRACTION and exit 1 iff the sentinel catches it")
     return p
-
-
-def _doc_to_candidate(doc: dict) -> dict:
-    """Project a BENCH_wallclock.json document onto an entry shape."""
-    return {
-        "datasets": {
-            name: {k: d[k] for k in _ENTRY_METRICS if k in d}
-            for name, d in doc.get("datasets", {}).items()
-        }
-    }
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -332,30 +312,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     history = load_history(args.history)
     if args.self_test is not None:
         return _self_test(args.self_test, history)
-    if args.check is not None:
-        if not args.check.exists():
-            print(f"error: no such bench artifact: {args.check}",
-                  file=sys.stderr)
-            return 2
-        with open(args.check) as f:
-            doc = json.load(f)
-        candidate = _doc_to_candidate(doc)
-        verdict = check_regression(
-            history, candidate, window=args.window,
-            rel_tol=args.rel_tol, min_runs=args.min_runs,
-        )
-        print(verdict.render())
-        if args.append:
-            entry = {
-                "ts": doc.get("meta", {}).get("generated_utc"),
-                "git_rev": git_rev(),
-                "datasets": candidate["datasets"],
-                "counters": _fallback_counters(),
-            }
-            append_entry(args.history, entry)
-            print(f"appended run to {args.history} "
-                  f"({len(history) + 1} total)")
-        return 0 if verdict.ok else 1
     # no mode flag: summarize the history
     print(f"{args.history}: {len(history)} runs")
     for e in history[-10:]:

@@ -1,24 +1,15 @@
-"""Plain-text table rendering and result serialization for the harness.
+"""Plain-text table rendering for the harness.
 
 Renders the structured results of :mod:`repro.perf.tables` as fixed-width
 tables in the style of the paper, with optional paper-reference columns so
-every bench prints reproduction vs. publication side by side; also writes
-the measured wall-clock numbers (:mod:`repro.perf.wallclock`) as a
-machine-readable JSON artifact.
+every bench prints reproduction vs. publication side by side.
 """
 
 from __future__ import annotations
 
-import json
-import platform
-import sys
-import time
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (wallclock -> report)
-    from repro.perf.wallclock import WallclockResult
-
-__all__ = ["render_table", "format_value", "side_by_side", "write_wallclock_json"]
+__all__ = ["render_table", "format_value", "side_by_side"]
 
 
 def format_value(v: Any, ndigits: int = 3) -> str:
@@ -74,63 +65,3 @@ def side_by_side(measured: float, paper: float, unit: str = "") -> str:
         f"{format_value(measured)}{unit} "
         f"(paper {format_value(paper)}{unit}, x{ratio:.2f})"
     )
-
-
-def write_wallclock_json(
-    path, results: "Sequence[WallclockResult]", extra: dict | None = None
-) -> dict:
-    """Write wall-clock results + host metadata as the JSON artifact.
-
-    The file is the PR-level acceptance record: per dataset it stores the
-    scalar-reference ("before") and batch ("after") decode times plus the
-    measured speedup, together with enough host metadata to interpret the
-    absolute numbers.  Returns the dict that was written.
-    """
-    import numpy as np
-
-    doc = {
-        "meta": {
-            "generated_utc": time.strftime(
-                "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-            ),
-            "python": sys.version.split()[0],
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-            "note": (
-                "decode_scalar_s is the pre-existing scalar reference "
-                "decoder (before); decode_batch_s is the table-driven "
-                "batch lane decoder (after); encode_s is the iterative "
-                "reduce-shuffle encoder (before); encode_scan_s is the "
-                "scan-pack fast path (after, bit-identical container); "
-                "best-of-N wall-clock, sequential per-impl blocks."
-            ),
-        },
-        "datasets": {r.dataset: r.to_dict() for r in results},
-    }
-    if extra:
-        extra = dict(extra)
-        serve = extra.pop("serve", None)
-        if serve is not None:
-            # the serving-layer load-generator section is a first-class
-            # result, not host metadata — keep it top-level
-            doc["serve"] = serve
-        conform = extra.pop("conform", None)
-        if conform is not None:
-            # likewise the conformance cell counts: they qualify the
-            # throughput numbers ("fast AND still bit-exact")
-            doc["conform"] = conform
-        codebooks = extra.pop("codebooks", None)
-        if codebooks is not None:
-            # the codebook-registry amortized fast-path numbers (cold
-            # per-request codebook builds vs hot registered-id requests)
-            doc["codebooks"] = codebooks
-        tables = extra.pop("tables", None)
-        if tables is not None:
-            # the deep-book decode-table scenarios (NumPy lanes vs the
-            # gap kernel on one subtable-descent table)
-            doc["tables"] = tables
-        doc["meta"].update(extra)
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return doc

@@ -19,34 +19,28 @@ from repro.perf.history import (
 )
 
 
-class FakeResult:
-    """Duck-typed WallclockResult: only to_dict() is consumed."""
-
-    def __init__(self, dataset: str, scale: float = 1.0):
-        self.dataset = dataset
-        self.scale = scale
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "gap_backend": "native",
-            "encode_mb_s": 20.0 * self.scale,
-            "encode_scan_mb_s": 60.0 * self.scale,
-            "encode_speedup": 3.0,
-            "decode_scalar_mb_s": 1.0 * self.scale,
-            "decode_batch_mb_s": 40.0 * self.scale,
-            "decode_speedup": 40.0,
-            "decode_gap_mb_s": 160.0 * self.scale,
-            "decode_speedup_gap": 4.0,
-            "compressed_bytes": 1234,
-            "cache_hits": 5,
-            "cache_misses": 2,
-        }
+def result(dataset: str, scale: float = 1.0) -> dict:
+    """One dataset's row as the wall-clock bench hands it over."""
+    return {
+        "dataset": dataset,
+        "gap_backend": "native",
+        "encode_mb_s": 20.0 * scale,
+        "encode_scan_mb_s": 60.0 * scale,
+        "encode_speedup": 3.0,
+        "decode_scalar_mb_s": 1.0 * scale,
+        "decode_batch_mb_s": 40.0 * scale,
+        "decode_speedup": 40.0,
+        "decode_gap_mb_s": 160.0 * scale,
+        "decode_speedup_gap": 4.0,
+        "compressed_bytes": 1234,
+        "cache_hits": 5,
+        "cache_misses": 2,
+    }
 
 
 def entry(scale: float = 1.0) -> dict:
     return history_entry(
-        [FakeResult("enwik8", scale), FakeResult("nyx_quant", scale)],
+        [result("enwik8", scale), result("nyx_quant", scale)],
         rev="abc1234", ts="2026-08-08T00:00:00Z",
     )
 
@@ -148,35 +142,6 @@ def test_window_uses_only_recent_runs():
 
 
 # ------------------------------------------------------------------ CLI --
-def test_cli_check_pass_and_fail(tmp_path):
-    hist = tmp_path / "h.jsonl"
-    for _ in range(5):
-        append_entry(hist, entry())
-    doc = {"meta": {"generated_utc": "2026-08-08T00:00:00Z"},
-           "datasets": {ds: FakeResult(ds).to_dict()
-                        for ds in ("enwik8", "nyx_quant")}}
-    bench = tmp_path / "BENCH_wallclock.json"
-    bench.write_text(json.dumps(doc))
-    assert main(["--history", str(hist), "--check", str(bench)]) == 0
-
-    slow = {"meta": doc["meta"],
-            "datasets": {ds: FakeResult(ds, 0.6).to_dict()
-                         for ds in ("enwik8", "nyx_quant")}}
-    bench.write_text(json.dumps(slow))
-    assert main(["--history", str(hist), "--check", str(bench)]) == 1
-
-
-def test_cli_check_append_grows_history(tmp_path):
-    hist = tmp_path / "h.jsonl"
-    doc = {"meta": {"generated_utc": "t"},
-           "datasets": {"enwik8": FakeResult("enwik8").to_dict()}}
-    bench = tmp_path / "b.json"
-    bench.write_text(json.dumps(doc))
-    assert main(["--history", str(hist), "--check", str(bench),
-                 "--append"]) == 0
-    assert len(load_history(hist)) == 1
-
-
 def test_cli_self_test_detects(tmp_path):
     missing = tmp_path / "none.jsonl"
     # detection exits 1 (CI inverts with `!`)
@@ -192,7 +157,7 @@ def _committed_history() -> list[dict]:
     return load_history(COMMITTED_HISTORY)
 
 
-def test_cli_check_passes_across_kernel_column_removal(tmp_path):
+def test_check_passes_across_kernel_column_removal():
     """The committed history's older lines carry per-kernel-backend
     columns and counters that new lines no longer write; both kinds in
     one history gate without complaint."""
@@ -209,24 +174,14 @@ def test_cli_check_passes_across_kernel_column_removal(tmp_path):
     assert set(new["counters"]) < set(old[-1]["counters"])
     for ds, m in new["datasets"].items():
         assert set(m) < set(latest[ds])
-    hist = tmp_path / "h.jsonl"
-    for e in old + [new] * 3:
-        append_entry(hist, e)
-    bench = tmp_path / "b.json"
-    bench.write_text(json.dumps({"meta": {"generated_utc": "t"},
-                                 "datasets": new["datasets"]}))
-    assert main(["--history", str(hist), "--check", str(bench)]) == 0
+    verdict = check_regression(old + [new] * 3, new)
+    assert verdict.ok and verdict.checked, verdict.render()
 
 
 def test_committed_history_parses_and_self_test_detects():
     assert _committed_history()
     assert main(["--history", str(COMMITTED_HISTORY), "--self-test",
                  "0.3"]) == 1
-
-
-def test_cli_missing_artifact(tmp_path):
-    assert main(["--history", str(tmp_path / "h.jsonl"),
-                 "--check", str(tmp_path / "nope.json")]) == 2
 
 
 def test_verdict_render_pass():

@@ -9,25 +9,28 @@ TRACE_DIR := /tmp/repro-trace-smoke
 
 # tier-1 verification (ROADMAP.md): unit suite + telemetry smoke +
 # serving smoke + observability smoke + codebook-registry smoke +
-# no-native-kernel decoder leg + differential conformance smoke matrix +
-# wall-clock smoke (the scan-pack no-regression gate)
+# no-native-kernel decode/encode leg + differential conformance smoke
+# matrix + wall-clock smoke (the scan-pack no-regression gate)
 test: unit trace-smoke serve-smoke obs-smoke codebooks-smoke \
       test-no-native conform-smoke bench-smoke
 
 unit:
 	$(PY) -m pytest -x -q
 
-# hosts without a C compiler: with the native gap kernel switched off,
-# every decode goes through the lane decoder — run the gap, batch and
-# tiered decoder suites, the container fuzz and the serve decode stress
-# (the only leg where hostile bytes reach the lanes through the public
-# entry points) plus the conformance smoke that way
+# hosts without a C compiler: with the compiled module (repro.native)
+# switched off, every decode goes through the lane decoder and every
+# encode through the NumPy scan-pack — run the gap, batch and tiered
+# decoder suites, the container fuzz, the serve decode stress (the only
+# leg where hostile bytes reach the lanes through the public entry
+# points), the scan-pack and process-pool encode suites plus the
+# conformance smoke that way
 test-no-native:
-	REPRO_GAP_DISABLE_NATIVE=1 $(PY) -m pytest -x -q \
+	REPRO_DISABLE_NATIVE=1 $(PY) -m pytest -x -q \
 	        tests/test_gap_decoder.py tests/test_batch_decoder.py \
 	        tests/test_tiered_decode.py tests/test_serialization_fuzz.py \
-	        tests/test_decode_stress.py
-	REPRO_GAP_DISABLE_NATIVE=1 $(MAKE) --no-print-directory conform-smoke
+	        tests/test_decode_stress.py tests/test_scan_pack.py \
+	        tests/test_chunk_parallel_encode.py
+	REPRO_DISABLE_NATIVE=1 $(MAKE) --no-print-directory conform-smoke
 
 # serving smoke: boot an ephemeral repro-serve, fire a mixed burst
 # (including a malformed body and an oversized payload), assert the

@@ -53,13 +53,13 @@ from repro.datasets.genomics import (
     kmer_symbolize,
 )
 from repro.datasets.registry import get_dataset
-from repro.decoder.gap_native import native_available
 from repro.histogram.gpu_histogram import gpu_histogram
 from repro.huffman.cache import (
     cached_decode_table,
     codebook_cache,
     decode_table_cache,
 )
+from repro.native import native_available
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import Tracer, tracing
 from repro.perf.history import (

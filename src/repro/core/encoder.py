@@ -33,7 +33,12 @@ from repro.core.breaking import (
     extract_breaking_symbols,
 )
 from repro.core.reduce_merge import reduce_merge
-from repro.core.scan_pack import packed_pair_stats, scan_pack_symbols
+from repro.core.scan_pack import (
+    native_route,
+    native_symbol_bits,
+    packed_pair_stats,
+    scan_pack_symbols,
+)
 from repro.core.shuffle_merge import shuffle_merge
 from repro.core.tuning import (
     DEFAULT_MAGNITUDE,
@@ -132,20 +137,44 @@ class GpuEncodeResult:
 ENCODE_IMPLS = ("auto", "scan", "iterative")
 
 
+def _symbol_stats(
+    data: np.ndarray,
+    book: CanonicalCodebook,
+) -> tuple[float, np.ndarray | None]:
+    """The scan path's stats step: ``(avg_bits, pair_packed)``.
+
+    With the compiled module loaded this is its length-sum pass
+    (:func:`_scan_symbol_stats`) and there are no pairs to hand on.
+    Without it, one pair-table gather yields the exact avg bitwidth AND
+    the packed pairs the NumPy scan-pack reuses as its first REDUCE
+    iteration; books that decline the fusion take the histogram.
+    """
+    if native_route(data)[0] is None:
+        stats = packed_pair_stats(data, book)
+        if stats is not None:
+            return stats
+    return _scan_symbol_stats(data, book), None
+
+
 def _scan_symbol_stats(
     data: np.ndarray,
     book: CanonicalCodebook,
 ) -> float:
-    """Average codeword bitwidth + zero-codeword check, histogram-based.
+    """Average codeword bitwidth + zero-codeword check.
 
-    The scan path never materializes the per-symbol length array; the
-    exact same ``avg_bits`` (an integer total over an integer count)
-    comes out of one histogram.  Error behaviour mirrors
-    ``book.lookup``: out-of-range symbols raise ``IndexError``, symbols
-    without codewords raise the same ``ValueError``.
+    The compiled length-sum pass when it runs (:func:`native_symbol_bits`);
+    otherwise, and to raise a bad symbol's error, one histogram.  The
+    scan path never materializes the per-symbol length array; the exact
+    same ``avg_bits`` (an integer total over an integer count) comes out
+    either way.  Error behaviour mirrors ``book.lookup``: out-of-range
+    symbols raise ``IndexError``, symbols without codewords raise the
+    same ``ValueError``.
     """
     if data.size == 0:
         return 0.0
+    total = native_symbol_bits(data, book)
+    if total is not None:
+        return total / data.size
     if data.dtype == np.uint16 and data.size >= (1 << 12):
         # at 16-bit width the length gather beats bincount's int64 cast;
         # fancy indexing reproduces lookup's range errors verbatim
@@ -204,7 +233,9 @@ def gpu_encode(
 
     - ``"iterative"`` — the paper-shaped r-reduce + s-shuffle pipeline;
     - ``"scan"`` — the single-pass scan-pack fast path
-      (:mod:`repro.core.scan_pack`);
+      (:mod:`repro.core.scan_pack`): the compiled stats and scan-pack
+      passes of :mod:`repro.native` when that module loads, else their
+      NumPy oracle, with the reason on the ``encode.scan_pack`` span;
     - ``"auto"`` (default) — scan-pack; the iterative path remains the
       modeled-kernel reference.
     """
@@ -218,16 +249,7 @@ def gpu_encode(
     with enc_span:
         if use_scan:
             with _span("encode.lookup", n_symbols=int(data.size)):
-                # fused stats: one pair-table gather yields the exact
-                # avg bitwidth AND the packed pairs scan-pack reuses as
-                # its first REDUCE iteration
-                stats = packed_pair_stats(data, book)
-                if stats is None:
-                    avg_bits, pair_packed = (
-                        _scan_symbol_stats(data, book), None
-                    )
-                else:
-                    avg_bits, pair_packed = stats
+                avg_bits, pair_packed = _symbol_stats(data, book)
             result = _gpu_encode_scan_body(
                 data, book, tuning, magnitude, reduction_factor, word_bits,
                 device, avg_bits, pair_packed,
@@ -373,7 +395,9 @@ def _gpu_encode_scan_body(
             main, book, tuning, pair_packed=pair_packed
         )
     scan_span.set_attr(moved_words=res.merged.moved_words,
-                       cells=res.n_cells)
+                       cells=res.n_cells, impl=res.impl)
+    if res.fallback is not None:
+        scan_span.set_attr(fallback=res.fallback)
     frac = res.breaking_fraction
 
     # -- breaking backtrace + sparse save (symbol-side gather) --------------

@@ -17,11 +17,19 @@ Two entry points:
   :func:`repro.core.reduce_merge.reduce_merge` operation-for-operation
   (including its value-overflow zeroing), so the output is bit-for-bit
   identical to ``reduce_merge ∘ shuffle_merge`` for *any* input.
-- :func:`scan_pack_symbols` — the fast path straight from symbols: one
-  gather through a digest-cached packed ``(code << 16) | length`` table
-  replaces the two codebook-lookup gathers, the reduce runs on packed
-  words (6 ops per merge, no separate length array), and an optional
-  pair table fuses the lookup with the first REDUCE iteration.
+- :func:`scan_pack_symbols` — the fast path straight from symbols.  It
+  runs the compiled ``scan_pack`` pass of :mod:`repro.native` whenever
+  that module loads and the symbols are ``uint8``/``uint16``/``uint32``:
+  one loop per chunk gathers, merges and flushes each cell straight
+  into the word grid (the prefix sum becomes a running bit
+  accumulator).  Otherwise it runs the NumPy path below, which is also
+  the oracle the compiled pass is tested against, and records why
+  (``ScanPackResult.fallback``, counted in
+  ``repro_encode_native_fallback_total{reason}``).  The NumPy path
+  gathers through a digest-cached packed ``(code << 16) | length``
+  table — the same table the compiled pass reads — runs the reduce on
+  packed words (6 ops per merge, no separate length array), and an
+  optional pair table fuses the lookup with the first REDUCE iteration.
 
 Bit-exactness of the packed representation
 ------------------------------------------
@@ -66,9 +74,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import native
 from repro.core.shuffle_merge import ShuffleMergeResult
 from repro.core.tuning import EncoderTuning
 from repro.huffman.codebook import CanonicalCodebook
+from repro.obs import metrics as _metrics
 
 __all__ = [
     "ScanPackResult",
@@ -79,6 +89,8 @@ __all__ = [
     "packed_pair_table",
     "packed_pair_stats",
     "packed_tables_supported",
+    "native_route",
+    "native_symbol_bits",
 ]
 
 #: bits of the packed-word length field
@@ -131,6 +143,8 @@ class ScanPackResult:
     merged: ShuffleMergeResult
     broken: np.ndarray  # bool per cell
     cell_lengths: np.ndarray  # int64 true concatenated length per cell
+    impl: str = "numpy"  # "native" when the compiled pass ran
+    fallback: str | None = None  # why the compiled pass did not run
 
     @property
     def n_cells(self) -> int:
@@ -183,6 +197,36 @@ def packed_codeword_table(book: CanonicalCodebook) -> np.ndarray:
         )
 
     return _cached_table((_book_digest(book), "packed"), build)
+
+
+def native_route(
+    data: np.ndarray,
+) -> tuple[native.NativeKernel | None, str | None]:
+    """``(kernel, reason)``: the compiled module when it loads and takes
+    ``data``'s symbol dtype, else ``None`` and why not
+    (``"symbol_dtype"`` or ``"no_native_kernel"``)."""
+    if data.dtype not in native.SYMBOL_DTYPES:
+        return None, "symbol_dtype"
+    kern = native.kernel()
+    return kern, None if kern is not None else "no_native_kernel"
+
+
+def native_symbol_bits(
+    data: np.ndarray, book: CanonicalCodebook
+) -> int | None:
+    """Total codeword bits of ``data`` from the compiled stats pass.
+
+    ``None`` when the pass cannot run (see :func:`native_route`) *or*
+    when ``data`` holds an out-of-range or codeword-less symbol: the
+    caller's NumPy stats then raise that symbol's exact error.
+    """
+    kern, _reason = native_route(data)
+    if kern is None:
+        return None
+    total, bad = kern.symbol_bits(
+        np.ascontiguousarray(data), packed_codeword_table(book)
+    )
+    return total if bad < 0 else None
 
 
 def _packed_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -462,16 +506,29 @@ def _finish(
             else eff.astype(np.uint64)
         values = values & ((np.uint64(1) << le) - np.uint64(1))
     words, bits = _scatter_pack(values, eff, n_chunks, cpc, W)
+    return _result(words, bits, broken, cell_lengths, tuning)
+
+
+def _result(
+    words: np.ndarray,
+    bits: np.ndarray,
+    broken: np.ndarray,
+    cell_lengths: np.ndarray,
+    tuning: EncoderTuning,
+    impl: str = "numpy",
+) -> ScanPackResult:
+    """Shape a pass's outputs like the iterative pair's, with the
+    analytic SHUFFLE counts."""
+    n_chunks = bits.size
     merged = ShuffleMergeResult(
         words=words,
         bits=bits,
         iterations=tuning.shuffle_factor if n_chunks else 0,
         moved_words=analytic_moved_words(n_chunks, tuning.shuffle_factor),
-        word_bits=W,
+        word_bits=tuning.word_bits,
     )
-    return ScanPackResult(
-        merged=merged, broken=broken, cell_lengths=cell_lengths
-    )
+    return ScanPackResult(merged=merged, broken=broken,
+                          cell_lengths=cell_lengths, impl=impl)
 
 
 def _empty_result(tuning: EncoderTuning) -> ScanPackResult:
@@ -534,21 +591,55 @@ def scan_pack_symbols(
     tuning: EncoderTuning,
     pair_packed: np.ndarray | None = None,
 ) -> ScanPackResult:
-    """Scan-pack straight from symbols via packed gather tables.
+    """Scan-pack straight from symbols.
 
     ``data.size`` must be a multiple of ``tuning.chunk_symbols`` (the
-    encoder handles the tail separately).  Falls back to the generic
-    path when the 16-bit packed length field could overflow.
+    encoder handles the tail separately).  Runs the compiled pass when
+    :func:`native_route` allows, else the NumPy path with the reason
+    counted in ``repro_encode_native_fallback_total`` and returned as
+    ``fallback``; both produce identical ``words``, ``bits``,
+    ``broken`` and ``cell_lengths``.  The compiled pass raises
+    ``IndexError`` for an out-of-range symbol before gathering it.
 
-    ``pair_packed`` optionally re-uses the packed pairs a prior
-    :func:`packed_pair_stats` call already gathered for (a superset of)
-    ``data`` — the first ``data.size // 2`` entries must be the packed
-    merges of ``data``'s symbol pairs.  ``chunk_symbols`` is even, so a
-    whole-chunk prefix never splits a pair.
+    ``pair_packed`` (NumPy path only) optionally re-uses the packed
+    pairs a prior :func:`packed_pair_stats` call already gathered for (a
+    superset of) ``data`` — the first ``data.size // 2`` entries must be
+    the packed merges of ``data``'s symbol pairs.  ``chunk_symbols`` is
+    even, so a whole-chunk prefix never splits a pair.
     """
     data = np.asarray(data)
     if data.size % tuning.chunk_symbols:
         raise ValueError("input must be whole chunks")
+    kern, reason = native_route(data)
+    if kern is None:
+        _metrics().counter(
+            "repro_encode_native_fallback_total", reason=reason
+        ).inc()
+        res = _scan_pack_symbols_numpy(data, book, tuning, pair_packed)
+        res.fallback = reason
+        return res
+    table = packed_codeword_table(book)
+    words, bits, broken, cell_lengths, bad = kern.scan_pack(
+        np.ascontiguousarray(data), table, tuning.group_symbols,
+        tuning.cells_per_chunk, tuning.word_bits,
+    )
+    if bad >= 0:
+        raise IndexError(
+            f"index {int(data.max())} is out of bounds for axis 0 with "
+            f"size {table.size}"
+        )
+    return _result(words, bits, broken, cell_lengths, tuning, "native")
+
+
+def _scan_pack_symbols_numpy(
+    data: np.ndarray,
+    book: CanonicalCodebook,
+    tuning: EncoderTuning,
+    pair_packed: np.ndarray | None,
+) -> ScanPackResult:
+    """The NumPy scan-pack: packed gather tables, packed reduce, then
+    :func:`_finish`.  Falls back to the generic path when the 16-bit
+    packed length field could overflow."""
     if data.size == 0:
         return _empty_result(tuning)
     if not packed_tables_supported(book, tuning):

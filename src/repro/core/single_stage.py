@@ -30,9 +30,8 @@ import numpy as np
 from repro.core.encoder import (
     GpuEncodeResult,
     _gpu_encode_scan_body,
-    _scan_symbol_stats,
+    _symbol_stats,
 )
-from repro.core.scan_pack import packed_pair_stats
 from repro.core.tuning import DEFAULT_MAGNITUDE, EncoderTuning
 from repro.cuda.device import DeviceSpec, V100
 from repro.huffman.codebook import CanonicalCodebook
@@ -101,13 +100,9 @@ def single_stage_encode(
     with enc_span:
         with _span("encode.lookup", n_symbols=int(data.size)):
             # the registered book's packed tables are already warm in
-            # the scan-pack digest cache, so this gather is the entire
+            # the scan-pack digest cache, so this pass is the entire
             # front half of the pipeline
-            stats = packed_pair_stats(data, book)
-            if stats is None:
-                avg_bits, pair_packed = _scan_symbol_stats(data, book), None
-            else:
-                avg_bits, pair_packed = stats
+            avg_bits, pair_packed = _symbol_stats(data, book)
         result = _gpu_encode_scan_body(
             data, book, tuning, magnitude, reduction_factor, word_bits,
             device, avg_bits, pair_packed,

@@ -13,8 +13,8 @@ from repro.decoder.gap_array import (
     gap_supported,
     reference_gap_array,
 )
-from repro.decoder.gap_native import native_available
 from repro.decoder.self_sync import SelfSyncResult, self_sync_decode
+from repro.native import native_available
 
 __all__ = [
     "ChunkDecodeResult",

@@ -17,12 +17,12 @@ decodes in two passes:
   depth drops to O(symbols per subchunk) with thousands of concurrent
   lanes.
 
-Both passes run in :mod:`repro.decoder.gap_native`, a runtime-compiled
-C kernel with exact pass-1 discovery (an interleaved length walk) that
+Both passes run in :mod:`repro.native`, the runtime-compiled C
+module, with exact pass-1 discovery (an interleaved length walk) that
 reads the :class:`~repro.huffman.decoder.DecodeTable` root and descends
 its subtables for long codewords.  The scheme pays only when pass 2
 runs as compiled parallel lanes, so there is no NumPy gap decoder: when
-the kernel is missing (no toolchain, or ``REPRO_GAP_DISABLE_NATIVE=1``)
+the kernel is missing (no toolchain, or ``REPRO_DISABLE_NATIVE=1``)
 or the table is incomplete, :func:`gap_decode_lanes` decodes through
 :func:`repro.huffman.decoder.decode_lanes` and counts the reason in
 ``repro_decode_gap_lut_fallback_total{reason}``.
@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.decoder import gap_native
+from repro import native
 from repro.huffman.codebook import CanonicalCodebook
 from repro.huffman.decoder import (
     MAX_TABLE_SYMBOL,
@@ -303,7 +303,7 @@ def reference_gap_array(
 
 
 def _native_gap_decode(
-    kernel: gap_native.GapKernel,
+    kernel: native.NativeKernel,
     buffer: np.ndarray,
     starts: np.ndarray,
     ends: np.ndarray,
@@ -367,7 +367,7 @@ def gap_decode_lanes(
         table = build_decode_table(book)
     reg = _metrics()
     ok, reason = gap_supported(book, table)
-    kern = gap_native.kernel() if ok else None
+    kern = native.kernel() if ok else None
     if ok and kern is None:
         reason = "no_native_kernel"
     if kern is None:

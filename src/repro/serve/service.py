@@ -483,7 +483,7 @@ class CompressionService:
         hist = reg.histogram("repro_serve_batch_size")
         # decode-path health: which strategy served how many symbols,
         # whether the native gap kernel is in play, and every fallback
-        from repro.decoder.gap_native import native_available, native_error
+        from repro.native import native_available, native_error
 
         native_on = native_available()
         per_path: dict[str, int] = {}

@@ -63,20 +63,22 @@ def pytest_collection_modifyitems(config, items):
 
 @pytest.fixture(scope="module", params=["numpy", "native"])
 def kernel_engine(request):
-    """Run the requesting module once per decode engine.
+    """Run the requesting module once per kernel engine.
 
-    ``numpy`` switches the native C gap kernel off for the module, so
-    every gap request takes the counted ``decode_lanes`` fallback — the
-    path a host without a C compiler runs.  ``native`` leaves the kernel
-    to load as usual (it still falls back where the host cannot build
-    it or the table is tiered).  Encode-side modules, whose kernels are
-    NumPy only, override it with a single ``numpy`` leg.
+    ``numpy`` switches the compiled module (:mod:`repro.native`) off
+    for the module, so every gap request takes the counted
+    ``decode_lanes`` fallback and every scan-pack encode runs its NumPy
+    oracle — the paths a host without a C compiler runs.  ``native``
+    leaves the module to load as usual (it still falls back where the
+    host cannot build it, the table is incomplete or the symbol dtype
+    is not unsigned).  Modules whose kernels are NumPy only override it
+    with a single ``numpy`` leg.
     """
-    from repro.decoder import gap_native
+    from repro import native
 
     with pytest.MonkeyPatch.context() as mp:
         if request.param == "numpy":
-            mp.setattr(gap_native, "kernel", lambda: None)
+            mp.setattr(native, "kernel", lambda: None)
         yield request.param
 
 

@@ -14,13 +14,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import native
 from repro.core.bitstream import decode_stream
 from repro.core.codebook_parallel import parallel_codebook
 from repro.core.encoder import gpu_encode
-from repro.decoder import gap_array, gap_native
-from repro.decoder.gap_native import native_available
+from repro.decoder import gap_array
 from repro.huffman.decoder import decode_batch
 from repro.huffman.serial import serial_encode
+from repro.native import native_available
 from repro.obs.flight import extract_paths
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.trace import Tracer, tracing
@@ -57,7 +58,7 @@ def routed(monkeypatch):
 
 @pytest.fixture
 def no_kernel(monkeypatch):
-    monkeypatch.setattr(gap_native, "kernel", lambda: None)
+    monkeypatch.setattr(native, "kernel", lambda: None)
 
 
 needs_kernel = pytest.mark.skipif(

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.app.compressor import compress_symbols
-from repro.decoder.gap_native import native_available
+from repro.native import native_available
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.serve.service import CompressionService, ServiceConfig
 

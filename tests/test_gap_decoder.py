@@ -13,7 +13,7 @@ magnitude, skew, reduction factor, and subchunk width):
   ``ValueError`` as ``decode_lanes`` or returns bit-identical symbols —
   corruption must never silently change behavior between decoders;
 - W=32 books run the kernel through subtable descent;
-- without the kernel (no compiler, or ``REPRO_GAP_DISABLE_NATIVE``)
+- without the kernel (no compiler, or ``REPRO_DISABLE_NATIVE``)
   every decode entry point goes through ``decode_lanes`` and counts
   the reason.
 """
@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.conform.corpora import wbit_codebook
 from repro.core.bitstream import (
     decode_stream,
@@ -34,17 +35,17 @@ from repro.core.bitstream import (
     stream_lanes,
 )
 from repro.core.encoder import gpu_encode
-from repro.decoder import gap_array, gap_native
+from repro.decoder import gap_array
 from repro.decoder.chunk_parallel import chunk_parallel_decode
 from repro.decoder.gap_array import (
     gap_decode_lanes,
     gap_supported,
     reference_gap_array,
 )
-from repro.decoder.gap_native import native_available
 from repro.huffman.cache import cached_decode_table
 from repro.huffman.decoder import decode_batch, decode_lanes
 from repro.huffman.serial import serial_encode
+from repro.native import native_available
 from repro.obs.metrics import MetricsRegistry, set_registry
 from tests.conftest import lanes_decode_dense, lanes_decode_stream
 
@@ -291,7 +292,7 @@ class TestNoNativeKernel:
 
     @pytest.fixture
     def no_kernel(self, monkeypatch, registry):
-        monkeypatch.setattr(gap_native, "kernel", lambda: None)
+        monkeypatch.setattr(native, "kernel", lambda: None)
         results = []
         real = gap_array.gap_decode_lanes
 

@@ -4,7 +4,10 @@ The load-bearing claim of the fast path is *bit-for-bit identity*:
 ``scan_pack == shuffle_merge ∘ zeroed(reduce_merge)`` on any input the
 iterative pair accepts (property-tested over random (M, r, W, skew)),
 and ``gpu_encode(impl="scan")`` serializing to the identical container
-bytes with identical modeled costs as ``impl="iterative"``.
+bytes with identical modeled costs as ``impl="iterative"``.  The module
+runs once per ``kernel_engine`` leg; on the ``native`` leg the compiled
+scan-pack must also equal its NumPy oracle field for field and raise
+the oracle's exact errors.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.core.codebook_parallel import parallel_codebook
 from repro.core.encoder import ENCODE_IMPLS, gpu_encode
 from repro.core.reduce_merge import reduce_merge
@@ -27,18 +31,28 @@ from repro.core.scan_pack import (
 from repro.core.serialization import serialize_stream
 from repro.core.shuffle_merge import shuffle_merge
 from repro.core.tuning import EncoderTuning
+from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.trace import Tracer, tracing
 
 pytestmark = pytest.mark.usefixtures("kernel_engine")
 
 
-@pytest.fixture(scope="module", params=["numpy"])
-def kernel_engine(request):
-    """The scan-pack kernels are NumPy only: one leg, nothing to switch."""
-    return request.param
-
-
 def book_for(data, n):
     return parallel_codebook(np.bincount(data, minlength=n)).codebook
+
+
+def numpy_oracle(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the compiled module switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(native, "kernel", lambda: None)
+        return fn(*args, **kwargs)
+
+
+def raised(fn, *args, **kwargs):
+    """``(type, message)`` of the exception ``fn`` raises."""
+    with pytest.raises(Exception) as ei:
+        fn(*args, **kwargs)
+    return type(ei.value), str(ei.value)
 
 
 def iterative_reference(codes, lens, tuning):
@@ -205,3 +219,133 @@ class TestScanPackUnits:
             sc = gpu_encode(syms, book, magnitude=6, impl="scan")
             assert serialize_stream(sc.stream, book) == \
                 serialize_stream(it.stream, book)
+
+
+class TestScanPackRoute:
+    """Which scan-pack ran, and why not the compiled one, is recorded."""
+
+    @pytest.fixture
+    def registry(self):
+        reg = MetricsRegistry()
+        prev = set_registry(reg)
+        yield reg
+        set_registry(prev)
+
+    @staticmethod
+    def _scan_span(data, book):
+        with tracing(Tracer("scan")) as tracer:
+            gpu_encode(data, book, magnitude=6)
+        spans = [sp for sp in tracer.spans if sp.name == "encode.scan_pack"]
+        assert len(spans) == 1
+        return spans[0].to_dict()["attrs"]
+
+    def test_span_and_counter_name_the_route(self, kernel_engine, registry):
+        data = np.random.default_rng(2).integers(0, 5, 512)
+        book = book_for(data, 5)
+        attrs = self._scan_span(data.astype(np.uint16), book)
+        if kernel_engine == "native" and native.native_available():
+            assert attrs["impl"] == "native"
+            assert "fallback" not in attrs
+            assert registry.total("repro_encode_native_fallback_total") == 0
+        else:
+            assert attrs["impl"] == "numpy"
+            assert attrs["fallback"] == "no_native_kernel"
+            assert registry.total("repro_encode_native_fallback_total",
+                                  reason="no_native_kernel") == 1
+
+    def test_signed_symbols_fall_back_by_dtype(self, registry):
+        data = np.random.default_rng(3).integers(0, 5, 512)
+        book = book_for(data, 5)
+        attrs = self._scan_span(data.astype(np.int32), book)
+        assert attrs["impl"] == "numpy"
+        assert attrs["fallback"] == "symbol_dtype"
+        assert registry.total("repro_encode_native_fallback_total",
+                              reason="symbol_dtype") == 1
+
+
+class TestNativeScanPack:
+    """The compiled scan-pack against its NumPy oracle (native leg)."""
+
+    @pytest.fixture(autouse=True)
+    def native_leg(self, kernel_engine):
+        if kernel_engine != "native" or not native.native_available():
+            pytest.skip("compiled module not in play on this leg")
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_native_equals_numpy_scan_pack_symbols(self, data):
+        W = data.draw(st.sampled_from([8, 16, 32]))
+        M = data.draw(st.integers(1, 8))
+        r = data.draw(st.integers(0, min(3, M - 1)))
+        n_chunks = data.draw(st.integers(1, 8))
+        dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.uint32]))
+        alphabet = data.draw(st.sampled_from(
+            [2, 7, 64, 256] if dtype == np.uint8 else [2, 64, 300, 4096]
+        ))
+        conc = data.draw(st.sampled_from([0.02, 0.3, 2.0]))
+        unused = data.draw(st.booleans())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        probs = rng.dirichlet(np.ones(alphabet) * conc)
+        if unused and alphabet > 2:
+            # a book that codes only part of its alphabet
+            probs[rng.random(alphabet) < 0.5] = 0.0
+            probs[0] += 1e-3
+            probs /= probs.sum()
+        tuning = EncoderTuning(M, r, W)
+        syms = rng.choice(alphabet, size=n_chunks << M, p=probs)
+        syms = syms.astype(dtype)
+        hist = np.bincount(syms, minlength=alphabet)
+        book = parallel_codebook(hist).codebook
+
+        got = scan_pack_symbols(syms, book, tuning)
+        want = numpy_oracle(scan_pack_symbols, syms, book, tuning)
+
+        assert (got.impl, want.impl) == ("native", "numpy")
+        for a, b in ((got.merged.words, want.merged.words),
+                     (got.merged.bits, want.merged.bits),
+                     (got.broken, want.broken),
+                     (got.cell_lengths, want.cell_lengths)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert got.merged.moved_words == want.merged.moved_words
+        assert got.merged.iterations == want.merged.iterations
+
+    @pytest.mark.parametrize("W", [8, 16, 32])
+    @pytest.mark.parametrize("M", [8, 10, 12])
+    def test_native_equals_numpy_on_text_grid(self, text_like, M, W):
+        """Every r at the paper's magnitudes, on enwik-like bytes."""
+        book = book_for(text_like, 256)
+        for r in range(4):
+            tuning = EncoderTuning(M, r, W)
+            syms = text_like[: text_like.size >> M << M]
+            got = scan_pack_symbols(syms, book, tuning)
+            want = numpy_oracle(scan_pack_symbols, syms, book, tuning)
+            assert np.array_equal(got.merged.words, want.merged.words)
+            assert np.array_equal(got.merged.bits, want.merged.bits)
+            assert np.array_equal(got.broken, want.broken)
+            assert np.array_equal(got.cell_lengths, want.cell_lengths)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    @pytest.mark.parametrize("size", [600, 5000])
+    def test_encode_errors_match_numpy(self, dtype, size):
+        rng = np.random.default_rng(1)
+        syms = rng.integers(0, 2, size).astype(dtype)
+        book = book_for(syms, 3)  # symbol 2 never occurs -> no codeword
+        cases = [(9, IndexError), (2, ValueError)]
+        for bad_value, exc in cases:
+            bad = syms.copy()
+            bad[size // 3] = bad_value
+            got = raised(gpu_encode, bad, book)
+            assert got[0] is exc
+            assert got == numpy_oracle(raised, gpu_encode, bad, book)
+
+    def test_scan_pack_symbols_index_error_matches_numpy(self):
+        syms = np.zeros(256, dtype=np.uint16)
+        syms[100] = 9
+        book = book_for(np.array([0, 1, 1], dtype=np.uint16), 3)
+        tuning = EncoderTuning(6, 0, 32)  # r = 0: the oracle's plain gather
+        got = raised(scan_pack_symbols, syms, book, tuning)
+        assert got[0] is IndexError
+        assert got == numpy_oracle(raised, scan_pack_symbols, syms, book,
+                                   tuning)

@@ -207,16 +207,16 @@ class TestDecodeTelemetry:
             return svc.stats()["decode"]
 
     def test_kernel_off_reports_lanes_with_reason(self, monkeypatch):
-        from repro.decoder import gap_native
+        from repro import native
 
-        monkeypatch.setattr(gap_native, "kernel", lambda: None)
+        monkeypatch.setattr(native, "kernel", lambda: None)
         dec = self._decode_stats()
         assert dec["gap_backend"] == "lanes"
         assert dec["gap_backend_reason"]
         assert "gap_chunk_fallbacks" not in dec
 
     def test_kernel_state_matches_host(self):
-        from repro.decoder.gap_native import native_available
+        from repro.native import native_available
 
         dec = self._decode_stats()
         if native_available():

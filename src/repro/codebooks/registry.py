@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.codebooks.store import CodebookStore
-from repro.core.scan_pack import packed_codeword_table, packed_pair_table
+from repro.core.scan_pack import packed_codeword_table
 from repro.core.serialization import serialize_codebook
 from repro.huffman.cache import cached_decode_table, codebook_digest
 from repro.huffman.codebook import CanonicalCodebook
@@ -100,13 +100,12 @@ class RegisteredCodebook:
     def warm(self) -> None:
         """Pre-build every derived table a hot request would touch.
 
-        Encode side: the packed codeword table and (when the alphabet
-        permits) the pair table used by scan-pack's fused first REDUCE.
-        Decode side: the k-bit LUT.  All three land in their digest
-        caches, so warming is idempotent and survives registry handoff.
+        Encode side: the packed codeword table the compiled scan-pack
+        and length-sum passes gather through.  Decode side: the k-bit
+        LUT.  Both land in their digest caches, so warming is idempotent
+        and survives registry handoff.
         """
         packed_codeword_table(self.book)
-        packed_pair_table(self.book)
         cached_decode_table(self.book)
 
     def describe(self) -> dict:

@@ -34,8 +34,6 @@ from repro.core.scan_pack import (
     ScanPackResult,
     analytic_moved_words,
     packed_codeword_table,
-    packed_pair_stats,
-    packed_tables_supported,
     scan_pack,
     scan_pack_symbols,
 )
@@ -90,8 +88,6 @@ __all__ = [
     "ScanPackResult",
     "analytic_moved_words",
     "packed_codeword_table",
-    "packed_pair_stats",
-    "packed_tables_supported",
     "scan_pack",
     "scan_pack_symbols",
     "GenerateCLResult",

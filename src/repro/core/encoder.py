@@ -33,12 +33,7 @@ from repro.core.breaking import (
     extract_breaking_symbols,
 )
 from repro.core.reduce_merge import reduce_merge
-from repro.core.scan_pack import (
-    native_route,
-    native_symbol_bits,
-    packed_pair_stats,
-    scan_pack_symbols,
-)
+from repro.core.scan_pack import native_symbol_bits, scan_pack_symbols
 from repro.core.shuffle_merge import shuffle_merge
 from repro.core.tuning import (
     DEFAULT_MAGNITUDE,
@@ -49,7 +44,6 @@ from repro.core.tuning import (
 from repro.cuda.costmodel import KernelCost
 from repro.cuda.device import DeviceSpec, V100
 from repro.cuda.launch import KernelInfo, register_kernel
-from repro.histogram.gpu_histogram import fast_histogram
 from repro.huffman.codebook import CanonicalCodebook
 from repro.obs import metrics as _metrics
 from repro.obs import span as _span
@@ -134,143 +128,63 @@ class GpuEncodeResult:
 
 
 #: encoder implementations selectable via ``gpu_encode(..., impl=...)``
-ENCODE_IMPLS = ("auto", "scan", "iterative")
+ENCODE_IMPLS = ("scan", "iterative")
 
 
-def _symbol_stats(
+def _symbol_lengths(
     data: np.ndarray,
     book: CanonicalCodebook,
-) -> tuple[float, np.ndarray | None]:
-    """The scan path's stats step: ``(avg_bits, pair_packed)``.
+) -> np.ndarray:
+    """Per-symbol codeword lengths, or the error a bad symbol earns.
 
-    With the compiled module loaded this is its length-sum pass
-    (:func:`_scan_symbol_stats`) and there are no pairs to hand on.
-    Without it, one pair-table gather yields the exact avg bitwidth AND
-    the packed pairs the NumPy scan-pack reuses as its first REDUCE
-    iteration; books that decline the fusion take the histogram.
+    The one NumPy symbol check every encode path shares.  It is
+    ``book.lookup``'s length gather, so an out-of-range symbol raises
+    lookup's ``IndexError`` verbatim, with one difference: a negative
+    symbol raises that ``IndexError`` too instead of wrapping around to
+    the end of the alphabet.  A symbol without a codeword raises
+    ``ValueError``.
     """
-    if native_route(data)[0] is None:
-        stats = packed_pair_stats(data, book)
-        if stats is not None:
-            return stats
-    return _scan_symbol_stats(data, book), None
+    if data.size and data.dtype.kind == "i":
+        lo = int(data.min())
+        if lo < 0:
+            raise IndexError(
+                f"index {lo} is out of bounds for axis 0 with size "
+                f"{book.n_symbols}"
+            )
+    lens = book.lengths[data]
+    if data.size and int(lens.min()) == 0:
+        bad = int(data[int(np.argmin(lens))])
+        raise ValueError(f"symbol {bad} has no codeword (zero frequency)")
+    return lens
 
 
 def _scan_symbol_stats(
     data: np.ndarray,
     book: CanonicalCodebook,
 ) -> float:
-    """Average codeword bitwidth + zero-codeword check.
+    """Average codeword bitwidth, checking every symbol.
 
     The compiled length-sum pass when it runs (:func:`native_symbol_bits`);
-    otherwise, and to raise a bad symbol's error, one histogram.  The
-    scan path never materializes the per-symbol length array; the exact
-    same ``avg_bits`` (an integer total over an integer count) comes out
-    either way.  Error behaviour mirrors ``book.lookup``: out-of-range
-    symbols raise ``IndexError``, symbols without codewords raise the
-    same ``ValueError``.
+    otherwise, and to raise a bad symbol's error, the length gather of
+    :func:`_symbol_lengths`.  The same ``avg_bits`` (an integer total
+    over an integer count) comes out either way.
     """
     if data.size == 0:
         return 0.0
     total = native_symbol_bits(data, book)
-    if total is not None:
-        return total / data.size
-    if data.dtype == np.uint16 and data.size >= (1 << 12):
-        # at 16-bit width the length gather beats bincount's int64 cast;
-        # fancy indexing reproduces lookup's range errors verbatim
-        lens = book.lengths[data]
-        if int(lens.min()) == 0:
-            bad = int(data[int(np.argmin(lens))])
-            raise ValueError(
-                f"symbol {bad} has no codeword (zero frequency)"
-            )
-        return float(int(lens.sum(dtype=np.int64))) / data.size
-    try:
-        hist = fast_histogram(data, book.n_symbols)
-    except (ValueError, TypeError):
-        # negative or non-castable symbol dtypes: fall back to a length
-        # gather, which reproduces lookup's indexing semantics exactly
-        lens = book.lengths[data]
-        if int(lens.min()) == 0:
-            bad = int(data[np.argmin(lens)])
-            raise ValueError(
-                f"symbol {bad} has no codeword (zero frequency)"
-            ) from None
-        return float(int(lens.sum(dtype=np.int64))) / data.size
-    if hist.size > book.n_symbols:
-        raise IndexError(
-            f"index {int(data.max())} is out of bounds for axis 0 with "
-            f"size {book.n_symbols}"
-        )
-    if np.any((hist > 0) & (book.lengths == 0)):
-        zero = (book.lengths == 0)[data]
-        bad = int(data[int(np.argmax(zero))])
-        raise ValueError(f"symbol {bad} has no codeword (zero frequency)")
-    total_bits = int((hist * book.lengths.astype(np.int64)).sum())
-    return total_bits / data.size
+    if total is None:
+        total = int(_symbol_lengths(data, book).sum(dtype=np.int64))
+    return total / data.size
 
 
-def gpu_encode(
-    data: np.ndarray,
-    book: CanonicalCodebook,
-    tuning: EncoderTuning | None = None,
-    magnitude: int = DEFAULT_MAGNITUDE,
-    reduction_factor: int | None = None,
-    word_bits: int = 32,
-    device: DeviceSpec = V100,
-    impl: str = "auto",
-) -> GpuEncodeResult:
-    """Encode ``data`` with the reduce-shuffle-merge scheme.
-
-    ``tuning`` pins (M, r) explicitly; otherwise ``magnitude`` is used and
-    ``r`` comes from the average-bitwidth rule (or ``reduction_factor``
-    when given).  Every symbol must have a codeword in ``book``.
-
-    ``impl`` selects the host execution strategy — the produced
-    :class:`~repro.core.bitstream.EncodedStream` and the modeled kernel
-    costs are bit-for-bit identical either way (enforced by the
-    conformance matrix):
-
-    - ``"iterative"`` — the paper-shaped r-reduce + s-shuffle pipeline;
-    - ``"scan"`` — the single-pass scan-pack fast path
-      (:mod:`repro.core.scan_pack`): the compiled stats and scan-pack
-      passes of :mod:`repro.native` when that module loads, else their
-      NumPy oracle, with the reason on the ``encode.scan_pack`` span;
-    - ``"auto"`` (default) — scan-pack; the iterative path remains the
-      modeled-kernel reference.
-    """
-    if impl not in ENCODE_IMPLS:
-        raise ValueError(f"impl must be one of {ENCODE_IMPLS}, got {impl!r}")
-    use_scan = impl != "iterative"
-    data = np.asarray(data)
-    enc_span = _span("encode.reduce_shuffle_merge",
-                     bytes_in=int(data.nbytes), device=device.name,
-                     impl="scan" if use_scan else "iterative")
-    with enc_span:
-        if use_scan:
-            with _span("encode.lookup", n_symbols=int(data.size)):
-                avg_bits, pair_packed = _symbol_stats(data, book)
-            result = _gpu_encode_scan_body(
-                data, book, tuning, magnitude, reduction_factor, word_bits,
-                device, avg_bits, pair_packed,
-            )
-        else:
-            with _span("encode.lookup", n_symbols=int(data.size)):
-                codes, lens = book.lookup(data)
-            if data.size and int(lens.min()) == 0:
-                bad = int(data[np.argmin(lens)])
-                raise ValueError(
-                    f"symbol {bad} has no codeword (zero frequency)"
-                )
-            lens = lens.astype(np.int64)
-            avg_bits = int(lens.sum()) / data.size if data.size else 0.0
-            result = _gpu_encode_body(
-                data, book, tuning, magnitude, reduction_factor, word_bits,
-                device, codes, lens, avg_bits,
-            )
+def _record_encode(
+    enc_span, data: np.ndarray, result: "GpuEncodeResult"
+) -> None:
+    """The stage span's closing attributes and the encode counters,
+    shared by every encode entry point."""
     enc_span.set_attr(
         bytes_out=int(result.stream.payload_bytes),
-        avg_bits=round(avg_bits, 4),
+        avg_bits=round(result.avg_bits, 4),
         breaking_fraction=result.breaking_fraction,
         chunks=result.stream.n_chunks,
     )
@@ -284,7 +198,63 @@ def gpu_encode(
         reg.histogram(
             "repro_encode_avg_bits",
             buckets=(2, 4, 6, 8, 12, 16, 24, 32),
-        ).observe(avg_bits)
+        ).observe(result.avg_bits)
+
+
+def gpu_encode(
+    data: np.ndarray,
+    book: CanonicalCodebook,
+    tuning: EncoderTuning | None = None,
+    magnitude: int = DEFAULT_MAGNITUDE,
+    reduction_factor: int | None = None,
+    word_bits: int = 32,
+    device: DeviceSpec = V100,
+    impl: str = "scan",
+) -> GpuEncodeResult:
+    """Encode ``data`` with the reduce-shuffle-merge scheme.
+
+    ``tuning`` pins (M, r) explicitly; otherwise ``magnitude`` is used and
+    ``r`` comes from the average-bitwidth rule (or ``reduction_factor``
+    when given).  Every symbol must have a codeword in ``book``.
+
+    ``impl`` selects the host execution strategy — the produced
+    :class:`~repro.core.bitstream.EncodedStream` and the modeled kernel
+    costs are bit-for-bit identical either way (enforced by the
+    conformance matrix):
+
+    - ``"iterative"`` — the paper-shaped r-reduce + s-shuffle pipeline;
+    - ``"scan"`` (default) — the single-pass scan-pack
+      (:mod:`repro.core.scan_pack`): the compiled stats and scan-pack
+      passes of :mod:`repro.native` when that module loads, else their
+      NumPy oracle, with the reason on the ``encode.scan_pack`` span.
+
+    Both paths check symbols through :func:`_symbol_lengths`, so a bad
+    symbol raises the same error whichever runs.
+    """
+    if impl not in ENCODE_IMPLS:
+        raise ValueError(f"impl must be one of {ENCODE_IMPLS}, got {impl!r}")
+    data = np.asarray(data)
+    enc_span = _span("encode.reduce_shuffle_merge",
+                     bytes_in=int(data.nbytes), device=device.name,
+                     impl=impl)
+    with enc_span:
+        if impl == "scan":
+            with _span("encode.lookup", n_symbols=int(data.size)):
+                avg_bits = _scan_symbol_stats(data, book)
+            result = _gpu_encode_scan_body(
+                data, book, tuning, magnitude, reduction_factor, word_bits,
+                device, avg_bits,
+            )
+        else:
+            with _span("encode.lookup", n_symbols=int(data.size)):
+                lens = _symbol_lengths(data, book).astype(np.int64)
+                codes = book.codes[data]
+            avg_bits = int(lens.sum()) / data.size if data.size else 0.0
+            result = _gpu_encode_body(
+                data, book, tuning, magnitude, reduction_factor, word_bits,
+                device, codes, lens, avg_bits,
+            )
+    _record_encode(enc_span, data, result)
     return result
 
 
@@ -377,7 +347,6 @@ def _gpu_encode_scan_body(
     word_bits: int,
     device: DeviceSpec,
     avg_bits: float,
-    pair_packed: np.ndarray | None = None,
 ) -> "GpuEncodeResult":
     """Scan-pack encode body: one fused gather/reduce/scatter pass."""
     tuning = _resolve_tuning(
@@ -391,9 +360,7 @@ def _gpu_encode_scan_body(
     # -- fused lookup + reduce + exclusive scan + bit scatter ---------------
     with _span("encode.scan_pack", r=tuning.reduction_factor,
                s=tuning.shuffle_factor, chunks=n_full) as scan_span:
-        res = scan_pack_symbols(
-            main, book, tuning, pair_packed=pair_packed
-        )
+        res = scan_pack_symbols(main, book, tuning)
     scan_span.set_attr(moved_words=res.merged.moved_words,
                        cells=res.n_cells, impl=res.impl)
     if res.fallback is not None:

@@ -1,4 +1,4 @@
-"""Scan-pack: the single-pass host encode fast path.
+"""Scan-pack: the single-pass host encode.
 
 The paper's reduce-shuffle-merge exists to fit SIMT shared memory: ``r``
 REDUCE iterations compress codewords into W-bit cells, then ``s = M - r``
@@ -17,47 +17,28 @@ Two entry points:
   :func:`repro.core.reduce_merge.reduce_merge` operation-for-operation
   (including its value-overflow zeroing), so the output is bit-for-bit
   identical to ``reduce_merge ∘ shuffle_merge`` for *any* input.
-- :func:`scan_pack_symbols` — the fast path straight from symbols.  It
-  runs the compiled ``scan_pack`` pass of :mod:`repro.native` whenever
-  that module loads and the symbols are ``uint8``/``uint16``/``uint32``:
+- :func:`scan_pack_symbols` — the path straight from symbols.  It runs
+  the compiled ``scan_pack`` pass of :mod:`repro.native` whenever that
+  module loads and the symbols are ``uint8``/``uint16``/``uint32``:
   one loop per chunk gathers, merges and flushes each cell straight
   into the word grid (the prefix sum becomes a running bit
-  accumulator).  Otherwise it runs the NumPy path below, which is also
-  the oracle the compiled pass is tested against, and records why
+  accumulator).  Otherwise it runs ``book.lookup`` followed by
+  :func:`scan_pack` — the NumPy oracle the compiled pass is tested
+  against and the path for hosts without a compiler — and records why
   (``ScanPackResult.fallback``, counted in
-  ``repro_encode_native_fallback_total{reason}``).  The NumPy path
-  gathers through a digest-cached packed ``(code << 16) | length``
-  table — the same table the compiled pass reads — runs the reduce on
-  packed words (6 ops per merge, no separate length array), and an
-  optional pair table fuses the lookup with the first REDUCE iteration.
+  ``repro_encode_native_fallback_total{reason}``).
 
-Bit-exactness of the packed representation
-------------------------------------------
+The compiled pass gathers through :func:`packed_codeword_table`, one
+uint64 per symbol holding the codeword value in bits ``16..63`` and its
+bit length in bits ``0..15`` (digest-cached, so a registered codebook
+builds it once).
 
-A packed word keeps the codeword value in bits ``16..63`` and its bit
-length in bits ``0..15``.  One packed merge is::
-
-    merge(a, b) = ((a >> 16) << min((b & 0xFFFF) + 16, 63)) + b + (a & 0xFFFF)
-
-- *length field*: both value contributions have zero low-16 bits (the
-  left operand is shifted by at least 16), so the low 16 bits hold
-  ``len_a + len_b`` exactly as long as a cell's total length stays below
-  2^16 — guaranteed by the ``group_symbols * max_length <= 0xFFFF`` gate
-  (the generic path takes over beyond it).
-- *value field*: for a cell that ends up non-broken, every intermediate
-  length is <= W <= 32, so the left value (< 2^32) shifted by at most
-  ``16 + 32`` bits stays inside the uint64 and the fields never overlap:
-  ADD equals OR equals concatenation.  Broken cells may accumulate
-  garbage value bits (the ``min(…, 63)`` clamp only protects the length
-  field from numpy's mod-64 shift semantics) — exactly like the
-  iterative reference, their value is discarded and the side channel
-  carries the truth.
-
-The scatter itself is exact for the same reason: after left-aligning a
-cell inside its own word (``(v << (W - len)) & mask`` — the identical
-masking expression :func:`repro.core.shuffle_merge.shuffle_merge` uses),
-each cell contributes disjoint bits, so ``np.add.at`` on a uint64 grid
-is a scatter-OR with no carries.
+The scatter is exact because, after left-aligning a cell inside its
+own word (``(v << (W - len)) & mask`` — the identical masking
+expression :func:`repro.core.shuffle_merge.shuffle_merge` uses, which
+also strips any value bits above the cell length), each cell
+contributes disjoint bits, so ``np.add.at`` on a uint64 grid is a
+scatter-OR with no carries.
 
 The module never touches the modeled-kernel cost path: the structural
 counts the encoder charges (``moved_words``, ``breaking_fraction``) are
@@ -86,9 +67,6 @@ __all__ = [
     "scan_pack_symbols",
     "analytic_moved_words",
     "packed_codeword_table",
-    "packed_pair_table",
-    "packed_pair_stats",
-    "packed_tables_supported",
     "native_route",
     "native_symbol_bits",
 ]
@@ -96,13 +74,8 @@ __all__ = [
 #: bits of the packed-word length field
 PACK_LEN_BITS = 16
 _LEN_SHIFT = np.uint64(PACK_LEN_BITS)
-_LEN_MASK = np.uint64((1 << PACK_LEN_BITS) - 1)
 
-#: pair tables above this entry count are not built (8 B/entry; 2^21
-#: entries = 16 MiB — covers the paper's alphabets: 256^2 and 1024^2)
-PAIR_TABLE_MAX_ENTRIES = 1 << 21
-
-#: digest-keyed packed-table cache entries kept per kind
+#: digest-keyed packed-table cache entries kept
 _TABLE_CACHE_SIZE = 16
 _table_cache: OrderedDict = OrderedDict()
 _table_lock = threading.Lock()
@@ -174,15 +147,6 @@ def analytic_moved_words(n_chunks: int, shuffle_factor: int) -> int:
     return n_chunks * (shuffle_factor * cpc // 2 + cpc - 1)
 
 
-def packed_tables_supported(
-    book: CanonicalCodebook, tuning: EncoderTuning
-) -> bool:
-    """True when the 16-bit length field cannot overflow for this
-    (codebook, tuning): a cell concatenates ``2^r`` codewords of at most
-    ``max_length`` bits each."""
-    return tuning.group_symbols * max(book.max_length, 1) <= int(_LEN_MASK)
-
-
 def packed_codeword_table(book: CanonicalCodebook) -> np.ndarray:
     """Per-symbol ``(code << 16) | length`` gather table (digest-cached).
 
@@ -229,153 +193,22 @@ def native_symbol_bits(
     return total if bad < 0 else None
 
 
-def _packed_merge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Concatenate packed (value, length) words: left ``a``, right ``b``.
-
-    The ``min(…, 63)`` clamp guards numpy's mod-64 uint64 shift: without
-    it a broken cell's oversized shift would wrap around and corrupt the
-    length field.  Clamped left-shifts only drop high (value) bits.
-    """
-    sh = np.minimum((b & _LEN_MASK) + _LEN_SHIFT, np.uint64(63))
-    return ((a >> _LEN_SHIFT) << sh) + b + (a & _LEN_MASK)
-
-
-def packed_pair_table(book: CanonicalCodebook) -> np.ndarray | None:
-    """Fused lookup+first-REDUCE table: entry ``s1 * K + s2`` is the
-    packed merge of symbols ``(s1, s2)``.  Returns ``None`` when the
-    alphabet is too large for the entry cap."""
-    K = book.n_symbols
-    if K * K > PAIR_TABLE_MAX_ENTRIES:
-        return None
-
-    def build():
-        pt = packed_codeword_table(book)
-        return _packed_merge(pt[:, None], pt[None, :]).reshape(-1)
-
-    return _cached_table((_book_digest(book), "pair"), build)
-
-
-def _packed_pair_table_le(book: CanonicalCodebook) -> np.ndarray:
-    """Pair table laid out for the little-endian uint16 view of a uint8
-    symbol stream: index ``d0 | (d1 << 8)`` maps to merge(d0, d1)."""
-    def build():
-        pt = packed_codeword_table(book)
-        full = np.zeros(256, dtype=np.uint64)
-        full[: pt.size] = pt
-        # T[d1 * 256 + d0] = merge(left=d0, right=d1)
-        return _packed_merge(full[None, :], full[:, None]).reshape(-1)
-
-    return _cached_table((_book_digest(book), "pair_le"), build)
-
-
-def packed_pair_stats(
-    data: np.ndarray, book: CanonicalCodebook
-) -> tuple[float, np.ndarray] | None:
-    """Fused symbol statistics + pair-table gather.
-
-    One pass through the pair table yields both the exact average
-    codeword bitwidth (the low 16 bits of a packed pair hold
-    ``len_a + len_b`` exactly — both value contributions sit above bit
-    16, and a pair's total length is at most ``2 * 63 < 2^16``) *and*
-    the gathered packed pairs, which :func:`scan_pack_symbols` accepts
-    via ``pair_packed`` so the encoder's stats pass and its first REDUCE
-    iteration share a single gather.
-
-    Returns ``None`` when the pair-table path does not apply: tiny or
-    signed inputs, alphabet above the table cap, or — decisively — a
-    codebook with zero-length (unused) symbols.  In that last case the
-    no-codeword check requires a per-symbol gather that costs more than
-    the whole histogram-based stats pass, so the caller's fallback is
-    the faster route; with a *complete* codebook no per-symbol check
-    exists at all and the fusion is pure profit.  Out-of-range symbols
-    raise ``IndexError`` *before* the gather (a pair index built from
-    an out-of-range symbol can silently alias a valid table slot — the
-    range check is the aliasing guard), matching ``book.lookup``.
-    """
-    if data.size < 2 or data.dtype not in (np.uint8, np.uint16, np.uint32):
-        return None
-    if bool((book.lengths == 0).any()):
-        return None
-    K = book.n_symbols
-    even = data[: data.size & ~1]
-    if data.dtype == np.uint8 and K <= 256 \
-            and np.little_endian and data.flags.c_contiguous:
-        if K < 256:
-            mx = int(data.max())
-            if mx >= K:
-                raise IndexError(
-                    f"index {mx} is out of bounds for axis 0 with "
-                    f"size {K}"
-                )
-        p = _packed_pair_table_le(book)[even.view(np.uint16)]
-    else:
-        pair = packed_pair_table(book)
-        if pair is None:
-            return None
-        mx = int(data.max())
-        if mx >= K:
-            raise IndexError(
-                f"index {mx} is out of bounds for axis 0 with size {K}"
-            )
-        if data.dtype == np.uint16 and np.little_endian \
-                and data.flags.c_contiguous:
-            u = even.view(np.uint32)
-            idx = (u & np.uint32(0xFFFF)) * np.uint32(K) \
-                + (u >> np.uint32(16))
-        else:
-            idx = even[0::2].astype(np.int64)
-            idx *= K
-            idx += even[1::2]
-        p = pair[idx]
-    total = int((p & _LEN_MASK).sum(dtype=np.uint64))
-    if data.size & 1:
-        total += int(book.lengths[int(data[-1])])
-    return total / data.size, p
-
-
-def _scatter_pack(
+def _scatter_narrow(
     cell_values: np.ndarray,
     eff_lengths: np.ndarray,
     n_chunks: int,
-    cells_per_chunk: int,
-    word_bits: int,
+    cpc: int,
+    W: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exclusive-scan + two-word bit scatter into the final word grid.
 
     ``cell_values``/``eff_lengths`` are the *effective* cells (broken
-    cells already zeroed, values ``< 2^length``, lengths in ``[0, W]``).
-    Returns ``(words, bits)`` with ``words`` uint32-shaped
-    ``(n_chunks, cpc)`` and ``bits`` the dense bit count per chunk —
-    exactly what ``s`` iterations of :func:`shuffle_merge` produce.
-
-    When a chunk spans whole 64-bit units (``cpc * W % 64 == 0``) the
-    supercell variant concatenates ``64/W`` adjacent cells first and
-    scatters 64-bit units, cutting the scatter volume by that factor.
+    cells already zeroed, lengths in ``[0, W]``).  Returns ``(words,
+    bits)`` with ``words`` uint32-shaped ``(n_chunks, cpc)`` and
+    ``bits`` the dense bit count per chunk — exactly what ``s``
+    iterations of :func:`shuffle_merge` produce.
     """
-    bits = eff_lengths.reshape(n_chunks, cells_per_chunk).sum(axis=1)
-    group = 64 // word_bits
-    if cells_per_chunk % group == 0:
-        words = _scatter_wide(
-            cell_values, eff_lengths, bits,
-            n_chunks, cells_per_chunk, word_bits, group,
-        )
-    else:
-        words = _scatter_narrow(
-            cell_values, eff_lengths, bits,
-            n_chunks, cells_per_chunk, word_bits,
-        )
-    return words, bits
-
-
-def _scatter_narrow(
-    cell_values: np.ndarray,
-    eff_lengths: np.ndarray,
-    bits: np.ndarray,
-    n_chunks: int,
-    cpc: int,
-    W: int,
-) -> np.ndarray:
-    """One scatter element per cell, W-bit grid units (tiny chunks)."""
+    bits = eff_lengths.reshape(n_chunks, cpc).sum(axis=1)
     wlog = W.bit_length() - 1
     mask = np.uint64((1 << W) - 1)
     wb = np.uint64(W)
@@ -412,100 +245,25 @@ def _scatter_narrow(
     np.add.at(grid, idx, val2)
     grid = grid.reshape(n_chunks, stride)
     assert not grid[:, cpc].any(), "scan-pack spill beyond chunk capacity"
-    return grid[:, :cpc].astype(np.uint32)
-
-
-def _scatter_wide(
-    cell_values: np.ndarray,
-    eff_lengths: np.ndarray,
-    bits: np.ndarray,
-    n_chunks: int,
-    cpc: int,
-    W: int,
-    group: int,
-) -> np.ndarray:
-    """Supercell scatter: ``group = 64/W`` adjacent cells concatenate
-    into one <= 64-bit unit, so the prefix scan and the two-word scatter
-    run on ``1/group`` of the cells.  Requires clean cells (value below
-    ``2^length``) because the right-aligned concatenation has no masking
-    step — :func:`_finish` guarantees this for both entry paths.
-    """
-    v = cell_values
-    le = eff_lengths if eff_lengths.dtype == np.int64 \
-        else eff_lengths.astype(np.int64)
-    for _ in range(group.bit_length() - 1):
-        v2 = v.reshape(-1, 2)
-        l2 = le.reshape(-1, 2)
-        # lengths stay <= 32 until the final round, so shifts never wrap
-        v = (v2[:, 0] << l2[:, 1].view(np.uint64)) + v2[:, 1]
-        le = l2[:, 0] + l2[:, 1]
-
-    spc = cpc // group  # supercells == 64-bit units per chunk
-    flat = np.cumsum(le)
-    offs = flat - le
-    chunk_base = np.zeros(n_chunks, dtype=np.int64)
-    np.cumsum(bits[:-1], out=chunk_base[1:])
-    offs -= np.repeat(chunk_base, spc)
-
-    # left-align inside the 64-bit unit; (64 - 64) % 64 == 0 keeps a
-    # full supercell in place, and an empty one is all-zero anyway
-    lu = le.view(np.uint64)
-    hleft = v << ((np.uint64(64) - lu) % np.uint64(64))
-
-    shift = (offs & 63).view(np.uint64)
-    word = offs >> 6
-    val1 = hleft >> shift
-    # double shift: a single << (64 - shift) would wrap to a no-op at
-    # shift == 0 (numpy shifts are mod 64); this clears the word instead
-    val2 = (hleft << (np.uint64(63) - shift)) << np.uint64(1)
-
-    stride = spc + 1
-    grid = np.zeros(n_chunks * stride, dtype=np.uint64)
-    idx = np.repeat(np.arange(n_chunks, dtype=np.int64) * stride, spc)
-    idx += word
-    np.add.at(grid, idx, val1)
-    idx += 1
-    np.add.at(grid, idx, val2)
-    grid = grid.reshape(n_chunks, stride)
-    assert not grid[:, spc].any(), "scan-pack spill beyond chunk capacity"
-
-    # split each big-endian 64-bit unit back into W-bit grid words
-    g = grid[:, :spc]
-    out = np.empty((n_chunks, cpc), dtype=np.uint32)
-    wmask = np.uint64((1 << W) - 1)
-    for j in range(group):
-        out[:, j::group] = (
-            (g >> np.uint64(64 - (j + 1) * W)) & wmask
-        ).astype(np.uint32)
-    return out
+    return grid[:, :cpc].astype(np.uint32), bits
 
 
 def _finish(
-    packed_or_vals: np.ndarray,
+    values: np.ndarray,
     cell_lengths: np.ndarray,
     tuning: EncoderTuning,
-    packed: bool,
 ) -> ScanPackResult:
     """Shared tail: broken detection, zeroing, scatter, result shaping."""
     W = tuning.word_bits
     cpc = tuning.cells_per_chunk
     n_chunks = cell_lengths.size // cpc
     broken = cell_lengths > W
-    values = packed_or_vals >> _LEN_SHIFT if packed else packed_or_vals
     if broken.any():
         values = np.where(broken, np.uint64(0), values)
         eff = np.where(broken, 0, cell_lengths)
     else:
         eff = cell_lengths
-    if not packed:
-        # the generic path admits dirty inputs (value bits above the
-        # cell length, exactly like reduce_merge); strip them here so
-        # the mask-free supercell concatenation stays exact — this is
-        # shuffle_merge's left-align mask, applied right-aligned
-        le = eff.view(np.uint64) if eff.dtype == np.int64 \
-            else eff.astype(np.uint64)
-        values = values & ((np.uint64(1) << le) - np.uint64(1))
-    words, bits = _scatter_pack(values, eff, n_chunks, cpc, W)
+    words, bits = _scatter_narrow(values, eff, n_chunks, cpc, W)
     return _result(words, bits, broken, cell_lengths, tuning)
 
 
@@ -555,8 +313,7 @@ def scan_pack(
     Bit-for-bit equal to ``shuffle_merge(zeroed(reduce_merge(codes,
     lengths, r, W)), 2^(M-r), W)`` for any input the iterative pair
     accepts — the reduce below reuses the reference's exact update rule,
-    including its uint64-overflow zeroing, rather than the packed-word
-    trick (which assumes codebook-clean inputs).
+    including its uint64-overflow zeroing.
     """
     codes = np.asarray(codes, dtype=np.uint64)
     lens = np.asarray(lengths, dtype=np.int64)
@@ -582,30 +339,23 @@ def scan_pack(
     if v is codes:  # r == 0: never hand the caller's buffer to _finish
         v = codes.copy()
         l = lens.copy()
-    return _finish(v, l, tuning, packed=False)
+    return _finish(v, l, tuning)
 
 
 def scan_pack_symbols(
     data: np.ndarray,
     book: CanonicalCodebook,
     tuning: EncoderTuning,
-    pair_packed: np.ndarray | None = None,
 ) -> ScanPackResult:
     """Scan-pack straight from symbols.
 
     ``data.size`` must be a multiple of ``tuning.chunk_symbols`` (the
     encoder handles the tail separately).  Runs the compiled pass when
-    :func:`native_route` allows, else the NumPy path with the reason
-    counted in ``repro_encode_native_fallback_total`` and returned as
-    ``fallback``; both produce identical ``words``, ``bits``,
-    ``broken`` and ``cell_lengths``.  The compiled pass raises
+    :func:`native_route` allows, else ``book.lookup`` → :func:`scan_pack`
+    with the reason counted in ``repro_encode_native_fallback_total``
+    and returned as ``fallback``; both produce identical ``words``,
+    ``bits``, ``broken`` and ``cell_lengths``.  The compiled pass raises
     ``IndexError`` for an out-of-range symbol before gathering it.
-
-    ``pair_packed`` (NumPy path only) optionally re-uses the packed
-    pairs a prior :func:`packed_pair_stats` call already gathered for (a
-    superset of) ``data`` — the first ``data.size // 2`` entries must be
-    the packed merges of ``data``'s symbol pairs.  ``chunk_symbols`` is
-    even, so a whole-chunk prefix never splits a pair.
     """
     data = np.asarray(data)
     if data.size % tuning.chunk_symbols:
@@ -615,7 +365,8 @@ def scan_pack_symbols(
         _metrics().counter(
             "repro_encode_native_fallback_total", reason=reason
         ).inc()
-        res = _scan_pack_symbols_numpy(data, book, tuning, pair_packed)
+        codes, lens = book.lookup(data)
+        res = scan_pack(codes, lens, tuning)
         res.fallback = reason
         return res
     table = packed_codeword_table(book)
@@ -629,73 +380,3 @@ def scan_pack_symbols(
             f"size {table.size}"
         )
     return _result(words, bits, broken, cell_lengths, tuning, "native")
-
-
-def _scan_pack_symbols_numpy(
-    data: np.ndarray,
-    book: CanonicalCodebook,
-    tuning: EncoderTuning,
-    pair_packed: np.ndarray | None,
-) -> ScanPackResult:
-    """The NumPy scan-pack: packed gather tables, packed reduce, then
-    :func:`_finish`.  Falls back to the generic path when the 16-bit
-    packed length field could overflow."""
-    if data.size == 0:
-        return _empty_result(tuning)
-    if not packed_tables_supported(book, tuning):
-        codes, lens = book.lookup(data)
-        return scan_pack(codes, lens.astype(np.int64), tuning)
-
-    r = tuning.reduction_factor
-    p = None
-    if r >= 1:
-        # fuse lookup with the first REDUCE iteration through a pair table
-        if pair_packed is not None:
-            p = pair_packed[: data.size // 2]
-        elif (
-            data.dtype == np.uint8
-            and book.n_symbols <= 256
-            and np.little_endian
-            and data.flags.c_contiguous
-        ):
-            p = _packed_pair_table_le(book)[data.view(np.uint16)]
-        else:
-            pair = packed_pair_table(book)
-            if pair is not None:
-                if (
-                    data.dtype == np.uint16
-                    and np.little_endian
-                    and data.flags.c_contiguous
-                ):
-                    # contiguous uint32 view: both symbols of a pair in
-                    # one load, index math in uint32 (fits: K^2 <= 2^21)
-                    u = data.view(np.uint32)
-                    idx = (u & np.uint32(0xFFFF)) \
-                        * np.uint32(book.n_symbols) + (u >> np.uint32(16))
-                else:
-                    idx = data[0::2].astype(np.int64)
-                    idx *= book.n_symbols
-                    idx += data[1::2]
-                p = pair[idx]
-        if p is not None:
-            r -= 1
-    if p is None:
-        p = packed_codeword_table(book)[data]
-
-    # when every possible cell length fits the shift budget the clamp is
-    # provably a no-op and each merge drops the np.minimum pass
-    unclamped = (
-        tuning.group_symbols * max(book.max_length, 1)
-        + PACK_LEN_BITS <= 63
-    )
-    for _ in range(r):
-        p2 = p.reshape(-1, 2)
-        if unclamped:
-            b = p2[:, 1]
-            p = (
-                (p2[:, 0] >> _LEN_SHIFT) << ((b & _LEN_MASK) + _LEN_SHIFT)
-            ) + b + (p2[:, 0] & _LEN_MASK)
-        else:
-            p = _packed_merge(p2[:, 0], p2[:, 1])
-    cell_lengths = (p & _LEN_MASK).astype(np.int64)
-    return _finish(p, cell_lengths, tuning, packed=True)

@@ -5,9 +5,8 @@ canonize → reduce-shuffle-merge.  When the codebook is *known up
 front* — registered in :mod:`repro.codebooks` and referenced by content
 digest — the first three stages vanish and the whole encode collapses
 to the one fused scan-pack stage (cf. the single-stage encoder for ML
-compression workloads in PAPERS.md): a pair-table gather that yields
-the exact average bitwidth *and* the packed first-REDUCE operands,
-followed by the exclusive scan + bit scatter.
+compression workloads in PAPERS.md): a length-sum pass for the exact
+average bitwidth, then the scan-pack itself.
 
 Two properties are load-bearing:
 
@@ -30,12 +29,12 @@ import numpy as np
 from repro.core.encoder import (
     GpuEncodeResult,
     _gpu_encode_scan_body,
-    _symbol_stats,
+    _record_encode,
+    _scan_symbol_stats,
 )
 from repro.core.tuning import DEFAULT_MAGNITUDE, EncoderTuning
 from repro.cuda.device import DeviceSpec, V100
 from repro.huffman.codebook import CanonicalCodebook
-from repro.obs import metrics as _metrics
 from repro.obs import span as _span
 
 __all__ = ["single_stage_encode", "validate_coverage"]
@@ -99,29 +98,13 @@ def single_stage_encode(
     )
     with enc_span:
         with _span("encode.lookup", n_symbols=int(data.size)):
-            # the registered book's packed tables are already warm in
-            # the scan-pack digest cache, so this pass is the entire
+            # the registered book's packed codeword table is already warm
+            # in the scan-pack digest cache, so this pass is the entire
             # front half of the pipeline
-            avg_bits, pair_packed = _symbol_stats(data, book)
+            avg_bits = _scan_symbol_stats(data, book)
         result = _gpu_encode_scan_body(
             data, book, tuning, magnitude, reduction_factor, word_bits,
-            device, avg_bits, pair_packed,
+            device, avg_bits,
         )
-    enc_span.set_attr(
-        bytes_out=int(result.stream.payload_bytes),
-        avg_bits=round(avg_bits, 4),
-        breaking_fraction=result.breaking_fraction,
-        chunks=result.stream.n_chunks,
-    )
-    reg = _metrics()
-    reg.counter("repro_encode_symbols_total").inc(int(data.size))
-    reg.counter("repro_encode_bytes_in_total").inc(int(data.nbytes))
-    reg.counter("repro_encode_bytes_out_total").inc(
-        int(result.stream.payload_bytes)
-    )
-    if data.size:
-        reg.histogram(
-            "repro_encode_avg_bits",
-            buckets=(2, 4, 6, 8, 12, 16, 24, 32),
-        ).observe(avg_bits)
+    _record_encode(enc_span, data, result)
     return result

@@ -24,8 +24,9 @@ Both passes read the :class:`~repro.huffman.decoder.DecodeTable`'s own
 arrays: one gather from the packed root, and for a codeword longer than
 the root a descent through the subtables in a cold branch.
 
-Encode (:mod:`repro.core.scan_pack`; oracle the NumPy
-``scan_pack_symbols`` path):
+Encode (:mod:`repro.core.scan_pack`; oracle ``book.lookup`` followed
+by the generic NumPy :func:`~repro.core.scan_pack.scan_pack`, which is
+``scan_pack_symbols``'s path without this module):
 
 - ``symbol_bits_u*``: the encoder's stats step — total codeword bits
   over a symbol stream, or the index of the first symbol that is out of

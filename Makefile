@@ -23,14 +23,16 @@ unit:
 # the gap, batch and tiered decoder suites, the container fuzz, the
 # serve decode stress (the only leg where hostile bytes reach the lanes
 # through the public entry points), the scan-pack, process-pool,
-# single-stage and registered-codebook encode suites plus the
-# conformance smoke that way
+# single-stage, adaptive (its groups pack through the same scan-pack)
+# and registered-codebook encode suites plus the conformance smoke that
+# way
 test-no-native:
 	REPRO_DISABLE_NATIVE=1 $(PY) -m pytest -x -q \
 	        tests/test_gap_decoder.py tests/test_batch_decoder.py \
 	        tests/test_tiered_decode.py tests/test_serialization_fuzz.py \
 	        tests/test_decode_stress.py tests/test_scan_pack.py \
 	        tests/test_chunk_parallel_encode.py tests/test_single_stage.py \
+	        tests/test_adaptive.py tests/test_adaptive_serialization.py \
 	        tests/test_codebooks_registry.py
 	REPRO_DISABLE_NATIVE=1 $(MAKE) --no-print-directory conform-smoke
 

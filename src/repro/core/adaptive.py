@@ -9,23 +9,22 @@ merge cells overflow the 32-bit word and spill to the side channel).
 
 This extension decides ``r`` *per chunk* from the chunk's own average
 codeword bitwidth — a cheap classification pass over the per-chunk code
-lengths (one segmented reduction) — and then runs the ordinary
-reduce/shuffle kernels once per distinct ``r`` over the chunks that chose
-it.  Chunks keep their identity, so decoding remains chunk-parallel; the
-container stores one extra byte per chunk.
+lengths (one segmented reduction) — and then packs the chunks that
+chose each distinct ``r`` in one pass of the encoder's shared chunk
+packer (the compiled scan-pack when it loads).  Chunks keep their
+identity, so decoding remains chunk-parallel; the container stores one
+extra byte per chunk.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.breaking import BreakingStore, breaking_costs, extract_breaking
+from repro.core.breaking import breaking_costs
 from repro.core.bitstream import EncodedStream, decode_stream
-from repro.core.encoder import GpuEncodeResult, gpu_encode
-from repro.core.reduce_merge import reduce_merge
-from repro.core.shuffle_merge import shuffle_merge
+from repro.core.encoder import _pack_chunks, _symbol_lengths
 from repro.core.tuning import (
     DEFAULT_MAGNITUDE,
     EMPIRICAL_MAX_REDUCTION,
@@ -35,6 +34,7 @@ from repro.core.tuning import (
 from repro.cuda.costmodel import KernelCost
 from repro.cuda.device import DeviceSpec, V100
 from repro.huffman.codebook import CanonicalCodebook
+from repro.huffman.decoder import decode_batch
 from repro.utils.bits import pack_codewords
 
 __all__ = ["AdaptiveEncodeResult", "adaptive_encode", "adaptive_decode"]
@@ -109,31 +109,25 @@ def adaptive_encode(
     """Encode with a per-chunk reduction factor.
 
     Each full chunk's ``r`` comes from its own average codeword bitwidth
-    via the paper's rule (with the empirical cap); the reduce/shuffle
-    kernels then run once per distinct ``r`` over that group of chunks.
+    via the paper's rule (with the empirical cap); each group of chunks
+    sharing an ``r`` is then packed in one pass of the encoder's shared
+    chunk packer.
     """
     data = np.asarray(data)
-    codes, lens = book.lookup(data)
-    if data.size and int(lens.min()) == 0:
-        raise ValueError("input contains a symbol with no codeword")
-    lens = lens.astype(np.int64)
+    lens = _symbol_lengths(data, book).astype(np.int64)
     N = 1 << magnitude
     n_full = data.size // N
     n_main = n_full * N
     avg_bits = float(lens.sum() / data.size) if data.size else 0.0
 
     # -- per-chunk classification (one segmented reduction) ---------------
-    if n_full:
-        chunk_bits = lens[:n_main].reshape(n_full, N).sum(axis=1)
-        chunk_beta = chunk_bits / N
-        chunk_r = np.array(
-            [choose_reduction_factor(max(float(b), 1e-9), word_bits,
-                                     magnitude, max_r)
-             for b in chunk_beta],
-            dtype=np.uint8,
-        )
-    else:
-        chunk_r = np.zeros(0, dtype=np.uint8)
+    chunk_beta = lens[:n_main].reshape(n_full, N).sum(axis=1) / N
+    chunk_r = np.array(
+        [choose_reduction_factor(max(float(b), 1e-9), word_bits,
+                                 magnitude, max_r)
+         for b in chunk_beta],
+        dtype=np.uint8,
+    )
     classify_cost = KernelCost(
         name="enc.adaptive_classify",
         bytes_coalesced=float(lens[:n_main].nbytes + n_full * 16),
@@ -142,52 +136,43 @@ def adaptive_encode(
         meta={"chunks": n_full},
     )
 
-    # -- one reduce/shuffle pass per distinct r ---------------------------
+    # -- one chunk pack per distinct r -------------------------------------
     group_streams: dict[int, EncodedStream] = {}
     group_chunks: dict[int, np.ndarray] = {}
     costs: list[KernelCost] = [classify_cost]
-    main_codes = codes[:n_main].reshape(n_full, N) if n_full else codes[:0]
-    main_lens = lens[:n_main].reshape(n_full, N) if n_full else lens[:0]
+    chunks = data[:n_main].reshape(n_full, N)
     for r in sorted(set(chunk_r.tolist())):
         ids = np.flatnonzero(chunk_r == r)
-        tuning = EncoderTuning(magnitude, int(r), word_bits)
-        gcodes = main_codes[ids].reshape(-1)
-        glens = main_lens[ids].reshape(-1)
-
-        red = reduce_merge(gcodes, glens, int(r), word_bits)
-        breaking = extract_breaking(gcodes, glens, red.broken,
-                                    tuning.group_symbols)
-        vals = red.values.copy()
-        clens = red.lengths.copy()
-        vals[red.broken] = 0
-        clens[red.broken] = 0
-        shuf = shuffle_merge(vals, clens, tuning.cells_per_chunk, word_bits)
-        payload, offsets = shuf.payload()
-        group_streams[int(r)] = EncodedStream(
+        tuning = EncoderTuning(magnitude, r, word_bits)
+        n_group = ids.size * N
+        packed = _pack_chunks(chunks[ids].ravel(), book, tuning)
+        group_streams[r] = EncodedStream(
             tuning=tuning,
-            n_symbols=int(ids.size * N),
-            chunk_bits=shuf.bits,
-            payload=payload,
-            chunk_offsets=offsets,
-            breaking=breaking,
+            n_symbols=n_group,
+            chunk_bits=packed.chunk_bits,
+            payload=packed.payload,
+            chunk_offsets=packed.offsets,
+            breaking=packed.breaking,
         )
-        group_chunks[int(r)] = ids
+        group_chunks[r] = ids
         costs.append(KernelCost(
-            name=f"enc.reduce_shuffle_merge[r={int(r)}]",
-            bytes_coalesced=float(gcodes.size * data.dtype.itemsize
-                                  + payload.nbytes),
+            name=f"enc.reduce_shuffle_merge[r={r}]",
+            bytes_coalesced=float(n_group * data.dtype.itemsize
+                                  + packed.payload.nbytes),
             launches=1,
             compute_cycles=(
-                6.0 * gcodes.size
-                + 12.0 * gcodes.size * (1.0 - 0.5 ** int(r))
-                + 40.0 * shuf.moved_words
+                6.0 * n_group
+                + 12.0 * n_group * (1.0 - 0.5 ** r)
+                + 40.0 * packed.moved_words
             ),
-            meta={"r": int(r), "chunks": int(ids.size),
-                  "breaking_fraction": red.breaking_fraction},
+            meta={"r": r, "chunks": int(ids.size),
+                  "breaking_fraction": packed.breaking.breaking_fraction},
         ))
-        costs.extend(breaking_costs(breaking))
+        costs.extend(breaking_costs(packed.breaking))
 
-    tail_buf, tail_bits = pack_codewords(codes[n_main:], lens[n_main:])
+    tail_buf, tail_bits = pack_codewords(
+        book.codes[data[n_main:]], lens[n_main:]
+    )
     return AdaptiveEncodeResult(
         magnitude=magnitude,
         word_bits=word_bits,
@@ -209,16 +194,14 @@ def adaptive_decode(
     """Inverse of :func:`adaptive_encode`."""
     N = 1 << result.magnitude
     out = np.empty(result.n_symbols, dtype=np.int64)
+    chunks = out[: result.n_chunks * N].reshape(result.n_chunks, N)
     for r, stream in result.group_streams.items():
-        syms = decode_stream(stream, book)
-        ids = result.group_chunks[r]
-        chunks = syms.reshape(ids.size, N)
-        for j, cid in enumerate(ids):
-            out[cid * N: (cid + 1) * N] = chunks[j]
+        chunks[result.group_chunks[r]] = decode_stream(
+            stream, book
+        ).reshape(-1, N)
     if result.tail_symbols:
-        from repro.huffman.decoder import decode_canonical
-
-        out[result.n_chunks * N:] = decode_canonical(
-            result.tail_payload, result.tail_bits, book, result.tail_symbols
+        out[result.n_chunks * N:] = decode_batch(
+            result.tail_payload, result.tail_bits, book,
+            result.tail_symbols,
         )
     return out

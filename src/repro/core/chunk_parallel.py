@@ -2,9 +2,12 @@
 
 Chunks are independent by construction (every encoder stage is
 chunk-local — the property the paper exploits for SIMT parallelism), so
-the host encode shards perfectly across *processes*: each worker
-scan-packs a contiguous run of whole chunks and the parent concatenates
-the byte-aligned per-chunk payloads.  Because the shard boundary always
+the host encode shards perfectly across *processes*: each worker packs
+a contiguous run of whole chunks through the serial encoder's own
+``_pack_chunks``, and the parent concatenates the runs (byte-aligned
+chunk payloads, rebased breaking side channels) and finishes through
+its ``_finish_encode`` (tail, stream, modeled costs, counters).  The
+pool itself is only fork and merge.  Because the shard boundary always
 falls on a chunk boundary, the assembled
 :class:`~repro.core.bitstream.EncodedStream` is **bit-for-bit identical
 to the serial encode for any worker count** — the invariant the
@@ -35,23 +38,29 @@ the fork+pickle overhead, so inputs below ``PARALLEL_THRESHOLD_BYTES``
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.breaking import BreakingStore, merge_breaking_stores
-from repro.core.encoder import GpuEncodeResult, gpu_encode
-from repro.core.scan_pack import analytic_moved_words, scan_pack_symbols
+from repro.core.breaking import merge_breaking_stores
+from repro.core.encoder import (
+    GpuEncodeResult,
+    PackedChunks,
+    _finish_encode,
+    _pack_chunks,
+    _record_encode,
+    _resolve_tuning,
+    _scan_symbol_stats,
+    gpu_encode,
+)
+from repro.core.scan_pack import analytic_moved_words
 from repro.core.tuning import DEFAULT_MAGNITUDE, EncoderTuning
 from repro.cuda.device import DeviceSpec, V100
 from repro.huffman.codebook import CanonicalCodebook
 from repro.obs import metrics as _metrics
 from repro.obs import span as _span
-from repro.utils.bits import pack_codewords
 
 __all__ = [
     "PARALLEL_THRESHOLD_BYTES",
-    "ShardResult",
     "default_workers",
     "parallel_encode",
 ]
@@ -67,23 +76,12 @@ def default_workers() -> int:
     return max(1, min(4, os.cpu_count() or 1))
 
 
-@dataclass
-class ShardResult:
-    """One worker's slice of the stream: ``n_chunks`` whole chunks."""
-
-    payload: np.ndarray  # uint8, byte-aligned chunk slabs
-    chunk_bits: np.ndarray  # int64 per chunk
-    breaking: BreakingStore  # cell indices local to the shard
-    n_chunks: int
-    n_cells: int
-
-
-def _encode_shard(task) -> ShardResult:
-    """Worker body: map the shared block, scan-pack one chunk range.
+def _encode_shard(task) -> PackedChunks:
+    """Worker body: map the shared block, pack one chunk range.
 
     Runs in a forked process; tracer spans and metric counters emitted
     here land in the worker's private registries and are intentionally
-    discarded — the parent re-counts the merged totals so the serial and
+    discarded — the parent counts the merged totals so the serial and
     parallel paths report identical metrics.
     """
     from multiprocessing import shared_memory
@@ -95,23 +93,31 @@ def _encode_shard(task) -> ShardResult:
     try:
         block = np.ndarray((total,), dtype=np.dtype(dtype_str),
                            buffer=shm.buf)
-        shard = block[start:stop]
-        res = scan_pack_symbols(shard, book, tuning)
-        from repro.core.breaking import extract_breaking_symbols
-
-        breaking = extract_breaking_symbols(
-            shard, book, res.broken, tuning.group_symbols
-        )
-        payload, _offsets = res.merged.payload()
-        return ShardResult(
-            payload=payload,
-            chunk_bits=res.merged.bits,
-            breaking=breaking,
-            n_chunks=res.merged.n_chunks,
-            n_cells=res.n_cells,
-        )
+        return _pack_chunks(block[start:stop], book, tuning)
     finally:
         shm.close()
+
+
+def _merge_shards(
+    parts: list[PackedChunks], tuning: EncoderTuning
+) -> PackedChunks:
+    """The shards' chunk runs, concatenated in order into one run."""
+    chunk_bits = np.concatenate([p.chunk_bits for p in parts])
+    offsets = np.zeros(chunk_bits.size + 1, dtype=np.int64)
+    np.cumsum((chunk_bits + 7) // 8, out=offsets[1:])
+    return PackedChunks(
+        chunk_bits=chunk_bits,
+        payload=np.concatenate([p.payload for p in parts]),
+        offsets=offsets,
+        breaking=merge_breaking_stores(
+            [p.breaking for p in parts],
+            [p.breaking.n_cells for p in parts],
+            tuning.group_symbols,
+        ),
+        moved_words=analytic_moved_words(
+            chunk_bits.size, tuning.shuffle_factor
+        ),
+    )
 
 
 def _shard_bounds(n_full: int, workers: int) -> list[tuple[int, int]]:
@@ -181,13 +187,6 @@ def _parallel_encode_body(
     import multiprocessing
     from multiprocessing import shared_memory
 
-    from repro.core.bitstream import EncodedStream
-    from repro.core.encoder import (
-        _resolve_tuning,
-        _scan_symbol_stats,
-        _structural_costs,
-    )
-
     # global stats drive the (M, r) choice exactly like the serial path:
     # a per-shard average would pick shard-dependent tunings and break
     # worker-count independence of the bitstream
@@ -221,62 +220,8 @@ def _parallel_encode_body(
             shm.close()
             shm.unlink()
 
-        chunk_bits = np.concatenate([p.chunk_bits for p in parts])
-        payload = (
-            np.concatenate([p.payload for p in parts])
-            if any(p.payload.size for p in parts)
-            else np.empty(0, dtype=np.uint8)
+        result = _finish_encode(
+            data, book, tuning, _merge_shards(parts, tuning), avg_bits
         )
-        nbytes = (chunk_bits + 7) // 8
-        offsets = np.zeros(n_full + 1, dtype=np.int64)
-        np.cumsum(nbytes, out=offsets[1:])
-        breaking = merge_breaking_stores(
-            [p.breaking for p in parts],
-            [p.n_cells for p in parts],
-            tuning.group_symbols,
-        )
-        total_cells = int(sum(p.n_cells for p in parts))
-        frac = breaking.nnz / total_cells if total_cells else 0.0
-
-        tail_codes, tail_lens = book.lookup(data[n_main:])
-        tail_buf, tail_bits = pack_codewords(
-            tail_codes, tail_lens.astype(np.int64)
-        )
-
-        stream = EncodedStream(
-            tuning=tuning,
-            n_symbols=int(data.size),
-            chunk_bits=chunk_bits,
-            payload=payload,
-            chunk_offsets=offsets,
-            breaking=breaking,
-            tail_payload=tail_buf,
-            tail_bits=tail_bits,
-            tail_symbols=int(data.size - n_main),
-        )
-        costs = _structural_costs(
-            data, stream, tuning, n_full,
-            analytic_moved_words(n_full, tuning.shuffle_factor),
-            frac, breaking,
-        )
-        par_span.set_attr(bytes_out=int(stream.payload_bytes),
-                          breaking_fraction=frac)
-    reg = _metrics()
-    reg.counter("repro_encode_symbols_total").inc(int(data.size))
-    reg.counter("repro_encode_bytes_in_total").inc(int(data.nbytes))
-    reg.counter("repro_encode_bytes_out_total").inc(
-        int(stream.payload_bytes)
-    )
-    if data.size:
-        reg.histogram(
-            "repro_encode_avg_bits",
-            buckets=(2, 4, 6, 8, 12, 16, 24, 32),
-        ).observe(avg_bits)
-    return GpuEncodeResult(
-        stream=stream,
-        costs=costs,
-        tuning=tuning,
-        avg_bits=avg_bits,
-        breaking_fraction=frac,
-        input_bytes=int(data.nbytes),
-    )
+    _record_encode(par_span, data, result)
+    return result

@@ -12,6 +12,11 @@ interface ``ReduceShuffleMerge<M, r>(in, out, metadata)``:
 5. a per-chunk code-length prefix sum and the final coalescing copy that
    packs chunk streams contiguously (the last two kernels of Table I).
 
+Every host encoder packs its whole chunks through :func:`_pack_chunks`
+(steps 1-4 plus the coalescing copy, as one scan-pack pass or as the
+iterative kernels), and all but the adaptive one finish through
+:func:`_finish_encode` (tail, stream, costs).
+
 The returned :class:`GpuEncodeResult` carries the decodable
 :class:`~repro.core.bitstream.EncodedStream` plus the structural kernel
 costs.  Cost constants below are the calibrated per-operation cycle
@@ -29,7 +34,6 @@ from repro.core.bitstream import EncodedStream
 from repro.core.breaking import (
     BreakingStore,
     breaking_costs,
-    extract_breaking,
     extract_breaking_symbols,
 )
 from repro.core.reduce_merge import reduce_merge
@@ -137,20 +141,12 @@ def _symbol_lengths(
 ) -> np.ndarray:
     """Per-symbol codeword lengths, or the error a bad symbol earns.
 
-    The one NumPy symbol check every encode path shares.  It is
-    ``book.lookup``'s length gather, so an out-of-range symbol raises
-    lookup's ``IndexError`` verbatim, with one difference: a negative
-    symbol raises that ``IndexError`` too instead of wrapping around to
-    the end of the alphabet.  A symbol without a codeword raises
-    ``ValueError``.
+    The one NumPy symbol check the encode paths share.  It is
+    ``book.lookup``'s length gather with lookup's own negative-symbol
+    check, so an out-of-range symbol raises the same ``IndexError``
+    either way.  A symbol without a codeword raises ``ValueError``.
     """
-    if data.size and data.dtype.kind == "i":
-        lo = int(data.min())
-        if lo < 0:
-            raise IndexError(
-                f"index {lo} is out of bounds for axis 0 with size "
-                f"{book.n_symbols}"
-            )
+    book.reject_negative(data)
     lens = book.lengths[data]
     if data.size and int(lens.min()) == 0:
         bad = int(data[int(np.argmin(lens))])
@@ -228,8 +224,8 @@ def gpu_encode(
       passes of :mod:`repro.native` when that module loads, else their
       NumPy oracle, with the reason on the ``encode.scan_pack`` span.
 
-    Both paths check symbols through :func:`_symbol_lengths`, so a bad
-    symbol raises the same error whichever runs.
+    Both run the same stats pass, so a bad symbol raises the same error
+    whichever runs.
     """
     if impl not in ENCODE_IMPLS:
         raise ValueError(f"impl must be one of {ENCODE_IMPLS}, got {impl!r}")
@@ -238,22 +234,12 @@ def gpu_encode(
                      bytes_in=int(data.nbytes), device=device.name,
                      impl=impl)
     with enc_span:
-        if impl == "scan":
-            with _span("encode.lookup", n_symbols=int(data.size)):
-                avg_bits = _scan_symbol_stats(data, book)
-            result = _gpu_encode_scan_body(
-                data, book, tuning, magnitude, reduction_factor, word_bits,
-                device, avg_bits,
-            )
-        else:
-            with _span("encode.lookup", n_symbols=int(data.size)):
-                lens = _symbol_lengths(data, book).astype(np.int64)
-                codes = book.codes[data]
-            avg_bits = int(lens.sum()) / data.size if data.size else 0.0
-            result = _gpu_encode_body(
-                data, book, tuning, magnitude, reduction_factor, word_bits,
-                device, codes, lens, avg_bits,
-            )
+        with _span("encode.lookup", n_symbols=int(data.size)):
+            avg_bits = _scan_symbol_stats(data, book)
+        result = _encode_body(
+            data, book, tuning, magnitude, reduction_factor, word_bits,
+            avg_bits, impl,
+        )
     _record_encode(enc_span, data, result)
     return result
 
@@ -288,10 +274,10 @@ def _structural_costs(
 ) -> list[KernelCost]:
     """Modeled kernel costs from structural counts only.
 
-    Shared by the iterative and scan-pack bodies: every input here
-    (sizes, launch geometry, moved words, breaking fraction) is provably
-    equal between the two implementations, so the modeled Table II/V
-    numbers cannot drift with the host execution strategy.
+    Every input here (sizes, launch geometry, moved words, breaking
+    fraction) is provably equal between the scan and iterative packs,
+    so the modeled Table II/V numbers cannot drift with the host
+    execution strategy.
     """
     r = tuning.reduction_factor
     s = tuning.shuffle_factor
@@ -338,68 +324,114 @@ def _structural_costs(
     return [fused, *breaking_costs(breaking), blockwise, coalesce]
 
 
-def _gpu_encode_scan_body(
-    data: np.ndarray,
+@dataclass
+class PackedChunks:
+    """Whole chunks packed into the dense stream, before the tail."""
+
+    chunk_bits: np.ndarray  # int64 dense bits per chunk
+    payload: np.ndarray  # uint8, byte-aligned chunk slabs
+    offsets: np.ndarray  # int64 byte offset per chunk, len = chunks + 1
+    breaking: BreakingStore  # the broken cells' side channel
+    moved_words: int  # SHUFFLE word moves the fused kernel is charged
+
+    @property
+    def n_chunks(self) -> int:
+        return int(self.chunk_bits.size)
+
+
+def _pack_chunks(
+    main: np.ndarray,
     book: CanonicalCodebook,
-    tuning: EncoderTuning | None,
-    magnitude: int,
-    reduction_factor: int | None,
-    word_bits: int,
-    device: DeviceSpec,
-    avg_bits: float,
-) -> "GpuEncodeResult":
-    """Scan-pack encode body: one fused gather/reduce/scatter pass."""
-    tuning = _resolve_tuning(
-        tuning, magnitude, reduction_factor, word_bits, avg_bits
-    )
-    N = tuning.chunk_symbols
-    n_full = data.size // N
-    n_main = n_full * N
-    main = data[:n_main]
+    tuning: EncoderTuning,
+    impl: str = "scan",
+) -> PackedChunks:
+    """Pack whole chunks (``main.size`` a multiple of the chunk size).
 
-    # -- fused lookup + reduce + exclusive scan + bit scatter ---------------
-    with _span("encode.scan_pack", r=tuning.reduction_factor,
-               s=tuning.shuffle_factor, chunks=n_full) as scan_span:
-        res = scan_pack_symbols(main, book, tuning)
-    scan_span.set_attr(moved_words=res.merged.moved_words,
-                       cells=res.n_cells, impl=res.impl)
-    if res.fallback is not None:
-        scan_span.set_attr(fallback=res.fallback)
-    frac = res.breaking_fraction
+    The merge runs as one :func:`scan_pack_symbols` pass (``"scan"``) or
+    as the paper's ``r`` REDUCE then ``s`` SHUFFLE iterations
+    (``"iterative"``); both give the same words and bits.  Then the
+    broken cells are backtraced into the side channel and the chunk
+    slabs coalesced.  Every host encoder packs through here.
+    """
+    n_chunks = main.size // tuning.chunk_symbols
+    if impl == "scan":
+        with _span("encode.scan_pack", r=tuning.reduction_factor,
+                   s=tuning.shuffle_factor, chunks=n_chunks) as scan_span:
+            res = scan_pack_symbols(main, book, tuning)
+        scan_span.set_attr(moved_words=res.merged.moved_words,
+                           cells=res.n_cells, impl=res.impl)
+        if res.fallback is not None:
+            scan_span.set_attr(fallback=res.fallback)
+        merged, broken = res.merged, res.broken
+    else:
+        with _span("encode.reduce_merge", r=tuning.reduction_factor,
+                   chunks=n_chunks):
+            codes, lens = book.lookup(main)
+            red = reduce_merge(codes, lens.astype(np.int64),
+                               tuning.reduction_factor, tuning.word_bits)
+        with _span("encode.shuffle_merge", s=tuning.shuffle_factor,
+                   chunks=n_chunks) as shuf_span:
+            if red.broken.any():
+                # zero broken cells *in place*: reduce_merge owns its
+                # output buffers, and the side channel below re-gathers
+                # the true bits from the symbols
+                red.values[red.broken] = 0
+                red.lengths[red.broken] = 0
+            merged = shuffle_merge(red.values, red.lengths,
+                                   tuning.cells_per_chunk, tuning.word_bits)
+        shuf_span.set_attr(moved_words=merged.moved_words)
+        broken = red.broken
 
-    # -- breaking backtrace + sparse save (symbol-side gather) --------------
+    # -- breaking backtrace + sparse save ----------------------------------
     with _span("encode.breaking") as brk_span:
         breaking = extract_breaking_symbols(
-            main, book, res.broken, tuning.group_symbols
+            main, book, broken, tuning.group_symbols
         )
-    brk_span.set_attr(nnz=breaking.nnz, fraction=frac)
+    brk_span.set_attr(nnz=breaking.nnz, fraction=breaking.breaking_fraction)
 
     # -- coalescing copy -----------------------------------------------------
     with _span("encode.coalesce") as co_span:
-        payload, offsets = res.merged.payload()
+        payload, offsets = merged.payload()
     co_span.set_attr(bytes_out=int(payload.nbytes))
+    return PackedChunks(
+        chunk_bits=merged.bits,
+        payload=payload,
+        offsets=offsets,
+        breaking=breaking,
+        moved_words=merged.moved_words,
+    )
 
-    # -- tail ---------------------------------------------------------------
+
+def _finish_encode(
+    data: np.ndarray,
+    book: CanonicalCodebook,
+    tuning: EncoderTuning,
+    packed: PackedChunks,
+    avg_bits: float,
+) -> GpuEncodeResult:
+    """Pack the tail after ``packed``'s chunks, then build the stream,
+    its structural costs and the result."""
+    n_main = packed.n_chunks * tuning.chunk_symbols
     with _span("encode.pack_tail", n_symbols=int(data.size - n_main)):
         tail_codes, tail_lens = book.lookup(data[n_main:])
         tail_buf, tail_bits = pack_codewords(
             tail_codes, tail_lens.astype(np.int64)
         )
-
     stream = EncodedStream(
         tuning=tuning,
         n_symbols=int(data.size),
-        chunk_bits=res.merged.bits,
-        payload=payload,
-        chunk_offsets=offsets,
-        breaking=breaking,
+        chunk_bits=packed.chunk_bits,
+        payload=packed.payload,
+        chunk_offsets=packed.offsets,
+        breaking=packed.breaking,
         tail_payload=tail_buf,
         tail_bits=tail_bits,
         tail_symbols=int(data.size - n_main),
     )
+    frac = packed.breaking.breaking_fraction
     costs = _structural_costs(
-        data, stream, tuning, n_full, res.merged.moved_words,
-        frac, breaking,
+        data, stream, tuning, packed.n_chunks, packed.moved_words,
+        frac, packed.breaking,
     )
     return GpuEncodeResult(
         stream=stream,
@@ -411,83 +443,20 @@ def _gpu_encode_scan_body(
     )
 
 
-def _gpu_encode_body(
+def _encode_body(
     data: np.ndarray,
     book: CanonicalCodebook,
     tuning: EncoderTuning | None,
     magnitude: int,
     reduction_factor: int | None,
     word_bits: int,
-    device: DeviceSpec,
-    codes: np.ndarray,
-    lens: np.ndarray,
     avg_bits: float,
-) -> "GpuEncodeResult":
+    impl: str = "scan",
+) -> GpuEncodeResult:
+    """Resolve the tuning, pack the whole chunks, finish the stream."""
     tuning = _resolve_tuning(
         tuning, magnitude, reduction_factor, word_bits, avg_bits
     )
-    N = tuning.chunk_symbols
-    r = tuning.reduction_factor
-    s = tuning.shuffle_factor
-    group = tuning.group_symbols
-
-    n_full = data.size // N
-    n_main = n_full * N
-    main_codes, main_lens = codes[:n_main], lens[:n_main]
-
-    # -- REDUCE-merge (+ fused lookup) ------------------------------------
-    with _span("encode.reduce_merge", r=r, chunks=n_full):
-        red = reduce_merge(main_codes, main_lens, r, tuning.word_bits)
-
-    # -- breaking backtrace + sparse save ----------------------------------
-    with _span("encode.breaking") as brk_span:
-        breaking = extract_breaking(main_codes, main_lens, red.broken, group)
-    brk_span.set_attr(nnz=breaking.nnz, fraction=red.breaking_fraction)
-
-    # -- SHUFFLE-merge ------------------------------------------------------
-    with _span("encode.shuffle_merge", s=s, chunks=n_full) as shuf_span:
-        if red.broken.any():
-            # zero broken cells *in place*: reduce_merge owns its output
-            # buffers (never aliases the caller's arrays), and the
-            # breaking side channel above has already captured the true
-            # bits — no need for two more full-size copies here
-            red.values[red.broken] = 0
-            red.lengths[red.broken] = 0
-        shuf = shuffle_merge(red.values, red.lengths,
-                             tuning.cells_per_chunk, tuning.word_bits)
-        shuf_span.set_attr(moved_words=shuf.moved_words)
-
-    # -- coalescing copy -----------------------------------------------------
-    with _span("encode.coalesce") as co_span:
-        payload, offsets = shuf.payload()
-    co_span.set_attr(bytes_out=int(payload.nbytes))
-
-    # -- tail ---------------------------------------------------------------
-    with _span("encode.pack_tail", n_symbols=int(data.size - n_main)):
-        tail_codes, tail_lens = codes[n_main:], lens[n_main:]
-        tail_buf, tail_bits = pack_codewords(tail_codes, tail_lens)
-
-    stream = EncodedStream(
-        tuning=tuning,
-        n_symbols=int(data.size),
-        chunk_bits=shuf.bits,
-        payload=payload,
-        chunk_offsets=offsets,
-        breaking=breaking,
-        tail_payload=tail_buf,
-        tail_bits=tail_bits,
-        tail_symbols=int(data.size - n_main),
-    )
-
-    costs = _structural_costs(
-        data, stream, tuning, n_full, shuf.moved_words,
-        red.breaking_fraction, breaking,
-    )
-    return GpuEncodeResult(
-        stream=stream,
-        costs=costs,
-        tuning=tuning,
-        avg_bits=avg_bits,
-        breaking_fraction=red.breaking_fraction,
-        input_bytes=int(data.nbytes),
-    )
+    n_main = data.size // tuning.chunk_symbols * tuning.chunk_symbols
+    packed = _pack_chunks(data[:n_main], book, tuning, impl)
+    return _finish_encode(data, book, tuning, packed, avg_bits)

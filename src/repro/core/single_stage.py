@@ -10,9 +10,10 @@ average bitwidth, then the scan-pack itself.
 
 Two properties are load-bearing:
 
-- **Bit identity.**  ``single_stage_encode`` reuses
-  ``_gpu_encode_scan_body`` verbatim, so its container is byte-for-byte
-  what :func:`repro.core.encoder.gpu_encode` produces for the same
+- **Bit identity.**  ``single_stage_encode`` runs the same stats pass
+  and encode body as the scan path (``_scan_symbol_stats`` then
+  ``_encode_body``), so its container is byte-for-byte what
+  :func:`repro.core.encoder.gpu_encode` produces for the same
   ``(data, book, tuning)`` — the conformance matrix pins this
   (``single_stage`` is enrolled as a canonical stream encoder).
 - **ValueError-only failures.**  A registered alphabet that cannot
@@ -28,7 +29,7 @@ import numpy as np
 
 from repro.core.encoder import (
     GpuEncodeResult,
-    _gpu_encode_scan_body,
+    _encode_body,
     _record_encode,
     _scan_symbol_stats,
 )
@@ -102,9 +103,9 @@ def single_stage_encode(
             # in the scan-pack digest cache, so this pass is the entire
             # front half of the pipeline
             avg_bits = _scan_symbol_stats(data, book)
-        result = _gpu_encode_scan_body(
+        result = _encode_body(
             data, book, tuning, magnitude, reduction_factor, word_bits,
-            device, avg_bits,
+            avg_bits,
         )
     _record_encode(enc_span, data, result)
     return result

@@ -25,10 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.bitstream import EncodedStream, decode_stream
-from repro.core.chunk_parallel import (
-    PARALLEL_THRESHOLD_BYTES,
-    parallel_encode,
-)
+from repro.core.chunk_parallel import parallel_encode
 from repro.core.codebook_parallel import parallel_codebook
 from repro.core.serialization import (
     deserialize_stream,
@@ -68,18 +65,10 @@ class StreamingEncoder:
         num_symbols: int,
         magnitude: int = DEFAULT_MAGNITUDE,
         device: DeviceSpec = V100,
-        parallel_workers: int | None = None,
-        parallel_threshold: int = PARALLEL_THRESHOLD_BYTES,
     ):
         self.num_symbols = int(num_symbols)
         self.magnitude = magnitude
         self.device = device
-        # blocks above the threshold shard whole chunks across worker
-        # processes (repro.core.chunk_parallel); the stream is
-        # bit-identical for every worker count, so this is purely a
-        # throughput knob for timestep-sized blocks
-        self.parallel_workers = parallel_workers
-        self.parallel_threshold = parallel_threshold
         self._hist = np.zeros(self.num_symbols, dtype=np.int64)
         self._book: CanonicalCodebook | None = None
         self._observed = 0
@@ -119,10 +108,11 @@ class StreamingEncoder:
         """Encode one block into a self-contained segment (pass 2)."""
         block = np.asarray(block)
         with _span("streaming.encode_block", bytes_in=int(block.nbytes)) as sp:
+            # blocks past the pool threshold shard whole chunks across
+            # worker processes; the stream is the serial one either way
             enc = parallel_encode(
                 block, self.codebook, magnitude=self.magnitude,
-                device=self.device, workers=self.parallel_workers,
-                threshold_bytes=self.parallel_threshold,
+                device=self.device,
             )
             seg = serialize_stream(enc.stream, self.codebook)
             sp.set_attr(bytes_out=len(seg))

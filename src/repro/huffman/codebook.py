@@ -120,9 +120,31 @@ class CanonicalCodebook:
                     return False
         return True
 
+    def reject_negative(self, symbols: np.ndarray) -> None:
+        """Raise ``IndexError`` if a signed ``symbols`` array holds a
+        negative symbol.
+
+        NumPy indexing would silently wrap it to the end of the
+        alphabet, so every forward lookup runs this first.  The message
+        is NumPy's own out-of-bounds one; unsigned arrays skip the
+        ``min()`` pass.
+        """
+        if symbols.size and symbols.dtype.kind == "i":
+            lo = int(symbols.min())
+            if lo < 0:
+                raise IndexError(
+                    f"index {lo} is out of bounds for axis 0 with size "
+                    f"{self.n_symbols}"
+                )
+
     def lookup(self, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized forward lookup: symbols → (codes, lengths)."""
+        """Vectorized forward lookup: symbols → (codes, lengths).
+
+        An out-of-range symbol, negative ones included, raises
+        ``IndexError``.
+        """
         symbols = np.asarray(symbols)
+        self.reject_negative(symbols)
         return self.codes[symbols], self.lengths[symbols]
 
 

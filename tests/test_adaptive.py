@@ -6,6 +6,8 @@ import pytest
 from repro.core.adaptive import adaptive_decode, adaptive_encode
 from repro.core.codebook_parallel import parallel_codebook
 from repro.core.encoder import gpu_encode
+from repro.core.serialization import serialize_stream
+from repro.core.tuning import EncoderTuning
 from repro.cuda.device import V100
 from repro.datasets.synthetic import probs_for_avg_bits, sample_symbols
 
@@ -79,11 +81,35 @@ class TestAdaptiveBehaviour:
         data = sample_symbols(probs_for_avg_bits(256, 5.2), 8192, rng)
         book = parallel_codebook(np.bincount(data, minlength=256)).codebook
         adaptive = adaptive_encode(data, book)
-        fixed = gpu_encode(data, book)
+        fixed = gpu_encode(data, book).stream
         (r,) = set(adaptive.chunk_r.tolist())
         assert r == fixed.tuning.reduction_factor
-        # identical dense payload sizes (same algorithm, same grouping)
-        assert adaptive.payload_bytes == fixed.stream.payload_bytes
+        # one group holding every chunk: the fixed encode's chunks exactly
+        group = adaptive.group_streams[r]
+        assert np.array_equal(adaptive.group_chunks[r],
+                              np.arange(fixed.n_chunks))
+        assert np.array_equal(group.chunk_bits, fixed.chunk_bits)
+        assert np.array_equal(group.payload, fixed.payload)
+        for name in ("cell_indices", "bit_lengths", "payload"):
+            assert np.array_equal(getattr(group.breaking, name),
+                                  getattr(fixed.breaking, name))
+
+    def test_groups_match_iterative_encode(self, mixed_data, mixed_book):
+        """Each r's group is the paper-shaped iterative encode of exactly
+        the chunks that chose it."""
+        res = adaptive_encode(mixed_data, mixed_book)
+        N = 1 << res.magnitude
+        chunks = mixed_data[: res.n_chunks * N].reshape(res.n_chunks, N)
+        assert len(res.group_streams) >= 2
+        for r, stream in res.group_streams.items():
+            ids = res.group_chunks[r]
+            want = gpu_encode(
+                chunks[ids].ravel(), mixed_book,
+                tuning=EncoderTuning(res.magnitude, r, res.word_bits),
+                impl="iterative",
+            ).stream
+            assert serialize_stream(stream, mixed_book) == \
+                serialize_stream(want, mixed_book)
 
     def test_costs_and_model(self, mixed_data, mixed_book):
         res = adaptive_encode(mixed_data, mixed_book)

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.cusz_encoder import cusz_coarse_encode
+from repro.baselines.prefix_sum_encoder import prefix_sum_encode
+from repro.core.adaptive import adaptive_encode
 from repro.core.bitstream import decode_stream
 from repro.core.codebook_parallel import parallel_codebook
 from repro.core.encoder import gpu_encode
 from repro.core.tuning import EncoderTuning
 from repro.cuda.device import RTX5000, V100
+from repro.huffman.cpu_mp import cpu_mp_encode
+from repro.huffman.cpu_mt import cpu_mt_encode
 from repro.huffman.serial import serial_encode
 from repro.utils.bits import unpack_to_bits
 
@@ -109,6 +114,24 @@ class TestEncoderErrors:
         book = parallel_codebook(np.array([1, 1, 0, 0])).codebook
         with pytest.raises(ValueError, match="no codeword"):
             gpu_encode(np.array([3]), book)
+
+    @pytest.mark.parametrize("encode", [
+        serial_encode,
+        lambda d, b: cpu_mt_encode(d, b, threads=2),
+        lambda d, b: cpu_mp_encode(d, b, workers=1),
+        lambda d, b: cusz_coarse_encode(d, b, chunk_symbols=16),
+        prefix_sum_encode,
+        lambda d, b: adaptive_encode(d, b, magnitude=4),
+    ], ids=["serial", "cpu_mt", "cpu_mp", "cusz_coarse", "prefix_sum",
+            "adaptive"])
+    def test_negative_symbol_raises(self, encode):
+        """NumPy indexing would wrap -1 to the last symbol and encode it."""
+        book = parallel_codebook(np.array([50, 30, 20, 10])).codebook
+        data = np.arange(64, dtype=np.int64) % 4
+        data[5] = -1
+        with pytest.raises(IndexError, match=(
+                "index -1 is out of bounds for axis 0 with size 4")):
+            encode(data, book)
 
     def test_invalid_tuning(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ PY := PYTHONPATH=src python
 TRACE_DIR := /tmp/repro-trace-smoke
 
 .PHONY: test unit trace-smoke serve-smoke obs-smoke bench-smoke bench \
-        conform-smoke conform codebooks-smoke test-no-native
+        conform-smoke conform codebooks-smoke test-no-native native-asan
 
 # tier-1 verification (ROADMAP.md): unit suite + telemetry smoke +
 # serving smoke + observability smoke + codebook-registry smoke +
@@ -18,14 +18,14 @@ unit:
 	$(PY) -m pytest -x -q
 
 # hosts without a C compiler: with the compiled module (repro.native)
-# switched off, every decode goes through the lane decoder and every
-# encode through the NumPy scan-pack (book.lookup -> scan_pack) — run
-# the gap, batch and tiered decoder suites, the container fuzz, the
-# serve decode stress (the only leg where hostile bytes reach the lanes
-# through the public entry points), the scan-pack, process-pool,
-# single-stage, adaptive (its groups pack through the same scan-pack)
-# and registered-codebook encode suites plus the conformance smoke that
-# way
+# switched off, every decode goes through the lane decoder (then
+# assemble) and every encode through the NumPy scan-pack
+# (book.lookup -> scan_pack) — run the chunk-lane, batch and tiered
+# decoder suites, the container fuzz, the serve decode stress (the only
+# leg where hostile bytes reach the lanes through the public entry
+# points), the scan-pack, process-pool, single-stage, adaptive (its
+# groups pack through the same scan-pack) and registered-codebook
+# encode suites plus the conformance smoke that way
 test-no-native:
 	REPRO_DISABLE_NATIVE=1 $(PY) -m pytest -x -q \
 	        tests/test_gap_decoder.py tests/test_batch_decoder.py \
@@ -35,6 +35,26 @@ test-no-native:
 	        tests/test_adaptive.py tests/test_adaptive_serialization.py \
 	        tests/test_codebooks_registry.py
 	REPRO_DISABLE_NATIVE=1 $(MAKE) --no-print-directory conform-smoke
+
+# memory-safety leg for the native module (tier 2): REPRO_NATIVE_SANITIZE=1
+# rebuilds it with AddressSanitizer + UBSan under its own cache digest.
+# Python itself is not instrumented, so libasan/libubsan are preloaded
+# and leak checking is off.  Runs the chunk-decode property and hostile
+# tests, the container fuzz and the C-vs-NumPy scan-pack tests, then the
+# conformance fuzz (170 rounds x 6 ops = 1020 mutants per container on
+# the text and DNA corpora, each decoded in full) and the golden check.
+# The last line is the leg's negative self-test: a raw pass call whose
+# n_out exceeds its output array MUST abort under ASan (hence the `!`)
+ASAN_RUN := REPRO_NATIVE_SANITIZE=1 ASAN_OPTIONS=detect_leaks=0 \
+        LD_PRELOAD="$$(gcc -print-file-name=libasan.so) $$(gcc -print-file-name=libubsan.so)"
+native-asan:
+	$(ASAN_RUN) $(PY) -m pytest -x -q tests/test_gap_decoder.py \
+	        tests/test_chunk_decode_pass.py tests/test_serialization_fuzz.py \
+	        tests/test_scan_pack.py
+	$(ASAN_RUN) $(PY) -m repro.conform.cli --corpora enwik8,genomics \
+	        --fuzz-rounds 170 --out /tmp/CONFORMANCE.asan.json
+	! $(ASAN_RUN) $(PY) tests/asan_negative_probe.py \
+	        2> /tmp/native-asan.negative.log
 
 # serving smoke: boot an ephemeral repro-serve, fire a mixed burst
 # (including a malformed body and an oversized payload), assert the
@@ -83,9 +103,9 @@ conform:
 # wall-clock smoke (benchmarks/test_wallclock.py): asserts the >=20x
 # batch-vs-scalar decode bar on the enwik surrogate, gates the scan-pack
 # encoder (byte-identical container AND no slower than the iterative
-# reference), the gap-array decoder (bit-identical to the lane decoder,
-# and >=3x faster on both surrogates when the compiled kernel is
-# available), the serve and codebook-registry round trips and the
+# reference), the native chunk-lane decoder (bit-identical to the lane
+# decoder, and >=3x faster on both surrogates when the compiled kernel
+# is available), the serve and codebook-registry round trips and the
 # deep-book decode tables, then appends the run to
 # benchmarks/results/BENCH_history.jsonl and gates it against the
 # rolling baseline (non-zero exit on regression).

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.adaptive import adaptive_decode, adaptive_encode
-from repro.core.bitstream import decode_stream
+from repro.core.bitstream import decode_stream, symbol_dtype
 from repro.core.chunk_parallel import parallel_encode
 from repro.core.codebook_parallel import parallel_codebook
 from repro.core.serialization import (
@@ -225,22 +225,24 @@ def decompress_symbols(buf: bytes, book=None) -> np.ndarray:
     with _span("app.decompress_symbols", bytes_in=len(buf),
                registry_hit=book is not None) as sp:
         itemsize, n = struct.unpack("<BQ", buf[4:13])
-        body = buf[13:]
-        if body[:4] == b"RPRA":
-            result, book = deserialize_adaptive(body)
-            if result.n_symbols != n:
-                raise ValueError("symbol count mismatch in container")
-            out = adaptive_decode(result, book)
-        else:
-            stream, book = deserialize_stream(body, book=book)
-            if stream.n_symbols != n:
-                raise ValueError("symbol count mismatch in container")
-            out = decode_stream(stream, book)
         dtype = {1: np.uint8, 2: np.uint16, 4: np.uint32,
                  8: np.uint64}.get(itemsize)
         if dtype is None:
             raise ValueError(f"invalid itemsize {itemsize} in container")
-        out = out.astype(dtype)
+        body = buf[13:]
+        # both paths reject a book whose symbols the itemsize cannot
+        # hold before decoding (a flipped itemsize byte)
+        if body[:4] == b"RPRA":
+            result, book = deserialize_adaptive(body)
+            if result.n_symbols != n:
+                raise ValueError("symbol count mismatch in container")
+            dtype = symbol_dtype(book, dtype)
+            out = adaptive_decode(result, book).astype(dtype)
+        else:
+            stream, book = deserialize_stream(body, book=book)
+            if stream.n_symbols != n:
+                raise ValueError("symbol count mismatch in container")
+            out = decode_stream(stream, book, dtype=dtype)
         sp.set_attr(bytes_out=int(out.nbytes))
     _metrics().counter("repro_app_bytes_out_total",
                        op="decompress_symbols").inc(int(out.nbytes))
@@ -326,7 +328,10 @@ def _decompress_field_body(buf: bytes) -> np.ndarray:
     pos += 8 * n_out
 
     stream, book = deserialize_stream(buf[pos:])
-    codes = decode_stream(stream, book).astype(np.int32)
+    # the code dtype compress_field encoded
+    codes = decode_stream(
+        stream, book, dtype=np.uint16 if n_bins <= 65536 else np.uint32
+    )
     qf = QuantizedField(
         codes=codes, first_value=first_value, error_bound=eb, n_bins=n_bins,
         shape=tuple(int(s) for s in shape),

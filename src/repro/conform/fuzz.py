@@ -12,15 +12,22 @@ samples and applies seeded byte-level mutations — truncation, bit
 flips, byte stomps, zeroed ranges, spliced (duplicated) ranges, junk
 prefixes — then checks the contract on every mutant.  Successful
 deserialization of a corrupted-but-still-valid buffer is *fine*: the
-contract is about exception type, not detection power.
+contract is about exception type, not detection power.  The
+``symbols`` target runs ``decompress_symbols`` in full, so every mutant
+that still parses reaches the decoder (the native chunk-decode pass
+where it loads) with hostile payload bits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.app.compressor import (
+    compress_symbols_registered,
+    decompress_symbols,
+)
 from repro.conform.corpora import Corpus
 from repro.core.adaptive import adaptive_encode
 from repro.core.encoder import gpu_encode
@@ -132,6 +139,10 @@ def _targets(sample, magnitude: int):
     out.append(
         ("adaptive", serialize_adaptive(ada, book), deserialize_adaptive)
     )
+    blob, _report = compress_symbols_registered(
+        sample.data, book, magnitude=magnitude
+    )
+    out.append(("symbols", blob, decompress_symbols))
     return out
 
 
@@ -151,13 +162,19 @@ def run_fuzz(
     rng = np.random.default_rng(seed)
     out: list[FuzzResult] = []
     for corpus in corpora:
-        # pick the largest sample under the cap: most container surface
+        # pick the largest sample under the cap: most container surface;
+        # a corpus of larger samples only (the dataset surrogates) gives
+        # the first cap symbols of its smallest
+        if not corpus.samples:
+            continue
         candidates = [
             s for s in corpus.samples if s.data.size <= max_sample_symbols
         ]
-        if not candidates:
-            continue
-        sample = max(candidates, key=lambda s: s.data.size)
+        if candidates:
+            sample = max(candidates, key=lambda s: s.data.size)
+        else:
+            small = min(corpus.samples, key=lambda s: s.data.size)
+            sample = replace(small, data=small.data[:max_sample_symbols])
         for name, blob, deserialize in _targets(sample, magnitude):
             res = FuzzResult(name, corpus.name, sample.name)
             for op in MUTATION_OPS:

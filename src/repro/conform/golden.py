@@ -7,11 +7,6 @@ into the repo:
 
 - ``<name>.rprh`` — the serialized reduce-shuffle container, compared
   byte-for-byte on every check;
-- ``<name>.gap.json`` — the gap-array side channel (per-subchunk sync
-  points at a pinned subchunk width) computed by the exact reference
-  walk over the container's lanes; the native gap kernel, where it
-  runs, must reproduce it entry-for-entry (absent for books outside gap
-  range);
 - ``manifest.json`` — per vector: SHA-256 of the container, of the dense
   serial bitstream, and of the decoded symbols; the codebook digest; and
   the full First/Entry/symbols-by-code reverse-codebook tables.
@@ -32,17 +27,11 @@ from pathlib import Path
 import numpy as np
 
 from repro.conform.corpora import wbit_codebook
-from repro.core.bitstream import decode_stream, stream_lanes
+from repro.core.bitstream import decode_stream
 from repro.core.codebook_parallel import parallel_codebook
 from repro.core.encoder import gpu_encode
 from repro.core.serialization import deserialize_stream, serialize_stream
-from repro.decoder.gap_array import (
-    GapArray,
-    gap_decode_lanes,
-    gap_supported,
-    reference_gap_array,
-)
-from repro.huffman.cache import cached_decode_table, codebook_digest
+from repro.huffman.cache import codebook_digest
 from repro.huffman.serial import serial_encode
 
 __all__ = [
@@ -54,10 +43,6 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 _GOLDEN_SEED = 0x6F1D  # never change: golden inputs are pinned forever
-
-#: pinned subchunk width of the golden gap-array side channel — small
-#: enough that every vector has real interior sync points
-GAP_SUBCHUNK_BITS = 256
 
 
 def default_golden_dir() -> Path:
@@ -128,17 +113,6 @@ def _materialize(name: str):
     blob = serialize_stream(stream, book)
     dense_buf, dense_bits = serial_encode(data, book)
     decoded = decode_stream(stream, book)
-    # gap-array side channel: the reference walk's sync points at the
-    # pinned width (None only for books the gap machinery cannot decode
-    # at all — deep books qualify through subtable descent, so the
-    # crafted W=32 vector carries a gap artifact too)
-    table = cached_decode_table(book)
-    gap_payload = None
-    if gap_supported(book, table)[0]:
-        buffer, starts, ends, _nsyms = stream_lanes(stream)
-        gap_payload = reference_gap_array(
-            buffer, starts, ends, book, GAP_SUBCHUNK_BITS, table
-        ).to_payload()
     entry = {
         "magnitude": magnitude,
         "reduction_factor": int(stream.tuning.reduction_factor),
@@ -151,20 +125,11 @@ def _materialize(name: str):
         "dense_sha256": _sha(dense_buf),
         "decoded_sha256": _sha(decoded.astype(np.int64)),
         "codebook_digest": codebook_digest(book),
-        "gap_subchunk_bits": (GAP_SUBCHUNK_BITS if gap_payload is not None
-                              else None),
-        "gap_sha256": (_sha(_gap_bytes(gap_payload))
-                       if gap_payload is not None else None),
         "first": [int(x) for x in book.first],
         "entry": [int(x) for x in book.entry],
         "symbols_by_code": [int(x) for x in book.symbols_by_code],
     }
-    return blob, entry, gap_payload
-
-
-def _gap_bytes(payload: dict) -> bytes:
-    """Canonical byte form of a gap payload (hashing + on-disk file)."""
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    return blob, entry
 
 
 def write_golden(golden_dir: Path | str | None = None) -> Path:
@@ -173,59 +138,13 @@ def write_golden(golden_dir: Path | str | None = None) -> Path:
     golden_dir.mkdir(parents=True, exist_ok=True)
     manifest = {}
     for name in sorted(GOLDEN_VECTORS):
-        blob, entry, gap_payload = _materialize(name)
+        blob, entry = _materialize(name)
         (golden_dir / f"{name}.rprh").write_bytes(blob)
-        gap_path = golden_dir / f"{name}.gap.json"
-        if gap_payload is not None:
-            gap_path.write_bytes(_gap_bytes(gap_payload))
-        elif gap_path.exists():
-            gap_path.unlink()
         manifest[name] = entry
     with open(golden_dir / MANIFEST_NAME, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return golden_dir
-
-
-def _check_gap(name, golden_dir, gap_payload, stream, book) -> list[str]:
-    """Golden gap side channel: stored file vs reference and kernel.
-
-    The ``.gap.json`` file must match the fresh reference walk
-    byte-for-byte, and the native gap kernel — when it runs on this host
-    and table — over the *stored* container's lanes must reproduce the
-    stored array entry-for-entry.  Books outside gap range must have no
-    gap artifact at all.
-    """
-    gap_path = golden_dir / f"{name}.gap.json"
-    if gap_payload is None:
-        if gap_path.exists():
-            return [f"{name}: {gap_path.name} present but book is "
-                    "outside gap-decoder range"]
-        return []
-    if not gap_path.exists():
-        return [f"{name}: missing {gap_path.name}"]
-    problems: list[str] = []
-    stored_bytes = gap_path.read_bytes()
-    if stored_bytes != _gap_bytes(gap_payload):
-        problems.append(
-            f"{name}: {gap_path.name} differs from the reference walk"
-        )
-    try:
-        stored = GapArray.from_payload(json.loads(stored_bytes))
-    except (ValueError, KeyError, TypeError) as exc:
-        return problems + [f"{name}: {gap_path.name} unreadable: {exc}"]
-    buffer, starts, ends, nsyms = stream_lanes(stream)
-    res = gap_decode_lanes(
-        buffer, starts, ends, nsyms, book, cached_decode_table(book),
-        subchunk_bits=GAP_SUBCHUNK_BITS,
-    )
-    # without the kernel the call decodes through decode_lanes and
-    # there is no kernel gap array to compare
-    if res.gap is not None and not res.gap.equal(stored):
-        problems.append(
-            f"{name}: native gap kernel does not reproduce {gap_path.name}"
-        )
-    return problems
 
 
 def check_golden(golden_dir: Path | str | None = None) -> list[str]:
@@ -248,7 +167,7 @@ def check_golden(golden_dir: Path | str | None = None) -> list[str]:
             problems.append(f"{name}: missing from manifest")
             continue
         want = manifest[name]
-        blob, got, gap_payload = _materialize(name)
+        blob, got = _materialize(name)
         for key in got:
             if got[key] != want.get(key):
                 problems.append(
@@ -274,8 +193,6 @@ def check_golden(golden_dir: Path | str | None = None) -> list[str]:
                 problems.append(
                     f"{name}: stored container decodes to different symbols"
                 )
-            problems.extend(_check_gap(name, golden_dir, gap_payload,
-                                       stream, book))
         except ValueError as exc:
             problems.append(f"{name}: stored container rejected: {exc}")
     extra = {

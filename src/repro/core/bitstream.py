@@ -13,10 +13,12 @@ with the reference packer into a tail section.
 Every chunk, every broken cell, and the tail become independent
 *lanes* over one shared byte buffer (:func:`stream_lanes`), decoded by
 :func:`repro.decoder.gap_array.gap_decode_lanes` — the one place that
-picks a decoder: the compiled gap kernel, or the vectorized lane
-decoder (:func:`repro.huffman.decoder.decode_lanes`) when the kernel
-is missing or the table is outside its range — and scattered back
-into stream order (:func:`assemble_stream_symbols`).
+picks a decoder.  The compiled pass stores each lane's symbols straight
+at their stream positions (:func:`stream_placement`) in the caller's
+dtype; the vectorized lane decoder
+(:func:`repro.huffman.decoder.decode_lanes`), which runs when the pass
+is missing or the table is outside its range, decodes lane-major and
+is scattered back into stream order (:func:`assemble_stream_symbols`).
 :func:`decode_stream_scalar` keeps the original per-chunk scalar
 reference path, which both are cross-checked against bit-for-bit.
 """
@@ -37,6 +39,7 @@ from repro.huffman.decoder import (
     decode_canonical,
     decode_lanes,
 )
+from repro.native import DECODE_DTYPES
 from repro.obs import span as _span
 
 __all__ = [
@@ -44,8 +47,10 @@ __all__ = [
     "decode_stream",
     "decode_stream_scalar",
     "stream_lanes",
+    "stream_placement",
     "decode_lanes",
     "assemble_stream_symbols",
+    "symbol_dtype",
 ]
 
 #: per-chunk metadata: dense bit length (uint32)
@@ -145,11 +150,7 @@ def stream_lanes(
     # count shrinks by `group` for every broken cell in the chunk
     chunk_starts = stream.chunk_offsets[:-1].astype(np.int64) * 8
     chunk_ends = chunk_starts + stream.chunk_bits.astype(np.int64)
-    bidx = brk.cell_indices.astype(np.int64)
-    broken_per_chunk = np.diff(
-        np.searchsorted(bidx, np.arange(n_chunks + 1, dtype=np.int64) * cpc)
-    )
-    chunk_syms = (cpc - broken_per_chunk) * group
+    chunk_syms = (cpc - np.diff(_first_broken(stream))) * group
 
     # broken-cell lanes: byte-aligned inside the breaking payload section
     brk_base = stream.payload.nbytes * 8
@@ -172,6 +173,60 @@ def stream_lanes(
         np.concatenate(ends),
         np.concatenate(nsyms),
     )
+
+
+def _first_broken(stream: EncodedStream) -> np.ndarray:
+    """Per chunk (plus one end entry), the index of its first broken
+    cell in ``breaking.cell_indices``."""
+    cpc = stream.tuning.cells_per_chunk
+    return np.searchsorted(
+        stream.breaking.cell_indices.astype(np.int64),
+        np.arange(stream.n_chunks + 1, dtype=np.int64) * cpc,
+    )
+
+
+def stream_placement(stream: EncodedStream):
+    """Stream-order placement of the lanes of :func:`stream_lanes`.
+
+    Chunk ``c`` stores from ``c * N`` on and jumps over its broken
+    cells (holes at ``cell * G``); broken-cell lane ``j`` fills its own
+    cell; the tail lands after the last full chunk.  Returns a
+    :class:`repro.decoder.gap_array.LanePlacement`.
+    """
+    # local import: gap_array builds on the huffman decode machinery
+    from repro.decoder.gap_array import LanePlacement
+
+    t = stream.tuning
+    N = t.chunk_symbols
+    cells = stream.breaking.cell_indices.astype(np.int64) * t.group_symbols
+    n_tail = 1 if stream.tail_symbols else 0
+    out_off = np.concatenate([
+        np.arange(stream.n_chunks, dtype=np.int64) * N,
+        cells,
+        np.full(n_tail, stream.n_chunks * N, dtype=np.int64),
+    ])
+    hole_base = np.concatenate([
+        _first_broken(stream),
+        np.full(cells.size + n_tail, cells.size, dtype=np.int64),
+    ])
+    return LanePlacement(out_off, hole_base, cells, t.group_symbols,
+                         stream.n_symbols)
+
+
+def symbol_dtype(book: CanonicalCodebook, dtype) -> np.dtype:
+    """``dtype`` as a NumPy dtype, after checking that it is one the
+    decoders write (int64, uint8/16/32/64) and holds the largest symbol
+    ``book`` has a codeword for: a decode into it then never narrows a
+    value."""
+    dtype = np.dtype(dtype)
+    if dtype not in DECODE_DTYPES:
+        raise ValueError(f"cannot decode into {dtype}")
+    coded = np.flatnonzero(book.lengths)
+    if coded.size and int(coded[-1]) > np.iinfo(dtype).max:
+        raise ValueError(
+            f"symbol {int(coded[-1])} does not fit the output dtype {dtype}"
+        )
+    return dtype
 
 
 def assemble_stream_symbols(
@@ -229,18 +284,24 @@ def decode_stream(
     stream: EncodedStream,
     book: CanonicalCodebook,
     table: DecodeTable | None = None,
+    *,
+    dtype=np.int64,
 ) -> np.ndarray:
     """Decode an :class:`EncodedStream` back to its symbol array.
 
     The lanes go through :func:`repro.decoder.gap_array.gap_decode_lanes`
-    at every size: the two-pass gap-array C kernel when it loads and the
-    table is complete, else ``decode_lanes``.  The ``decode.stream``
-    span records the choice as ``strategy`` (``"gap"`` or ``"batch"``)
-    and a fallback's reason as ``gap_fallback``.
+    at every size: the one-pass C kernel, which writes every symbol at
+    its stream position in ``dtype``, when it loads and the table is
+    complete, else ``decode_lanes`` followed by
+    :func:`assemble_stream_symbols`.  ``dtype`` (int64, or uint8/16/32/64)
+    must hold every coded symbol of ``book`` (:func:`symbol_dtype`).  The
+    ``decode.stream`` span records the choice as ``strategy`` (``"gap"``
+    or ``"batch"``) and a fallback's reason as ``gap_fallback``.
     """
     # local import: gap_array builds on the huffman decode machinery
     from repro.decoder import gap_array
 
+    dtype = symbol_dtype(book, dtype)
     with _span("decode.stream",
                bytes_in=int(stream.payload_bytes),
                n_symbols=int(stream.n_symbols),
@@ -252,13 +313,18 @@ def decode_stream(
             buffer, starts, ends, nsyms = stream_lanes(stream)
             lanes_span.set_attr(lanes=int(nsyms.size))
             res = gap_array.gap_decode_lanes(
-                buffer, starts, ends, nsyms, book, table
+                buffer, starts, ends, nsyms, book, table,
+                placement=stream_placement(stream), dtype=dtype,
             )
-        sp.set_attr(strategy="gap" if res.backend == "native" else "batch")
-        if res.fallback:
-            sp.set_attr(gap_fallback=res.fallback)
-        with _span("decode.assemble", broken=stream.breaking.nnz):
-            out = assemble_stream_symbols(stream, res.symbols)
+        if res.backend == "native":
+            sp.set_attr(strategy="gap")
+            out = res.symbols
+        else:
+            sp.set_attr(strategy="batch", gap_fallback=res.fallback)
+            with _span("decode.assemble", broken=stream.breaking.nnz):
+                out = assemble_stream_symbols(stream, res.symbols).astype(
+                    dtype, copy=False
+                )
         sp.set_attr(bytes_out=int(out.nbytes))
     return out
 

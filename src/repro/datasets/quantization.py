@@ -56,7 +56,9 @@ def synthetic_field(
 
 @dataclass
 class QuantizedField:
-    codes: np.ndarray  # int32 quantization codes, flattened
+    #: flattened quantization codes: int32 from lorenzo_quantize,
+    #: uint16/uint32 (by n_bins) from decompress_field
+    codes: np.ndarray
     first_value: float  # anchor for the prediction chain
     error_bound: float
     n_bins: int

@@ -8,7 +8,7 @@ First/Entry scheme inside each chunk.
 
 On the host the symbols come from
 :func:`repro.core.bitstream.decode_stream`, whose lanes (chunks, broken
-cells, tail) run through the gap-array decoder.  The structural cost
+cells, tail) run through the native chunk-lane pass.  The structural cost
 record — per-chunk serial decode work, reverse-codebook caching in
 shared memory — models the GPU-side throughput.
 """

@@ -12,9 +12,9 @@ precisely to enable treeless canonical decoding (§IV-B2).  We implement:
   symbol) instead of a Python loop per bit.  This is the host-side
   analogue of the paper's one-thread-per-chunk coarse decoder: the
   vectorization axis is the chunk lane;
-- :func:`decode_batch` — one dense bitstream through the gap-array
-  decoder (:mod:`repro.decoder.gap_array`), which falls back to
-  :func:`decode_lanes`;
+- :func:`decode_batch` — one dense bitstream as a single lane of the
+  chunk-lane decoder (:mod:`repro.decoder.gap_array`), which falls back
+  to :func:`decode_lanes`;
 - :func:`decode_with_tree` — independent slow decoder that walks the
   serial Huffman tree bit by bit, used to cross-check the canonical
   decoder itself.
@@ -100,8 +100,8 @@ class DecodeTable:
     root is the case with zero subtables.
 
     ``complete`` is True when every reachable index maps to a codeword
-    (no ``-256`` entries) — the precondition for the gap-array decoder,
-    whose only error source is then the final exhaustion check.
+    (no ``-256`` entries) — the precondition for the native chunk-decode
+    pass, whose only stream error is then running out of bits.
     """
 
     def __init__(
@@ -506,7 +506,7 @@ def decode_lanes(
         raise ValueError("bitstream exhausted before all symbols decoded")
     reg = _metrics()
     reg.counter("repro_decode_symbols_total", path="batch").inc(total_out)
-    reg.counter("repro_decode_lanes_total").inc(n_lanes)
+    reg.counter("repro_decode_lanes_total", path="batch").inc(n_lanes)
     if n_subgather:
         reg.counter(
             "repro_decode_subtable_gather_total", path="batch"
@@ -525,9 +525,8 @@ def decode_batch(
 
     Drop-in counterpart of :func:`decode_canonical`: the stream is one
     lane through :func:`repro.decoder.gap_array.gap_decode_lanes`, which
-    subchunks it so even one dense stream decodes with many parallel
-    lanes in the compiled kernel, and falls back to :func:`decode_lanes`
-    where the kernel cannot run.
+    decodes it in the compiled pass, or through :func:`decode_lanes`
+    where the pass cannot run.  Returns int64 symbols.
     """
     # local import: gap_array builds on this module
     from repro.decoder import gap_array

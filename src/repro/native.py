@@ -1,28 +1,28 @@
-"""The runtime-compiled C module: gap-array decode and scan-pack encode.
+"""The runtime-compiled C module: chunk-lane decode and scan-pack encode.
 
 One C source set, compiled once per process via :mod:`cffi` and the
-system C compiler and cached on disk under one digest of that source,
-holds every compiled kernel of the codec.  Each kernel has a NumPy
-counterpart that stays the oracle and the no-compiler path.
+system C compiler and cached on disk under one digest of that source
+and its compile flags, holds every compiled kernel of the codec.  Each
+kernel has a NumPy counterpart that stays the oracle and the
+no-compiler path.
 
-Decode (:mod:`repro.decoder.gap_array`; serial oracle
-:func:`repro.decoder.gap_array.reference_gap_array`, fallback
-``decode_lanes``).  The two passes mirror the paper's exactly:
+Decode (:mod:`repro.decoder.gap_array`; oracle
+:func:`repro.huffman.decoder.decode_lanes`, then
+:func:`repro.core.bitstream.assemble_stream_symbols`):
 
-- ``gap_sync_pass``: per-chunk codeword-length walk that records, at
-  every fixed-width subchunk boundary, the first codeword-aligned bit
-  offset at-or-after the boundary and the number of symbols emitted
-  before it — the *gap array*.  Chunks are independent, so eight are
-  interleaved per iteration to hide the decode-table load latency
-  (the serial bp → window → table → bp chain otherwise dominates).
-- ``gap_decode_pass``: lock-step decode of *all* subchunk lanes; every
-  lane owns a disjoint ``[out_off, out_end)`` output range computed
-  from the gap array, so lanes are order-independent.  Eight lanes are
-  interleaved per step — the host-side stand-in for a GPU warp.
-
-Both passes read the :class:`~repro.huffman.decoder.DecodeTable`'s own
-arrays: one gather from the packed root, and for a codeword longer than
-the root a descent through the subtables in a cold branch.
+- ``chunk_decode_{u8,u16,u32,i64}``: one interleaved walk over every
+  lane of a container — each chunk, each broken cell and the tail
+  starts at its own bit with its own symbol count — that stores each
+  symbol straight at its output index in the caller's dtype.  A lane
+  writes from its ``out_off`` on and jumps ``G`` slots at each of its
+  holes (a chunk's broken cells); every lane's placement is bounds
+  checked before it decodes, and a lane that runs out of bits stops the
+  pass.  Lanes go in blocks of eight, interleaved to hide the
+  decode-table load latency (the serial bp → window → table → bp chain
+  otherwise dominates).  It reads the
+  :class:`~repro.huffman.decoder.DecodeTable`'s own arrays: one gather
+  from the packed root, and for a codeword longer than the root a
+  descent through the subtables in a cold branch.
 
 Encode (:mod:`repro.core.scan_pack`; oracle ``book.lookup`` followed
 by the generic NumPy :func:`~repro.core.scan_pack.scan_pack`, which is
@@ -43,7 +43,8 @@ module degrades to ``kernel() -> None`` and every caller runs its NumPy
 path, recording why.  ``REPRO_DISABLE_NATIVE=1`` forces that
 degradation (the no-compiler test leg, ``make test-no-native``);
 ``REPRO_NATIVE_DIR`` overrides the cache directory (default
-``build/native/`` in a source checkout).
+``build/native/`` in a source checkout).  ``REPRO_NATIVE_SANITIZE=1``
+is a test build with AddressSanitizer and UBSan (``make native-asan``).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
+    "DECODE_DTYPES",
     "NativeKernel",
     "SYMBOL_DTYPES",
     "kernel",
@@ -69,17 +71,40 @@ __all__ = [
 
 #: symbol dtypes the scan-pack kernels take (one C variant each)
 SYMBOL_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32))
+#: output dtypes the chunk-decode pass writes (uint64 shares the int64
+#: variant: every decoded symbol is below 2^23)
+DECODE_DTYPES = SYMBOL_DTYPES + (np.dtype(np.int64), np.dtype(np.uint64))
+
+#: ``REPRO_NATIVE_SANITIZE=1`` builds with AddressSanitizer and UBSan
+#: (a test build: Python must preload libasan, see ``make native-asan``)
+_SANITIZE_FLAGS = ["-O1", "-g", "-fsanitize=address,undefined",
+                   "-fno-sanitize-recover=all"]
 
 _CDEF = r"""
-void gap_sync_pass(const uint8_t *buf, const int64_t *ch_start,
-    const int64_t *ch_end, const int64_t *lane_base, int64_t n_ch,
-    int64_t S, const int32_t *root, int k, const int32_t *sub,
-    const int64_t *node_base, const int32_t *node_bits, int64_t *gap_off,
-    int64_t *gap_cnt, int64_t *ch_n, int64_t *ch_endpos, int64_t *ch_sub);
-void gap_decode_pass(const uint8_t *buf, const int64_t *bit_off,
-    const int64_t *out_off, const int64_t *out_end, int64_t n_lanes,
-    const int32_t *root, int k, const int32_t *sub,
-    const int64_t *node_base, const int32_t *node_bits, int64_t *out);
+int64_t chunk_decode_u8(const uint8_t *buf, int64_t n_bits,
+    const int64_t *start, const int64_t *end, const int64_t *nsym,
+    int64_t n_lanes, const int64_t *out_off, const int64_t *hole_base,
+    const int64_t *holes, int64_t n_holes, int64_t G, const int32_t *root,
+    int k, const int32_t *sub, const int64_t *node_base,
+    const int32_t *node_bits, uint8_t *out, int64_t n_out, int64_t *n_sub);
+int64_t chunk_decode_u16(const uint8_t *buf, int64_t n_bits,
+    const int64_t *start, const int64_t *end, const int64_t *nsym,
+    int64_t n_lanes, const int64_t *out_off, const int64_t *hole_base,
+    const int64_t *holes, int64_t n_holes, int64_t G, const int32_t *root,
+    int k, const int32_t *sub, const int64_t *node_base,
+    const int32_t *node_bits, uint16_t *out, int64_t n_out, int64_t *n_sub);
+int64_t chunk_decode_u32(const uint8_t *buf, int64_t n_bits,
+    const int64_t *start, const int64_t *end, const int64_t *nsym,
+    int64_t n_lanes, const int64_t *out_off, const int64_t *hole_base,
+    const int64_t *holes, int64_t n_holes, int64_t G, const int32_t *root,
+    int k, const int32_t *sub, const int64_t *node_base,
+    const int32_t *node_bits, uint32_t *out, int64_t n_out, int64_t *n_sub);
+int64_t chunk_decode_i64(const uint8_t *buf, int64_t n_bits,
+    const int64_t *start, const int64_t *end, const int64_t *nsym,
+    int64_t n_lanes, const int64_t *out_off, const int64_t *hole_base,
+    const int64_t *holes, int64_t n_holes, int64_t G, const int32_t *root,
+    int k, const int32_t *sub, const int64_t *node_base,
+    const int32_t *node_bits, int64_t *out, int64_t n_out, int64_t *n_sub);
 int64_t symbol_bits_u8(const uint8_t *sym, int64_t n, const uint64_t *tab,
     int64_t K, int64_t *total);
 int64_t symbol_bits_u16(const uint16_t *sym, int64_t n, const uint64_t *tab,
@@ -127,109 +152,88 @@ static inline int32_t descend(const uint8_t *buf, int64_t q, int32_t ent,
     return ent;
 }
 
-/* Pass 1: gap-array discovery.  The caller pads buf by
- * 8 + ceil(max_length / 8) bytes past the last bit, which covers the
- * root window at any bp < end and every descent load below it. */
-void gap_sync_pass(const uint8_t *buf,
-                   const int64_t *ch_start, const int64_t *ch_end,
-                   const int64_t *lane_base, int64_t n_ch, int64_t S,
-                   const int32_t *root, int k, const int32_t *sub,
-                   const int64_t *node_base, const int32_t *node_bits,
-                   int64_t *gap_off, int64_t *gap_cnt,
-                   int64_t *ch_n, int64_t *ch_endpos, int64_t *ch_sub) {
-    const int sh0 = 64 - k;
-    const uint32_t mask = (1u << k) - 1;
-    enum { B = 8 };
-    for (int64_t cb = 0; cb < n_ch; cb += B) {
-        int nbk = (int)((n_ch - cb < B) ? (n_ch - cb) : B);
-        int64_t bp[B], end[B], cur[B], last[B], nb[B], n[B], nd[B];
-        for (int j = 0; j < nbk; j++) {
-            int64_t c = cb + j;
-            bp[j] = ch_start[c];
-            end[j] = ch_end[c];
-            cur[j] = lane_base[c];
-            last[j] = lane_base[c + 1];
-            nb[j] = ch_start[c] + S;
-            n[j] = 0;
-            nd[j] = 0;
-            gap_off[cur[j]] = bp[j];
-            gap_cnt[cur[j]] = 0;
-            cur[j]++;
-        }
-        int active = 1;
-        while (active) {
-            active = 0;
-            for (int j = 0; j < nbk; j++) {
-                if (bp[j] < end[j]) {
-                    active = 1;
-                    while (cur[j] < last[j] && bp[j] >= nb[j]) {
-                        gap_off[cur[j]] = bp[j];
-                        gap_cnt[cur[j]] = n[j];
-                        cur[j]++;
-                        nb[j] += S;
-                    }
-                    uint32_t w = (uint32_t)(load_be64(buf + (bp[j] >> 3))
-                                            >> (sh0 - (bp[j] & 7)));
-                    int32_t ent = root[w & mask];
-                    if (__builtin_expect(!(ent & 0xFF), 0))
-                        ent = descend(buf, bp[j] + k, ent, sub, node_base,
-                                      node_bits, &nd[j]);
-                    bp[j] += ent & 0xFF;
-                    n[j]++;
-                }
-            }
-        }
-        for (int j = 0; j < nbk; j++) {
-            /* boundaries at/past the chunk's last codeword: record the
-             * final chain position (== end on a well-formed stream) */
-            while (cur[j] < last[j]) {
-                gap_off[cur[j]] = bp[j];
-                gap_cnt[cur[j]] = n[j];
-                cur[j]++;
-            }
-            ch_n[cb + j] = n[j];
-            ch_endpos[cb + j] = bp[j];
-            ch_sub[cb + j] = nd[j];
-        }
-    }
-}
-
-/* Pass 2: lock-step decode of all subchunk lanes. */
-void gap_decode_pass(const uint8_t *buf,
-                     const int64_t *bit_off, const int64_t *out_off,
-                     const int64_t *out_end, int64_t n_lanes,
-                     const int32_t *root, int k, const int32_t *sub,
-                     const int64_t *node_base, const int32_t *node_bits,
-                     int64_t *out) {
-    const int sh0 = 64 - k;
-    const uint32_t mask = (1u << k) - 1;
-    enum { B = 8 };
-    int64_t nd = 0;  /* counted once, by the sync pass */
-    for (int64_t base = 0; base < n_lanes; base += B) {
-        int nb = (int)((n_lanes - base < B) ? (n_lanes - base) : B);
-        int64_t bp[B], oi[B], oe[B];
-        int64_t maxn = 0;
-        for (int j = 0; j < nb; j++) {
-            bp[j] = bit_off[base + j];
-            oi[j] = out_off[base + j];
-            oe[j] = out_end[base + j];
-            if (oe[j] - oi[j] > maxn) maxn = oe[j] - oi[j];
-        }
-        for (int64_t it = 0; it < maxn; it++) {
-            for (int j = 0; j < nb; j++) {
-                if (oi[j] < oe[j]) {
-                    uint32_t w = (uint32_t)(load_be64(buf + (bp[j] >> 3))
-                                            >> (sh0 - (bp[j] & 7)));
-                    int32_t ent = root[w & mask];
-                    if (__builtin_expect(!(ent & 0xFF), 0))
-                        ent = descend(buf, bp[j] + k, ent, sub, node_base,
-                                      node_bits, &nd);
-                    out[oi[j]++] = ent >> 8;
-                    bp[j] += ent & 0xFF;
-                }
-            }
-        }
-    }
+/* One interleaved walk over every decode lane: a chunk's dense stream,
+ * a broken cell's side-channel stream or the tail.  Lane i decodes
+ * nsym[i] codewords from bit start[i] and stores them from out[out_off[i]]
+ * on; before each store its cursor jumps G slots at each entry of its
+ * sorted holes[hole_base[i] .. hole_base[i + 1]] (a chunk's broken
+ * cells, which their own lanes fill).
+ *
+ * Before a lane decodes, its bits must lie in [0, n_bits), its hole
+ * range in holes[] and out_off + nsym + G * (its hole count) <= n_out:
+ * the cursor moves by one per store and by G per hole it passes, so
+ * every store and every hole read is then in bounds, whatever the
+ * stream bits.  A lane whose cursor reaches its end bit while it still
+ * owes symbols, or whose last codeword ends past it, stops the pass.
+ * Every codeword is at least one bit, so that is exactly the lane
+ * decoder's "cursor ends past the lane end".  Returns -1, or the first
+ * lane found out of bounds or exhausted (the output is then partial).
+ *
+ * The caller pads buf by 8 + ceil(max_length / 8) bytes past n_bits,
+ * which covers the root window at any bp < end and every descent load
+ * below it.  Lanes go in blocks of eight, interleaved symbol by symbol
+ * to hide the table-load latency of the serial bp -> window -> table
+ * -> bp chain (measured faster than refilling a finished lane's slot).
+ * *n_sub receives the subtable gathers. */
+#define CHUNK_DECODE(NAME, T)                                             \
+int64_t NAME(const uint8_t *buf, int64_t n_bits, const int64_t *start,    \
+             const int64_t *end, const int64_t *nsym, int64_t n_lanes,    \
+             const int64_t *out_off, const int64_t *hole_base,            \
+             const int64_t *holes, int64_t n_holes, int64_t G,            \
+             const int32_t *root, int k, const int32_t *sub,              \
+             const int64_t *node_base, const int32_t *node_bits,          \
+             T *out, int64_t n_out, int64_t *n_sub) {                     \
+    const int sh0 = 64 - k;                                               \
+    const uint32_t mask = (1u << k) - 1;                                  \
+    enum { B = 8 };                                                       \
+    int64_t nd = 0;                                                       \
+    for (int64_t cb = 0; cb < n_lanes; cb += B) {                         \
+        int nbk = (int)((n_lanes - cb < B) ? (n_lanes - cb) : B);         \
+        int64_t bp[B], e[B], ns[B], o[B], h[B], he[B], hole[B];          \
+        int64_t maxn = 0;                                                 \
+        for (int j = 0; j < nbk; j++) {                                   \
+            int64_t i = cb + j;                                           \
+            int64_t off = out_off[i];                                     \
+            int64_t h0 = hole_base[i], h1 = hole_base[i + 1];             \
+            ns[j] = nsym[i];                                              \
+            if (start[i] < 0 || start[i] > end[i] || end[i] > n_bits      \
+                || ns[j] < 0 || off < 0 || off > n_out                    \
+                || ns[j] > n_out - off || h0 < 0 || h0 > h1               \
+                || h1 > n_holes || G < 1                                  \
+                || h1 - h0 > (n_out - off - ns[j]) / G)                   \
+                return i;                                                 \
+            bp[j] = start[i];                                             \
+            e[j] = end[i];                                                \
+            o[j] = off;                                                   \
+            h[j] = h0;                                                    \
+            he[j] = h1;                                                   \
+            hole[j] = h0 < h1 ? holes[h0] : -1;                           \
+            if (ns[j] > maxn) maxn = ns[j];                               \
+        }                                                                 \
+        for (int64_t it = 0; it < maxn; it++) {                           \
+            for (int j = 0; j < nbk; j++) {                               \
+                if (it >= ns[j]) continue;                                \
+                if (__builtin_expect(bp[j] >= e[j], 0)) return cb + j;    \
+                uint32_t w = (uint32_t)(load_be64(buf + (bp[j] >> 3))     \
+                                        >> (sh0 - (bp[j] & 7)));          \
+                int32_t ent = root[w & mask];                             \
+                if (__builtin_expect(!(ent & 0xFF), 0))                   \
+                    ent = descend(buf, bp[j] + k, ent, sub, node_base,    \
+                                  node_bits, &nd);                        \
+                while (__builtin_expect(o[j] == hole[j], 0)) {            \
+                    o[j] += G;                                            \
+                    h[j]++;                                               \
+                    hole[j] = h[j] < he[j] ? holes[h[j]] : -1;            \
+                }                                                         \
+                out[o[j]++] = (T)(ent >> 8);                              \
+                bp[j] += ent & 0xFF;                                      \
+            }                                                             \
+        }                                                                 \
+        for (int j = 0; j < nbk; j++)                                     \
+            if (bp[j] > e[j]) return cb + j;                              \
+    }                                                                     \
+    *n_sub = nd;                                                          \
+    return -1;                                                            \
 }
 
 /* Encode.  tab is the book's packed gather table, entry
@@ -314,12 +318,23 @@ SYMBOL_BITS(symbol_bits_u32, uint32_t)
 SCAN_PACK(scan_pack_u8, uint8_t)
 SCAN_PACK(scan_pack_u16, uint16_t)
 SCAN_PACK(scan_pack_u32, uint32_t)
+CHUNK_DECODE(chunk_decode_u8, uint8_t)
+CHUNK_DECODE(chunk_decode_u16, uint16_t)
+CHUNK_DECODE(chunk_decode_u32, uint32_t)
+CHUNK_DECODE(chunk_decode_i64, int64_t)
 """
+
+
+def _compile_flags() -> list[str]:
+    if os.environ.get("REPRO_NATIVE_SANITIZE"):
+        return _SANITIZE_FLAGS
+    return ["-O2"]
 
 
 def _source_digest() -> str:
     return hashlib.blake2b(
-        (_CDEF + _CSRC).encode(), digest_size=8
+        (_CDEF + _CSRC + " ".join(_compile_flags())).encode(),
+        digest_size=8,
     ).hexdigest()
 
 
@@ -339,8 +354,8 @@ def _cache_dir() -> Path:
 class NativeKernel:
     """Thin numpy-array façade over the compiled passes.
 
-    Decode callers pass contiguous arrays of the declared dtypes; the
-    encode passes check their symbol stream and gather table here.
+    Every pass checks the layout of its arrays here; the decode pass
+    also bounds-checks each lane's placement itself.
     """
 
     def __init__(self, ffi, lib) -> None:
@@ -359,61 +374,58 @@ class NativeKernel:
             self._p("int32_t *", table.node_bits),
         )
 
-    def sync_pass(
+    def chunk_decode(
         self,
         padded_buf: np.ndarray,
-        ch_start: np.ndarray,
-        ch_end: np.ndarray,
-        lane_base: np.ndarray,
-        subchunk_bits: int,
-        table,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(gap_off, gap_cnt, ch_n, ch_endpos, ch_sub)``: the gap
-        array plus, per chunk, the codewords walked, the final chain
-        position and the subtable gathers taken."""
-        n_ch = ch_start.shape[0]
-        n_lanes = int(lane_base[-1])
-        gap_off = np.empty(n_lanes, np.int64)
-        gap_cnt = np.empty(n_lanes, np.int64)
-        ch_n = np.empty(n_ch, np.int64)
-        ch_endpos = np.empty(n_ch, np.int64)
-        ch_sub = np.empty(n_ch, np.int64)
-        self._lib.gap_sync_pass(
-            self._p("uint8_t *", padded_buf),
-            self._p("int64_t *", ch_start),
-            self._p("int64_t *", ch_end),
-            self._p("int64_t *", lane_base),
-            n_ch,
-            int(subchunk_bits),
-            *self._table_args(table),
-            self._p("int64_t *", gap_off),
-            self._p("int64_t *", gap_cnt),
-            self._p("int64_t *", ch_n),
-            self._p("int64_t *", ch_endpos),
-            self._p("int64_t *", ch_sub),
-        )
-        return gap_off, gap_cnt, ch_n, ch_endpos, ch_sub
-
-    def decode_pass(
-        self,
-        padded_buf: np.ndarray,
-        bit_off: np.ndarray,
+        n_bits: int,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        nsyms: np.ndarray,
         out_off: np.ndarray,
-        out_end: np.ndarray,
+        hole_base: np.ndarray,
+        holes: np.ndarray,
+        group: int,
         table,
-        n_out: int,
-    ) -> np.ndarray:
-        out = np.empty(int(n_out), np.int64)
-        self._lib.gap_decode_pass(
-            self._p("uint8_t *", padded_buf),
-            self._p("int64_t *", bit_off),
-            self._p("int64_t *", out_off),
-            self._p("int64_t *", out_end),
-            bit_off.shape[0],
-            *self._table_args(table),
-            self._p("int64_t *", out),
+        out: np.ndarray,
+    ) -> tuple[int, int]:
+        """Decode every lane into ``out`` (``n_out = out.size``): the
+        returned pair is ``-1`` or the first lane found out of bounds
+        or exhausted (``out`` is then partial), and the subtable
+        gathers taken."""
+        if not out.flags.c_contiguous or out.dtype not in DECODE_DTYPES:
+            raise ValueError("output must be contiguous uint8/16/32 or "
+                             "int64/uint64")
+        starts, ends, nsyms, out_off, hole_base, holes = (
+            np.ascontiguousarray(a, np.int64)
+            for a in (starts, ends, nsyms, out_off, hole_base, holes)
         )
-        return out
+        n = starts.shape[0]
+        if not (ends.shape == nsyms.shape == out_off.shape == (n,)
+                and hole_base.shape == (n + 1,) and holes.ndim == 1
+                and padded_buf.dtype == np.uint8
+                and padded_buf.flags.c_contiguous):
+            raise ValueError("lane and placement arrays disagree in shape")
+        suffix = {1: "u8", 2: "u16", 4: "u32", 8: "i64"}[out.itemsize]
+        ctype = "int64_t *" if out.itemsize == 8 else f"{out.dtype.name}_t *"
+        n_sub = self._ffi.new("int64_t *")
+        bad = getattr(self._lib, f"chunk_decode_{suffix}")(
+            self._p("uint8_t *", padded_buf),
+            int(n_bits),
+            self._p("int64_t *", starts),
+            self._p("int64_t *", ends),
+            self._p("int64_t *", nsyms),
+            n,
+            self._p("int64_t *", out_off),
+            self._p("int64_t *", hole_base),
+            self._p("int64_t *", holes),
+            holes.shape[0],
+            int(group),
+            *self._table_args(table),
+            self._p(ctype, out),
+            out.size,
+            n_sub,
+        )
+        return int(bad), int(n_sub[0])
 
     def _symbols(
         self, data: np.ndarray, table: np.ndarray
@@ -496,7 +508,11 @@ def _load_or_compile() -> NativeKernel:
         ffi = FFI()
         ffi.cdef(_CDEF)
         cdir.mkdir(parents=True, exist_ok=True)
-        ffi.set_source(modname, _CSRC, extra_compile_args=["-O2"])
+        flags = _compile_flags()
+        ffi.set_source(
+            modname, _CSRC, extra_compile_args=flags,
+            extra_link_args=[f for f in flags if f.startswith("-fsan")],
+        )
         sopath = Path(ffi.compile(tmpdir=str(cdir)))
     spec = importlib.util.spec_from_file_location(modname, sopath)
     if spec is None or spec.loader is None:

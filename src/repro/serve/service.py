@@ -513,11 +513,9 @@ class CompressionService:
             "subtable_gathers": int(
                 reg.total("repro_decode_subtable_gather_total")
             ),
-            "gap_subchunks": int(
-                reg.total("repro_decode_gap_subchunks_total")
-            ),
-            "gap_sync_points": int(
-                reg.total("repro_decode_gap_sync_points_total")
+            # lanes (chunks, broken cells, tails) the native pass decoded
+            "gap_lanes": int(
+                reg.total("repro_decode_lanes_total", path="gap")
             ),
             "gap_lut_fallbacks": int(
                 reg.total("repro_decode_gap_lut_fallback_total")

@@ -96,8 +96,8 @@ class TestServeBurstGapDecode:
                 assert reg.total("repro_decode_symbols_total",
                                  path="gap") >= PAYLOAD_SYMBOLS
                 assert reg.total(
-                    "repro_decode_gap_sync_points_total",
-                    backend="native",
+                    "repro_decode_lanes_total", path="gap"
                 ) > 0
+                assert stats["decode"]["gap_lanes"] > 0
         finally:
             set_registry(prev)

@@ -98,6 +98,48 @@ class TestCompressorFacade:
         out = decompress_symbols(blob)
         assert out.dtype == np.uint8
 
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_flipped_itemsize_rejected(self, rng, adaptive):
+        """A uint16 container whose symbols reach 299, with its itemsize
+        byte flipped from 2 to 1, is rejected before decoding instead of
+        decoding to the values mod 256."""
+        data = rng.integers(0, 300, 5000).astype(np.uint16)
+        data[0] = 299
+        blob, _ = compress_symbols(data, adaptive=adaptive)
+        assert blob[4] == 2
+        with pytest.raises(ValueError, match="does not fit"):
+            decompress_symbols(blob[:4] + bytes([1]) + blob[5:])
+        np.testing.assert_array_equal(decompress_symbols(blob), data)
+
+    def test_unused_wide_alphabet_still_decodes(self, rng):
+        """Only symbols that have a codeword must fit the itemsize: a
+        300-symbol alphabet over uint8 data still decodes."""
+        data = rng.integers(0, 200, 5000).astype(np.uint8)
+        blob, _ = compress_symbols(data, num_symbols=300)
+        out = decompress_symbols(blob)
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, data)
+
+    def test_field_codes_decode_in_encoded_dtype(self, rng, monkeypatch):
+        """decompress_field decodes the codes straight into the uint16
+        that compress_field encoded them in, and reconstructs within the
+        bound."""
+        from repro.app import compressor
+
+        seen = []
+        real = compressor.dequantize
+
+        def spy(qf):
+            seen.append(qf.codes.dtype)
+            return real(qf)
+
+        field = synthetic_field((16, 16, 16), rng, roughness=0.02)
+        blob, _ = compress_field(field, 1e-3)
+        monkeypatch.setattr(compressor, "dequantize", spy)
+        rec = decompress_field(blob)
+        assert seen == [np.dtype(np.uint16)]
+        assert float(np.abs(rec - field).max()) <= 1e-3 * (1 + 1e-9)
+
     def test_rejects_float_symbols(self):
         with pytest.raises(TypeError):
             compress_symbols(np.array([1.5]))

@@ -13,9 +13,12 @@ Runs the error-bounded lossy path (``compress_field`` →
 - prints the per-stage summary table and the headline counters.
 
 Every span in the file is a real pipeline stage: ``encode.histogram``,
-``encode.codebook`` (with CL/CW sub-phases), ``encode.canonize``,
+``encode.codebook`` (with its ``encode.codebook.sort`` and
+``encode.canonize`` children: the host build),
 ``encode.reduce_shuffle_merge``, ``decode.stream`` and the app
-envelopes around them.
+envelopes around them.  The modeled GenerateCL/GenerateCW sub-phases
+(``encode.codebook.generate_cl``/``generate_cw``) run only where a
+codebook's modeled costs are read, which this round trip never does.
 
 Usage::
 

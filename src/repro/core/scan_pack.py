@@ -67,7 +67,6 @@ __all__ = [
     "scan_pack_symbols",
     "analytic_moved_words",
     "packed_codeword_table",
-    "native_route",
     "native_symbol_bits",
 ]
 
@@ -163,28 +162,16 @@ def packed_codeword_table(book: CanonicalCodebook) -> np.ndarray:
     return _cached_table((_book_digest(book), "packed"), build)
 
 
-def native_route(
-    data: np.ndarray,
-) -> tuple[native.NativeKernel | None, str | None]:
-    """``(kernel, reason)``: the compiled module when it loads and takes
-    ``data``'s symbol dtype, else ``None`` and why not
-    (``"symbol_dtype"`` or ``"no_native_kernel"``)."""
-    if data.dtype not in native.SYMBOL_DTYPES:
-        return None, "symbol_dtype"
-    kern = native.kernel()
-    return kern, None if kern is not None else "no_native_kernel"
-
-
 def native_symbol_bits(
     data: np.ndarray, book: CanonicalCodebook
 ) -> int | None:
     """Total codeword bits of ``data`` from the compiled stats pass.
 
-    ``None`` when the pass cannot run (see :func:`native_route`) *or*
-    when ``data`` holds an out-of-range or codeword-less symbol: the
-    caller's NumPy stats then raise that symbol's exact error.
+    ``None`` when the pass cannot run (see :func:`repro.native.route`)
+    *or* when ``data`` holds an out-of-range or codeword-less symbol:
+    the caller's NumPy stats then raise that symbol's exact error.
     """
-    kern, _reason = native_route(data)
+    kern, _reason = native.route(data)
     if kern is None:
         return None
     total, bad = kern.symbol_bits(
@@ -351,16 +338,17 @@ def scan_pack_symbols(
 
     ``data.size`` must be a multiple of ``tuning.chunk_symbols`` (the
     encoder handles the tail separately).  Runs the compiled pass when
-    :func:`native_route` allows, else ``book.lookup`` → :func:`scan_pack`
-    with the reason counted in ``repro_encode_native_fallback_total``
-    and returned as ``fallback``; both produce identical ``words``,
+    :func:`repro.native.route` allows, else ``book.lookup`` →
+    :func:`scan_pack` with the reason counted in
+    ``repro_encode_native_fallback_total`` and returned as
+    ``fallback``; both produce identical ``words``,
     ``bits``, ``broken`` and ``cell_lengths``.  The compiled pass raises
     ``IndexError`` for an out-of-range symbol before gathering it.
     """
     data = np.asarray(data)
     if data.size % tuning.chunk_symbols:
         raise ValueError("input must be whole chunks")
-    kern, reason = native_route(data)
+    kern, reason = native.route(data)
     if kern is None:
         _metrics().counter(
             "repro_encode_native_fallback_total", reason=reason

@@ -5,6 +5,7 @@ from repro.histogram.gpu_histogram import (
     GpuHistogramResult,
     gpu_histogram,
     hist_simt_kernel,
+    host_histogram,
     replication_factor,
 )
 from repro.histogram.serial import serial_histogram
@@ -14,6 +15,7 @@ __all__ = [
     "GpuHistogramResult",
     "gpu_histogram",
     "hist_simt_kernel",
+    "host_histogram",
     "replication_factor",
     "serial_histogram",
 ]

@@ -10,8 +10,11 @@ used for codebook construction.
 
 Three artifacts per run:
 
-- the functional histogram (bit-exact, via vectorized bincount);
-- a :class:`~repro.cuda.costmodel.KernelCost` with the measured structural
+- the functional histogram, counted on the host by
+  :func:`host_histogram` (the compiled pass of :mod:`repro.native`, or
+  the NumPy oracle :func:`fast_histogram`);
+- on first read of the result's ``costs``, a
+  :class:`~repro.cuda.costmodel.KernelCost` pair with the structural
   counts — input traffic, one shared atomic per symbol with the conflict
   degree implied by the symbol distribution and replication factor, and
   the reduction traffic;
@@ -21,10 +24,11 @@ Three artifacts per run:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from repro import native
 from repro.cuda.atomics import expected_conflict_degree
 from repro.cuda.costmodel import KernelCost
 from repro.cuda.device import DeviceSpec, V100
@@ -36,6 +40,7 @@ __all__ = [
     "replication_factor",
     "gpu_histogram",
     "fast_histogram",
+    "host_histogram",
     "hist_simt_kernel",
     "MAX_HISTOGRAM_BINS",
 ]
@@ -80,12 +85,67 @@ def replication_factor(num_bins: int, device: DeviceSpec = V100) -> int:
     return int(np.clip(r, 1, 32))
 
 
-@dataclass
 class GpuHistogramResult:
-    histogram: np.ndarray  # int64 bins
-    costs: list[KernelCost]
-    replication: int
-    conflict_degree: float
+    """One histogram and, on first read, its price on the modeled GPU.
+
+    ``histogram`` is the host pass's exact result.  ``replication``,
+    ``conflict_degree`` and ``costs`` are derived from it the first time
+    one of them is read, so a caller that only needs the counts (the
+    compress facade) never prices the kernel.  Pricing applies the
+    shared-memory limit: it raises ``ValueError`` past
+    :data:`MAX_HISTOGRAM_BINS` bins, where the counts themselves are
+    still exact.
+    """
+
+    def __init__(self, histogram: np.ndarray, n_input: int, nbytes: int,
+                 device: DeviceSpec, blocks: int) -> None:
+        self.histogram = histogram  # int64 bins
+        self._n_input = n_input  # symbols counted
+        self._nbytes = nbytes
+        self._device = device
+        self._blocks = blocks
+
+    @cached_property
+    def replication(self) -> int:
+        return replication_factor(self.histogram.size, self._device)
+
+    @cached_property
+    def conflict_degree(self) -> float:
+        return expected_conflict_degree(
+            self.histogram, self._device.warp_size, self.replication
+        )
+
+    @cached_property
+    def costs(self) -> list[KernelCost]:
+        num_bins, repl = int(self.histogram.size), self.replication
+        blocks = self._blocks
+        block_cost = KernelCost(
+            name="hist.blockwise",
+            bytes_coalesced=float(self._nbytes),
+            shared_atomics=float(self._n_input),
+            atomic_conflict_degree=self.conflict_degree,
+            launches=1,
+            compute_cycles=float(self._n_input) * 4.0,
+            meta={
+                "bins": num_bins,
+                "replication": repl,
+                "blocks": blocks,
+                "launch": LaunchConfig(blocks, 256),
+            },
+        )
+        # grid-wise tree reduction of blocks*R private copies into one
+        # global histogram: reads every private copy once, writes the
+        # result
+        reduce_cost = KernelCost(
+            name="hist.gridwise_reduce",
+            bytes_coalesced=float(blocks * repl * num_bins * 4
+                                  + num_bins * 4),
+            launches=1,
+            compute_cycles=float(blocks * repl * num_bins),
+            volume_scales=False,  # folds a fixed blocks x R x bins grid
+            meta={"blocks": blocks, "replication": repl},
+        )
+        return [block_cost, reduce_cost]
 
     @property
     def total_cost(self) -> KernelCost:
@@ -121,57 +181,53 @@ def fast_histogram(data: np.ndarray, n_symbols: int) -> np.ndarray:
     return np.bincount(data, minlength=n_symbols)
 
 
+def host_histogram(
+    flat: np.ndarray, num_bins: int
+) -> tuple[np.ndarray, str, str | None]:
+    """``(hist, backend, fallback)``: the exact int64 counts of the 1-D
+    integer array ``flat`` over ``num_bins`` bins.
+
+    Unsigned 8/16/32-bit symbols take the compiled pass of
+    :mod:`repro.native`, which checks every symbol against ``num_bins``
+    as it counts.  Other dtypes, and hosts without the module, run the
+    oracle: a ``min``/``max`` range check, then :func:`fast_histogram`;
+    ``fallback`` says why (see :func:`repro.native.route`).  Both raise
+    ``ValueError`` for a symbol outside ``[0, num_bins)``.
+    """
+    kern, reason = native.route(flat)
+    if kern is not None:
+        hist, bad = kern.histogram(np.ascontiguousarray(flat), num_bins)
+        if bad >= 0:
+            raise ValueError("symbol out of histogram range")
+        return hist, "native", None
+    if flat.size and (int(flat.max()) >= num_bins or int(flat.min()) < 0):
+        raise ValueError("symbol out of histogram range")
+    hist = fast_histogram(flat, num_bins).astype(np.int64, copy=False)
+    return hist, "numpy", reason
+
+
 def gpu_histogram(
     data: np.ndarray,
     num_bins: int,
     device: DeviceSpec = V100,
     blocks: int | None = None,
 ) -> GpuHistogramResult:
-    """Histogram ``data`` (integer symbols < num_bins) on the modeled GPU."""
+    """Histogram ``data`` (integer symbols < num_bins) on the host; the
+    result prices the modeled GPU kernel when its costs are read."""
     data = np.asarray(data)
     if not np.issubdtype(data.dtype, np.integer):
         raise TypeError("histogram input must be integer symbols")
     flat = data.reshape(-1)
-    if flat.size and (int(flat.max()) >= num_bins or int(flat.min()) < 0):
-        raise ValueError("symbol out of histogram range")
     blocks = blocks if blocks is not None else device.sm_count * 2
 
     with _span("encode.histogram", bytes_in=int(flat.nbytes),
-               bins=int(num_bins), device=device.name):
-        hist = fast_histogram(flat, num_bins).astype(np.int64)
-        repl = replication_factor(num_bins, device)
-        conflict = expected_conflict_degree(hist, device.warp_size, repl)
-    block_cost = KernelCost(
-        name="hist.blockwise",
-        bytes_coalesced=float(flat.nbytes),
-        shared_atomics=float(flat.size),
-        atomic_conflict_degree=conflict,
-        launches=1,
-        compute_cycles=float(flat.size) * 4.0,
-        meta={
-            "bins": num_bins,
-            "replication": repl,
-            "blocks": blocks,
-            "launch": LaunchConfig(blocks, 256),
-        },
-    )
-    # grid-wise tree reduction of blocks*R private copies into one global
-    # histogram: reads every private copy once, writes the result
-    reduce_bytes = float(blocks * repl * num_bins * 4 + num_bins * 4)
-    reduce_cost = KernelCost(
-        name="hist.gridwise_reduce",
-        bytes_coalesced=reduce_bytes,
-        launches=1,
-        compute_cycles=float(blocks * repl * num_bins),
-        volume_scales=False,  # folds a fixed blocks x R x bins grid
-        meta={"blocks": blocks, "replication": repl},
-    )
-    return GpuHistogramResult(
-        histogram=hist,
-        costs=[block_cost, reduce_cost],
-        replication=repl,
-        conflict_degree=conflict,
-    )
+               bins=int(num_bins), device=device.name) as sp:
+        hist, backend, fallback = host_histogram(flat, num_bins)
+        sp.set_attr(backend=backend)
+        if fallback is not None:
+            sp.set_attr(fallback=fallback)
+    return GpuHistogramResult(hist, int(flat.size), int(flat.nbytes),
+                              device, blocks)
 
 
 def hist_simt_kernel(ctx, data: np.ndarray, num_bins: int, repl: int,

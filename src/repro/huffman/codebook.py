@@ -184,18 +184,12 @@ def canonical_from_lengths(lengths: np.ndarray) -> CanonicalCodebook:
         first[l] = code
         entry[l] = entry[l - 1] + counts[l - 1]
         # codes of length l occupy [first[l], first[l] + counts[l])
-    # assign codes: used symbols sorted by (length, symbol)
+    # assign codes: used symbols sorted by (length, symbol); class l
+    # starts at position entry[l], so a symbol's rank within its class
+    # is its position minus that
     order = used[np.lexsort((used, lengths[used]))]
-    within = np.zeros(order.size, dtype=np.int64)
-    # rank within each length class
     lens_sorted = lengths[order].astype(np.int64)
-    class_start = np.r_[0, np.flatnonzero(np.diff(lens_sorted)) + 1]
-    for s in class_start:
-        l = lens_sorted[s]
-        e = s
-        while e < lens_sorted.size and lens_sorted[e] == l:
-            e += 1
-        within[s:e] = np.arange(e - s)
+    within = np.arange(order.size, dtype=np.int64) - entry[lens_sorted]
     codes[order] = (first[lens_sorted] + within).astype(np.uint64)
     return CanonicalCodebook(
         codes=codes,

@@ -149,7 +149,8 @@ def _root_bits(book: CanonicalCodebook, k: int | None = None) -> int:
 
 def _packed_span_fill(
     tbl: np.ndarray,
-    width: int,
+    base: np.ndarray | int,
+    width: np.ndarray | int,
     tails: np.ndarray,
     rem: np.ndarray,
     syms: np.ndarray,
@@ -157,16 +158,28 @@ def _packed_span_fill(
 ) -> None:
     """Scatter packed ``(sym << 8) | len`` entries over their spans.
 
-    A codeword whose last ``rem`` bits (within this table) are ``tails``
+    A codeword whose last ``rem`` bits (within its table) are ``tails``
     owns the ``2**(width - rem)`` consecutive indices starting at
-    ``tails << (width - rem)`` — shared by the root and every subtable.
+    ``base + (tails << (width - rem))`` of ``tbl``, where its table
+    starts at ``base`` and is indexed by ``width`` bits — shared by the
+    root and every subtable; ``base`` and ``width`` may be per codeword.
     """
-    starts = tails << (width - rem)
+    starts = base + (tails << (width - rem))
     spans = np.int64(1) << (width - rem)
     idx = np.repeat(starts, spans) + (
         np.arange(int(spans.sum())) - np.repeat(np.cumsum(spans) - spans, spans)
     )
     tbl[idx] = np.repeat((syms << 8) | lens, spans).astype(np.int32)
+
+
+def _groups(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(first, group)`` of runs of equal key tuples in sorted arrays:
+    each run's first index and each element's run number."""
+    new = np.zeros(keys[0].size, dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new), np.cumsum(new) - 1
 
 
 def build_decode_table(
@@ -183,6 +196,12 @@ def build_decode_table(
     remainder fits a single (slightly wider) level.  Every codeword,
     including W=32 chains and 2^16+-symbol books, resolves through
     gathers only.
+
+    Nodes are numbered breadth first, children in prefix order.  The
+    build runs one depth at a time: the deep codewords are sorted by
+    their left-aligned value once, so every node at every depth owns one
+    contiguous run of them, and a depth's widths, bases, span fills and
+    child pointers are each one vectorized pass over its runs.
     """
     if book.n_symbols - 1 > MAX_TABLE_SYMBOL:
         raise ValueError(
@@ -200,52 +219,53 @@ def build_decode_table(
     short = lens <= k
     if short.any():
         _packed_span_fill(
-            root, k, codes[short], lens[short], syms[short], lens[short]
+            root, 0, k, codes[short], lens[short], syms[short], lens[short]
         )
 
-    # worklist of nodes: (consumed_bits, codes, lens, syms) per node id,
-    # grown while iterating — children are appended as they are found
-    specs: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+    tables: list[np.ndarray] = []
+    widths: list[np.ndarray] = []
     deep = ~short
     if deep.any():
         dl, dc, ds = lens[deep], codes[deep], syms[deep]
-        prefixes = dc >> (dl - k)
-        uniq, inv = np.unique(prefixes, return_inverse=True)
-        for gi, pref in enumerate(uniq.tolist()):
-            sel = inv == gi
-            root[pref] = np.int32(len(specs) << 8)
-            specs.append((k, dc[sel], dl[sel], ds[sel]))
-
-    tables: list[np.ndarray] = []
-    widths: list[int] = []
-    qi = 0
-    while qi < len(specs):
-        c, gc, gl, gs = specs[qi]
-        qi += 1
-        rem_bits = int(gl.max()) - c  # >= 1: every code here is > c bits
-        e = rem_bits if rem_bits <= _NODE_SPILL else _NODE_BITS
-        tbl = np.full(1 << e, _INVALID, dtype=np.int32)
-        fit = gl <= c + e
-        if fit.any():
-            rem = gl[fit] - c
-            _packed_span_fill(
-                tbl, e, gc[fit] & ((np.int64(1) << rem) - 1), rem,
-                gs[fit], gl[fit],
+        order = np.argsort(dc << (maxlen - dl), kind="stable")
+        dl, dc, ds = dl[order], dc[order], ds[order]
+        cons = np.full(dl.size, k, dtype=np.int64)  # bits above the node
+        first, node = _groups(dc >> (dl - k))
+        root[dc[first] >> (dl[first] - k)] = (
+            np.arange(first.size, dtype=np.int32) << 8
+        )
+        n_nodes = first.size  # nodes numbered so far
+        while dl.size:
+            # this depth's nodes: ids n_nodes - first.size .. n_nodes - 1
+            rem_bits = np.maximum.reduceat(dl, first) - cons[first]
+            e = np.where(rem_bits <= _NODE_SPILL, rem_bits, _NODE_BITS)
+            span = np.int64(1) << e
+            base = np.cumsum(span) - span  # within this depth's block
+            tbl = np.full(int(span.sum()), _INVALID, dtype=np.int32)
+            ce, cb = e[node], base[node]
+            fit = dl <= cons + ce
+            if fit.any():
+                rem = dl[fit] - cons[fit]
+                _packed_span_fill(
+                    tbl, cb[fit], ce[fit],
+                    dc[fit] & ((np.int64(1) << rem) - 1), rem,
+                    ds[fit], dl[fit],
+                )
+            tables.append(tbl)
+            widths.append(e)
+            deeper = ~fit
+            dl, dc, ds, node = dl[deeper], dc[deeper], ds[deeper], node[deeper]
+            ce, cb = ce[deeper], cb[deeper]
+            cons = cons[deeper] + ce
+            sub_pref = (dc >> (dl - cons)) & ((np.int64(1) << ce) - 1)
+            first, node = _groups(node, sub_pref)
+            tbl[cb[first] + sub_pref[first]] = (
+                (n_nodes + np.arange(first.size, dtype=np.int32)) << 8
             )
-        deeper = ~fit
-        if deeper.any():
-            dl, dc, ds = gl[deeper], gc[deeper], gs[deeper]
-            sub_pref = (dc >> (dl - (c + e))) & ((np.int64(1) << e) - 1)
-            uniq, inv = np.unique(sub_pref, return_inverse=True)
-            for gi, pref in enumerate(uniq.tolist()):
-                sel = inv == gi
-                tbl[pref] = np.int32(len(specs) << 8)
-                specs.append((c + e, dc[sel], dl[sel], ds[sel]))
-        tables.append(tbl)
-        widths.append(e)
+            n_nodes += first.size
 
     if tables:
-        node_bits = np.asarray(widths, dtype=np.int32)
+        node_bits = np.concatenate(widths).astype(np.int32)
         sizes = np.int64(1) << node_bits.astype(np.int64)
         node_base = np.zeros(node_bits.size, dtype=np.int64)
         np.cumsum(sizes[:-1], out=node_base[1:])

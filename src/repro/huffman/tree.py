@@ -137,9 +137,13 @@ def codeword_lengths_serial(freqs: np.ndarray) -> np.ndarray:
     """Optimal codeword length per symbol via the serial tree (int32).
 
     This is the ground truth against which the parallel two-phase
-    construction (GenerateCL) is validated: the *total weighted length*
-    sum(freq * length) must agree exactly (individual lengths may differ
-    under frequency ties, as for any pair of optimal Huffman codes).
+    construction (GenerateCL) is validated.  The heap breaks frequency
+    ties the way GenerateCL and the host build in
+    :mod:`repro.core.codebook_parallel` do: a leaf before an internal
+    node, leaves by symbol index, internal nodes in creation order.  So
+    the lengths are equal symbol for symbol, not only in total weighted
+    length; ``tests/test_generate_cl_cw.py`` checks both on tie-heavy
+    histograms.
     """
     tree = build_tree(freqs)
     return tree.leaf_depths()

@@ -1,4 +1,5 @@
-"""The runtime-compiled C module: chunk-lane decode and scan-pack encode.
+"""The runtime-compiled C module: chunk-lane decode, scan-pack encode
+and the histogram.
 
 One C source set, compiled once per process via :mod:`cffi` and the
 system C compiler and cached on disk under one digest of that source
@@ -38,6 +39,16 @@ by the generic NumPy :func:`~repro.core.scan_pack.scan_pack`, which is
   W-bit words straight into the ``(n_chunks, cells_per_chunk)`` grid.
   Every symbol is checked against the book size before its gather.
 
+Histogram (:func:`repro.histogram.gpu_histogram.host_histogram`;
+oracle :func:`~repro.histogram.gpu_histogram.fast_histogram` after a
+``min``/``max`` range check):
+
+- ``histogram_u*``: one pass that counts symbol ``i`` into private
+  sub-histogram ``i % 4`` and folds the four at the end (the paper's
+  replicated bins, §IV-A).  Every symbol is checked against the bin
+  count before its increment; the pass returns the index of the first
+  out-of-range one.
+
 When cffi, a compiler, or a writable cache directory is missing the
 module degrades to ``kernel() -> None`` and every caller runs its NumPy
 path, recording why.  ``REPRO_DISABLE_NATIVE=1`` forces that
@@ -67,6 +78,7 @@ __all__ = [
     "kernel",
     "native_available",
     "native_error",
+    "route",
 ]
 
 #: symbol dtypes the scan-pack kernels take (one C variant each)
@@ -120,6 +132,12 @@ int64_t scan_pack_u16(const uint16_t *sym, int64_t n_chunks, int64_t G,
 int64_t scan_pack_u32(const uint32_t *sym, int64_t n_chunks, int64_t G,
     int64_t cpc, int W, const uint64_t *tab, int64_t K, uint32_t *words,
     int64_t *bits, uint8_t *broken, int64_t *cell_len);
+int64_t histogram_u8(const uint8_t *sym, int64_t n, int64_t K,
+    int64_t *hist, uint32_t *priv);
+int64_t histogram_u16(const uint16_t *sym, int64_t n, int64_t K,
+    int64_t *hist, uint32_t *priv);
+int64_t histogram_u32(const uint32_t *sym, int64_t n, int64_t K,
+    int64_t *hist, uint32_t *priv);
 """
 
 _CSRC = r"""
@@ -312,6 +330,48 @@ int64_t NAME(const T *sym, int64_t n_chunks, int64_t G, int64_t cpc,      \
     return -1;                                                            \
 }
 
+/* Histogram: hist[s] = occurrences of s in sym[0..n).  Symbol i
+ * counts into private sub-histogram i % 4 of priv (4 * K uint32 slots),
+ * so neighbouring equal symbols do not serialize on one counter (the
+ * paper's replicated bins, section IV-A, applied to a CPU's store
+ * buffer); the copies fold into hist after each block of at most
+ * 2^32 - 4 symbols, which keeps every private count below 2^30.  Every
+ * symbol is compared with K before its increment.  Returns -1, or the
+ * index of the first symbol >= K (hist is then incomplete). */
+#define HISTOGRAM(NAME, T)                                                \
+int64_t NAME(const T *sym, int64_t n, int64_t K, int64_t *hist,           \
+             uint32_t *priv) {                                            \
+    const uint64_t k = (uint64_t)K;                                       \
+    uint32_t *p0 = priv, *p1 = priv + K, *p2 = priv + 2 * K,              \
+             *p3 = priv + 3 * K;                                          \
+    memset(hist, 0, (size_t)K * sizeof(int64_t));                         \
+    for (int64_t lo = 0; lo < n; ) {                                      \
+        int64_t hi = n - lo > 4294967292LL ? lo + 4294967292LL : n;       \
+        memset(priv, 0, (size_t)K * 4 * sizeof(uint32_t));                \
+        int64_t i = lo;                                                   \
+        for (; i + 4 <= hi; i += 4) {                                     \
+            uint64_t a = sym[i], b = sym[i + 1], c = sym[i + 2],          \
+                     d = sym[i + 3];                                      \
+            if (__builtin_expect((a >= k) | (b >= k) | (c >= k)           \
+                                 | (d >= k), 0))                          \
+                break;                                                    \
+            p0[a]++;                                                      \
+            p1[b]++;                                                      \
+            p2[c]++;                                                      \
+            p3[d]++;                                                      \
+        }                                                                 \
+        for (; i < hi; i++) {                                             \
+            uint64_t a = sym[i];                                          \
+            if (a >= k) return i;                                         \
+            p0[a]++;                                                      \
+        }                                                                 \
+        for (int64_t s = 0; s < K; s++)                                   \
+            hist[s] += (int64_t)p0[s] + p1[s] + p2[s] + p3[s];            \
+        lo = hi;                                                          \
+    }                                                                     \
+    return -1;                                                            \
+}
+
 SYMBOL_BITS(symbol_bits_u8, uint8_t)
 SYMBOL_BITS(symbol_bits_u16, uint16_t)
 SYMBOL_BITS(symbol_bits_u32, uint32_t)
@@ -322,6 +382,9 @@ CHUNK_DECODE(chunk_decode_u8, uint8_t)
 CHUNK_DECODE(chunk_decode_u16, uint16_t)
 CHUNK_DECODE(chunk_decode_u32, uint32_t)
 CHUNK_DECODE(chunk_decode_i64, int64_t)
+HISTOGRAM(histogram_u8, uint8_t)
+HISTOGRAM(histogram_u16, uint16_t)
+HISTOGRAM(histogram_u32, uint32_t)
 """
 
 
@@ -484,6 +547,23 @@ class NativeKernel:
         )
         return words, bits, broken, cell_lengths, int(bad)
 
+    def histogram(
+        self, data: np.ndarray, n_bins: int
+    ) -> tuple[np.ndarray, int]:
+        """``(hist, bad)``: the int64 counts of ``data`` over ``n_bins``
+        bins, and ``-1`` or the index of the first symbol ``>= n_bins``
+        (``hist`` is then incomplete)."""
+        if data.dtype not in SYMBOL_DTYPES or not data.flags.c_contiguous:
+            raise ValueError("symbols must be contiguous uint8/16/32")
+        hist = np.empty(n_bins, np.int64)
+        priv = np.empty(4 * n_bins, np.uint32)
+        suffix = {1: "u8", 2: "u16", 4: "u32"}[data.dtype.itemsize]
+        bad = getattr(self._lib, f"histogram_{suffix}")(
+            self._p(f"{data.dtype.name}_t *", data), data.size, n_bins,
+            self._p("int64_t *", hist), self._p("uint32_t *", priv),
+        )
+        return hist, int(bad)
+
 
 _LOCK = threading.Lock()
 _KERNEL: Optional[NativeKernel] = None
@@ -541,6 +621,16 @@ def kernel() -> Optional[NativeKernel]:
                 _ERROR = f"{type(exc).__name__}: {exc}"
         _TRIED = True
     return _KERNEL
+
+
+def route(data: np.ndarray) -> tuple[Optional[NativeKernel], Optional[str]]:
+    """``(kernel, reason)``: the compiled module when it loads and takes
+    ``data``'s symbol dtype, else ``None`` and why not
+    (``"symbol_dtype"`` or ``"no_native_kernel"``)."""
+    if data.dtype not in SYMBOL_DTYPES:
+        return None, "symbol_dtype"
+    kern = kernel()
+    return kern, None if kern is not None else "no_native_kernel"
 
 
 def native_available() -> bool:

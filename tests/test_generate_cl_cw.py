@@ -15,6 +15,32 @@ from repro.huffman.tree import codeword_lengths_serial
 positive_hist = st.lists(st.integers(1, 10**6), min_size=1, max_size=300)
 any_hist = st.lists(st.integers(0, 10**6), min_size=1, max_size=300)
 
+_FIB = [1, 1]
+while len(_FIB) < 40:
+    _FIB.append(_FIB[-1] + _FIB[-2])
+
+#: histograms full of equal counts, where the tie rule decides the tree:
+#: all-equal, powers of two, Fibonacci numbers and counts in 1..4 (with
+#: and without unused symbols)
+tie_heavy_hist = st.one_of(
+    st.tuples(st.integers(1, 300), st.integers(1, 10**6)).map(
+        lambda t: [t[1]] * t[0]),
+    st.lists(st.integers(0, 30).map(lambda e: 2**e), min_size=1,
+             max_size=300),
+    st.lists(st.sampled_from(_FIB), min_size=1, max_size=300),
+    st.lists(st.integers(1, 4), min_size=1, max_size=300),
+    st.lists(st.integers(0, 4), min_size=1, max_size=300),
+)
+
+
+def two_phase_book(freqs):
+    """The book GenerateCL → GenerateCW build from ``freqs``."""
+    freqs = np.asarray(freqs, dtype=np.int64)
+    used = np.flatnonzero(freqs > 0)
+    order = used[np.argsort(freqs[used], kind="stable")]
+    cl = generate_cl(freqs[order])
+    return generate_cw(cl.lengths_sorted, order, freqs.size).codebook
+
 
 class TestGenerateCL:
     def test_requires_sorted(self):
@@ -105,13 +131,15 @@ class TestGenerateCW:
         assert np.array_equal(res.codebook.entry, ref.entry)
 
     def test_codes_canonical_per_class(self, rng):
+        """GenerateCW ranks a class by symbol index, so every symbol gets
+        exactly the reference canonical codeword."""
         freqs = rng.integers(1, 1000, 200)
         book = self._run(freqs).codebook
         ref = canonical_from_lengths(book.lengths)
-        for l in range(1, book.max_length + 1):
-            ours = np.sort(book.codes[book.lengths == l])
-            theirs = np.sort(ref.codes[ref.lengths == l])
-            assert np.array_equal(ours, theirs)
+        assert book.codes.dtype == ref.codes.dtype
+        np.testing.assert_array_equal(book.codes, ref.codes)
+        np.testing.assert_array_equal(book.symbols_by_code,
+                                      ref.symbols_by_code)
 
     def test_prefix_free(self, rng):
         freqs = rng.integers(1, 50, 64)
@@ -138,6 +166,65 @@ class TestGenerateCW:
         for l in np.unique(lens):
             cls = codes[lens == l]
             assert np.all(np.diff(cls) == 1)
+
+
+class TestHostBuildTieRule:
+    """``parallel_codebook`` builds its book on the host (two-queue
+    lengths, then ``canonical_from_lengths``); it must be GenerateCL →
+    GenerateCW's book field for field, ties included."""
+
+    FIELDS = ("codes", "lengths", "first", "entry", "symbols_by_code")
+
+    def assert_same_book(self, host, gpu):
+        for name in self.FIELDS:
+            a, b = getattr(host, name), getattr(gpu, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @given(st.one_of(tie_heavy_hist, any_hist))
+    @settings(max_examples=300, deadline=None)
+    def test_host_book_equals_two_phase(self, freqs):
+        freqs = np.asarray(freqs, dtype=np.int64)
+        host = parallel_codebook(freqs).codebook
+        self.assert_same_book(host, two_phase_book(freqs))
+        # the heap-built serial tree breaks ties the same way
+        np.testing.assert_array_equal(host.lengths,
+                                      codeword_lengths_serial(freqs))
+
+    @pytest.mark.parametrize("freqs", [
+        [], [0, 0, 0], [5], [0, 3, 0], [1, 1], [7] * 1000, _FIB,
+        [2**e for e in range(40)], [1, 2, 3, 4] * 64,
+    ], ids=["empty", "unused", "one", "one_used", "two", "equal1000",
+            "fib", "pow2", "1to4"])
+    def test_edge_histograms(self, freqs):
+        freqs = np.asarray(freqs, dtype=np.int64)
+        self.assert_same_book(parallel_codebook(freqs).codebook,
+                              two_phase_book(freqs))
+
+    def test_pricing_is_lazy_and_cross_checked(self, rng):
+        from repro.obs.trace import tracing
+
+        freqs = rng.integers(0, 50, 300)
+        with tracing() as tracer:
+            res = parallel_codebook(freqs)
+        names = tracer.span_names()
+        assert "encode.codebook" in names and "encode.canonize" in names
+        assert "encode.codebook.generate_cl" not in names
+        assert "_generated" not in vars(res)  # nothing priced yet
+        with tracing() as tracer:
+            rounds, levels = res.rounds, res.levels
+            res.costs
+        assert tracer.span_names().count("encode.codebook.generate_cl") == 1
+        assert tracer.span_names().count("encode.codebook.generate_cw") == 1
+        assert levels == np.unique(res.codebook.lengths[freqs > 0]).size
+        assert rounds > 0
+
+    def test_pricing_rejects_a_differing_book(self, rng):
+        freqs = rng.integers(1, 50, 64)
+        res = parallel_codebook(freqs)
+        res.codebook.codes[0] ^= np.uint64(1)
+        with pytest.raises(RuntimeError, match="differs from the host"):
+            res.costs
 
 
 class TestParallelCodebookEndToEnd:

@@ -1,8 +1,15 @@
-"""Tests for histogram kernels (GPU privatized + serial)."""
+"""Tests for histogram kernels (GPU privatized + serial).
+
+The module runs once per ``kernel_engine`` leg: the host counts come
+from the compiled pass on ``native`` and from ``fast_histogram`` on
+``numpy``; the modeled costs must not depend on which.
+"""
 
 import numpy as np
 import pytest
 
+from repro import native
+from repro.app.compressor import compress_symbols, decompress_symbols
 from repro.cuda.device import RTX5000, V100
 from repro.histogram.gpu_histogram import (
     MAX_HISTOGRAM_BINS,
@@ -10,14 +17,9 @@ from repro.histogram.gpu_histogram import (
     replication_factor,
 )
 from repro.histogram.serial import serial_histogram
+from repro.obs.trace import tracing
 
 pytestmark = pytest.mark.usefixtures("kernel_engine")
-
-
-@pytest.fixture(scope="module", params=["numpy"])
-def kernel_engine(request):
-    """The counting kernel is NumPy only: one leg, nothing to switch."""
-    return request.param
 
 
 class TestReplicationFactor:
@@ -48,6 +50,46 @@ class TestGpuHistogram:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             gpu_histogram(np.array([5]), 4)
+        for dtype in (np.uint8, np.uint16, np.uint32, np.uint64, np.int32):
+            data = np.zeros(9, dtype=dtype)
+            data[6] = 4
+            with pytest.raises(ValueError, match="out of histogram range"):
+                gpu_histogram(data, 4)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="out of histogram range"):
+            gpu_histogram(np.array([1, -1, 2], dtype=np.int16), 4)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32,
+                                       np.uint64, np.int64])
+    def test_every_dtype_matches_bincount(self, rng, dtype):
+        data = rng.integers(0, 200, 4099).astype(dtype)
+        res = gpu_histogram(data, 200)
+        assert res.histogram.dtype == np.int64
+        assert np.array_equal(res.histogram,
+                              np.bincount(data, minlength=200))
+
+    def test_span_records_backend(self, rng):
+        with tracing() as tracer:
+            gpu_histogram(rng.integers(0, 9, 100).astype(np.uint16), 9)
+            gpu_histogram(rng.integers(0, 9, 100).astype(np.int64), 9)
+        spans = [s for s in tracer.spans if s.name == "encode.histogram"]
+        u16, i64 = (s.attrs for s in spans)
+        assert i64["backend"] == "numpy"
+        assert i64["fallback"] == "symbol_dtype"
+        if native.kernel() is not None:
+            assert u16["backend"] == "native" and "fallback" not in u16
+        else:
+            assert u16["backend"] == "numpy"
+            assert u16["fallback"] == "no_native_kernel"
+
+    def test_costs_priced_on_first_read(self, rng):
+        data = rng.integers(0, 256, 5000).astype(np.uint8)
+        res = gpu_histogram(data, 256)
+        assert "costs" not in vars(res)
+        costs = res.costs
+        assert res.costs is costs  # priced once
+        assert res.replication == 32
 
     def test_rejects_float(self):
         with pytest.raises(TypeError):
@@ -104,6 +146,27 @@ class TestGpuHistogram:
         data = rng.integers(0, 16, (50, 40)).astype(np.uint8)
         res = gpu_histogram(data, 16)
         assert res.histogram.sum() == 2000
+
+
+class TestLargeAlphabet:
+    """Past the shared-memory limit the counts stay exact on the host;
+    only pricing the modeled kernel raises."""
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.uint64])
+    def test_round_trip_70000_symbols(self, rng, dtype):
+        data = rng.integers(0, 70000, 200_000).astype(dtype)
+        blob, report = compress_symbols(data, num_symbols=70000)
+        out = decompress_symbols(blob)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, data)
+        assert report.ratio > 1.0
+
+    def test_pricing_raises_shared_memory_limit(self, rng):
+        data = rng.integers(0, 70000, 200_000).astype(np.uint32)
+        res = gpu_histogram(data, 70000)
+        assert int(res.histogram.sum()) == data.size
+        with pytest.raises(ValueError, match="shared-memory histogram limit"):
+            res.costs
 
 
 class TestSerialHistogram:

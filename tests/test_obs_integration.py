@@ -52,12 +52,38 @@ class TestTracedRoundTrip:
         # reduce-shuffle-merge, decode (the acceptance criterion)
         for stage in PIPELINE_STAGES:
             assert stage in names, f"missing pipeline stage span {stage}"
-        # plus the app envelopes and codebook sub-phases
+        # plus the app envelopes and the host codebook's sort
         for extra in ("app.compress_field", "app.quantize",
                       "app.decompress_field", "app.dequantize",
-                      "encode.codebook.generate_cl",
-                      "encode.codebook.generate_cw"):
+                      "encode.codebook.sort"):
             assert extra in names, f"missing span {extra}"
+        # the app path never prices the modeled GPU codebook
+        assert "encode.codebook.generate_cl" not in names
+        assert "encode.codebook.generate_cw" not in names
+
+    def test_codebook_spans_nest_on_the_app_path(self, field, registry):
+        from repro.huffman.cache import codebook_cache
+
+        codebook_cache().clear()  # a cache hit builds nothing
+        with tracing() as tracer:
+            compress_field(field, error_bound=1e-2)
+        by_name = {s.name: s for s in tracer.spans}
+        book = by_name["encode.codebook"]
+        assert by_name["encode.canonize"].parent_id == book.span_id
+        assert by_name["encode.codebook.sort"].parent_id == book.span_id
+
+    def test_pricing_the_codebook_emits_its_sub_phases(self, rng):
+        from repro.core.codebook_parallel import parallel_codebook
+        from repro.obs import span
+
+        res = parallel_codebook(rng.integers(0, 100, 512))
+        with tracing() as tracer:
+            with span("price") as outer:
+                res.costs
+        by_name = {s.name: s for s in tracer.spans}
+        for phase in ("encode.codebook.generate_cl",
+                      "encode.codebook.generate_cw"):
+            assert by_name[phase].parent_id == outer.span_id
 
     def test_span_nesting_matches_call_structure(self, field, registry):
         with tracing() as tracer:

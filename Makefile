@@ -20,33 +20,37 @@ unit:
 # hosts without a C compiler: with the compiled module (repro.native)
 # switched off, every decode goes through the lane decoder (then
 # assemble), every encode through the NumPy scan-pack
-# (book.lookup -> scan_pack) and every histogram through fast_histogram
-# — run the chunk-lane, batch and tiered decoder suites, the container
-# fuzz, the serve decode stress (the only leg where hostile bytes reach
-# the lanes through the public entry points), the scan-pack,
-# process-pool, single-stage, adaptive (its groups pack through the
-# same scan-pack) and registered-codebook encode suites, the histogram,
-# codebook and decode-table builder suites plus the conformance smoke
-# that way
+# (book.lookup -> scan_pack), every histogram through fast_histogram
+# and every Lorenzo quantize/dequantize through its NumPy body — run
+# the chunk-lane, batch and tiered decoder suites, the container fuzz,
+# the serve decode stress (the only leg where hostile bytes reach the
+# lanes through the public entry points), the scan-pack, single-stage,
+# adaptive (its groups pack through the same scan-pack) and
+# registered-codebook encode suites, the histogram, codebook and
+# decode-table builder suites, the quantization suites plus the
+# conformance smoke that way
 test-no-native:
 	REPRO_DISABLE_NATIVE=1 $(PY) -m pytest -x -q \
 	        tests/test_gap_decoder.py tests/test_batch_decoder.py \
 	        tests/test_tiered_decode.py tests/test_serialization_fuzz.py \
 	        tests/test_decode_stress.py tests/test_scan_pack.py \
-	        tests/test_chunk_parallel_encode.py tests/test_single_stage.py \
+	        tests/test_single_stage.py \
 	        tests/test_adaptive.py tests/test_adaptive_serialization.py \
 	        tests/test_codebooks_registry.py tests/test_histogram.py \
-	        tests/test_generate_cl_cw.py tests/test_decode_table_build.py
+	        tests/test_generate_cl_cw.py tests/test_decode_table_build.py \
+	        tests/test_quantize_pass.py tests/test_datasets.py
 	REPRO_DISABLE_NATIVE=1 $(MAKE) --no-print-directory conform-smoke
 
 # memory-safety leg for the native module (tier 2): REPRO_NATIVE_SANITIZE=1
 # rebuilds it with AddressSanitizer + UBSan under its own cache digest.
 # Python itself is not instrumented, so libasan/libubsan are preloaded
 # and leak checking is off.  Runs the chunk-decode property and hostile
-# tests, the container fuzz, the C-vs-NumPy scan-pack and histogram
-# tests (the histogram pass also under the gpu_histogram suite), then the
-# conformance fuzz (170 rounds x 6 ops = 1020 mutants per container on
-# the text and DNA corpora, each decoded in full) and the golden check.
+# tests, the container fuzz, the C-vs-NumPy scan-pack, histogram and
+# Lorenzo quantize/dequantize tests (the histogram pass also under the
+# gpu_histogram suite, the Lorenzo passes also under the dataset
+# suite), then the conformance fuzz (170 rounds x 6 ops = 1020 mutants
+# per container on the text and DNA corpora, each decoded in full) and
+# the golden check.
 # The last line is the leg's negative self-test: a raw pass call whose
 # n_out exceeds its output array MUST abort under ASan (hence the `!`)
 ASAN_RUN := REPRO_NATIVE_SANITIZE=1 ASAN_OPTIONS=detect_leaks=0 \
@@ -55,7 +59,8 @@ native-asan:
 	$(ASAN_RUN) $(PY) -m pytest -x -q tests/test_gap_decoder.py \
 	        tests/test_chunk_decode_pass.py tests/test_serialization_fuzz.py \
 	        tests/test_scan_pack.py tests/test_histogram_pass.py \
-	        tests/test_histogram.py
+	        tests/test_histogram.py tests/test_quantize_pass.py \
+	        tests/test_datasets.py
 	$(ASAN_RUN) $(PY) -m repro.conform.cli --corpora enwik8,genomics \
 	        --fuzz-rounds 170 --out /tmp/CONFORMANCE.asan.json
 	! $(ASAN_RUN) $(PY) tests/asan_negative_probe.py \

@@ -15,6 +15,7 @@ throughput on the chosen device.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -34,7 +35,12 @@ from repro.core.serialization import (
 from repro.core.tuning import DEFAULT_MAGNITUDE
 from repro.cuda.costmodel import CostModel
 from repro.cuda.device import DeviceSpec, V100
-from repro.datasets.quantization import QuantizedField, dequantize, lorenzo_quantize
+from repro.datasets.quantization import (
+    QuantizedField,
+    check_outliers,
+    dequantize,
+    lorenzo_quantize,
+)
 from repro.histogram.gpu_histogram import MAX_HISTOGRAM_BINS, gpu_histogram
 from repro.huffman.cache import cached_codebook
 from repro.obs import metrics as _metrics
@@ -92,9 +98,6 @@ def _encode_to_bytes(
         hist.histogram,
         lambda: parallel_codebook(hist.histogram, device=device).codebook,
     )
-    # threshold-gated multiprocess sharding: serve-sized requests stay on
-    # the in-process scan path, bulk fields shard whole chunks across
-    # cores with a bit-identical result (repro.core.chunk_parallel)
     enc = parallel_encode(data, book, magnitude=magnitude, device=device)
     payload = serialize_stream(enc.stream, book)
     report = CompressionReport(
@@ -249,6 +252,11 @@ def decompress_symbols(buf: bytes, book=None) -> np.ndarray:
     return out
 
 
+def _code_dtype(n_bins: int) -> type:
+    """The dtype a field container's codes are encoded in."""
+    return np.uint16 if n_bins <= 65536 else np.uint32
+
+
 def compress_field(
     field: np.ndarray,
     error_bound: float,
@@ -268,20 +276,18 @@ def compress_field(
                     error_bound=error_bound, n_bins=n_bins)
     with span_cm:
         with _span("app.quantize", bytes_in=int(field.nbytes)):
-            qf = lorenzo_quantize(field, error_bound, n_bins)
-            codes = qf.codes.astype(
-                np.uint16 if n_bins <= 65536 else np.uint32
-            )
+            qf = lorenzo_quantize(field, error_bound, n_bins,
+                                  dtype=_code_dtype(n_bins))
 
-        payload, enc_report = _encode_to_bytes(codes, n_bins, magnitude,
+        payload, enc_report = _encode_to_bytes(qf.codes, n_bins, magnitude,
                                                device)
         header = _FIELD_MAGIC + struct.pack(
             "<dIIQ", error_bound, n_bins, len(qf.shape), qf.outliers_idx.size
         )
         header += struct.pack(f"<{len(qf.shape)}Q", *qf.shape)
         header += struct.pack("<d", qf.first_value)
-        header += qf.outliers_idx.astype(np.int64).tobytes()
-        header += qf.outliers_val.astype(np.float64).tobytes()
+        header += qf.outliers_idx.tobytes()
+        header += qf.outliers_val.tobytes()
         blob = header + payload
         report = CompressionReport(
             input_bytes=int(field.nbytes),
@@ -326,12 +332,14 @@ def _decompress_field_body(buf: bytes) -> np.ndarray:
     pos += 8 * n_out
     out_val = np.frombuffer(buf[pos: pos + 8 * n_out], dtype=np.float64).copy()
     pos += 8 * n_out
+    n = math.prod(shape)
+    # hostile outlier positions would reconstruct silently out of bound
+    check_outliers(out_idx, out_val.size, n)
 
     stream, book = deserialize_stream(buf[pos:])
-    # the code dtype compress_field encoded
-    codes = decode_stream(
-        stream, book, dtype=np.uint16 if n_bins <= 65536 else np.uint32
-    )
+    if stream.n_symbols != n:
+        raise ValueError("code count disagrees with the field shape")
+    codes = decode_stream(stream, book, dtype=_code_dtype(n_bins))
     qf = QuantizedField(
         codes=codes, first_value=first_value, error_bound=eb, n_bins=n_bins,
         shape=tuple(int(s) for s in shape),

@@ -11,11 +11,6 @@ from repro.core.breaking import (
     BreakingStore,
     extract_breaking,
     extract_breaking_symbols,
-    merge_breaking_stores,
-)
-from repro.core.chunk_parallel import (
-    PARALLEL_THRESHOLD_BYTES,
-    parallel_encode,
 )
 from repro.core.canonical import (
     BaseCodebook,
@@ -73,9 +68,6 @@ __all__ = [
     "BreakingStore",
     "extract_breaking",
     "extract_breaking_symbols",
-    "merge_breaking_stores",
-    "PARALLEL_THRESHOLD_BYTES",
-    "parallel_encode",
     "BaseCodebook",
     "CanonizeResult",
     "base_codebook_from_tree",

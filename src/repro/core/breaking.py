@@ -29,7 +29,6 @@ __all__ = [
     "extract_breaking",
     "extract_breaking_cells",
     "extract_breaking_symbols",
-    "merge_breaking_stores",
     "breaking_costs",
 ]
 
@@ -196,49 +195,6 @@ def extract_breaking_symbols(
         book.codes[syms].astype(np.uint64),
         book.lengths[syms].astype(np.int64),
         idx, n_cells, group_symbols,
-    )
-
-
-def merge_breaking_stores(
-    stores: list,
-    cell_counts: list,
-    group_symbols: int,
-    count_metrics: bool = True,
-) -> BreakingStore:
-    """Concatenate per-shard side channels into one global store.
-
-    ``stores[k]`` covers ``cell_counts[k]`` consecutive cells; local
-    cell indices are rebased onto the global cell axis.  Per-cell
-    payloads are byte-aligned, so concatenation is byte-identical to a
-    single whole-stream extraction.  ``count_metrics`` mirrors the
-    serial path's counters in *this* process (shard workers count in
-    their own, invisible, registries).
-    """
-    n_cells = int(sum(cell_counts))
-    nnz = int(sum(s.nnz for s in stores))
-    if count_metrics:
-        _count_breaking(n_cells, nnz)
-    if nnz == 0:
-        return BreakingStore.empty(n_cells, group_symbols)
-    base = 0
-    indices = []
-    for store, cells in zip(stores, cell_counts):
-        if store.nnz:
-            indices.append(store.cell_indices.astype(np.int64) + base)
-        base += int(cells)
-    bit_lengths = np.concatenate(
-        [s.bit_lengths for s in stores if s.nnz]
-    ).astype(_len_dtype(group_symbols))
-    nbytes = (bit_lengths.astype(np.int64) + 7) // 8
-    offsets = np.zeros(nnz + 1, dtype=np.int64)
-    np.cumsum(nbytes, out=offsets[1:])
-    return BreakingStore(
-        n_cells=n_cells,
-        group_symbols=group_symbols,
-        cell_indices=np.concatenate(indices).astype(np.uint32),
-        bit_lengths=bit_lengths,
-        payload=np.concatenate([s.payload for s in stores if s.nnz]),
-        payload_offsets=offsets,
     )
 
 

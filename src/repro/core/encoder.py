@@ -15,7 +15,7 @@ interface ``ReduceShuffleMerge<M, r>(in, out, metadata)``:
 Every host encoder packs its whole chunks through :func:`_pack_chunks`
 (steps 1-4 plus the coalescing copy, as one scan-pack pass or as the
 iterative kernels), and all but the adaptive one finish through
-:func:`_finish_encode` (tail, stream, costs).
+:func:`_encode_body` (tail, stream, costs).
 
 The returned :class:`GpuEncodeResult` carries the decodable
 :class:`~repro.core.bitstream.EncodedStream` plus the structural kernel
@@ -334,10 +334,6 @@ class PackedChunks:
     breaking: BreakingStore  # the broken cells' side channel
     moved_words: int  # SHUFFLE word moves the fused kernel is charged
 
-    @property
-    def n_chunks(self) -> int:
-        return int(self.chunk_bits.size)
-
 
 def _pack_chunks(
     main: np.ndarray,
@@ -402,16 +398,23 @@ def _pack_chunks(
     )
 
 
-def _finish_encode(
+def _encode_body(
     data: np.ndarray,
     book: CanonicalCodebook,
-    tuning: EncoderTuning,
-    packed: PackedChunks,
+    tuning: EncoderTuning | None,
+    magnitude: int,
+    reduction_factor: int | None,
+    word_bits: int,
     avg_bits: float,
+    impl: str = "scan",
 ) -> GpuEncodeResult:
-    """Pack the tail after ``packed``'s chunks, then build the stream,
-    its structural costs and the result."""
-    n_main = packed.n_chunks * tuning.chunk_symbols
+    """Resolve the tuning, pack the whole chunks, then pack the tail and
+    build the stream, its structural costs and the result."""
+    tuning = _resolve_tuning(
+        tuning, magnitude, reduction_factor, word_bits, avg_bits
+    )
+    n_main = data.size // tuning.chunk_symbols * tuning.chunk_symbols
+    packed = _pack_chunks(data[:n_main], book, tuning, impl)
     with _span("encode.pack_tail", n_symbols=int(data.size - n_main)):
         tail_codes, tail_lens = book.lookup(data[n_main:])
         tail_buf, tail_bits = pack_codewords(
@@ -430,7 +433,7 @@ def _finish_encode(
     )
     frac = packed.breaking.breaking_fraction
     costs = _structural_costs(
-        data, stream, tuning, packed.n_chunks, packed.moved_words,
+        data, stream, tuning, stream.n_chunks, packed.moved_words,
         frac, packed.breaking,
     )
     return GpuEncodeResult(
@@ -441,22 +444,3 @@ def _finish_encode(
         breaking_fraction=frac,
         input_bytes=int(data.nbytes),
     )
-
-
-def _encode_body(
-    data: np.ndarray,
-    book: CanonicalCodebook,
-    tuning: EncoderTuning | None,
-    magnitude: int,
-    reduction_factor: int | None,
-    word_bits: int,
-    avg_bits: float,
-    impl: str = "scan",
-) -> GpuEncodeResult:
-    """Resolve the tuning, pack the whole chunks, finish the stream."""
-    tuning = _resolve_tuning(
-        tuning, magnitude, reduction_factor, word_bits, avg_bits
-    )
-    n_main = data.size // tuning.chunk_symbols * tuning.chunk_symbols
-    packed = _pack_chunks(data[:n_main], book, tuning, impl)
-    return _finish_encode(data, book, tuning, packed, avg_bits)

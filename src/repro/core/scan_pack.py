@@ -171,7 +171,7 @@ def native_symbol_bits(
     *or* when ``data`` holds an out-of-range or codeword-less symbol:
     the caller's NumPy stats then raise that symbol's exact error.
     """
-    kern, _reason = native.route(data)
+    kern, _reason = native.route(data.dtype)
     if kern is None:
         return None
     total, bad = kern.symbol_bits(
@@ -348,7 +348,7 @@ def scan_pack_symbols(
     data = np.asarray(data)
     if data.size % tuning.chunk_symbols:
         raise ValueError("input must be whole chunks")
-    kern, reason = native.route(data)
+    kern, reason = native.route(data.dtype)
     if kern is None:
         _metrics().counter(
             "repro_encode_native_fallback_total", reason=reason

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.bitstream import EncodedStream, decode_stream
-from repro.core.chunk_parallel import parallel_encode
 from repro.core.codebook_parallel import parallel_codebook
+from repro.core.encoder import gpu_encode
 from repro.core.serialization import (
     deserialize_stream,
     serialize_stream,
@@ -108,9 +108,7 @@ class StreamingEncoder:
         """Encode one block into a self-contained segment (pass 2)."""
         block = np.asarray(block)
         with _span("streaming.encode_block", bytes_in=int(block.nbytes)) as sp:
-            # blocks past the pool threshold shard whole chunks across
-            # worker processes; the stream is the serial one either way
-            enc = parallel_encode(
+            enc = gpu_encode(
                 block, self.codebook, magnitude=self.magnitude,
                 device=self.device,
             )

@@ -25,9 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import native
+from repro.obs import span as _span
+
 __all__ = [
     "synthetic_field",
     "QuantizedField",
+    "check_outliers",
     "lorenzo_quantize",
     "dequantize",
 ]
@@ -56,15 +60,15 @@ def synthetic_field(
 
 @dataclass
 class QuantizedField:
-    #: flattened quantization codes: int32 from lorenzo_quantize,
-    #: uint16/uint32 (by n_bins) from decompress_field
+    #: flattened quantization codes: int32 by default, uint16/uint32 (by
+    #: n_bins) in compress_field and decompress_field
     codes: np.ndarray
     first_value: float  # anchor for the prediction chain
     error_bound: float
     n_bins: int
     shape: tuple[int, ...]
     #: positions whose residual exceeded the bin range, stored verbatim
-    outliers_idx: np.ndarray  # int64, ascending
+    outliers_idx: np.ndarray  # int64, strictly increasing within [1, n)
     outliers_val: np.ndarray  # float64
 
     @property
@@ -104,39 +108,26 @@ def _segment_codes(
     return out, -1
 
 
-def lorenzo_quantize(
-    field: np.ndarray, error_bound: float, n_bins: int = 1024
-) -> QuantizedField:
-    """Previous-value (1-D Lorenzo) prediction + error-bounded quantization."""
-    if error_bound <= 0:
-        raise ValueError("error_bound must be positive")
-    if n_bins < 4:
-        raise ValueError("n_bins must be at least 4")
-    flat = np.asarray(field, dtype=np.float64).reshape(-1)
+def _quantize_numpy(
+    flat: np.ndarray, error_bound: float, n_bins: int, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle of the compiled pass: ``(codes, outlier indices)``."""
     n = flat.size
     center = n_bins // 2
-    codes = np.full(n, center, dtype=np.int32)
+    codes = np.full(n, center, dtype=dtype)
     out_idx: list[int] = []
-    out_val: list[float] = []
-    if n == 0:
-        return QuantizedField(
-            codes=codes, first_value=0.0, error_bound=error_bound,
-            n_bins=n_bins, shape=np.asarray(field).shape,
-            outliers_idx=np.empty(0, np.int64),
-            outliers_val=np.empty(0, np.float64),
-        )
+    if n < 2:
+        return codes, np.empty(0, np.int64)
     # Precompute which positions overflow even against their *exact*
     # predecessor: any run of such positions after an outlier is itself a
     # run of outliers, which we can mark wholesale instead of re-anchoring
     # one by one (keeps rough-data inputs O(n)).
-    if n > 1:
-        qn = np.round(np.diff(flat) / (2 * error_bound)).astype(np.int64) + center
-        bad_n = np.concatenate([[False], (qn < 0) | (qn >= n_bins)])
-        idx_arr = np.arange(n, dtype=np.int64)
-        next_good = np.minimum.accumulate(
-            np.where(~bad_n, idx_arr, n)[::-1]
-        )[::-1]
-        next_good = np.concatenate([next_good, [n]])
+    qn = np.round(np.diff(flat) / (2 * error_bound)).astype(np.int64) + center
+    bad_n = np.concatenate([[False], (qn < 0) | (qn >= n_bins)])
+    next_good = np.minimum.accumulate(
+        np.where(~bad_n, np.arange(n, dtype=np.int64), n)[::-1]
+    )[::-1]
+    next_good = np.concatenate([next_good, [n]])  # next_good[j] >= j
     start = 1
     anchor = float(flat[0])
     while start < n:
@@ -148,31 +139,82 @@ def lorenzo_quantize(
         # and any following exact-predecessor overflows become outliers
         codes[start: start + first_bad] = seg[:first_bad]
         pos = start + first_bad
-        run_end = int(next_good[pos + 1]) if pos + 1 < n else n
-        run_end = max(run_end, pos + 1)
+        run_end = int(next_good[pos + 1])
         out_idx.extend(range(pos, run_end))
-        out_val.extend(flat[pos:run_end].tolist())
         # codes in the run stay at the centre (zero residual)
         anchor = float(flat[run_end - 1])
         start = run_end
+    return codes, np.asarray(out_idx, dtype=np.int64)
+
+
+def lorenzo_quantize(
+    field: np.ndarray,
+    error_bound: float,
+    n_bins: int = 1024,
+    dtype: np.dtype = np.int32,
+) -> QuantizedField:
+    """Previous-value (1-D Lorenzo) prediction + error-bounded quantization.
+
+    ``dtype`` is the integer dtype of the codes; it must hold
+    ``n_bins - 1``.  int32, uint16 and uint32 codes take the compiled
+    pass of :mod:`repro.native`; other dtypes, hosts without the module
+    and fields with a quotient that is not finite or of magnitude
+    ``>= 2**62`` (NaN, inf, huge values) run the NumPy body.  The
+    ``quantize.lorenzo`` span records ``backend`` and ``fallback``.
+    """
+    if error_bound <= 0:
+        raise ValueError("error_bound must be positive")
+    if n_bins < 4:
+        raise ValueError("n_bins must be at least 4")
+    dtype = np.dtype(dtype)
+    if dtype.kind not in "iu" or n_bins - 1 > np.iinfo(dtype).max:
+        raise ValueError(f"{dtype} codes cannot hold {n_bins} bins")
+    flat = np.ascontiguousarray(field, dtype=np.float64).reshape(-1)
+    with _span("quantize.lorenzo", n=int(flat.size)) as sp:
+        kern, fallback = native.route(dtype, "code")
+        if kern is not None:
+            codes = np.empty(flat.size, dtype)
+            out_idx, bad = kern.lorenzo_quantize(
+                flat, 2 * error_bound, n_bins, codes
+            )
+            if bad >= 0:
+                fallback = "quotient_range"
+        if fallback is None:
+            sp.set_attr(backend="native")
+        else:
+            codes, out_idx = _quantize_numpy(flat, error_bound, n_bins, dtype)
+            sp.set_attr(backend="numpy", fallback=fallback)
+        sp.set_attr(outliers=int(out_idx.size))
     return QuantizedField(
         codes=codes,
-        first_value=float(flat[0]),
+        first_value=float(flat[0]) if flat.size else 0.0,
         error_bound=error_bound,
         n_bins=n_bins,
         shape=np.asarray(field).shape,
-        outliers_idx=np.asarray(out_idx, dtype=np.int64),
-        outliers_val=np.asarray(out_val, dtype=np.float64),
+        outliers_idx=out_idx,
+        outliers_val=flat[out_idx],
     )
 
 
-def dequantize(qf: QuantizedField) -> np.ndarray:
-    """Reconstruct the field; |reconstruction - data| <= error_bound."""
+def check_outliers(idx: np.ndarray, n_values: int, n: int) -> None:
+    """Raise ``ValueError`` unless the outlier indices ``idx`` strictly
+    increase within ``[1, n)`` and match ``n_values`` values in count, as
+    :func:`dequantize` needs (a hostile container can claim anything)."""
+    if idx.ndim != 1 or idx.size != n_values:
+        raise ValueError("outlier indices and values disagree in count")
+    if idx.size and (idx[0] < 1 or idx[-1] >= n
+                     or not bool(np.all(idx[1:] > idx[:-1]))):
+        raise ValueError(
+            "outlier indices must strictly increase within [1, n)"
+        )
+
+
+def _dequantize_numpy(qf: QuantizedField) -> np.ndarray:
+    """The oracle of the compiled pass: the flat reconstruction."""
     n = qf.codes.size
-    center = qf.n_bins // 2
-    recon = np.empty(n, dtype=np.float64)
     if n == 0:
-        return recon.reshape(qf.shape)
+        return np.empty(0, dtype=np.float64)
+    center = qf.n_bins // 2
     eb2 = 2 * qf.error_bound
     # cumulative-sum-with-resets, fully vectorized: zero the step at every
     # anchor (anchors are exact), then offset each segment of the global
@@ -183,5 +225,33 @@ def dequantize(qf: QuantizedField) -> np.ndarray:
     steps[anchor_pos] = 0.0
     csum = np.cumsum(steps)
     seg_id = np.searchsorted(anchor_pos, np.arange(n), side="right") - 1
-    recon = anchor_val[seg_id] + (csum - csum[anchor_pos][seg_id])
+    return anchor_val[seg_id] + (csum - csum[anchor_pos][seg_id])
+
+
+def dequantize(qf: QuantizedField) -> np.ndarray:
+    """Reconstruct the field; |reconstruction - data| <= error_bound.
+
+    The outliers must pass :func:`check_outliers` (``ValueError``
+    otherwise).  int32, uint16 and uint32 codes take the compiled pass,
+    bit-identical to the NumPy body that other dtypes and hosts without
+    the module run; the ``dequantize.lorenzo`` span records ``backend``
+    and ``fallback``.
+    """
+    n = qf.codes.size
+    idx = np.asarray(qf.outliers_idx, dtype=np.int64)
+    check_outliers(idx, np.size(qf.outliers_val), n)
+    codes = qf.codes.reshape(-1)
+    with _span("dequantize.lorenzo", n=int(n)) as sp:
+        kern, fallback = native.route(codes.dtype, "code")
+        if kern is not None:
+            recon, bad = kern.lorenzo_dequantize(
+                np.ascontiguousarray(codes), 2 * qf.error_bound,
+                qf.n_bins // 2, qf.first_value, idx, qf.outliers_val,
+            )
+            if bad >= 0:  # check_outliers passed: cannot happen
+                raise ValueError("outlier index out of order or range")
+            sp.set_attr(backend="native")
+        else:
+            recon = _dequantize_numpy(qf)
+            sp.set_attr(backend="numpy", fallback=fallback)
     return recon.reshape(qf.shape)

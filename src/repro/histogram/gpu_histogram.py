@@ -194,7 +194,7 @@ def host_histogram(
     ``fallback`` says why (see :func:`repro.native.route`).  Both raise
     ``ValueError`` for a symbol outside ``[0, num_bins)``.
     """
-    kern, reason = native.route(flat)
+    kern, reason = native.route(flat.dtype)
     if kern is not None:
         hist, bad = kern.histogram(np.ascontiguousarray(flat), num_bins)
         if bad >= 0:

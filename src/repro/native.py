@@ -1,5 +1,5 @@
-"""The runtime-compiled C module: chunk-lane decode, scan-pack encode
-and the histogram.
+"""The runtime-compiled C module: chunk-lane decode, scan-pack encode,
+the histogram and the Lorenzo quantize/dequantize passes.
 
 One C source set, compiled once per process via :mod:`cffi` and the
 system C compiler and cached on disk under one digest of that source
@@ -49,6 +49,21 @@ oracle :func:`~repro.histogram.gpu_histogram.fast_histogram` after a
   count before its increment; the pass returns the index of the first
   out-of-range one.
 
+Lorenzo quantization (:mod:`repro.datasets.quantization`; oracle the
+NumPy bodies of ``lorenzo_quantize`` and ``dequantize``), over the code
+dtypes int32/uint16/uint32:
+
+- ``lorenzo_quantize_*``: one walk of the prediction chain that writes
+  each point's code, records each overflowing point and the run of
+  exact-predecessor overflows after it as outliers, and re-anchors
+  there.  A quotient that is not finite or reaches 2^62 in magnitude is
+  never cast to an integer; the pass stops and the caller runs the
+  oracle.
+- ``lorenzo_dequantize_*``: one running sum of the code steps, reset at
+  every anchor, in the oracle's order of operations (no fused
+  multiply-add: ``-ffp-contract=off``).  Every outlier index is checked
+  to increase strictly within the field before it is used.
+
 When cffi, a compiler, or a writable cache directory is missing the
 module degrades to ``kernel() -> None`` and every caller runs its NumPy
 path, recording why.  ``REPRO_DISABLE_NATIVE=1`` forces that
@@ -72,6 +87,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
+    "CODE_DTYPES",
     "DECODE_DTYPES",
     "NativeKernel",
     "SYMBOL_DTYPES",
@@ -86,7 +102,19 @@ SYMBOL_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32))
 #: output dtypes the chunk-decode pass writes (uint64 shares the int64
 #: variant: every decoded symbol is below 2^23)
 DECODE_DTYPES = SYMBOL_DTYPES + (np.dtype(np.int64), np.dtype(np.uint64))
+#: quantization-code dtypes the Lorenzo passes take (``lorenzo_quantize``'s
+#: default int32 and the uint16/uint32 that ``compress_field`` encodes),
+#: each with its C variant suffix and C type
+_CODE_VARIANTS = {
+    np.dtype(np.int32): ("i32", "int32_t"),
+    np.dtype(np.uint16): ("u16", "uint16_t"),
+    np.dtype(np.uint32): ("u32", "uint32_t"),
+}
+CODE_DTYPES = tuple(_CODE_VARIANTS)
 
+#: the Lorenzo passes must round exactly as NumPy does: no fused
+#: multiply-add (which some targets contract by default) in any build
+_FP_FLAGS = ["-ffp-contract=off"]
 #: ``REPRO_NATIVE_SANITIZE=1`` builds with AddressSanitizer and UBSan
 #: (a test build: Python must preload libasan, see ``make native-asan``)
 _SANITIZE_FLAGS = ["-O1", "-g", "-fsanitize=address,undefined",
@@ -138,9 +166,17 @@ int64_t histogram_u16(const uint16_t *sym, int64_t n, int64_t K,
     int64_t *hist, uint32_t *priv);
 int64_t histogram_u32(const uint32_t *sym, int64_t n, int64_t K,
     int64_t *hist, uint32_t *priv);
-"""
+""" + "".join(
+    f"""int64_t lorenzo_quantize_{sfx}(const double *x, int64_t n, double eb2,
+    int64_t n_bins, {ct} *codes, int64_t *oidx, int64_t *n_oidx);
+int64_t lorenzo_dequantize_{sfx}(const {ct} *codes, int64_t n, double eb2,
+    int64_t center, double first, const int64_t *oidx, const double *oval,
+    int64_t n_oidx, double *out);
+""" for sfx, ct in _CODE_VARIANTS.values()
+)
 
 _CSRC = r"""
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -372,6 +408,98 @@ int64_t NAME(const T *sym, int64_t n, int64_t K, int64_t *hist,           \
     return -1;                                                            \
 }
 
+/* Lorenzo quantize (the oracle is the NumPy body of
+ * repro.datasets.quantization.lorenzo_quantize).  Each point i >= 1 of
+ * the chain quantizes against the current anchor a:
+ * q = rint((x[i] - a) / eb2), NumPy's np.round (round-half-even), and
+ * its code is q - q_prev + n_bins / 2.  A code outside [0, n_bins)
+ * makes i an outlier, and so is every following point whose code from
+ * its exact predecessor, rint((x[j] - x[j - 1]) / eb2) + n_bins / 2,
+ * falls outside too.  Outliers keep the centre code and their indices
+ * go to oidx in order; the last one of a run is the new anchor
+ * (q_prev = 0).  A quotient that is not finite or reaches 2^62 in
+ * magnitude is never cast (NumPy's int64 cast of it is platform
+ * defined): the pass returns that point's index and the outputs are
+ * partial.  Else it returns -1 and *n_oidx outliers (at most n - 1, so
+ * oidx holds n entries). */
+#define LORENZO_QUANTIZE(NAME, T)                                         \
+int64_t NAME(const double *x, int64_t n, double eb2, int64_t n_bins,      \
+             T *codes, int64_t *oidx, int64_t *n_oidx) {                  \
+    const int64_t center = n_bins / 2;                                    \
+    int64_t no = 0;                                                       \
+    *n_oidx = 0;                                                          \
+    if (n == 0) return -1;                                                \
+    codes[0] = (T)center;                                                 \
+    double a = x[0];                                                      \
+    int64_t qp = 0;                                                       \
+    for (int64_t i = 1; i < n; ) {                                        \
+        double t = (x[i] - a) / eb2;                                      \
+        if (!(fabs(t) < 0x1p62)) return i;                                \
+        int64_t q = (int64_t)rint(t);                                     \
+        int64_t c = q - qp + center;                                      \
+        if (c >= 0 && c < n_bins) {                                       \
+            codes[i++] = (T)c;                                            \
+            qp = q;                                                       \
+            continue;                                                     \
+        }                                                                 \
+        codes[i] = (T)center;                                             \
+        oidx[no++] = i;                                                   \
+        int64_t j = i + 1;                                                \
+        for (; j < n; j++) {                                              \
+            double u = (x[j] - x[j - 1]) / eb2;                           \
+            if (!(fabs(u) < 0x1p62)) return j;                            \
+            int64_t cn = (int64_t)rint(u) + center;                       \
+            if (cn >= 0 && cn < n_bins) break;                            \
+            codes[j] = (T)center;                                         \
+            oidx[no++] = j;                                               \
+        }                                                                 \
+        a = x[j - 1];                                                     \
+        qp = 0;                                                           \
+        i = j;                                                            \
+    }                                                                     \
+    *n_oidx = no;                                                         \
+    return -1;                                                            \
+}
+
+/* Lorenzo dequantize (oracle: the NumPy body of
+ * repro.datasets.quantization.dequantize).  One running sum of the
+ * steps ((double)code - center) * eb2, in NumPy's cumsum order, where
+ * point 0 and every outlier step by 0.0 and reset the base; out[i] =
+ * anchor + (sum - base), the anchor being first or the outlier's value.
+ * Before it is used, each outlier index must exceed the previous anchor
+ * (0 for the first) and lie below n.  Returns -1, or the position in
+ * oidx of the first index that does not (out is then partial). */
+#define LORENZO_DEQUANTIZE(NAME, T)                                       \
+int64_t NAME(const T *codes, int64_t n, double eb2, int64_t center,       \
+             double first, const int64_t *oidx, const double *oval,       \
+             int64_t n_oidx, double *out) {                               \
+    const double c0 = (double)center;                                     \
+    int64_t k = 0, next = n;                                              \
+    if (n == 0) return n_oidx ? 0 : -1;                                   \
+    if (n_oidx) {                                                         \
+        if (oidx[0] < 1 || oidx[0] >= n) return 0;                        \
+        next = oidx[0];                                                   \
+    }                                                                     \
+    double sum = 0.0, base = 0.0, av = first;                             \
+    out[0] = av + (sum - base);                                           \
+    for (int64_t i = 1; i < n; i++) {                                     \
+        if (i == next) {                                                  \
+            sum += 0.0;                                                   \
+            base = sum;                                                   \
+            av = oval[k++];                                               \
+            next = n;                                                     \
+            if (k < n_oidx) {                                             \
+                if (oidx[k] <= i || oidx[k] >= n) return k;               \
+                next = oidx[k];                                           \
+            }                                                             \
+        } else {                                                          \
+            sum += ((double)codes[i] - c0) * eb2;                         \
+        }                                                                 \
+        out[i] = av + (sum - base);                                       \
+    }                                                                     \
+    return -1;                                                            \
+}
+
 SYMBOL_BITS(symbol_bits_u8, uint8_t)
 SYMBOL_BITS(symbol_bits_u16, uint16_t)
 SYMBOL_BITS(symbol_bits_u32, uint32_t)
@@ -385,13 +513,17 @@ CHUNK_DECODE(chunk_decode_i64, int64_t)
 HISTOGRAM(histogram_u8, uint8_t)
 HISTOGRAM(histogram_u16, uint16_t)
 HISTOGRAM(histogram_u32, uint32_t)
-"""
+""" + "".join(
+    f"LORENZO_QUANTIZE(lorenzo_quantize_{sfx}, {ct})\n"
+    f"LORENZO_DEQUANTIZE(lorenzo_dequantize_{sfx}, {ct})\n"
+    for sfx, ct in _CODE_VARIANTS.values()
+)
 
 
 def _compile_flags() -> list[str]:
     if os.environ.get("REPRO_NATIVE_SANITIZE"):
-        return _SANITIZE_FLAGS
-    return ["-O2"]
+        return _SANITIZE_FLAGS + _FP_FLAGS
+    return ["-O2"] + _FP_FLAGS
 
 
 def _source_digest() -> str:
@@ -564,6 +696,62 @@ class NativeKernel:
         )
         return hist, int(bad)
 
+    def _codes(self, codes: np.ndarray) -> tuple[str, object]:
+        """C-variant suffix and pointer of a code array, after checking
+        the layout the Lorenzo passes read and write."""
+        if codes.dtype not in CODE_DTYPES or not codes.flags.c_contiguous:
+            raise ValueError("codes must be contiguous int32/uint16/uint32")
+        sfx, ctype = _CODE_VARIANTS[codes.dtype]
+        return sfx, self._p(f"{ctype} *", codes)
+
+    def lorenzo_quantize(
+        self, flat: np.ndarray, eb2: float, n_bins: int, codes: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """Quantize ``flat`` into ``codes`` (same size): the returned pair
+        is the int64 outlier indices and ``-1``, or the index of the first
+        point whose quotient is not finite or reaches 2^62 (the outputs
+        are then partial and must not be used)."""
+        if (flat.dtype != np.float64 or flat.ndim != 1
+                or not flat.flags.c_contiguous or codes.shape != flat.shape):
+            raise ValueError("values must be contiguous 1-D float64 and "
+                             "codes of the same shape")
+        suffix, out = self._codes(codes)
+        # holds the worst case (every point but the first an outlier);
+        # only the pages the pass writes are ever touched
+        oidx = np.empty(flat.size, np.int64)
+        n_oidx = self._ffi.new("int64_t *")
+        bad = getattr(self._lib, f"lorenzo_quantize_{suffix}")(
+            self._p("double *", flat), flat.size, float(eb2), int(n_bins),
+            out, self._p("int64_t *", oidx), n_oidx,
+        )
+        return oidx[: n_oidx[0]].copy(), int(bad)
+
+    def lorenzo_dequantize(
+        self,
+        codes: np.ndarray,
+        eb2: float,
+        center: int,
+        first: float,
+        oidx: np.ndarray,
+        oval: np.ndarray,
+    ) -> tuple[np.ndarray, int]:
+        """``(out, bad)``: the float64 reconstruction of ``codes``, and
+        ``-1`` or the position of the first outlier index that does not
+        strictly increase within ``[1, codes.size)`` (``out`` is then
+        partial)."""
+        suffix, cp = self._codes(codes)
+        oidx = np.ascontiguousarray(oidx, np.int64)
+        oval = np.ascontiguousarray(oval, np.float64)
+        if oidx.ndim != 1 or oval.shape != oidx.shape:
+            raise ValueError("outlier indices and values disagree in count")
+        out = np.empty(codes.size, np.float64)
+        bad = getattr(self._lib, f"lorenzo_dequantize_{suffix}")(
+            cp, codes.size, float(eb2), int(center), float(first),
+            self._p("int64_t *", oidx), self._p("double *", oval),
+            oidx.size, self._p("double *", out),
+        )
+        return out, int(bad)
+
 
 _LOCK = threading.Lock()
 _KERNEL: Optional[NativeKernel] = None
@@ -590,7 +778,7 @@ def _load_or_compile() -> NativeKernel:
         cdir.mkdir(parents=True, exist_ok=True)
         flags = _compile_flags()
         ffi.set_source(
-            modname, _CSRC, extra_compile_args=flags,
+            modname, _CSRC, extra_compile_args=flags, libraries=["m"],
             extra_link_args=[f for f in flags if f.startswith("-fsan")],
         )
         sopath = Path(ffi.compile(tmpdir=str(cdir)))
@@ -623,12 +811,17 @@ def kernel() -> Optional[NativeKernel]:
     return _KERNEL
 
 
-def route(data: np.ndarray) -> tuple[Optional[NativeKernel], Optional[str]]:
-    """``(kernel, reason)``: the compiled module when it loads and takes
-    ``data``'s symbol dtype, else ``None`` and why not
-    (``"symbol_dtype"`` or ``"no_native_kernel"``)."""
-    if data.dtype not in SYMBOL_DTYPES:
-        return None, "symbol_dtype"
+def route(
+    dtype: np.dtype, kind: str = "symbol"
+) -> tuple[Optional[NativeKernel], Optional[str]]:
+    """``(kernel, reason)``: the compiled module when it loads and has a
+    variant for ``dtype`` (a ``"symbol"`` dtype of the encode and
+    histogram passes, or a ``"code"`` dtype of the Lorenzo passes), else
+    ``None`` and why not (``"symbol_dtype"``/``"code_dtype"`` or
+    ``"no_native_kernel"``)."""
+    dtypes = SYMBOL_DTYPES if kind == "symbol" else CODE_DTYPES
+    if np.dtype(dtype) not in dtypes:
+        return None, f"{kind}_dtype"
     kern = kernel()
     return kern, None if kern is not None else "no_native_kernel"
 

@@ -1,10 +1,9 @@
-"""Multiprocess shard layer: worker-count independence, chaos, serve stress.
+"""The facade's encode entry point and the serve path's encode under load.
 
-The shard layer's contract is that it is a pure throughput knob:
-``parallel_encode`` must emit the byte-identical container with identical
-modeled costs for every worker count, survive a crashed worker by
-degrading to the serial path (same bytes again), and keep behaving under
-the serve layer's thread-pool concurrency.
+``parallel_encode`` is ``gpu_encode`` called in-process: it must give
+the same container bytes and modeled costs, and raise the same error
+for a symbol outside the book.  The serve stress drives the scan-pack
+encoder underneath the service's thread-pool concurrency.
 """
 
 from __future__ import annotations
@@ -15,11 +14,7 @@ import numpy as np
 import pytest
 
 from repro.app.compressor import compress_symbols, decompress_symbols
-from repro.core.chunk_parallel import (
-    PARALLEL_THRESHOLD_BYTES,
-    default_workers,
-    parallel_encode,
-)
+from repro.core.chunk_parallel import parallel_encode
 from repro.core.codebook_parallel import parallel_codebook
 from repro.core.encoder import gpu_encode
 from repro.core.serialization import serialize_stream
@@ -47,68 +42,31 @@ def _cost_tuples(res):
              c.compute_cycles) for c in res.costs]
 
 
-class TestWorkerCountIndependence:
-    def test_bitstream_identical_for_every_worker_count(self):
-        """PR 4's invariant, extended to the process pool: the container
-        bytes and modeled costs are a pure function of (data, book)."""
-        data, book = _payload()
-        ref = gpu_encode(data, book, magnitude=10)
-        ref_bytes = serialize_stream(ref.stream, book)
-        for workers in (1, 2, 3, 5):
-            par = parallel_encode(data, book, magnitude=10,
-                                  workers=workers, threshold_bytes=0)
-            assert serialize_stream(par.stream, book) == ref_bytes, workers
-            assert _cost_tuples(par) == _cost_tuples(ref), workers
+class TestInProcessEncode:
+    def test_same_bytes_as_gpu_encode(self):
+        for size in (0, 4000, 200_000):
+            data, book = _payload(size=size)
+            ref = gpu_encode(data, book, magnitude=10)
+            par = parallel_encode(data, book, magnitude=10)
+            assert serialize_stream(par.stream, book) == \
+                serialize_stream(ref.stream, book), size
+            assert _cost_tuples(par) == _cost_tuples(ref), size
             assert par.avg_bits == ref.avg_bits
             assert par.breaking_fraction == ref.breaking_fraction
 
-    def test_small_inputs_short_circuit_to_serial(self):
-        data, book = _payload(size=4000)
-        assert data.nbytes < PARALLEL_THRESHOLD_BYTES
-        par = parallel_encode(data, book, magnitude=10, workers=4)
-        ref = gpu_encode(data, book, magnitude=10)
-        assert serialize_stream(par.stream, book) == \
-            serialize_stream(ref.stream, book)
-
-    def test_default_workers_bounded(self):
-        assert 1 <= default_workers() <= 4
-
 
 class TestChaos:
-    def test_crashed_worker_falls_back_to_identical_serial(self):
-        """One shard raising inside its process must not corrupt or fail
-        the encode: the pool fault is contained, the serial fallback
-        produces the identical stream, and the degradation is counted."""
-        data, book = _payload(seed=23)
-        ref = gpu_encode(data, book, magnitude=10)
-        from repro.obs import metrics as _metrics
-        before = _metrics().counter(
-            "repro_encode_parallel_fallback_total").value
-        par = parallel_encode(data, book, magnitude=10, workers=3,
-                              threshold_bytes=0, _inject_failure=1)
-        after = _metrics().counter(
-            "repro_encode_parallel_fallback_total").value
-        assert after == before + 1
-        assert serialize_stream(par.stream, book) == \
-            serialize_stream(ref.stream, book)
-        assert _cost_tuples(par) == _cost_tuples(ref)
-
     def test_user_errors_are_not_retried(self):
-        """Out-of-range symbols are the caller's bug, not a pool fault:
-        they surface with the exact serial-path exception, and the
-        fallback counter stays untouched."""
+        """Out-of-range symbols are the caller's bug: they surface once,
+        with gpu_encode's exact exception."""
         data, book = _payload(seed=29)
         bad = data.copy()
         bad[1234] = 301  # alphabet is 300
         with pytest.raises(IndexError) as par_exc:
-            parallel_encode(bad, book, magnitude=10, workers=3,
-                            threshold_bytes=0)
+            parallel_encode(bad, book, magnitude=10)
         with pytest.raises(IndexError) as ser_exc:
             gpu_encode(bad, book, magnitude=10)
         assert str(par_exc.value) == str(ser_exc.value)
-        from repro.obs import metrics as _metrics
-        assert _metrics().counter(
-            "repro_encode_parallel_fallback_total").value == 0
 
 
 class TestServeStress:

@@ -132,3 +132,34 @@ def test_clean_blobs_still_round_trip():
     stream, book = deserialize_stream(BLOB_STREAM)
     assert stream.n_symbols == SYMS.size
     assert book.lengths.size == _BOOK.lengths.size
+
+
+def _outlier_blob() -> tuple[bytes, int, int]:
+    """A field container with three outliers, the byte offset of its
+    outlier-index table and the outlier count."""
+    field = np.cumsum(np.random.default_rng(9).normal(size=4096)) * 1e-3
+    field[[700, 1900, 3100]] += 5.0
+    blob, report = compress_field(field, error_bound=1e-3)
+    ndim = 1
+    return blob, 4 + 24 + 8 * ndim + 8, report.outliers
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda idx: idx[::-1],                   # swapped
+    lambda idx: np.repeat(idx[:1], idx.size),  # duplicate
+    lambda idx: -idx,                        # negative
+    lambda idx: np.zeros_like(idx),          # zero
+], ids=["swapped", "duplicate", "negative", "zero"])
+def test_hostile_outlier_positions_are_refused(mutate):
+    """Outlier indices must strictly increase within [1, n): a container
+    that breaks that must not reconstruct a field off its error bound."""
+    blob, at, n_out = _outlier_blob()
+    assert blob[:4] == b"RPRF" and n_out >= 3
+    idx = np.frombuffer(blob, np.int64, n_out, at)
+    bad = mutate(idx.copy())
+    assert not np.array_equal(bad, idx)
+    poked = blob[:at] + bad.astype(np.int64).tobytes() + blob[at + 8 * n_out:]
+    with pytest.raises(ValueError, match="outlier"):
+        decompress_field(poked)
+    decompress_field(blob)  # the unmutated container still decodes
+

@@ -38,6 +38,7 @@ from repro.cuda.device import DeviceSpec, V100
 from repro.datasets.quantization import (
     QuantizedField,
     check_outliers,
+    code_dtype,
     dequantize,
     lorenzo_quantize,
 )
@@ -252,11 +253,6 @@ def decompress_symbols(buf: bytes, book=None) -> np.ndarray:
     return out
 
 
-def _code_dtype(n_bins: int) -> type:
-    """The dtype a field container's codes are encoded in."""
-    return np.uint16 if n_bins <= 65536 else np.uint32
-
-
 def compress_field(
     field: np.ndarray,
     error_bound: float,
@@ -276,8 +272,7 @@ def compress_field(
                     error_bound=error_bound, n_bins=n_bins)
     with span_cm:
         with _span("app.quantize", bytes_in=int(field.nbytes)):
-            qf = lorenzo_quantize(field, error_bound, n_bins,
-                                  dtype=_code_dtype(n_bins))
+            qf = lorenzo_quantize(field, error_bound, n_bins)
 
         payload, enc_report = _encode_to_bytes(qf.codes, n_bins, magnitude,
                                                device)
@@ -339,7 +334,7 @@ def _decompress_field_body(buf: bytes) -> np.ndarray:
     stream, book = deserialize_stream(buf[pos:])
     if stream.n_symbols != n:
         raise ValueError("code count disagrees with the field shape")
-    codes = decode_stream(stream, book, dtype=_code_dtype(n_bins))
+    codes = decode_stream(stream, book, dtype=code_dtype(n_bins))
     qf = QuantizedField(
         codes=codes, first_value=first_value, error_bound=eb, n_bins=n_bins,
         shape=tuple(int(s) for s in shape),

@@ -32,6 +32,7 @@ __all__ = [
     "synthetic_field",
     "QuantizedField",
     "check_outliers",
+    "code_dtype",
     "lorenzo_quantize",
     "dequantize",
 ]
@@ -60,8 +61,7 @@ def synthetic_field(
 
 @dataclass
 class QuantizedField:
-    #: flattened quantization codes: int32 by default, uint16/uint32 (by
-    #: n_bins) in compress_field and decompress_field
+    #: flattened quantization codes, in :func:`code_dtype` of ``n_bins``
     codes: np.ndarray
     first_value: float  # anchor for the prediction chain
     error_bound: float
@@ -99,22 +99,28 @@ def _segment_codes(
         k_prev = int(k[-1])
         bad = np.flatnonzero((codes < 0) | (codes >= n_bins))
         if bad.size:
-            pieces.append(codes[: int(bad[0])].astype(np.int32))
+            pieces.append(codes[: int(bad[0])])
             return np.concatenate(pieces) if len(pieces) > 1 else pieces[0], (
                 lo + int(bad[0])
             )
-        pieces.append(codes.astype(np.int32))
+        pieces.append(codes)
     out = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
     return out, -1
 
 
+def code_dtype(n_bins: int) -> type:
+    """The dtype of the codes of ``n_bins`` bins: the narrowest unsigned
+    one that holds them (codes lie in ``[0, n_bins)``)."""
+    return np.uint16 if n_bins <= 65536 else np.uint32
+
+
 def _quantize_numpy(
-    flat: np.ndarray, error_bound: float, n_bins: int, dtype: np.dtype
+    flat: np.ndarray, error_bound: float, n_bins: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The oracle of the compiled pass: ``(codes, outlier indices)``."""
     n = flat.size
     center = n_bins // 2
-    codes = np.full(n, center, dtype=dtype)
+    codes = np.full(n, center, dtype=code_dtype(n_bins))
     out_idx: list[int] = []
     if n < 2:
         return codes, np.empty(0, np.int64)
@@ -148,32 +154,26 @@ def _quantize_numpy(
 
 
 def lorenzo_quantize(
-    field: np.ndarray,
-    error_bound: float,
-    n_bins: int = 1024,
-    dtype: np.dtype = np.int32,
+    field: np.ndarray, error_bound: float, n_bins: int = 1024
 ) -> QuantizedField:
     """Previous-value (1-D Lorenzo) prediction + error-bounded quantization.
 
-    ``dtype`` is the integer dtype of the codes; it must hold
-    ``n_bins - 1``.  int32, uint16 and uint32 codes take the compiled
-    pass of :mod:`repro.native`; other dtypes, hosts without the module
-    and fields with a quotient that is not finite or of magnitude
-    ``>= 2**62`` (NaN, inf, huge values) run the NumPy body.  The
-    ``quantize.lorenzo`` span records ``backend`` and ``fallback``.
+    The codes come in :func:`code_dtype` of ``n_bins`` (uint16 up to
+    65536 bins, else uint32) from the compiled pass of
+    :mod:`repro.native`.  Hosts without the module and fields with a
+    quotient that is not finite or of magnitude ``>= 2**62`` (NaN, inf,
+    huge values) run the NumPy body.  The ``quantize.lorenzo`` span
+    records ``backend`` and ``fallback``.
     """
     if error_bound <= 0:
         raise ValueError("error_bound must be positive")
-    if n_bins < 4:
-        raise ValueError("n_bins must be at least 4")
-    dtype = np.dtype(dtype)
-    if dtype.kind not in "iu" or n_bins - 1 > np.iinfo(dtype).max:
-        raise ValueError(f"{dtype} codes cannot hold {n_bins} bins")
+    if not 4 <= n_bins <= 1 << 32:
+        raise ValueError("n_bins must be within [4, 2**32]")
     flat = np.ascontiguousarray(field, dtype=np.float64).reshape(-1)
     with _span("quantize.lorenzo", n=int(flat.size)) as sp:
-        kern, fallback = native.route(dtype, "code")
+        kern, fallback = native.route(code_dtype(n_bins), "code")
         if kern is not None:
-            codes = np.empty(flat.size, dtype)
+            codes = np.empty(flat.size, code_dtype(n_bins))
             out_idx, bad = kern.lorenzo_quantize(
                 flat, 2 * error_bound, n_bins, codes
             )
@@ -182,7 +182,7 @@ def lorenzo_quantize(
         if fallback is None:
             sp.set_attr(backend="native")
         else:
-            codes, out_idx = _quantize_numpy(flat, error_bound, n_bins, dtype)
+            codes, out_idx = _quantize_numpy(flat, error_bound, n_bins)
             sp.set_attr(backend="numpy", fallback=fallback)
         sp.set_attr(outliers=int(out_idx.size))
     return QuantizedField(
@@ -232,10 +232,10 @@ def dequantize(qf: QuantizedField) -> np.ndarray:
     """Reconstruct the field; |reconstruction - data| <= error_bound.
 
     The outliers must pass :func:`check_outliers` (``ValueError``
-    otherwise).  int32, uint16 and uint32 codes take the compiled pass,
-    bit-identical to the NumPy body that other dtypes and hosts without
-    the module run; the ``dequantize.lorenzo`` span records ``backend``
-    and ``fallback``.
+    otherwise).  uint16 and uint32 codes take the compiled pass,
+    bit-identical to the NumPy body that other dtypes (a hand-built
+    :class:`QuantizedField`) and hosts without the module run; the
+    ``dequantize.lorenzo`` span records ``backend`` and ``fallback``.
     """
     n = qf.codes.size
     idx = np.asarray(qf.outliers_idx, dtype=np.int64)

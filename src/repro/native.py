@@ -51,7 +51,7 @@ oracle :func:`~repro.histogram.gpu_histogram.fast_histogram` after a
 
 Lorenzo quantization (:mod:`repro.datasets.quantization`; oracle the
 NumPy bodies of ``lorenzo_quantize`` and ``dequantize``), over the code
-dtypes int32/uint16/uint32:
+dtypes uint16/uint32:
 
 - ``lorenzo_quantize_*``: one walk of the prediction chain that writes
   each point's code, records each overflowing point and the run of
@@ -102,11 +102,9 @@ SYMBOL_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32))
 #: output dtypes the chunk-decode pass writes (uint64 shares the int64
 #: variant: every decoded symbol is below 2^23)
 DECODE_DTYPES = SYMBOL_DTYPES + (np.dtype(np.int64), np.dtype(np.uint64))
-#: quantization-code dtypes the Lorenzo passes take (``lorenzo_quantize``'s
-#: default int32 and the uint16/uint32 that ``compress_field`` encodes),
-#: each with its C variant suffix and C type
+#: quantization-code dtypes the Lorenzo passes take (each
+#: ``quantization.code_dtype``), with their C variant suffix and C type
 _CODE_VARIANTS = {
-    np.dtype(np.int32): ("i32", "int32_t"),
     np.dtype(np.uint16): ("u16", "uint16_t"),
     np.dtype(np.uint32): ("u32", "uint32_t"),
 }
@@ -700,7 +698,7 @@ class NativeKernel:
         """C-variant suffix and pointer of a code array, after checking
         the layout the Lorenzo passes read and write."""
         if codes.dtype not in CODE_DTYPES or not codes.flags.c_contiguous:
-            raise ValueError("codes must be contiguous int32/uint16/uint32")
+            raise ValueError("codes must be contiguous uint16/uint32")
         sfx, ctype = _CODE_VARIANTS[codes.dtype]
         return sfx, self._p(f"{ctype} *", codes)
 

@@ -1,12 +1,13 @@
 """The compiled Lorenzo passes against their NumPy oracles.
 
 ``lorenzo_quantize`` and ``dequantize`` run ``repro.native``'s
-``lorenzo_quantize_*``/``lorenzo_dequantize_*`` for int32, uint16 and
-uint32 codes.  Their codes, outlier indices, outlier values and
+``lorenzo_quantize_*``/``lorenzo_dequantize_*`` for uint16 and uint32
+codes (uint32 past 65536 bins).  Their codes, outlier indices, outlier values and
 reconstructions must equal the NumPy bodies' bit for bit (compared as
 raw bits, so a -0.0 or a NaN payload counts).  Fields whose quotient is
 not finite or reaches 2^62 must take the oracle with the reason on the
-span, and a reconstruction must refuse outlier indices that do not
+span, as must codes of any other dtype (int32, int64) in a hand-built
+field, and a reconstruction must refuse outlier indices that do not
 strictly increase within ``[1, n)``.  The C-against-NumPy tests skip
 where the module cannot be built; the rest run the oracle there.
 """
@@ -26,6 +27,7 @@ from repro.datasets.quantization import (
     QuantizedField,
     _dequantize_numpy,
     _quantize_numpy,
+    code_dtype,
     dequantize,
     lorenzo_quantize,
 )
@@ -36,10 +38,11 @@ needs_native = pytest.mark.skipif(
     kern is None, reason=f"native module unavailable: {native.native_error()}"
 )
 
-CODE_DTYPES = [d.name for d in native.CODE_DTYPES]
-#: (error bound, bins): wide, narrow and a bound so coarse that the
-#: three-bit alphabet overflows on every jump
-BOUNDS = [(1e-2, 1024), (1e-3, 64), (0.5, 8)]
+#: (error bound, bins): wide, narrow, a bound so coarse that the
+#: three-bit alphabet overflows on every jump, and uint32 codes
+BOUNDS = [(1e-2, 1024), (1e-3, 64), (0.5, 8), (1e-5, 1 << 17)]
+#: a bin count per code dtype
+DTYPE_BINS = [(1e-3, 64), (1e-5, 1 << 17)]
 
 
 def _field(kind: str, n: int, seed: int) -> np.ndarray:
@@ -74,12 +77,12 @@ def _spans(fn):
     return out, {s.name: s.attrs for s in tracer.spans}
 
 
-def assert_matches_oracle(field, eb, n_bins, dtype) -> QuantizedField:
+def assert_matches_oracle(field, eb, n_bins) -> QuantizedField:
     """The public calls (whatever backend they pick) equal the NumPy
     bodies on every output."""
     flat = np.asarray(field, np.float64).reshape(-1)
-    qf = lorenzo_quantize(field, eb, n_bins, dtype=dtype)
-    codes, out_idx = _quantize_numpy(flat, eb, n_bins, np.dtype(dtype))
+    qf = lorenzo_quantize(field, eb, n_bins)
+    codes, out_idx = _quantize_numpy(flat, eb, n_bins)
     assert_same(qf.codes, codes)
     assert_same(qf.outliers_idx, out_idx)
     assert_same(qf.outliers_val, flat[out_idx])
@@ -91,62 +94,70 @@ def assert_matches_oracle(field, eb, n_bins, dtype) -> QuantizedField:
 
 @needs_native
 class TestCompiledPassEqualsOracle:
-    @pytest.mark.parametrize("dtype", CODE_DTYPES)
     @pytest.mark.parametrize("kind,bound", FIELDS,
                              ids=[f"{k}-{b[1]}" for k, b in FIELDS])
-    def test_fields(self, kind, bound, dtype):
+    def test_fields(self, kind, bound):
         eb, n_bins = bound
         field = _field(kind, 20_000, seed=len(kind) * 7 + n_bins)
-        qf, spans = _spans(lambda: assert_matches_oracle(
-            field, eb, n_bins, dtype))
+        qf, spans = _spans(lambda: assert_matches_oracle(field, eb, n_bins))
+        assert qf.codes.dtype == code_dtype(n_bins)
         assert spans["quantize.lorenzo"]["backend"] == "native"
         assert spans["dequantize.lorenzo"]["backend"] == "native"
         assert float(np.abs(dequantize(qf) - field).max()) <= eb * (1 + 1e-9)
 
-    @pytest.mark.parametrize("dtype", CODE_DTYPES)
+    @pytest.mark.parametrize("eb,n_bins", DTYPE_BINS)
     @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_tiny_fields(self, n, dtype):
+    def test_tiny_fields(self, n, eb, n_bins):
         for field in (np.zeros(n), np.arange(n) * 1e6, -np.arange(n) * 0.3):
-            assert_matches_oracle(field, 1e-3, 16, dtype)
+            assert_matches_oracle(field, eb, n_bins)
 
-    @pytest.mark.parametrize("dtype", CODE_DTYPES)
-    def test_constant_fields(self, dtype):
+    @pytest.mark.parametrize("eb,n_bins", DTYPE_BINS)
+    def test_constant_fields(self, eb, n_bins):
         for value in (0.0, -0.0, 3.25, -1e12):
-            qf = assert_matches_oracle(np.full((8, 9), value), 1e-3, 64,
-                                       dtype)
+            qf = assert_matches_oracle(np.full((8, 9), value), eb, n_bins)
             assert qf.outliers_idx.size == 0
-            assert np.all(qf.codes == 32)
+            assert np.all(qf.codes == n_bins // 2)
 
-    @pytest.mark.parametrize("dtype", CODE_DTYPES)
-    def test_outlier_heavy_fields(self, dtype):
+    @pytest.mark.parametrize("eb,n_bins", [(1e-3, 4), (1e-9, 1 << 17)])
+    def test_outlier_heavy_fields(self, eb, n_bins):
         rng = np.random.default_rng(3)
         noise = rng.standard_normal(30_000) * 10
-        qf = assert_matches_oracle(noise, 1e-3, 4, dtype)
+        qf = assert_matches_oracle(noise, eb, n_bins)
         assert qf.outlier_fraction > 0.9
         # isolated spikes: one outlier, then the chain re-anchors
         spiky = np.linspace(0, 1, 30_000)
         spiky[::97] += 50.0
-        qf = assert_matches_oracle(spiky, 1e-3, 256, dtype)
+        qf = assert_matches_oracle(spiky, 1e-3, 256)
         assert 300 <= qf.outliers_idx.size < 1000
 
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+    def test_dequantize_code_dtypes(self, dtype):
+        """uint16 codes re-typed as uint32 take the uint32 pass and give
+        the same reconstruction."""
+        qf = lorenzo_quantize(_field("rough", 20_000, seed=5), 1e-3, 64)
+        want = _dequantize_numpy(qf)
+        qf.codes = qf.codes.astype(dtype)
+        recon, spans = _spans(lambda: dequantize(qf))
+        assert spans["dequantize.lorenzo"]["backend"] == "native"
+        assert_same(recon, want)
+
     @given(
-        dtype=st.sampled_from(CODE_DTYPES),
         n=st.integers(0, 3000),
         scale=st.sampled_from([1e-4, 1e-2, 1.0, 1e3]),
         bound=st.sampled_from(BOUNDS),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=120, deadline=None)
-    def test_random_walks(self, dtype, n, scale, bound, seed):
+    def test_random_walks(self, n, scale, bound, seed):
         rng = np.random.default_rng(seed)
         # steps on a coarse grid hit exact rounding ties (x.5 quotients)
         steps = rng.integers(-40, 41, n) * 0.25 * bound[0]
         field = np.cumsum(steps) * scale
-        assert_matches_oracle(field, bound[0], bound[1], dtype)
+        assert_matches_oracle(field, bound[0], bound[1])
 
     def test_kernel_reports_the_first_unrepresentable_quotient(self):
         x = np.array([0.0, 1.0, 2.0, np.inf, 3.0])
-        codes = np.empty(x.size, np.int32)
+        codes = np.empty(x.size, np.uint16)
         _idx, bad = kern.lorenzo_quantize(x, 2.0, 16, codes)
         assert bad == 3
         x[3] = 2.0**62 * 2.0  # exactly the limit: not cast
@@ -174,8 +185,7 @@ class TestOracleFallback:
         field[at] = poison
         with np.errstate(invalid="ignore", over="ignore"):
             qf, spans = _spans(lambda: lorenzo_quantize(field, 1e-3, 64))
-            codes, out_idx = _quantize_numpy(field, 1e-3, 64,
-                                             np.dtype(np.int32))
+            codes, out_idx = _quantize_numpy(field, 1e-3, 64)
         attrs = spans["quantize.lorenzo"]
         assert attrs["backend"] == "numpy"
         assert attrs["fallback"] == ("no_native_kernel" if kern is None
@@ -183,18 +193,14 @@ class TestOracleFallback:
         assert_same(qf.codes, codes)
         assert_same(qf.outliers_idx, out_idx)
 
-    def test_code_dtype_without_a_variant(self):
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_code_dtype_without_a_variant(self, dtype):
         field = np.cumsum(np.random.default_rng(1).standard_normal(4096))
-        qf, spans = _spans(lambda: lorenzo_quantize(field, 1e-2, 256,
-                                                    dtype=np.int64))
-        assert qf.codes.dtype == np.int64
-        assert spans["quantize.lorenzo"] == {
-            "n": 4096, "backend": "numpy", "fallback": "code_dtype",
-            "outliers": int(qf.outliers_idx.size)}
         ref = lorenzo_quantize(field, 1e-2, 256)
-        assert np.array_equal(qf.codes, ref.codes)
+        qf = QuantizedField(**{**vars(ref), "codes": ref.codes.astype(dtype)})
         recon, spans = _spans(lambda: dequantize(qf))
-        assert spans["dequantize.lorenzo"]["fallback"] == "code_dtype"
+        assert spans["dequantize.lorenzo"] == {
+            "n": 4096, "backend": "numpy", "fallback": "code_dtype"}
         assert_same(recon, dequantize(ref))
 
     def test_no_compiler(self, monkeypatch):
@@ -210,11 +216,13 @@ class TestOracleFallback:
         assert_same(qf.outliers_idx, want.outliers_idx)
         assert_same(recon, want_recon)
 
-    def test_dtype_must_hold_the_bins(self):
+    def test_code_dtype_follows_the_bins(self):
+        assert lorenzo_quantize(np.ones(4), 1e-3, 65536).codes.dtype \
+            == np.uint16
+        assert lorenzo_quantize(np.ones(4), 1e-3, 65537).codes.dtype \
+            == np.uint32
         with pytest.raises(ValueError):
-            lorenzo_quantize(np.ones(4), 1e-3, 65537, dtype=np.uint16)
-        with pytest.raises(ValueError):
-            lorenzo_quantize(np.ones(4), 1e-3, 64, dtype=np.float64)
+            lorenzo_quantize(np.ones(4), 1e-3, (1 << 32) + 1)
 
 
 class TestOutlierIndicesAreChecked:

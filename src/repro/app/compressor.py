@@ -25,6 +25,7 @@ from repro.core.adaptive import adaptive_decode, adaptive_encode
 from repro.core.bitstream import decode_stream, symbol_dtype
 from repro.core.chunk_parallel import parallel_encode
 from repro.core.codebook_parallel import parallel_codebook
+from repro.core.encoder import _avg_bits, _resolve_tuning
 from repro.core.serialization import (
     container_guard,
     deserialize_adaptive,
@@ -99,7 +100,12 @@ def _encode_to_bytes(
         hist.histogram,
         lambda: parallel_codebook(hist.histogram, device=device).codebook,
     )
-    enc = parallel_encode(data, book, magnitude=magnitude, device=device)
+    # the bit total the encoder's stats pass would count, in O(K) (§IV-C:
+    # r from the average bitwidth); pinning the tuning skips that pass
+    total_bits = int(hist.histogram @ book.lengths)
+    tuning = _resolve_tuning(magnitude, None, 32,
+                             _avg_bits(total_bits, data.size))
+    enc = parallel_encode(data, book, tuning=tuning, device=device)
     payload = serialize_stream(enc.stream, book)
     report = CompressionReport(
         input_bytes=int(data.nbytes),

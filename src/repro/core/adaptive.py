@@ -24,7 +24,8 @@ import numpy as np
 
 from repro.core.breaking import breaking_costs
 from repro.core.bitstream import EncodedStream, decode_stream
-from repro.core.encoder import _pack_chunks, _symbol_lengths
+from repro.core.encoder import _pack_chunks
+from repro.core.scan_pack import checked_lengths
 from repro.core.tuning import (
     DEFAULT_MAGNITUDE,
     EMPIRICAL_MAX_REDUCTION,
@@ -114,7 +115,7 @@ def adaptive_encode(
     chunk packer.
     """
     data = np.asarray(data)
-    lens = _symbol_lengths(data, book).astype(np.int64)
+    lens = checked_lengths(data, book).astype(np.int64)
     N = 1 << magnitude
     n_full = data.size // N
     n_main = n_full * N

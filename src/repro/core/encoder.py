@@ -13,9 +13,11 @@ interface ``ReduceShuffleMerge<M, r>(in, out, metadata)``:
    packs chunk streams contiguously (the last two kernels of Table I).
 
 Every host encoder packs its whole chunks through :func:`_pack_chunks`
-(steps 1-4 plus the coalescing copy, as one scan-pack pass or as the
-iterative kernels), and all but the adaptive one finish through
-:func:`_encode_body` (tail, stream, costs).
+(steps 1-5: one compiled scan-pack pass that writes the coalesced
+payload, or the NumPy word grid / iterative kernels followed by the
+coalescing copy), and all but the adaptive one finish through
+:func:`_encode_body` (tail, stream, costs, and ``avg_bits`` from the
+packed bit totals).
 
 The returned :class:`GpuEncodeResult` carries the decodable
 :class:`~repro.core.bitstream.EncodedStream` plus the structural kernel
@@ -37,13 +39,16 @@ from repro.core.breaking import (
     extract_breaking_symbols,
 )
 from repro.core.reduce_merge import reduce_merge
-from repro.core.scan_pack import native_symbol_bits, scan_pack_symbols
+from repro.core.scan_pack import (
+    checked_lengths,
+    native_symbol_bits,
+    scan_pack_symbols,
+)
 from repro.core.shuffle_merge import shuffle_merge
 from repro.core.tuning import (
     DEFAULT_MAGNITUDE,
     EMPIRICAL_MAX_REDUCTION,
     EncoderTuning,
-    average_bitwidth,
 )
 from repro.cuda.costmodel import KernelCost
 from repro.cuda.device import DeviceSpec, V100
@@ -135,42 +140,29 @@ class GpuEncodeResult:
 ENCODE_IMPLS = ("scan", "iterative")
 
 
-def _symbol_lengths(
-    data: np.ndarray,
-    book: CanonicalCodebook,
-) -> np.ndarray:
-    """Per-symbol codeword lengths, or the error a bad symbol earns.
-
-    The one NumPy symbol check the encode paths share.  It is
-    ``book.lookup``'s length gather with lookup's own negative-symbol
-    check, so an out-of-range symbol raises the same ``IndexError``
-    either way.  A symbol without a codeword raises ``ValueError``.
-    """
-    book.reject_negative(data)
-    lens = book.lengths[data]
-    if data.size and int(lens.min()) == 0:
-        bad = int(data[int(np.argmin(lens))])
-        raise ValueError(f"symbol {bad} has no codeword (zero frequency)")
-    return lens
+def _avg_bits(total_bits: int, n_symbols: int) -> float:
+    """Average codeword bitwidth: an integer bit total over the symbol
+    count, so every source of the same total gives the same float."""
+    return total_bits / n_symbols if n_symbols else 0.0
 
 
 def _scan_symbol_stats(
     data: np.ndarray,
     book: CanonicalCodebook,
 ) -> float:
-    """Average codeword bitwidth, checking every symbol.
+    """Average codeword bitwidth, checking every symbol: the stats pass.
 
     The compiled length-sum pass when it runs (:func:`native_symbol_bits`);
     otherwise, and to raise a bad symbol's error, the length gather of
-    :func:`_symbol_lengths`.  The same ``avg_bits`` (an integer total
-    over an integer count) comes out either way.
+    :func:`~repro.core.scan_pack.checked_lengths`.  The same ``avg_bits``
+    comes out either way.
     """
     if data.size == 0:
         return 0.0
     total = native_symbol_bits(data, book)
     if total is None:
-        total = int(_symbol_lengths(data, book).sum(dtype=np.int64))
-    return total / data.size
+        total = int(checked_lengths(data, book).sum(dtype=np.int64))
+    return _avg_bits(total, data.size)
 
 
 def _record_encode(
@@ -211,7 +203,16 @@ def gpu_encode(
 
     ``tuning`` pins (M, r) explicitly; otherwise ``magnitude`` is used and
     ``r`` comes from the average-bitwidth rule (or ``reduction_factor``
-    when given).  Every symbol must have a codeword in ``book``.
+    when given) over the bit total of the stats pass.  Every symbol must
+    have a codeword in ``book``.
+
+    A pinned tuning skips the stats pass: the app facade resolves it
+    through the same rule from its histogram's bit total
+    (``bits_from="histogram"`` on the stage span, else
+    ``"stats_pass"``).  ``avg_bits`` always comes from the packed bit
+    totals, the same integer total the stats pass counts, and the
+    packing passes check every symbol, so a bad symbol raises the same
+    error either way.
 
     ``impl`` selects the host execution strategy — the produced
     :class:`~repro.core.bitstream.EncodedStream` and the modeled kernel
@@ -220,39 +221,37 @@ def gpu_encode(
 
     - ``"iterative"`` — the paper-shaped r-reduce + s-shuffle pipeline;
     - ``"scan"`` (default) — the single-pass scan-pack
-      (:mod:`repro.core.scan_pack`): the compiled stats and scan-pack
-      passes of :mod:`repro.native` when that module loads, else their
-      NumPy oracle, with the reason on the ``encode.scan_pack`` span.
-
-    Both run the same stats pass, so a bad symbol raises the same error
-    whichever runs.
+      (:mod:`repro.core.scan_pack`): the compiled scan-pack pass of
+      :mod:`repro.native` when that module loads, else its NumPy
+      oracle, with the reason on the ``encode.scan_pack`` span.
     """
     if impl not in ENCODE_IMPLS:
         raise ValueError(f"impl must be one of {ENCODE_IMPLS}, got {impl!r}")
     data = np.asarray(data)
     enc_span = _span("encode.reduce_shuffle_merge",
                      bytes_in=int(data.nbytes), device=device.name,
-                     impl=impl)
+                     impl=impl,
+                     bits_from="stats_pass" if tuning is None else "histogram")
     with enc_span:
-        with _span("encode.lookup", n_symbols=int(data.size)):
-            avg_bits = _scan_symbol_stats(data, book)
-        result = _encode_body(
-            data, book, tuning, magnitude, reduction_factor, word_bits,
-            avg_bits, impl,
-        )
+        if tuning is None:
+            with _span("encode.lookup", n_symbols=int(data.size)):
+                avg_bits = _scan_symbol_stats(data, book)
+            tuning = _resolve_tuning(
+                magnitude, reduction_factor, word_bits, avg_bits
+            )
+        result = _encode_body(data, book, tuning, impl)
     _record_encode(enc_span, data, result)
     return result
 
 
 def _resolve_tuning(
-    tuning: EncoderTuning | None,
     magnitude: int,
     reduction_factor: int | None,
     word_bits: int,
     avg_bits: float,
 ) -> EncoderTuning:
-    if tuning is not None:
-        return tuning
+    """(M, r, W) for an encode: ``r`` from the paper's average-bitwidth
+    rule with the empirical cap, unless ``reduction_factor`` pins it."""
     if reduction_factor is None:
         from repro.core.tuning import choose_reduction_factor
 
@@ -343,27 +342,33 @@ def _pack_chunks(
 ) -> PackedChunks:
     """Pack whole chunks (``main.size`` a multiple of the chunk size).
 
-    The merge runs as one :func:`scan_pack_symbols` pass (``"scan"``) or
-    as the paper's ``r`` REDUCE then ``s`` SHUFFLE iterations
-    (``"iterative"``); both give the same words and bits.  Then the
-    broken cells are backtraced into the side channel and the chunk
-    slabs coalesced.  Every host encoder packs through here.
+    The merge runs as one :func:`scan_pack_symbols` pass (``"scan"``),
+    which ends in the coalesced payload, or as the paper's ``r`` REDUCE
+    then ``s`` SHUFFLE iterations (``"iterative"``) followed by the word
+    grid's coalescing copy; both give the same bits and bytes and check
+    every symbol.  Then the broken cells are backtraced into the side
+    channel.  Every host encoder packs through here.
     """
     n_chunks = main.size // tuning.chunk_symbols
     if impl == "scan":
         with _span("encode.scan_pack", r=tuning.reduction_factor,
                    s=tuning.shuffle_factor, chunks=n_chunks) as scan_span:
             res = scan_pack_symbols(main, book, tuning)
-        scan_span.set_attr(moved_words=res.merged.moved_words,
-                           cells=res.n_cells, impl=res.impl)
+        # "in_pass": the compiled pass wrote each chunk at its byte
+        # offset; "copy": the NumPy pass's word grid was copied out
+        scan_span.set_attr(moved_words=res.moved_words, cells=res.n_cells,
+                           impl=res.impl,
+                           coalesce="in_pass" if res.merged is None
+                           else "copy")
         if res.fallback is not None:
             scan_span.set_attr(fallback=res.fallback)
-        merged, broken = res.merged, res.broken
+        bits, payload, offsets = res.bits, res.payload, res.offsets
+        broken, moved_words = res.broken, res.moved_words
     else:
         with _span("encode.reduce_merge", r=tuning.reduction_factor,
                    chunks=n_chunks):
-            codes, lens = book.lookup(main)
-            red = reduce_merge(codes, lens.astype(np.int64),
+            lens = checked_lengths(main, book).astype(np.int64)
+            red = reduce_merge(book.codes[main], lens,
                                tuning.reduction_factor, tuning.word_bits)
         with _span("encode.shuffle_merge", s=tuning.shuffle_factor,
                    chunks=n_chunks) as shuf_span:
@@ -376,7 +381,11 @@ def _pack_chunks(
             merged = shuffle_merge(red.values, red.lengths,
                                    tuning.cells_per_chunk, tuning.word_bits)
         shuf_span.set_attr(moved_words=merged.moved_words)
-        broken = red.broken
+        with _span("encode.coalesce") as co_span:
+            payload, offsets = merged.payload()
+        co_span.set_attr(bytes_out=int(payload.nbytes))
+        bits, broken = merged.bits, red.broken
+        moved_words = merged.moved_words
 
     # -- breaking backtrace + sparse save ----------------------------------
     with _span("encode.breaking") as brk_span:
@@ -384,42 +393,36 @@ def _pack_chunks(
             main, book, broken, tuning.group_symbols
         )
     brk_span.set_attr(nnz=breaking.nnz, fraction=breaking.breaking_fraction)
-
-    # -- coalescing copy -----------------------------------------------------
-    with _span("encode.coalesce") as co_span:
-        payload, offsets = merged.payload()
-    co_span.set_attr(bytes_out=int(payload.nbytes))
     return PackedChunks(
-        chunk_bits=merged.bits,
+        chunk_bits=bits,
         payload=payload,
         offsets=offsets,
         breaking=breaking,
-        moved_words=merged.moved_words,
+        moved_words=moved_words,
     )
 
 
 def _encode_body(
     data: np.ndarray,
     book: CanonicalCodebook,
-    tuning: EncoderTuning | None,
-    magnitude: int,
-    reduction_factor: int | None,
-    word_bits: int,
-    avg_bits: float,
+    tuning: EncoderTuning,
     impl: str = "scan",
 ) -> GpuEncodeResult:
-    """Resolve the tuning, pack the whole chunks, then pack the tail and
-    build the stream, its structural costs and the result."""
-    tuning = _resolve_tuning(
-        tuning, magnitude, reduction_factor, word_bits, avg_bits
-    )
+    """Pack the whole chunks, then the tail, and build the stream, its
+    structural costs and the result; ``avg_bits`` comes from the packed
+    bit totals (dense chunk bits + broken-cell bits + tail bits)."""
     n_main = data.size // tuning.chunk_symbols * tuning.chunk_symbols
-    packed = _pack_chunks(data[:n_main], book, tuning, impl)
-    with _span("encode.pack_tail", n_symbols=int(data.size - n_main)):
-        tail_codes, tail_lens = book.lookup(data[n_main:])
-        tail_buf, tail_bits = pack_codewords(
-            tail_codes, tail_lens.astype(np.int64)
-        )
+    try:
+        packed = _pack_chunks(data[:n_main], book, tuning, impl)
+        with _span("encode.pack_tail", n_symbols=int(data.size - n_main)):
+            tail = data[n_main:]
+            tail_lens = checked_lengths(tail, book).astype(np.int64)
+            tail_buf, tail_bits = pack_codewords(book.codes[tail], tail_lens)
+    except (IndexError, ValueError):
+        # the passes stop at the first bad symbol of their own part; the
+        # error is the one the stats pass raises over the whole input
+        checked_lengths(data, book)
+        raise
     stream = EncodedStream(
         tuning=tuning,
         n_symbols=int(data.size),
@@ -436,11 +439,16 @@ def _encode_body(
         data, stream, tuning, stream.n_chunks, packed.moved_words,
         frac, packed.breaking,
     )
+    total_bits = (
+        int(packed.chunk_bits.sum())
+        + int(packed.breaking.bit_lengths.sum(dtype=np.int64))
+        + int(tail_bits)
+    )
     return GpuEncodeResult(
         stream=stream,
         costs=costs,
         tuning=tuning,
-        avg_bits=avg_bits,
+        avg_bits=_avg_bits(total_bits, data.size),
         breaking_fraction=frac,
         input_bytes=int(data.nbytes),
     )

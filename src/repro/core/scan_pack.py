@@ -17,16 +17,20 @@ Two entry points:
   :func:`repro.core.reduce_merge.reduce_merge` operation-for-operation
   (including its value-overflow zeroing), so the output is bit-for-bit
   identical to ``reduce_merge ∘ shuffle_merge`` for *any* input.
-- :func:`scan_pack_symbols` — the path straight from symbols.  It runs
-  the compiled ``scan_pack`` pass of :mod:`repro.native` whenever that
-  module loads and the symbols are ``uint8``/``uint16``/``uint32``:
-  one loop per chunk gathers, merges and flushes each cell straight
-  into the word grid (the prefix sum becomes a running bit
-  accumulator).  Otherwise it runs ``book.lookup`` followed by
-  :func:`scan_pack` — the NumPy oracle the compiled pass is tested
-  against and the path for hosts without a compiler — and records why
-  (``ScanPackResult.fallback``, counted in
-  ``repro_encode_native_fallback_total{reason}``).
+- :func:`scan_pack_symbols` — the path straight from symbols, ending
+  in the coalesced payload.  It runs the compiled ``scan_pack`` pass of
+  :mod:`repro.native` whenever that module loads and the symbols are
+  ``uint8``/``uint16``/``uint32``: one loop per chunk gathers, merges
+  and stores each cell's bits straight into the payload at the chunk's
+  running byte offset (the prefix sum becomes a running bit
+  accumulator, and the coalescing copy of Table I disappears, as in the
+  prefix-sum encoders that write each chunk at its output offset).
+  Otherwise it runs :func:`checked_lengths` and a code gather, then
+  :func:`scan_pack` and the word grid's coalescing copy — the NumPy
+  oracle the compiled pass is tested against and the path for hosts
+  without a compiler — and records why (``ScanPackResult.fallback``,
+  counted in ``repro_encode_native_fallback_total{reason}``).  Both
+  refuse an out-of-range or codeword-less symbol with the same error.
 
 The compiled pass gathers through :func:`packed_codeword_table`, one
 uint64 per symbol holding the codeword value in bits ``16..63`` and its
@@ -66,6 +70,7 @@ __all__ = [
     "scan_pack",
     "scan_pack_symbols",
     "analytic_moved_words",
+    "checked_lengths",
     "packed_codeword_table",
     "native_symbol_bits",
 ]
@@ -104,17 +109,23 @@ def _book_digest(book: CanonicalCodebook) -> str:
 
 @dataclass
 class ScanPackResult:
-    """Scan-pack output: the dense word grid plus the cell side data.
+    """Scan-pack output: the coalesced chunk payload plus the cell flags.
 
-    ``merged`` is shaped exactly like the iterative
-    :func:`~repro.core.shuffle_merge.shuffle_merge` output (same words,
-    bits, iteration count, and analytic ``moved_words``); ``broken`` and
-    ``cell_lengths`` match :class:`~repro.core.reduce_merge.ReduceMergeResult`.
+    ``bits``, ``payload`` and ``offsets`` equal the iterative pair's
+    ``shuffle_merge(...).bits`` and ``.payload()``; ``moved_words`` is
+    its analytic SHUFFLE count and ``broken`` matches
+    :class:`~repro.core.reduce_merge.ReduceMergeResult`.  ``merged`` is
+    the NumPy pass's word grid, shaped exactly like the iterative
+    :func:`~repro.core.shuffle_merge.shuffle_merge` output; the compiled
+    pass writes the payload directly and builds no grid (``None``).
     """
 
-    merged: ShuffleMergeResult
+    bits: np.ndarray  # int64 dense bits per chunk
+    payload: np.ndarray  # uint8 byte-aligned chunk streams, back to back
+    offsets: np.ndarray  # int64 byte offset per chunk, len = chunks + 1
     broken: np.ndarray  # bool per cell
-    cell_lengths: np.ndarray  # int64 true concatenated length per cell
+    moved_words: int  # SHUFFLE word moves (analytic)
+    merged: ShuffleMergeResult | None = None  # NumPy pass's word grid
     impl: str = "numpy"  # "native" when the compiled pass ran
     fallback: str | None = None  # why the compiled pass did not run
 
@@ -160,6 +171,26 @@ def packed_codeword_table(book: CanonicalCodebook) -> np.ndarray:
         )
 
     return _cached_table((_book_digest(book), "packed"), build)
+
+
+def checked_lengths(
+    data: np.ndarray,
+    book: CanonicalCodebook,
+) -> np.ndarray:
+    """Per-symbol codeword lengths, or the error a bad symbol earns.
+
+    The one NumPy symbol check every encode path shares: ``book.lookup``'s
+    negative-symbol check and length gather (an out-of-range symbol
+    raises NumPy's ``IndexError``), then ``ValueError`` for the first
+    symbol without a codeword.  The compiled passes stop at such a
+    symbol and their callers run this to raise its exact error.
+    """
+    book.reject_negative(data)
+    lens = book.lengths[data]
+    if data.size and int(lens.min()) == 0:
+        bad = int(data[int(np.argmin(lens))])
+        raise ValueError(f"symbol {bad} has no codeword (zero frequency)")
+    return lens
 
 
 def native_symbol_bits(
@@ -240,7 +271,8 @@ def _finish(
     cell_lengths: np.ndarray,
     tuning: EncoderTuning,
 ) -> ScanPackResult:
-    """Shared tail: broken detection, zeroing, scatter, result shaping."""
+    """Shared tail: broken detection, zeroing, scatter, then the word
+    grid's coalescing copy."""
     W = tuning.word_bits
     cpc = tuning.cells_per_chunk
     n_chunks = cell_lengths.size // cpc
@@ -251,19 +283,17 @@ def _finish(
     else:
         eff = cell_lengths
     words, bits = _scatter_narrow(values, eff, n_chunks, cpc, W)
-    return _result(words, bits, broken, cell_lengths, tuning)
+    return _result(words, bits, broken, tuning)
 
 
 def _result(
     words: np.ndarray,
     bits: np.ndarray,
     broken: np.ndarray,
-    cell_lengths: np.ndarray,
     tuning: EncoderTuning,
-    impl: str = "numpy",
 ) -> ScanPackResult:
-    """Shape a pass's outputs like the iterative pair's, with the
-    analytic SHUFFLE counts."""
+    """Shape the word grid like the iterative pair's output, with the
+    analytic SHUFFLE counts, and coalesce it."""
     n_chunks = bits.size
     merged = ShuffleMergeResult(
         words=words,
@@ -272,22 +302,10 @@ def _result(
         moved_words=analytic_moved_words(n_chunks, tuning.shuffle_factor),
         word_bits=tuning.word_bits,
     )
-    return ScanPackResult(merged=merged, broken=broken,
-                          cell_lengths=cell_lengths, impl=impl)
-
-
-def _empty_result(tuning: EncoderTuning) -> ScanPackResult:
-    return ScanPackResult(
-        merged=ShuffleMergeResult(
-            words=np.zeros((0, tuning.cells_per_chunk), dtype=np.uint32),
-            bits=np.zeros(0, dtype=np.int64),
-            iterations=0,
-            moved_words=0,
-            word_bits=tuning.word_bits,
-        ),
-        broken=np.zeros(0, dtype=bool),
-        cell_lengths=np.zeros(0, dtype=np.int64),
-    )
+    payload, offsets = merged.payload()
+    return ScanPackResult(bits=bits, payload=payload, offsets=offsets,
+                          broken=broken, moved_words=merged.moved_words,
+                          merged=merged)
 
 
 def scan_pack(
@@ -311,7 +329,10 @@ def scan_pack(
     if codes.size and int(lens.min()) < 0:
         raise ValueError("lengths must be non-negative")
     if codes.size == 0:
-        return _empty_result(tuning)
+        return _result(
+            np.zeros((0, tuning.cells_per_chunk), dtype=np.uint32),
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), tuning,
+        )
 
     v, l = codes, lens
     for _ in range(tuning.reduction_factor):
@@ -334,16 +355,17 @@ def scan_pack_symbols(
     book: CanonicalCodebook,
     tuning: EncoderTuning,
 ) -> ScanPackResult:
-    """Scan-pack straight from symbols.
+    """Scan-pack straight from symbols to the coalesced payload.
 
     ``data.size`` must be a multiple of ``tuning.chunk_symbols`` (the
     encoder handles the tail separately).  Runs the compiled pass when
-    :func:`repro.native.route` allows, else ``book.lookup`` →
-    :func:`scan_pack` with the reason counted in
+    :func:`repro.native.route` allows, else :func:`checked_lengths` and
+    a code gather → :func:`scan_pack` with the reason counted in
     ``repro_encode_native_fallback_total`` and returned as
-    ``fallback``; both produce identical ``words``,
-    ``bits``, ``broken`` and ``cell_lengths``.  The compiled pass raises
-    ``IndexError`` for an out-of-range symbol before gathering it.
+    ``fallback``; both produce identical ``bits``, ``payload``,
+    ``offsets`` and ``broken``, and both raise :func:`checked_lengths`'
+    error for a symbol that is out of range (``IndexError``) or has no
+    codeword (``ValueError``).
     """
     data = np.asarray(data)
     if data.size % tuning.chunk_symbols:
@@ -353,18 +375,21 @@ def scan_pack_symbols(
         _metrics().counter(
             "repro_encode_native_fallback_total", reason=reason
         ).inc()
-        codes, lens = book.lookup(data)
-        res = scan_pack(codes, lens, tuning)
+        lens = checked_lengths(data, book)
+        res = scan_pack(book.codes[data], lens, tuning)
         res.fallback = reason
         return res
     table = packed_codeword_table(book)
-    words, bits, broken, cell_lengths, bad = kern.scan_pack(
+    bits, payload, offsets, broken, bad = kern.scan_pack(
         np.ascontiguousarray(data), table, tuning.group_symbols,
         tuning.cells_per_chunk, tuning.word_bits,
     )
     if bad >= 0:
-        raise IndexError(
-            f"index {int(data.max())} is out of bounds for axis 0 with "
-            f"size {table.size}"
-        )
-    return _result(words, bits, broken, cell_lengths, tuning, "native")
+        checked_lengths(data, book)
+        raise RuntimeError(f"scan_pack stopped at symbol {bad}, which "
+                           "the NumPy check accepts")
+    return ScanPackResult(
+        bits=bits, payload=payload, offsets=offsets, broken=broken,
+        moved_words=analytic_moved_words(bits.size, tuning.shuffle_factor),
+        impl="native",
+    )

@@ -31,6 +31,7 @@ from repro.core.encoder import (
     GpuEncodeResult,
     _encode_body,
     _record_encode,
+    _resolve_tuning,
     _scan_symbol_stats,
 )
 from repro.core.tuning import DEFAULT_MAGNITUDE, EncoderTuning
@@ -96,16 +97,18 @@ def single_stage_encode(
     enc_span = _span(
         "encode.reduce_shuffle_merge", bytes_in=int(data.nbytes),
         device=device.name, impl="single_stage",
+        bits_from="stats_pass" if tuning is None else "histogram",
     )
     with enc_span:
-        with _span("encode.lookup", n_symbols=int(data.size)):
-            # the registered book's packed codeword table is already warm
-            # in the scan-pack digest cache, so this pass is the entire
-            # front half of the pipeline
-            avg_bits = _scan_symbol_stats(data, book)
-        result = _encode_body(
-            data, book, tuning, magnitude, reduction_factor, word_bits,
-            avg_bits,
-        )
+        if tuning is None:
+            with _span("encode.lookup", n_symbols=int(data.size)):
+                # the registered book's packed codeword table is already
+                # warm in the scan-pack digest cache, so this pass is the
+                # entire front half of the pipeline
+                avg_bits = _scan_symbol_stats(data, book)
+            tuning = _resolve_tuning(
+                magnitude, reduction_factor, word_bits, avg_bits
+            )
+        result = _encode_body(data, book, tuning)
     _record_encode(enc_span, data, result)
     return result

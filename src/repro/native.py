@@ -25,19 +25,28 @@ Decode (:mod:`repro.decoder.gap_array`; oracle
   from the packed root, and for a codeword longer than the root a
   descent through the subtables in a cold branch.
 
-Encode (:mod:`repro.core.scan_pack`; oracle ``book.lookup`` followed
-by the generic NumPy :func:`~repro.core.scan_pack.scan_pack`, which is
-``scan_pack_symbols``'s path without this module):
+Encode (:mod:`repro.core.scan_pack`; oracle the checked length gather
+and ``book.codes`` gather followed by the generic NumPy
+:func:`~repro.core.scan_pack.scan_pack` and the word grid's coalescing
+copy, which is ``scan_pack_symbols``'s path without this module):
 
 - ``symbol_bits_u*``: the encoder's stats step — total codeword bits
   over a symbol stream, or the index of the first symbol that is out of
-  the book's range or has no codeword.
-- ``scan_pack_u*``: reduce-shuffle-merge collapsed to one pass per
-  chunk.  Each cell gathers and merges its ``group_symbols`` codewords,
-  records its true length and whether it breaks (length > W), and a
-  kept cell is appended to the chunk's bit accumulator, which flushes
-  W-bit words straight into the ``(n_chunks, cells_per_chunk)`` grid.
-  Every symbol is checked against the book size before its gather.
+  the book's range or has no codeword.  Only an encode without a pinned
+  tuning runs it (serve's single-stage encode, an unpinned
+  ``gpu_encode``); the app facade takes the same total from its
+  histogram in O(K).
+- ``scan_pack_u*``: reduce-shuffle-merge and the coalescing copy
+  collapsed to one pass per chunk.  Each cell gathers and merges its
+  ``group_symbols`` codewords and records whether it breaks (length >
+  W); a kept cell is appended to the chunk's bit accumulator, which
+  stores 32 bits at a time big-endian straight into the payload from
+  the chunk's running byte offset (the byte stream does not depend on
+  W).  Every symbol is checked against the book size and for a nonzero
+  codeword length before its bits are used, and a chunk whose worst
+  case (``cells_per_chunk * W / 8`` bytes plus a 4-byte trailing store)
+  could pass the payload capacity ``n_out`` is refused before it
+  starts.
 
 Histogram (:func:`repro.histogram.gpu_histogram.host_histogram`;
 oracle :func:`~repro.histogram.gpu_histogram.fast_histogram` after a
@@ -150,14 +159,14 @@ int64_t symbol_bits_u16(const uint16_t *sym, int64_t n, const uint64_t *tab,
 int64_t symbol_bits_u32(const uint32_t *sym, int64_t n, const uint64_t *tab,
     int64_t K, int64_t *total);
 int64_t scan_pack_u8(const uint8_t *sym, int64_t n_chunks, int64_t G,
-    int64_t cpc, int W, const uint64_t *tab, int64_t K, uint32_t *words,
-    int64_t *bits, uint8_t *broken, int64_t *cell_len);
+    int64_t cpc, int W, const uint64_t *tab, int64_t K, uint8_t *out,
+    int64_t n_out, int64_t *offsets, int64_t *bits, uint8_t *broken);
 int64_t scan_pack_u16(const uint16_t *sym, int64_t n_chunks, int64_t G,
-    int64_t cpc, int W, const uint64_t *tab, int64_t K, uint32_t *words,
-    int64_t *bits, uint8_t *broken, int64_t *cell_len);
+    int64_t cpc, int W, const uint64_t *tab, int64_t K, uint8_t *out,
+    int64_t n_out, int64_t *offsets, int64_t *bits, uint8_t *broken);
 int64_t scan_pack_u32(const uint32_t *sym, int64_t n_chunks, int64_t G,
-    int64_t cpc, int W, const uint64_t *tab, int64_t K, uint32_t *words,
-    int64_t *bits, uint8_t *broken, int64_t *cell_len);
+    int64_t cpc, int W, const uint64_t *tab, int64_t K, uint8_t *out,
+    int64_t n_out, int64_t *offsets, int64_t *bits, uint8_t *broken);
 int64_t histogram_u8(const uint8_t *sym, int64_t n, int64_t K,
     int64_t *hist, uint32_t *priv);
 int64_t histogram_u16(const uint16_t *sym, int64_t n, int64_t K,
@@ -310,56 +319,72 @@ int64_t NAME(const T *sym, int64_t n, const uint64_t *tab, int64_t K,     \
     return -1;                                                            \
 }
 
-/* One pass per chunk of cpc cells, G = 2^r symbols each.  A cell's true
- * length goes to cell_len and broken[] marks it iff the length exceeds
- * W.  The value merge runs unconditionally (each shift is by one
- * codeword length, < 64): it is exact for a kept cell, whose codewords
- * total <= W <= 32 bits, and discarded for a broken one.  Kept cells
- * append to a bit accumulator whose low nacc < W bits are pending; each
- * full W-bit word is written MSB-first to the chunk's row of words (the
- * bits already written sit above the pending ones and are masked off
- * by every read).  A chunk's
- * kept bits are at most cpc * W, so it never writes past its row; the
- * row's tail is zeroed.  Returns -1, or the index of the first
- * out-of-range symbol (the outputs are then incomplete). */
+/* One pass per chunk of cpc cells, G = 2^r symbols each, that writes
+ * the coalesced payload: chunk c's dense bits go MSB-first into out from
+ * byte offsets[c] on, and offsets[c + 1] = offsets[c] + ceil(bits[c] / 8),
+ * so no word grid and no copy follow.  broken[] marks a cell iff its true
+ * length exceeds W.  The value merge runs unconditionally (each shift is
+ * by one codeword length, < 64): it is exact for a kept cell, whose
+ * codewords total <= W <= 32 bits, and discarded for a broken one.  Kept
+ * cells append to a bit accumulator whose low nacc < 32 bits are
+ * pending; each full 32 bits are stored big-endian (the byte stream does
+ * not depend on W), and a chunk's last 1..31 bits go out as one more
+ * 4-byte store whose zero low bytes the next chunk overwrites.
+ *
+ * A chunk's kept bits are at most cpc * W, so it writes at most
+ * cpc * W / 8 + 4 bytes from its offset; a chunk that could pass n_out
+ * is refused before it starts.  Returns -1; -2 for a refused chunk; or
+ * the index of the first symbol that is out of range or has no
+ * codeword (a zero length byte; the gather reads tab only below K).
+ * The outputs are then incomplete. */
 #define SCAN_PACK(NAME, T)                                                \
 int64_t NAME(const T *sym, int64_t n_chunks, int64_t G, int64_t cpc,      \
-             int W, const uint64_t *tab, int64_t K, uint32_t *words,      \
-             int64_t *bits, uint8_t *broken, int64_t *cell_len) {         \
-    const uint64_t wmask = (1ull << W) - 1;                               \
+             int W, const uint64_t *tab, int64_t K, uint8_t *out,         \
+             int64_t n_out, int64_t *offsets, int64_t *bits,              \
+             uint8_t *broken) {                                           \
+    const int64_t worst = cpc * W / 8 + 4;                                \
+    int64_t pos = 0;                                                      \
+    offsets[0] = 0;                                                       \
     for (int64_t c = 0; c < n_chunks; c++) {                              \
+        if (n_out - pos < worst) return -2;                               \
         const T *p = sym + c * cpc * G;                                   \
-        uint32_t *out = words + c * cpc;                                  \
+        uint8_t *o = out + pos;                                           \
         uint64_t acc = 0;                                                 \
-        int64_t nacc = 0, wi = 0, cb = 0;                                 \
+        int64_t nacc = 0, cb = 0;                                         \
         for (int64_t j = 0; j < cpc; j++, p += G) {                       \
             int64_t len = 0;                                              \
             uint64_t v = 0;                                               \
             for (int64_t g = 0; g < G; g++) {                             \
                 uint64_t s = p[g];                                        \
-                if (__builtin_expect(s >= (uint64_t)K, 0))                \
-                    return (c * cpc + j) * G + g;                         \
-                uint64_t e = tab[s];                                      \
+                uint64_t e = s < (uint64_t)K ? tab[s] : 0;                \
                 int64_t l = (int64_t)(e & 0xFFFF);                        \
+                if (__builtin_expect(!l, 0))                              \
+                    return (c * cpc + j) * G + g;                         \
                 len += l;                                                 \
                 v = (v << l) | (e >> 16);                                 \
             }                                                             \
-            int64_t cell = c * cpc + j;                                   \
-            cell_len[cell] = len;                                         \
-            broken[cell] = (uint8_t)(len > W);                            \
+            broken[c * cpc + j] = (uint8_t)(len > W);                     \
             if (len <= W) {                                               \
                 acc = (acc << len) | v;                                   \
                 nacc += len;                                              \
                 cb += len;                                                \
-                if (nacc >= W) {                                          \
-                    nacc -= W;                                            \
-                    out[wi++] = (uint32_t)((acc >> nacc) & wmask);        \
+                if (nacc >= 32) {                                         \
+                    nacc -= 32;                                           \
+                    uint32_t w = (uint32_t)(acc >> nacc);                 \
+                    w = __builtin_bswap32(w);                             \
+                    memcpy(o, &w, 4);                                     \
+                    o += 4;                                               \
                 }                                                         \
             }                                                             \
         }                                                                 \
-        if (nacc) out[wi++] = (uint32_t)((acc << (W - nacc)) & wmask);    \
-        while (wi < cpc) out[wi++] = 0;                                   \
+        if (nacc) {                                                       \
+            uint32_t w = (uint32_t)(acc << (32 - nacc));                  \
+            w = __builtin_bswap32(w);                                     \
+            memcpy(o, &w, 4);                                             \
+        }                                                                 \
         bits[c] = cb;                                                     \
+        pos += (cb + 7) >> 3;                                             \
+        offsets[c + 1] = pos;                                             \
     }                                                                     \
     return -1;                                                            \
 }
@@ -655,27 +680,33 @@ class NativeKernel:
         cells_per_chunk: int,
         word_bits: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        """``(words, bits, broken, cell_lengths, bad)`` for whole chunks
-        of ``data``: the ``(n_chunks, cells_per_chunk)`` uint32 word
-        grid, per-chunk dense bits, per-cell broken flags and true
-        lengths, and ``-1`` or the index of the first out-of-range
-        symbol (the other outputs are then incomplete)."""
+        """``(bits, payload, offsets, broken, bad)`` for whole chunks of
+        ``data``: per-chunk dense bits, the coalesced uint8 payload with
+        its ``n_chunks + 1`` byte offsets, per-cell broken flags, and
+        ``-1`` or the index of the first symbol that is out of range or
+        has no codeword (the other outputs are then incomplete)."""
         n_cells = data.size // group_symbols
         n_chunks = n_cells // cells_per_chunk
-        words = np.empty((n_chunks, cells_per_chunk), np.uint32)
+        # every chunk's worst case (all cells kept) plus the last chunk's
+        # 4-byte trailing store; only the pages the pass writes are touched
+        out = np.empty(n_chunks * cells_per_chunk * word_bits // 8 + 4,
+                       np.uint8)
+        offsets = np.empty(n_chunks + 1, np.int64)
         bits = np.empty(n_chunks, np.int64)
         broken = np.empty(n_cells, np.bool_)
-        cell_lengths = np.empty(n_cells, np.int64)
         suffix, sym, tab = self._symbols(data, table)
         bad = getattr(self._lib, f"scan_pack_{suffix}")(
             sym, n_chunks, group_symbols, cells_per_chunk, word_bits,
             tab, table.size,
-            self._p("uint32_t *", words),
+            self._p("uint8_t *", out), out.size,
+            self._p("int64_t *", offsets),
             self._p("int64_t *", bits),
             self._p("uint8_t *", broken),
-            self._p("int64_t *", cell_lengths),
         )
-        return words, bits, broken, cell_lengths, int(bad)
+        if bad == -2:
+            raise RuntimeError("scan_pack refused a chunk that could "
+                               "overrun its payload capacity")
+        return bits, out[: offsets[-1]], offsets, broken, int(bad)
 
     def histogram(
         self, data: np.ndarray, n_bins: int

@@ -6,8 +6,12 @@ iterative pair accepts (property-tested over random (M, r, W, skew)),
 and ``gpu_encode(impl="scan")`` serializing to the identical container
 bytes with identical modeled costs as ``impl="iterative"``.  The module
 runs once per ``kernel_engine`` leg; on the ``native`` leg the compiled
-scan-pack must also equal its NumPy oracle field for field and raise
-the oracle's exact errors.
+scan-pack, which writes the coalesced payload itself, must also equal
+its NumPy oracle's ``merged.payload()`` byte for byte and raise the
+oracle's exact errors.  A pinned tuning skips the stats pass, so the
+packing passes alone must raise the unpinned call's errors, and the
+``avg_bits`` they report from their bit totals must equal the stats
+pass's.
 """
 
 from __future__ import annotations
@@ -19,10 +23,12 @@ from hypothesis import strategies as st
 
 from repro import native
 from repro.core.codebook_parallel import parallel_codebook
-from repro.core.encoder import ENCODE_IMPLS, gpu_encode
+from repro.core.encoder import ENCODE_IMPLS, _scan_symbol_stats, gpu_encode
 from repro.core.reduce_merge import reduce_merge
 from repro.core.scan_pack import (
     analytic_moved_words,
+    checked_lengths,
+    packed_codeword_table,
     scan_pack,
     scan_pack_symbols,
 )
@@ -105,8 +111,12 @@ class TestScanPackProperty:
         assert sp.merged.iterations == merged.iterations
         assert sp.merged.moved_words == merged.moved_words
         assert np.array_equal(sp.broken, red.broken)
-        assert np.array_equal(sp.cell_lengths, red.lengths)
         assert sp.breaking_fraction == red.breaking_fraction
+        payload, offsets = merged.payload()
+        assert np.array_equal(sp.payload, payload)
+        assert np.array_equal(sp.offsets, offsets)
+        assert np.array_equal(sp.bits, merged.bits)
+        assert sp.moved_words == merged.moved_words
 
     @given(st.data())
     @settings(max_examples=40, deadline=None,
@@ -192,6 +202,63 @@ class TestScanPackUnits:
                 assert msgs[0] == \
                     "index -1 is out of bounds for axis 0 with size 3"
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
+    @pytest.mark.parametrize("where", ["chunk", "tail"])
+    def test_pinned_tuning_errors_match_unpinned(self, dtype, where):
+        """Without the stats pass the packing passes check every symbol
+        and raise exactly the unpinned call's error."""
+        rng = np.random.default_rng(4)
+        tuning = EncoderTuning(6, 2, 32)
+        syms = rng.integers(0, 2, 5 * 64 + 9).astype(dtype)
+        book = book_for(syms, 3)  # symbol 2 never occurs -> no codeword
+        pos = 100 if where == "chunk" else syms.size - 4
+        for bad_value, exc in ((2, ValueError), (9, IndexError)):
+            bad = syms.copy()
+            bad[pos] = bad_value
+            for impl in ENCODE_IMPLS:
+                got = raised(gpu_encode, bad, book, tuning=tuning, impl=impl)
+                assert got[0] is exc
+                assert got == raised(gpu_encode, bad, book, impl=impl)
+        # a codeword-less symbol in a chunk and an out-of-range one in
+        # the tail: IndexError wins, as it does for the stats pass
+        bad = syms.copy()
+        bad[10], bad[-2] = 2, 9
+        got = raised(gpu_encode, bad, book, tuning=tuning)
+        assert got[0] is IndexError
+        assert got == raised(gpu_encode, bad, book)
+        if bad.dtype.kind == "i":
+            bad = syms.copy()
+            bad[pos] = -1
+            got = raised(gpu_encode, bad, book, tuning=tuning)
+            assert got == (IndexError, "index -1 is out of bounds for "
+                                       "axis 0 with size 3")
+            assert got == raised(gpu_encode, bad, book)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_packed_bit_total_equals_stats_pass(self, data):
+        """``avg_bits`` from the packed totals (chunk bits + broken-cell
+        bits + tail bits) is the stats pass's integer total."""
+        W = data.draw(st.sampled_from([8, 16, 32]))
+        M = data.draw(st.integers(3, 9))
+        r = data.draw(st.integers(0, min(3, M - 1)))
+        alphabet = data.draw(st.sampled_from([2, 5, 64, 300]))
+        size = data.draw(st.integers(0, 4000))
+        impl = data.draw(st.sampled_from(ENCODE_IMPLS))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        probs = rng.dirichlet(np.ones(alphabet) * 0.2)
+        syms = rng.choice(alphabet, size=size, p=probs).astype(np.uint16)
+        book = book_for(syms, alphabet)
+        res = gpu_encode(syms, book, tuning=EncoderTuning(M, r, W),
+                         impl=impl)
+        st_ = res.stream
+        total = (int(st_.chunk_bits.sum())
+                 + int(st_.breaking.bit_lengths.sum(dtype=np.int64))
+                 + int(st_.tail_bits))
+        assert total == int(checked_lengths(syms, book).sum(dtype=np.int64))
+        assert res.avg_bits == _scan_symbol_stats(syms, book)
+
     def test_empty_and_tail_only_inputs(self):
         data = np.arange(2, dtype=np.uint8).repeat(40)
         book = book_for(data, 2)
@@ -213,26 +280,44 @@ class TestScanPackRoute:
         set_registry(prev)
 
     @staticmethod
-    def _scan_span(data, book):
+    def _spans(data, book, **kwargs):
         with tracing(Tracer("scan")) as tracer:
-            gpu_encode(data, book, magnitude=6)
-        spans = [sp for sp in tracer.spans if sp.name == "encode.scan_pack"]
-        assert len(spans) == 1
-        return spans[0].to_dict()["attrs"]
+            gpu_encode(data, book, magnitude=6, **kwargs)
+        return {sp.name: sp.to_dict()["attrs"] for sp in tracer.spans}
+
+    @classmethod
+    def _scan_span(cls, data, book):
+        return cls._spans(data, book)["encode.scan_pack"]
 
     def test_span_and_counter_name_the_route(self, kernel_engine, registry):
         data = np.random.default_rng(2).integers(0, 5, 512)
         book = book_for(data, 5)
-        attrs = self._scan_span(data.astype(np.uint16), book)
+        spans = self._spans(data.astype(np.uint16), book)
+        attrs = spans["encode.scan_pack"]
         if kernel_engine == "native" and native.native_available():
             assert attrs["impl"] == "native"
+            assert attrs["coalesce"] == "in_pass"
             assert "fallback" not in attrs
+            assert "encode.coalesce" not in spans
             assert registry.total("repro_encode_native_fallback_total") == 0
         else:
             assert attrs["impl"] == "numpy"
+            assert attrs["coalesce"] == "copy"
             assert attrs["fallback"] == "no_native_kernel"
             assert registry.total("repro_encode_native_fallback_total",
                                   reason="no_native_kernel") == 1
+
+    def test_stage_span_names_the_bit_total_source(self):
+        data = np.random.default_rng(2).integers(0, 5, 512).astype(np.uint8)
+        book = book_for(data, 5)
+        unpinned = self._spans(data, book)
+        assert unpinned["encode.reduce_shuffle_merge"]["bits_from"] == \
+            "stats_pass"
+        assert "encode.lookup" in unpinned
+        pinned = self._spans(data, book, tuning=EncoderTuning(6, 2, 32))
+        assert pinned["encode.reduce_shuffle_merge"]["bits_from"] == \
+            "histogram"
+        assert "encode.lookup" not in pinned
 
     def test_signed_symbols_fall_back_by_dtype(self, registry):
         data = np.random.default_rng(3).integers(0, 5, 512)
@@ -252,14 +337,27 @@ class TestNativeScanPack:
         if kernel_engine != "native" or not native.native_available():
             pytest.skip("compiled module not in play on this leg")
 
+    @staticmethod
+    def assert_same_bytes(got, want):
+        """The compiled pass's payload equals the oracle's word grid
+        after its coalescing copy, with equal offsets, bits and flags."""
+        assert (got.impl, want.impl) == ("native", "numpy")
+        assert got.merged is None
+        payload, offsets = want.merged.payload()
+        for a, b in ((got.payload, payload), (got.offsets, offsets),
+                     (got.bits, want.merged.bits), (got.broken, want.broken)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        assert got.moved_words == want.merged.moved_words
+
     @given(st.data())
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_native_equals_numpy_scan_pack_symbols(self, data):
         W = data.draw(st.sampled_from([8, 16, 32]))
-        M = data.draw(st.integers(1, 8))
+        M = data.draw(st.integers(4, 12))
         r = data.draw(st.integers(0, min(3, M - 1)))
-        n_chunks = data.draw(st.integers(1, 8))
+        n_chunks = data.draw(st.integers(0, 8 if M <= 9 else 2))
         dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.uint32]))
         alphabet = data.draw(st.sampled_from(
             [2, 7, 64, 256] if dtype == np.uint8 else [2, 64, 300, 4096]
@@ -277,23 +375,15 @@ class TestNativeScanPack:
         syms = rng.choice(alphabet, size=n_chunks << M, p=probs)
         syms = syms.astype(dtype)
         hist = np.bincount(syms, minlength=alphabet)
+        hist[0] += 1  # every book codes at least one symbol
         book = parallel_codebook(hist).codebook
 
         got = scan_pack_symbols(syms, book, tuning)
         want = numpy_oracle(scan_pack_symbols, syms, book, tuning)
-
-        assert (got.impl, want.impl) == ("native", "numpy")
-        for a, b in ((got.merged.words, want.merged.words),
-                     (got.merged.bits, want.merged.bits),
-                     (got.broken, want.broken),
-                     (got.cell_lengths, want.cell_lengths)):
-            assert a.dtype == b.dtype
-            assert np.array_equal(a, b)
-        assert got.merged.moved_words == want.merged.moved_words
-        assert got.merged.iterations == want.merged.iterations
+        self.assert_same_bytes(got, want)
 
     @pytest.mark.parametrize("W", [8, 16, 32])
-    @pytest.mark.parametrize("M", [8, 10, 12])
+    @pytest.mark.parametrize("M", [4, 8, 10, 12])
     def test_native_equals_numpy_on_text_grid(self, text_like, M, W):
         """Every r at the paper's magnitudes, on enwik-like bytes."""
         book = book_for(text_like, 256)
@@ -302,10 +392,58 @@ class TestNativeScanPack:
             syms = text_like[: text_like.size >> M << M]
             got = scan_pack_symbols(syms, book, tuning)
             want = numpy_oracle(scan_pack_symbols, syms, book, tuning)
-            assert np.array_equal(got.merged.words, want.merged.words)
-            assert np.array_equal(got.merged.bits, want.merged.bits)
-            assert np.array_equal(got.broken, want.broken)
-            assert np.array_equal(got.cell_lengths, want.cell_lengths)
+            self.assert_same_bytes(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    @pytest.mark.parametrize("W", [8, 16, 32])
+    def test_all_broken_and_empty_inputs(self, dtype, W):
+        """Chunks whose every cell breaks carry 0 dense bits and 0
+        payload bytes; an input of no chunks gives one zero offset."""
+        syms = np.arange(256, dtype=dtype).repeat(4)  # 8-bit codewords
+        book = book_for(syms.astype(np.int64), 256)
+        r = {8: 1, 16: 2, 32: 3}[W]  # cells of 2W bits: every one breaks
+        tuning = EncoderTuning(6, r, W)
+        got = scan_pack_symbols(syms, book, tuning)
+        want = numpy_oracle(scan_pack_symbols, syms, book, tuning)
+        self.assert_same_bytes(got, want)
+        assert got.broken.all() and not got.bits.any()
+        assert got.payload.size == 0 and not got.offsets.any()
+        empty = scan_pack_symbols(syms[:0], book, tuning)
+        self.assert_same_bytes(
+            empty, numpy_oracle(scan_pack_symbols, syms[:0], book, tuning)
+        )
+        assert empty.offsets.tolist() == [0] and empty.payload.size == 0
+
+    def test_raw_pass_refuses_a_chunk_past_n_out(self):
+        """A chunk whose worst case (cpc * W / 8 bytes plus the 4-byte
+        trailing store) could pass ``n_out`` is refused before it
+        writes: the pass returns -2 and nothing lands past ``n_out``."""
+        kern = native.kernel()
+        rng = np.random.default_rng(6)
+        syms = rng.integers(0, 16, 4 << 6).astype(np.uint8)
+        book = book_for(syms, 16)
+        table = packed_codeword_table(book)
+        G, cpc, W = 4, 16, 32  # M = 6, r = 2: four chunks
+        worst = cpc * W // 8 + 4
+        out = np.full(4 * worst, 0xA5, np.uint8)
+        offsets = np.zeros(5, np.int64)
+        bits = np.zeros(4, np.int64)
+        broken = np.zeros(4 * cpc, np.bool_)
+        p = kern._p
+        for n_out, refused_at in ((worst - 1, 0), (worst, 1)):
+            out[:] = 0xA5
+            ret = kern._lib.scan_pack_u8(
+                p("uint8_t *", syms), 4, G, cpc, W,
+                p("uint64_t *", table), table.size,
+                p("uint8_t *", out), n_out, p("int64_t *", offsets),
+                p("int64_t *", bits), p("uint8_t *", broken),
+            )
+            assert ret == -2
+            assert (out[n_out:] == 0xA5).all()
+            assert offsets[refused_at] <= n_out
+        # the wrapper's own capacity never refuses
+        got = kern.scan_pack(syms, table, G, cpc, W)
+        assert got[-1] == -1 and got[2].tolist()[-1] == got[1].size
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
     @pytest.mark.parametrize("size", [600, 5000])

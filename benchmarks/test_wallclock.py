@@ -20,6 +20,10 @@ calls, and holds the bars ``make bench-smoke`` enforces:
   byte-identically through subtables with zero table fallbacks, in a
   table <= 25% of a flat 2^16 one, and the kernel >= 2x the lanes on
   the crafted large alphabet;
+- multi-symbol decode: on the SZ-code surrogate (nyx_quant) the
+  chunk-decode pass reading the table's multi-symbol plane is >= 2x
+  the same pass without it, with the same output (when the compiled
+  kernel loads);
 - the perf-history sentinel: the run appends one line to
   ``results/BENCH_history.jsonl`` and must not regress against the
   rolling baseline of earlier lines.
@@ -34,7 +38,9 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
+from repro import native
 from repro.codebooks.registry import CodebookRegistry, set_process_registry
 from repro.conform.corpora import deep_codebook
 from repro.core.bitstream import (
@@ -43,6 +49,7 @@ from repro.core.bitstream import (
     decode_stream,
     decode_stream_scalar,
     stream_lanes,
+    stream_placement,
 )
 from repro.core.codebook_parallel import parallel_codebook
 from repro.core.encoder import gpu_encode
@@ -53,12 +60,14 @@ from repro.datasets.genomics import (
     kmer_symbolize,
 )
 from repro.datasets.registry import get_dataset
+from repro.decoder.gap_array import _pad_buffer
 from repro.histogram.gpu_histogram import gpu_histogram
 from repro.huffman.cache import (
     cached_decode_table,
     codebook_cache,
     decode_table_cache,
 )
+from repro.huffman.decoder import build_decode_table, plane_dtype
 from repro.native import native_available
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import Tracer, tracing
@@ -97,6 +106,9 @@ TABLE_REPEATS = 3
 #: subtables
 FLAT16_TABLE_BYTES = (1 << 16) * 8
 HISTORY = "BENCH_history.jsonl"
+#: multi-symbol decode: the plane pass over the plain pass on nyx_quant
+#: (it measures ~3-5x; 2x keeps margin for machine noise)
+PLANE_SPEEDUP = 2.0
 
 
 def _best(fn, repeats: int = REPEATS) -> float:
@@ -484,3 +496,41 @@ def test_wallclock(results_dir):
     caught = check_regression([entry] * 5, degraded)
     assert not caught.ok, "sentinel missed a 30% synthetic slowdown"
     assert caught.regressions, caught.render()
+
+
+@pytest.mark.skipif(not native.native_available(),
+                    reason="the plane is read by the compiled pass only")
+def test_multi_symbol_plane():
+    """The chunk-decode pass with and without the table's multi-symbol
+    plane, on the same nyx_quant container, output and table."""
+    ds = get_dataset("nyx_quant")
+    data = np.asarray(ds.generate(SIZE, np.random.default_rng(SEED))[0])
+    book = parallel_codebook(gpu_histogram(data, ds.n_symbols).histogram
+                             ).codebook
+    stream = gpu_encode(data, book).stream
+    table = build_decode_table(book)
+    buffer, starts, ends, nsyms = stream_lanes(stream)
+    place = stream_placement(stream)
+    padded = _pad_buffer(buffer, table.max_length)
+    out = np.empty(place.n_out, plane_dtype(book))
+    kern = native.kernel()
+
+    def decode(plane: bool) -> None:
+        kern.chunk_decode(
+            padded, buffer.size * 8, starts, ends, nsyms, place.out_off,
+            place.hole_base, place.holes, place.group, table, out,
+            plane=plane,
+        )
+
+    for plane in (False, True):
+        out[:] = 0
+        decode(plane)
+        np.testing.assert_array_equal(out, data)
+    plain = _best(lambda: decode(False))
+    multi = _best(lambda: decode(True))
+    print(f"nyx_quant chunk_decode: {plain * 1e3:.3f} ms plain, "
+          f"{multi * 1e3:.3f} ms through the plane")
+    assert plain >= PLANE_SPEEDUP * multi, (
+        f"plane pass only {plain / multi:.2f}x the plain pass on "
+        f"nyx_quant (needs >= {PLANE_SPEEDUP}x)"
+    )

@@ -239,7 +239,7 @@ def decompress_symbols(buf: bytes, book=None) -> np.ndarray:
                  8: np.uint64}.get(itemsize)
         if dtype is None:
             raise ValueError(f"invalid itemsize {itemsize} in container")
-        body = buf[13:]
+        body = memoryview(buf)[13:]
         # both paths reject a book whose symbols the itemsize cannot
         # hold before decoding (a flipped itemsize byte)
         if body[:4] == b"RPRA":
@@ -329,15 +329,16 @@ def _decompress_field_body(buf: bytes) -> np.ndarray:
     pos += 8 * ndim
     (first_value,) = struct.unpack("<d", buf[pos: pos + 8])
     pos += 8
-    out_idx = np.frombuffer(buf[pos: pos + 8 * n_out], dtype=np.int64).copy()
+    view = memoryview(buf)
+    out_idx = np.frombuffer(view[pos: pos + 8 * n_out], dtype=np.int64)
     pos += 8 * n_out
-    out_val = np.frombuffer(buf[pos: pos + 8 * n_out], dtype=np.float64).copy()
+    out_val = np.frombuffer(view[pos: pos + 8 * n_out], dtype=np.float64)
     pos += 8 * n_out
     n = math.prod(shape)
     # hostile outlier positions would reconstruct silently out of bound
     check_outliers(out_idx, out_val.size, n)
 
-    stream, book = deserialize_stream(buf[pos:])
+    stream, book = deserialize_stream(view[pos:])
     if stream.n_symbols != n:
         raise ValueError("code count disagrees with the field shape")
     codes = decode_stream(stream, book, dtype=code_dtype(n_bins))

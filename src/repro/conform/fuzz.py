@@ -15,7 +15,8 @@ deserialization of a corrupted-but-still-valid buffer is *fine*: the
 contract is about exception type, not detection power.  The
 ``symbols`` target runs ``decompress_symbols`` in full, so every mutant
 that still parses reaches the decoder (the native chunk-decode pass
-where it loads) with hostile payload bits.
+where it loads, through the table's multi-symbol plane where the stream
+is sparse enough) with hostile payload bits.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from repro.core.serialization import (
     serialize_codebook,
     serialize_stream,
 )
+from repro.huffman.decoder import plane_dtype
 
 __all__ = ["FuzzResult", "run_fuzz", "MUTATION_OPS"]
 
@@ -139,8 +141,10 @@ def _targets(sample, magnitude: int):
     out.append(
         ("adaptive", serialize_adaptive(ada, book), deserialize_adaptive)
     )
+    # symbols in the book's narrowest dtype, so a decode that accepts a
+    # mutant can read the table's multi-symbol plane
     blob, _report = compress_symbols_registered(
-        sample.data, book, magnitude=magnitude
+        sample.data.astype(plane_dtype(book)), book, magnitude=magnitude
     )
     out.append(("symbols", blob, decompress_symbols))
     return out

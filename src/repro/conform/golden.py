@@ -32,6 +32,7 @@ from repro.core.codebook_parallel import parallel_codebook
 from repro.core.encoder import gpu_encode
 from repro.core.serialization import deserialize_stream, serialize_stream
 from repro.huffman.cache import codebook_digest
+from repro.huffman.decoder import plane_dtype
 from repro.huffman.serial import serial_encode
 
 __all__ = [
@@ -185,10 +186,13 @@ def check_golden(golden_dir: Path | str | None = None) -> list[str]:
                 f"({len(old)} vs {len(blob)} bytes)"
             )
         # decode the *stored* bytes: yesterday's container must still
-        # deserialize and decode to the manifest's symbols today
+        # deserialize and decode to the manifest's symbols today.  The
+        # decode runs in the book's narrowest dtype, the one the table's
+        # multi-symbol plane stores (the manifest hash comes from the
+        # int64 decode, which never reads the plane)
         try:
             stream, book = deserialize_stream(old)
-            dec = decode_stream(stream, book)
+            dec = decode_stream(stream, book, dtype=plane_dtype(book))
             if _sha(dec.astype(np.int64)) != want["decoded_sha256"]:
                 problems.append(
                     f"{name}: stored container decodes to different symbols"

@@ -67,6 +67,7 @@ from repro.huffman.decoder import (
     decode_canonical,
     decode_lanes,
     decode_with_tree,
+    plane_dtype,
 )
 from repro.huffman.serial import serial_encode
 
@@ -257,6 +258,16 @@ def _dec_stream_container(art):
 
 def _dec_stream_gap(art):
     return decode_stream(art.payload, art.book)
+
+
+def _dec_stream_narrow(art):
+    """The on-disk path decoded in the narrowest dtype that holds the
+    book, as ``decompress_symbols`` decodes uint8/uint16 data: the one
+    cell whose decode reads the table's multi-symbol plane (the int64
+    cells never do)."""
+    blob = serialize_stream(art.payload, art.book)
+    stream, book = deserialize_stream(blob)
+    return decode_stream(stream, book, dtype=plane_dtype(book))
 
 
 def _dec_dense_scalar(art):
@@ -462,6 +473,7 @@ def default_registry() -> ConformRegistry:
         ),
         DecoderImpl("stream.container", ("stream",), _dec_stream_container),
         DecoderImpl("stream.gap", ("stream",), _dec_stream_gap),
+        DecoderImpl("stream.narrow", ("stream",), _dec_stream_narrow),
         DecoderImpl(
             "dense.scalar", ("dense",), _dec_dense_scalar,
             max_symbols=20_000,

@@ -296,7 +296,10 @@ def decode_stream(
     :func:`assemble_stream_symbols`.  ``dtype`` (int64, or uint8/16/32/64)
     must hold every coded symbol of ``book`` (:func:`symbol_dtype`).  The
     ``decode.stream`` span records the choice as ``strategy`` (``"gap"``
-    or ``"batch"``) and a fallback's reason as ``gap_fallback``.
+    or ``"batch"``) and a fallback's reason as ``gap_fallback``, and
+    whether the kernel read the table's multi-symbol plane as ``plane``
+    (``"multi"`` or ``"off"``) with ``plane_reason``; ``decode.lanes``
+    carries the plane steps as ``plane_steps``.
     """
     # local import: gap_array builds on the huffman decode machinery
     from repro.decoder import gap_array
@@ -316,6 +319,9 @@ def decode_stream(
                 buffer, starts, ends, nsyms, book, table,
                 placement=stream_placement(stream), dtype=dtype,
             )
+            lanes_span.set_attr(plane_steps=res.plane_steps)
+        sp.set_attr(plane="off" if res.plane_reason else "multi",
+                    plane_reason=res.plane_reason)
         if res.backend == "native":
             sp.set_attr(strategy="gap")
             out = res.symbols

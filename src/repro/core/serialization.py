@@ -85,12 +85,15 @@ def _blob(data: bytes) -> bytes:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    """Sequential reads through a ``memoryview`` of the container: every
+    field is a view, so a payload blob reaches the decoder uncopied."""
+
+    def __init__(self, buf):
+        self.buf = memoryview(buf).cast("B")
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
+    def take(self, n: int) -> memoryview:
+        if n < 0 or self.pos + n > len(self.buf):
             raise ValueError("truncated container")
         out = self.buf[self.pos: self.pos + n]
         self.pos += n
@@ -100,7 +103,7 @@ class _Reader:
         size = struct.calcsize(fmt)
         return struct.unpack(fmt, self.take(size))
 
-    def blob(self) -> bytes:
+    def blob(self) -> memoryview:
         (n,) = self.unpack("<Q")
         return self.take(n)
 
@@ -124,7 +127,7 @@ def serialize_codebook(book: CanonicalCodebook) -> bytes:
 
 @container_guard
 def deserialize_codebook(buf: bytes) -> CanonicalCodebook:
-    r = _Reader(bytes(buf))
+    r = _Reader(buf)
     (n,) = r.unpack("<I")
     lengths = r.array(np.uint8, n).astype(np.int32)
     return canonical_from_lengths(lengths)
@@ -173,8 +176,12 @@ def deserialize_stream(
     reused instead of running ``canonical_from_lengths`` again.  A
     mismatch falls back to the cold rebuild rather than erroring: the
     container stays self-describing either way.
+
+    The three payload sections come back as read-only views of ``buf``
+    (which they keep alive): the decoder's padded copy is the only copy
+    of the payload on the decode path.
     """
-    r = _Reader(bytes(buf))
+    r = _Reader(buf)
     if r.take(4) != MAGIC:
         raise ValueError("not a repro Huffman container (bad magic)")
     version, magnitude, red, word_bits = r.unpack("<BBBB")
@@ -194,7 +201,7 @@ def deserialize_stream(
         book = canonical_from_lengths(lengths)
 
     chunk_bits = r.array(np.uint32, n_chunks).astype(np.int64)
-    payload = np.frombuffer(r.blob(), dtype=np.uint8).copy()
+    payload = np.frombuffer(r.blob(), dtype=np.uint8)
     offsets = np.zeros(n_chunks + 1, dtype=np.int64)
     np.cumsum((chunk_bits + 7) // 8, out=offsets[1:])
     if int(offsets[-1]) != payload.size:
@@ -203,7 +210,7 @@ def deserialize_stream(
     n_cells, group, nnz = r.unpack("<QII")
     indices = r.array(np.uint32, nnz)
     bit_lengths = r.array(np.uint16, nnz)
-    bpayload = np.frombuffer(r.blob(), dtype=np.uint8).copy()
+    bpayload = np.frombuffer(r.blob(), dtype=np.uint8)
     boffsets = np.zeros(nnz + 1, dtype=np.int64)
     np.cumsum((bit_lengths.astype(np.int64) + 7) // 8, out=boffsets[1:])
     if int(boffsets[-1]) != bpayload.size:
@@ -214,7 +221,7 @@ def deserialize_stream(
         payload=bpayload, payload_offsets=boffsets,
     )
 
-    tail_payload = np.frombuffer(r.blob(), dtype=np.uint8).copy()
+    tail_payload = np.frombuffer(r.blob(), dtype=np.uint8)
     tuning = EncoderTuning(magnitude, red, word_bits)
 
     # -- structural invariants (adversarial-input hardening) -------------
@@ -303,7 +310,7 @@ def deserialize_adaptive(buf: bytes):
     """
     from repro.core.adaptive import AdaptiveEncodeResult
 
-    r = _Reader(bytes(buf))
+    r = _Reader(buf)
     if r.take(4) != ADAPTIVE_MAGIC:
         raise ValueError("not an adaptive container (bad magic)")
     version, magnitude, word_bits = r.unpack("<BBB")

@@ -28,6 +28,13 @@ its stream index, in the caller's dtype (``decode_stream``); without
 one the output is lane-major int64, like ``decode_lanes``.  Either way
 the kernel's symbols equal the oracle's, and a corrupt stream raises
 the oracle's ``ValueError``.
+
+The pass reads the table's multi-symbol plane, a whole run of
+codewords per lookup, when :func:`plane_reason` finds no reason not to:
+the table has one, the output is in its dtype, the stream is sparse
+enough (under ``PLANE_BITS / PLANE_MIN_RUN`` bits per symbol) for runs
+of two codewords or more, and few of its cells broke.  The result
+records the choice.
 """
 
 from __future__ import annotations
@@ -50,8 +57,11 @@ from repro.obs import metrics as _metrics
 __all__ = [
     "GapDecodeResult",
     "LanePlacement",
+    "PLANE_MAX_BROKEN",
+    "PLANE_MIN_RUN",
     "gap_decode_lanes",
     "gap_supported",
+    "plane_reason",
 ]
 
 
@@ -86,6 +96,44 @@ class GapDecodeResult:
     symbols: np.ndarray
     backend: str
     fallback: str = ""
+    #: ``""`` when the pass read the table's multi-symbol plane, else
+    #: why not (:func:`plane_reason`, or the fallback reason)
+    plane_reason: str = ""
+    #: the plane stores the pass made
+    plane_steps: int = 0
+
+
+#: A plane lookup spans ``plane_bits`` window bits, so a stream that
+#: averages ``b`` bits per symbol resolves about ``plane_bits / b``
+#: codewords per lookup.  Below this many the pass runs without the
+#: plane: its wider store and second gather then cost more than the
+#: lookups they save (see EXPERIMENTS.md, "Multi-symbol decode").
+PLANE_MIN_RUN = 2.0
+#: Nor does the plane pay when more than this share of the symbols sit
+#: in broken cells: their lanes are one cell long, and the chunk lanes
+#: meet a hole every few cells, where a run cannot be stored whole.
+PLANE_MAX_BROKEN = 0.2
+
+
+def plane_reason(
+    table: DecodeTable, dtype, n_bits: int, n_symbols: int, n_broken: int
+) -> str:
+    """Why the pass decodes without the table's multi-symbol plane, or
+    ``""`` when it reads it: the table has none (its ``plane_off``),
+    the output is not in the plane's dtype (``"dtype"``), the stream is
+    too dense for runs (``"short_runs"``: ``n_bits`` over ``n_symbols``
+    above ``plane_bits / PLANE_MIN_RUN``), or more than
+    ``PLANE_MAX_BROKEN`` of its symbols sit in broken cells
+    (``"broken_cells"``: ``n_broken`` of them)."""
+    if table.plane_off:
+        return table.plane_off
+    if table.plane_syms.dtype != np.dtype(dtype):
+        return "dtype"
+    if n_bits * PLANE_MIN_RUN > n_symbols * table.plane_bits:
+        return "short_runs"
+    if n_broken > PLANE_MAX_BROKEN * n_symbols:
+        return "broken_cells"
+    return ""
 
 
 def gap_supported(
@@ -152,16 +200,19 @@ def gap_decode_lanes(
     if kern is None:
         reg.counter("repro_decode_gap_lut_fallback_total", reason=reason).inc()
         symbols = decode_lanes(buffer, starts, ends, nsyms, book, table)
-        return GapDecodeResult(symbols, "lanes", reason)
+        return GapDecodeResult(symbols, "lanes", reason, plane_reason=reason)
 
     buffer, starts, ends, nsyms = _check_lanes(buffer, starts, ends, nsyms)
     if placement is None:
         placement = _lane_major(nsyms)
     out = np.empty(placement.n_out, dtype)
-    bad, n_subgather = kern.chunk_decode(
+    n_symbols = int(nsyms.sum())
+    off = plane_reason(table, dtype, int((ends - starts).sum()), n_symbols,
+                       placement.holes.size * placement.group)
+    bad, n_subgather, n_plane = kern.chunk_decode(
         _pad_buffer(buffer, table.max_length), buffer.size * 8,
         starts, ends, nsyms, placement.out_off, placement.hole_base,
-        placement.holes, placement.group, table, out,
+        placement.holes, placement.group, table, out, plane=not off,
     )
     if bad >= 0:
         # the pass checked the lane's placement before decoding it, and
@@ -171,13 +222,14 @@ def gap_decode_lanes(
             raise ValueError("bitstream exhausted before all symbols decoded")
         raise ValueError("lane placement outside the output")
     reg.counter("repro_decode_table_tier_total", tier=table.tier).inc()
-    reg.counter("repro_decode_symbols_total", path="gap").inc(int(nsyms.sum()))
+    reg.counter("repro_decode_symbols_total", path="gap").inc(n_symbols)
     reg.counter("repro_decode_lanes_total", path="gap").inc(int(nsyms.size))
     if n_subgather:
         reg.counter(
             "repro_decode_subtable_gather_total", path="gap"
         ).inc(n_subgather)
-    return GapDecodeResult(out, "native")
+    return GapDecodeResult(out, "native", plane_reason=off,
+                           plane_steps=n_plane)
 
 
 def _lane_fits(placement: LanePlacement, nsyms: np.ndarray, lane: int) -> bool:

@@ -14,8 +14,9 @@ one the encoder built.  Caches are LRU-bounded, thread-safe, and expose
 hit/miss counters so tests can assert that the cache actually works.
 
 The decode-table cache additionally accounts **bytes**: every cached
-table reports its real footprint (O(alphabet + 2^k) for a 2^k root),
-the total is capped per process
+table reports its real footprint (O(alphabet + 2^k) for a 2^k root,
+plus its multi-symbol plane: 72 KiB for a uint16 book), the total is
+capped per process
 (``REPRO_TABLE_CACHE_BYTES``, default 64 MiB), eviction runs by bytes
 as well as entry count, and the live total is exported as the
 ``repro_decode_table_bytes`` gauge.

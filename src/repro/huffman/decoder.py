@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import native
 from repro.huffman.codebook import CanonicalCodebook
 from repro.huffman.tree import HuffmanTree
 from repro.obs import metrics as _metrics
@@ -37,6 +38,8 @@ __all__ = [
     "MAX_TABLE_SYMBOL",
     "build_decode_table",
     "decode_canonical",
+    "plane_dtype",
+    "plane_oracle",
     "decode_lanes",
     "decode_batch",
     "decode_with_tree",
@@ -102,6 +105,16 @@ class DecodeTable:
     ``complete`` is True when every reachable index maps to a codeword
     (no ``-256`` entries) — the precondition for the native chunk-decode
     pass, whose only stream error is then running out of bits.
+
+    A flat, complete table also carries a multi-symbol *plane* over its
+    root when the compiled module loads: ``run`` (uint16, indexed by the
+    top ``plane_bits = PLANE_BITS`` window bits, whatever ``k`` is)
+    holds ``(count << 8) | bits`` of the whole codewords those bits
+    hold, at most ``PLANE_CAP``, and ``plane_syms`` their symbols,
+    ``PLANE_CAP`` per entry in :func:`plane_dtype`.  The chunk-decode
+    pass then emits a run of symbols per lookup.  ``plane_off`` says
+    why a table has none: ``"tiered"``, ``"incomplete_table"`` or
+    ``"no_native_kernel"``.
     """
 
     def __init__(
@@ -121,6 +134,10 @@ class DecodeTable:
         self.node_bits = node_bits
         self.complete = complete
         self.max_length = max_length
+        self.plane_bits = 0
+        self.run: np.ndarray | None = None
+        self.plane_syms: np.ndarray | None = None
+        self.plane_off = ""
 
     @property
     def n_nodes(self) -> int:
@@ -132,9 +149,12 @@ class DecodeTable:
         return "tiered" if self.n_nodes else "flat"
 
     def nbytes(self) -> int:
+        plane = 0 if self.run is None else (
+            self.run.nbytes + self.plane_syms.nbytes
+        )
         return int(
             self.root.nbytes + self.sub.nbytes
-            + self.node_base.nbytes + self.node_bits.nbytes
+            + self.node_base.nbytes + self.node_bits.nbytes + plane
         )
 
 
@@ -161,8 +181,8 @@ def _packed_span_fill(
     A codeword whose last ``rem`` bits (within its table) are ``tails``
     owns the ``2**(width - rem)`` consecutive indices starting at
     ``base + (tails << (width - rem))`` of ``tbl``, where its table
-    starts at ``base`` and is indexed by ``width`` bits — shared by the
-    root and every subtable; ``base`` and ``width`` may be per codeword.
+    starts at ``base`` and is indexed by ``width`` bits — shared by
+    every subtable; ``base`` and ``width`` may be per codeword.
     """
     starts = base + (tails << (width - rem))
     spans = np.int64(1) << (width - rem)
@@ -170,6 +190,27 @@ def _packed_span_fill(
         np.arange(int(spans.sum())) - np.repeat(np.cumsum(spans) - spans, spans)
     )
     tbl[idx] = np.repeat((syms << 8) | lens, spans).astype(np.int32)
+
+
+def _root_fill(
+    k: int, codes: np.ndarray, lens: np.ndarray, syms: np.ndarray
+) -> np.ndarray:
+    """The root with the codewords of at most ``k`` bits span-filled and
+    every other entry ``_INVALID``, in one ``np.repeat``: a codeword owns
+    the ``2**(k - len)`` entries from ``code << (k - len)``, so in start
+    order the spans of a prefix code and the gaps between them tile the
+    root."""
+    starts = codes << (k - lens)
+    order = np.argsort(starts, kind="stable")
+    starts, lens = starts[order], lens[order]
+    ends = starts + (np.int64(1) << (k - lens))
+    vals = np.full(2 * starts.size + 1, _INVALID, dtype=np.int32)
+    vals[1::2] = (syms[order] << 8) | lens
+    reps = np.empty(vals.size, dtype=np.int64)
+    reps[0:-1:2] = starts - np.concatenate(([0], ends[:-1]))
+    reps[1::2] = ends - starts
+    reps[-1] = (1 << k) - (ends[-1] if ends.size else 0)
+    return np.repeat(vals, reps)
 
 
 def _groups(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,17 +251,13 @@ def build_decode_table(
         )
     maxlen = int(book.max_length)
     k = _root_bits(book, k)
-    root = np.full(1 << k, _INVALID, dtype=np.int32)
     used = np.flatnonzero(book.lengths > 0)
     lens = book.lengths[used].astype(np.int64)
     codes = book.codes[used].astype(np.int64)
     syms = used.astype(np.int64)
 
     short = lens <= k
-    if short.any():
-        _packed_span_fill(
-            root, 0, k, codes[short], lens[short], syms[short], lens[short]
-        )
+    root = _root_fill(k, codes[short], lens[short], syms[short])
 
     tables: list[np.ndarray] = []
     widths: list[np.ndarray] = []
@@ -277,7 +314,72 @@ def build_decode_table(
     complete = bool(
         (root != _INVALID).all() and (sub != _INVALID).all()
     )
-    return DecodeTable(k, root, sub, node_base, node_bits, complete, maxlen)
+    table = DecodeTable(k, root, sub, node_base, node_bits, complete, maxlen)
+    _attach_plane(table, book)
+    return table
+
+
+def plane_dtype(book: CanonicalCodebook) -> np.dtype:
+    """The narrowest unsigned dtype that holds every coded symbol of
+    ``book``: the dtype its decode table's plane stores symbols in."""
+    coded = np.flatnonzero(book.lengths)
+    top = int(coded[-1]) if coded.size else 0
+    for dt in native.SYMBOL_DTYPES:
+        if top <= np.iinfo(dt).max:
+            return dt
+    raise ValueError(f"symbol {top} exceeds every plane dtype")
+
+
+def _attach_plane(table: DecodeTable, book: CanonicalCodebook) -> None:
+    """Build ``table``'s multi-symbol plane with the compiled builder,
+    or record in ``plane_off`` why it has none."""
+    kern = native.kernel()
+    if table.n_nodes:
+        table.plane_off = "tiered"
+    elif not table.complete:
+        table.plane_off = "incomplete_table"
+    elif kern is None:
+        table.plane_off = "no_native_kernel"
+    if table.plane_off:
+        return
+    table.run, table.plane_syms = kern.multi_plane(
+        table.root, table.k, native.PLANE_BITS, plane_dtype(book)
+    )
+    table.plane_bits = native.PLANE_BITS
+
+
+def plane_oracle(
+    root: np.ndarray, k: int, p: int, dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """NumPy reference of the compiled plane builder: ``(run, syms)`` of
+    a ``k``-bit packed root over ``p``-bit windows (``p`` above, at or
+    below ``k``).
+
+    All ``2**p`` windows decode in lock-step, one root lookup per
+    codeword with the bits after the window zero; a window stops at its
+    first codeword that does not fit its remaining bits (or an entry
+    with length byte 0) or after ``PLANE_CAP`` codewords.  A symbol
+    ``dtype`` cannot hold raises ``ValueError``.
+    """
+    cap = native.PLANE_CAP
+    w = np.arange(1 << p, dtype=np.int64)
+    pm = (1 << p) - 1
+    used = np.zeros(w.size, np.int64)
+    count = np.zeros(w.size, np.int64)
+    live = np.ones(w.size, bool)
+    syms = np.zeros((w.size, cap), dtype)
+    for c in range(cap):
+        x = (w << used) & pm
+        ent = root[x << max(k - p, 0) >> max(p - k, 0)].astype(np.int64)
+        ln = ent & 0xFF
+        live &= (ln > 0) & (used + ln <= p)
+        if np.any(ent[live] >> 8 > np.iinfo(dtype).max):
+            raise ValueError(f"a plane entry holds a symbol past {dtype}")
+        syms[live, c] = ent[live] >> 8
+        used += np.where(live, ln, 0)
+        count += live
+    run = ((count << 8) | used).astype(np.uint16)
+    return run, syms.reshape(-1)
 
 
 def decode_canonical(

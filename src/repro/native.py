@@ -1,5 +1,6 @@
-"""The runtime-compiled C module: chunk-lane decode, scan-pack encode,
-the histogram and the Lorenzo quantize/dequantize passes.
+"""The runtime-compiled C module: chunk-lane decode and its
+multi-symbol plane, scan-pack encode, the histogram and the Lorenzo
+quantize/dequantize passes.
 
 One C source set, compiled once per process via :mod:`cffi` and the
 system C compiler and cached on disk under one digest of that source
@@ -23,7 +24,13 @@ Decode (:mod:`repro.decoder.gap_array`; oracle
   otherwise dominates).  It reads the
   :class:`~repro.huffman.decoder.DecodeTable`'s own arrays: one gather
   from the packed root, and for a codeword longer than the root a
-  descent through the subtables in a cold branch.
+  descent through the subtables in a cold branch.  Given the table's
+  multi-symbol plane (output in the plane's dtype), each block first
+  emits a whole run of codewords per lookup: the top ``PLANE_BITS``
+  window bits give up to ``PLANE_CAP`` symbols, stored at once.
+- ``multi_plane_{u8,u16,u32}``: the plane's builder (oracle
+  :func:`repro.huffman.decoder.plane_oracle`), one root lookup per
+  entry.  Every capacity is checked before a byte is written.
 
 Encode (:mod:`repro.core.scan_pack`; oracle the checked length gather
 and ``book.codes`` gather followed by the generic NumPy
@@ -99,6 +106,8 @@ __all__ = [
     "CODE_DTYPES",
     "DECODE_DTYPES",
     "NativeKernel",
+    "PLANE_CAP",
+    "PLANE_BITS",
     "SYMBOL_DTYPES",
     "kernel",
     "native_available",
@@ -119,6 +128,12 @@ _CODE_VARIANTS = {
 }
 CODE_DTYPES = tuple(_CODE_VARIANTS)
 
+#: symbols one multi-symbol plane entry holds, and the window bits that
+#: index it, whatever the root's width (see EXPERIMENTS.md,
+#: "Multi-symbol decode")
+PLANE_CAP = 8
+PLANE_BITS = 12
+
 #: the Lorenzo passes must round exactly as NumPy does: no fused
 #: multiply-add (which some targets contract by default) in any build
 _FP_FLAGS = ["-ffp-contract=off"]
@@ -133,25 +148,42 @@ int64_t chunk_decode_u8(const uint8_t *buf, int64_t n_bits,
     int64_t n_lanes, const int64_t *out_off, const int64_t *hole_base,
     const int64_t *holes, int64_t n_holes, int64_t G, const int32_t *root,
     int k, const int32_t *sub, const int64_t *node_base,
-    const int32_t *node_bits, uint8_t *out, int64_t n_out, int64_t *n_sub);
+    const int32_t *node_bits, const uint16_t *run, int p,
+    const void *psyms, uint8_t *out, int64_t n_out, int64_t *n_sub,
+    int64_t *n_plane);
 int64_t chunk_decode_u16(const uint8_t *buf, int64_t n_bits,
     const int64_t *start, const int64_t *end, const int64_t *nsym,
     int64_t n_lanes, const int64_t *out_off, const int64_t *hole_base,
     const int64_t *holes, int64_t n_holes, int64_t G, const int32_t *root,
     int k, const int32_t *sub, const int64_t *node_base,
-    const int32_t *node_bits, uint16_t *out, int64_t n_out, int64_t *n_sub);
+    const int32_t *node_bits, const uint16_t *run, int p,
+    const void *psyms, uint16_t *out, int64_t n_out, int64_t *n_sub,
+    int64_t *n_plane);
 int64_t chunk_decode_u32(const uint8_t *buf, int64_t n_bits,
     const int64_t *start, const int64_t *end, const int64_t *nsym,
     int64_t n_lanes, const int64_t *out_off, const int64_t *hole_base,
     const int64_t *holes, int64_t n_holes, int64_t G, const int32_t *root,
     int k, const int32_t *sub, const int64_t *node_base,
-    const int32_t *node_bits, uint32_t *out, int64_t n_out, int64_t *n_sub);
+    const int32_t *node_bits, const uint16_t *run, int p,
+    const void *psyms, uint32_t *out, int64_t n_out, int64_t *n_sub,
+    int64_t *n_plane);
 int64_t chunk_decode_i64(const uint8_t *buf, int64_t n_bits,
     const int64_t *start, const int64_t *end, const int64_t *nsym,
     int64_t n_lanes, const int64_t *out_off, const int64_t *hole_base,
     const int64_t *holes, int64_t n_holes, int64_t G, const int32_t *root,
     int k, const int32_t *sub, const int64_t *node_base,
-    const int32_t *node_bits, int64_t *out, int64_t n_out, int64_t *n_sub);
+    const int32_t *node_bits, const uint16_t *run, int p,
+    const void *psyms, int64_t *out, int64_t n_out, int64_t *n_sub,
+    int64_t *n_plane);
+int64_t multi_plane_u8(const int32_t *root, int k, int p, uint16_t *run,
+    int64_t n_run, uint8_t *syms, int64_t n_syms, uint64_t *ends,
+    int64_t n_ends);
+int64_t multi_plane_u16(const int32_t *root, int k, int p, uint16_t *run,
+    int64_t n_run, uint16_t *syms, int64_t n_syms, uint64_t *ends,
+    int64_t n_ends);
+int64_t multi_plane_u32(const int32_t *root, int k, int p, uint16_t *run,
+    int64_t n_run, uint32_t *syms, int64_t n_syms, uint64_t *ends,
+    int64_t n_ends);
 int64_t symbol_bits_u8(const uint8_t *sym, int64_t n, const uint64_t *tab,
     int64_t K, int64_t *total);
 int64_t symbol_bits_u16(const uint16_t *sym, int64_t n, const uint64_t *tab,
@@ -182,7 +214,9 @@ int64_t lorenzo_dequantize_{sfx}(const {ct} *codes, int64_t n, double eb2,
 """ for sfx, ct in _CODE_VARIANTS.values()
 )
 
-_CSRC = r"""
+_CSRC = f"""
+#define PLANE_CAP {PLANE_CAP}
+""" + r"""
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -235,7 +269,22 @@ static inline int32_t descend(const uint8_t *buf, int64_t q, int32_t ent,
  * below it.  Lanes go in blocks of eight, interleaved symbol by symbol
  * to hide the table-load latency of the serial bp -> window -> table
  * -> bp chain (measured faster than refilling a finished lane's slot).
- * *n_sub receives the subtable gathers. */
+ *
+ * With a multi-symbol plane (run != NULL and 1 <= p <= 16: multi_plane_*
+ * over this root, symbols psyms in T) each block first runs phase 1.
+ * Every lane owes at least PLANE_CAP symbols and has bits left for a
+ * span of steps computed up front (a step takes at most PLANE_CAP
+ * symbols and max(k, p) bits), so the steps need no per-lane exit
+ * test.  A step looks up the top p window bits: (count << 8) | bits.
+ * With count > 0 and no hole in the lane's next PLANE_CAP slots the
+ * lane stores all PLANE_CAP plane symbols at once (the surplus lands in
+ * its own later slots, which its next stores overwrite) and advances by
+ * count symbols and bits bits; otherwise it takes one root step,
+ * jumping holes as phase 2 does.  A run ends past the lane's end bit
+ * only where a single codeword would, and the same checks then stop the
+ * pass.  A root entry that needs a subtable ends phase 1 for the block.
+ * Phase 2 is the single-symbol loop for whatever is left.  *n_sub
+ * receives the subtable gathers and *n_plane the plane stores. */
 #define CHUNK_DECODE(NAME, T)                                             \
 int64_t NAME(const uint8_t *buf, int64_t n_bits, const int64_t *start,    \
              const int64_t *end, const int64_t *nsym, int64_t n_lanes,    \
@@ -243,15 +292,17 @@ int64_t NAME(const uint8_t *buf, int64_t n_bits, const int64_t *start,    \
              const int64_t *holes, int64_t n_holes, int64_t G,            \
              const int32_t *root, int k, const int32_t *sub,              \
              const int64_t *node_base, const int32_t *node_bits,          \
-             T *out, int64_t n_out, int64_t *n_sub) {                     \
-    const int sh0 = 64 - k;                                               \
+             const uint16_t *run, int p, const void *psyms,               \
+             T *out, int64_t n_out, int64_t *n_sub, int64_t *n_plane) {   \
+    if (p < 1 || p > 16) run = NULL;                                      \
+    const int sh0 = 64 - k, shp = 64 - p, step = k > p ? k : p;           \
     const uint32_t mask = (1u << k) - 1;                                  \
+    const T *ps = (const T *)psyms;                                       \
     enum { B = 8 };                                                       \
-    int64_t nd = 0;                                                       \
+    int64_t nd = 0, npl = 0;                                              \
     for (int64_t cb = 0; cb < n_lanes; cb += B) {                         \
         int nbk = (int)((n_lanes - cb < B) ? (n_lanes - cb) : B);         \
         int64_t bp[B], e[B], ns[B], o[B], h[B], he[B], hole[B];          \
-        int64_t maxn = 0;                                                 \
         for (int j = 0; j < nbk; j++) {                                   \
             int64_t i = cb + j;                                           \
             int64_t off = out_off[i];                                     \
@@ -268,9 +319,54 @@ int64_t NAME(const uint8_t *buf, int64_t n_bits, const int64_t *start,    \
             o[j] = off;                                                   \
             h[j] = h0;                                                    \
             he[j] = h1;                                                   \
-            hole[j] = h0 < h1 ? holes[h0] : -1;                           \
-            if (ns[j] > maxn) maxn = ns[j];                               \
+            hole[j] = h0 < h1 ? holes[h0] : INT64_MAX;                    \
         }                                                                 \
+        while (run) {                                                     \
+            int64_t safe = INT64_MAX;                                     \
+            for (int j = 0; j < nbk; j++) {                               \
+                int64_t a = ns[j] / PLANE_CAP;                            \
+                int64_t b = (e[j] - bp[j] + step - 1) / step;             \
+                if (a < safe) safe = a;                                   \
+                if (b < safe) safe = b;                                   \
+            }                                                             \
+            if (safe <= 0) break;                                         \
+            int deep = 0;                                                 \
+            for (int64_t t = 0; t < safe; t++) {                          \
+                for (int j = 0; j < nbk; j++) {                           \
+                    uint64_t x = load_be64(buf + (bp[j] >> 3))            \
+                                 << (bp[j] & 7);                          \
+                    uint32_t r = run[x >> shp];                           \
+                    if (__builtin_expect((r >> 8)                         \
+                            && hole[j] >= o[j] + PLANE_CAP, 1)) {         \
+                        memcpy(out + o[j], ps + (x >> shp) * PLANE_CAP,   \
+                               PLANE_CAP * sizeof(T));                    \
+                        o[j] += r >> 8;                                   \
+                        ns[j] -= r >> 8;                                  \
+                        bp[j] += r & 0xFF;                                \
+                        npl++;                                            \
+                        continue;                                         \
+                    }                                                     \
+                    int32_t ent = root[x >> sh0];                         \
+                    if (__builtin_expect(!(ent & 0xFF), 0)) {             \
+                        deep = 1;                                         \
+                        continue;                                         \
+                    }                                                     \
+                    while (__builtin_expect(o[j] == hole[j], 0)) {        \
+                        o[j] += G;                                        \
+                        h[j]++;                                           \
+                        hole[j] = h[j] < he[j] ? holes[h[j]] : INT64_MAX; \
+                    }                                                     \
+                    out[o[j]++] = (T)(ent >> 8);                          \
+                    ns[j]--;                                              \
+                    bp[j] += ent & 0xFF;                                  \
+                }                                                         \
+                if (deep) break;                                          \
+            }                                                             \
+            if (deep) break;                                              \
+        }                                                                 \
+        int64_t maxn = 0;                                                 \
+        for (int j = 0; j < nbk; j++)                                     \
+            if (ns[j] > maxn) maxn = ns[j];                               \
         for (int64_t it = 0; it < maxn; it++) {                           \
             for (int j = 0; j < nbk; j++) {                               \
                 if (it >= ns[j]) continue;                                \
@@ -284,7 +380,7 @@ int64_t NAME(const uint8_t *buf, int64_t n_bits, const int64_t *start,    \
                 while (__builtin_expect(o[j] == hole[j], 0)) {            \
                     o[j] += G;                                            \
                     h[j]++;                                               \
-                    hole[j] = h[j] < he[j] ? holes[h[j]] : -1;            \
+                    hole[j] = h[j] < he[j] ? holes[h[j]] : INT64_MAX;     \
                 }                                                         \
                 out[o[j]++] = (T)(ent >> 8);                              \
                 bp[j] += ent & 0xFF;                                      \
@@ -294,6 +390,88 @@ int64_t NAME(const uint8_t *buf, int64_t n_bits, const int64_t *start,    \
             if (bp[j] > e[j]) return cb + j;                              \
     }                                                                     \
     *n_sub = nd;                                                          \
+    *n_plane = npl;                                                       \
+    return -1;                                                            \
+}
+
+/* Multi-symbol plane of a decode table's root (the NumPy oracle is
+ * repro.huffman.decoder.plane_oracle).  Entry w of the 2^p entries
+ * (the top p bits of a window, for any root width k) holds the whole
+ * codewords that fit in those p bits, at most PLANE_CAP of them, as the
+ * root decodes them with the bits after w zero: run[w] = (count << 8) |
+ * their bits, and syms[w * PLANE_CAP ..] the symbols, zero past count.
+ * A first codeword longer than p bits (or a root entry of length 0: an
+ * index no codeword reaches, or a subtable pointer) gives count 0.
+ *
+ * One root lookup per entry: if w's first codeword has l <= p bits, the
+ * rest of w's run is the run of w' = (w << l) mod 2^p cut to the
+ * codewords that end within p - l bits, and to PLANE_CAP - 1 of them.
+ * w' has more trailing zeros than w, or is 0 (whose run repeats one
+ * codeword), so the entries go by decreasing trailing zeros.  ends[w]
+ * (scratch) packs the end bit of w's codeword i into byte i; only the
+ * low count bytes are meaningful, and a carry or borrow out of a higher
+ * byte runs upward, away from them.
+ *
+ * Refuses (returns -2, nothing written) p outside [1, 16] or
+ * capacities below 2^p, 2^p * PLANE_CAP and 2^p; returns the first
+ * entry found holding a symbol T cannot represent (the outputs are then
+ * partial), else -1. */
+_Static_assert(PLANE_CAP <= 8, "a run's codeword ends pack into 64 bits");
+#define MULTI_PLANE(NAME, T)                                              \
+int64_t NAME(const int32_t *root, int k, int p, uint16_t *run,            \
+             int64_t n_run, T *syms, int64_t n_syms, uint64_t *ends,      \
+             int64_t n_ends) {                                            \
+    if (p < 1 || p > 16 || n_run < (1LL << p)                             \
+        || n_syms / PLANE_CAP < (1LL << p) || n_ends < (1LL << p))        \
+        return -2;                                                        \
+    const uint64_t ones = 0x0101010101010101ULL, high = ones << 7;        \
+    const uint32_t pm = (1u << p) - 1;                                    \
+    /* the root index of window w: its top k bits, zero-filled */         \
+    const int up = k > p ? k - p : 0, down = p > k ? p - k : 0;           \
+    {                                                                     \
+        int32_t ent = root[0];                                            \
+        uint32_t l = ent & 0xFF, c = 0;                                   \
+        if (l && l <= (uint32_t)p) {                                      \
+            c = p / l < PLANE_CAP ? p / l : PLANE_CAP;                    \
+            if ((uint64_t)(ent >> 8) != (T)(ent >> 8)) return 0;          \
+        }                                                                 \
+        uint64_t e = 0;                                                   \
+        for (uint32_t i = 0; i < PLANE_CAP; i++) {                        \
+            syms[i] = i < c ? (T)(ent >> 8) : 0;                          \
+            e |= (uint64_t)(i < c ? (i + 1) * l : 0) << (8 * i);          \
+        }                                                                 \
+        ends[0] = e;                                                      \
+        run[0] = (uint16_t)((c << 8) | (c * l));                          \
+    }                                                                     \
+    for (int t = p - 1; t >= 0; t--) {                                    \
+        for (uint32_t w = 1u << t; w <= pm; w += 2u << t) {               \
+            T *d = syms + (int64_t)w * PLANE_CAP;                         \
+            int32_t ent = root[(w << up) >> down];                        \
+            uint32_t l = ent & 0xFF;                                      \
+            if (!l || l > (uint32_t)p) {                                  \
+                memset(d, 0, PLANE_CAP * sizeof(T));                      \
+                ends[w] = 0;                                              \
+                run[w] = 0;                                               \
+                continue;                                                 \
+            }                                                             \
+            if ((uint64_t)(ent >> 8) != (T)(ent >> 8)) return w;          \
+            uint32_t ws = (w << l) & pm;                                  \
+            uint64_t se = ends[ws];                                       \
+            uint32_t sc = run[ws] >> 8;                                   \
+            if (sc > PLANE_CAP - 1) sc = PLANE_CAP - 1;                   \
+            /* byte i of fit has its high bit iff end i <= p - l */       \
+            uint64_t fit = ((((p - l) * ones) | high) - se)               \
+                           & high & ((1ULL << (8 * sc)) - 1);             \
+            uint32_t m = fit ? (64 - __builtin_clzll(fit)) >> 3 : 0;      \
+            d[0] = (T)(ent >> 8);                                         \
+            memcpy(d + 1, syms + (int64_t)ws * PLANE_CAP,                 \
+                   (PLANE_CAP - 1) * sizeof(T));                          \
+            for (uint32_t i = m + 1; i <= sc; i++) d[i] = 0;              \
+            uint64_t de = (se << 8) + l * ones;                           \
+            ends[w] = de;                                                 \
+            run[w] = (uint16_t)(((m + 1) << 8) | ((de >> (8 * m)) & 0xFF)); \
+        }                                                                 \
+    }                                                                     \
     return -1;                                                            \
 }
 
@@ -533,6 +711,9 @@ CHUNK_DECODE(chunk_decode_u8, uint8_t)
 CHUNK_DECODE(chunk_decode_u16, uint16_t)
 CHUNK_DECODE(chunk_decode_u32, uint32_t)
 CHUNK_DECODE(chunk_decode_i64, int64_t)
+MULTI_PLANE(multi_plane_u8, uint8_t)
+MULTI_PLANE(multi_plane_u16, uint16_t)
+MULTI_PLANE(multi_plane_u32, uint32_t)
 HISTOGRAM(histogram_u8, uint8_t)
 HISTOGRAM(histogram_u16, uint16_t)
 HISTOGRAM(histogram_u32, uint32_t)
@@ -605,11 +786,13 @@ class NativeKernel:
         group: int,
         table,
         out: np.ndarray,
-    ) -> tuple[int, int]:
+        plane: bool = False,
+    ) -> tuple[int, int, int]:
         """Decode every lane into ``out`` (``n_out = out.size``): the
-        returned pair is ``-1`` or the first lane found out of bounds
-        or exhausted (``out`` is then partial), and the subtable
-        gathers taken."""
+        returned triple is ``-1`` or the first lane found out of bounds
+        or exhausted (``out`` is then partial), the subtable gathers
+        taken and the stores made from the table's multi-symbol plane
+        (``plane=True``, which needs ``out`` in the plane's dtype)."""
         if not out.flags.c_contiguous or out.dtype not in DECODE_DTYPES:
             raise ValueError("output must be contiguous uint8/16/32 or "
                              "int64/uint64")
@@ -623,9 +806,25 @@ class NativeKernel:
                 and padded_buf.dtype == np.uint8
                 and padded_buf.flags.c_contiguous):
             raise ValueError("lane and placement arrays disagree in shape")
+        if plane:
+            if table.plane_syms is None or table.plane_syms.dtype != out.dtype:
+                raise ValueError("the table has no plane in the output dtype")
+            if not (1 <= table.plane_bits <= 16
+                    and table.run.shape == (1 << table.plane_bits,)
+                    and table.plane_syms.shape == (table.run.size
+                                                   * PLANE_CAP,)
+                    and table.run.dtype == np.uint16
+                    and table.run.flags.c_contiguous
+                    and table.plane_syms.flags.c_contiguous):
+                raise ValueError("the table's plane arrays disagree in shape")
+            plane_args = (self._p("uint16_t *", table.run),
+                          int(table.plane_bits),
+                          self._p("void *", table.plane_syms))
+        else:
+            plane_args = (self._ffi.NULL, 0, self._ffi.NULL)
         suffix = {1: "u8", 2: "u16", 4: "u32", 8: "i64"}[out.itemsize]
         ctype = "int64_t *" if out.itemsize == 8 else f"{out.dtype.name}_t *"
-        n_sub = self._ffi.new("int64_t *")
+        counts = self._ffi.new("int64_t[2]")
         bad = getattr(self._lib, f"chunk_decode_{suffix}")(
             self._p("uint8_t *", padded_buf),
             int(n_bits),
@@ -639,11 +838,42 @@ class NativeKernel:
             holes.shape[0],
             int(group),
             *self._table_args(table),
+            *plane_args,
             self._p(ctype, out),
             out.size,
-            n_sub,
+            counts,
+            counts + 1,
         )
-        return int(bad), int(n_sub[0])
+        return int(bad), int(counts[0]), int(counts[1])
+
+    def multi_plane(
+        self, root: np.ndarray, k: int, p: int, dtype
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(run, syms)``: the multi-symbol plane of a ``k``-bit packed
+        root over ``p``-bit windows (``1 <= p <= 16``) — ``2**p`` uint16
+        ``(count << 8) | bits`` entries and ``PLANE_CAP`` symbols each
+        in ``dtype``."""
+        dtype = np.dtype(dtype)
+        if dtype not in SYMBOL_DTYPES:
+            raise ValueError("plane symbols must be uint8/16/32")
+        if not 1 <= p <= 16:
+            raise ValueError(f"no {p}-bit plane")
+        if (root.dtype != np.int32 or not root.flags.c_contiguous
+                or root.size != 1 << k):
+            raise ValueError("root must be contiguous int32 of 2**k entries")
+        run = np.empty(1 << p, np.uint16)
+        syms = np.empty((1 << p) * PLANE_CAP, dtype)
+        ends = np.empty(run.size, np.uint64)
+        suffix = {1: "u8", 2: "u16", 4: "u32"}[dtype.itemsize]
+        bad = getattr(self._lib, f"multi_plane_{suffix}")(
+            self._p("int32_t *", root), int(k), int(p),
+            self._p("uint16_t *", run), run.size,
+            self._p(f"{dtype.name}_t *", syms), syms.size,
+            self._p("uint64_t *", ends), ends.size,
+        )
+        if bad >= 0:
+            raise ValueError(f"plane entry {bad} holds a symbol past {dtype}")
+        return run, syms
 
     def _symbols(
         self, data: np.ndarray, table: np.ndarray
@@ -769,8 +999,9 @@ class NativeKernel:
         strictly increase within ``[1, codes.size)`` (``out`` is then
         partial)."""
         suffix, cp = self._codes(codes)
-        oidx = np.ascontiguousarray(oidx, np.int64)
-        oval = np.ascontiguousarray(oval, np.float64)
+        # aligned too: the outliers may be views into a container
+        oidx = np.require(oidx, np.int64, ["C", "A"])
+        oval = np.require(oval, np.float64, ["C", "A"])
         if oidx.ndim != 1 or oval.shape != oidx.shape:
             raise ValueError("outlier indices and values disagree in count")
         out = np.empty(codes.size, np.float64)

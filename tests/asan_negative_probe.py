@@ -45,15 +45,16 @@ def main() -> int:
     starts, ends, nsyms = one(0), one(nbits), one(n)
     out_off, hole_base = one(0), np.zeros(2, np.int64)
     holes = np.zeros(1, np.int64)
-    n_sub = kern._ffi.new("int64_t *")
+    counts = kern._ffi.new("int64_t[2]")
     out = np.empty(N_REAL, np.uint8)
     p = kern._p
+    null = kern._ffi.NULL
     bad = kern._lib.chunk_decode_u8(
         p("uint8_t *", padded), int(nbits), p("int64_t *", starts),
         p("int64_t *", ends), p("int64_t *", nsyms), 1,
         p("int64_t *", out_off), p("int64_t *", hole_base),
         p("int64_t *", holes), 0, 1, *kern._table_args(table),
-        p("uint8_t *", out), n, n_sub,
+        null, 0, null, p("uint8_t *", out), n, counts, counts + 1,
     )
     print(f"overrun not caught (pass returned {bad})", file=sys.stderr)
     return 0

@@ -8,7 +8,8 @@ Two guarantees, on hosts where :mod:`repro.native` builds:
   through the pass as through the NumPy oracle (the same calls with the
   module switched off: ``decode_lanes`` → ``assemble_stream_symbols`` →
   ``astype``): the same ``ValueError`` message, or an equal array of
-  the same dtype.
+  the same dtype.  The field codes decode through the table's
+  multi-symbol plane.
 - **Bounded stores.** Whatever the placement asks for, the pass stores
   only inside its output: a placement that does not fit is rejected
   before its lane decodes, and the bytes past the output stay
@@ -74,6 +75,17 @@ def _dna_blob() -> bytes:
     return compress_symbols_registered(data, book, magnitude=8)[0]
 
 
+def _field_blob() -> bytes:
+    """6000 SZ-like quantization codes (uint16, ~1.5 bits), M = 8: the
+    pass reads the table's multi-symbol plane."""
+    rng = np.random.default_rng(104)
+    data = sample_symbols(probs_for_avg_bits(1024, 1.5), 6000, rng)
+    return compress_symbols(data.astype(np.uint16), magnitude=8)[0]
+
+
+BLOBS = {"text": _text_blob, "dna": _dna_blob, "field": _field_blob}
+
+
 def _mutants(blob: bytes, seed: int, n: int):
     """Seeded bit flips (1-3 bits), byte stomps and truncations."""
     rng = np.random.default_rng(seed)
@@ -97,9 +109,9 @@ def _outcome(blob: bytes):
         return None, str(exc)
 
 
-@pytest.mark.parametrize("corpus", ["text", "dna"])
+@pytest.mark.parametrize("corpus", ["text", "dna", "field"])
 def test_mutated_containers_match_oracle(corpus):
-    blob = _text_blob() if corpus == "text" else _dna_blob()
+    blob = BLOBS[corpus]()
     decoded = 0
     for i, mutant in enumerate(_mutants(blob, seed=len(corpus), n=MUTANTS)):
         got = _outcome(mutant)
@@ -165,7 +177,7 @@ def test_stores_stay_inside_output(seed):
     n_out = int(nsyms.sum()) + group * holes.size + 200
     guard = np.full(n_out + 64, 0xAB, np.uint8)
     out = guard[:n_out]
-    bad, _ = kern.chunk_decode(
+    bad, _, _ = kern.chunk_decode(
         _pad_buffer(buffer, table.max_length), buffer.size * 8,
         starts, ends, nsyms, off, base, holes, group, table, out,
     )
@@ -184,7 +196,7 @@ def test_exhausted_lane_is_returned():
     off = np.zeros(nsyms.size, np.int64)
     np.cumsum(owed[:-1], out=off[1:])
     out = np.empty(int(owed.sum()), np.int64)
-    bad, _ = kern.chunk_decode(
+    bad, _, _ = kern.chunk_decode(
         _pad_buffer(buffer, table.max_length), buffer.size * 8,
         starts, ends, owed, off, np.zeros(nsyms.size + 1, np.int64),
         np.empty(0, np.int64), 1, table, out,

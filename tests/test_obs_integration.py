@@ -98,6 +98,42 @@ class TestTracedRoundTrip:
                       "encode.codebook.generate_cw"):
             assert by_name[phase].parent_id == outer.span_id
 
+    def test_decode_spans_record_the_plane_choice(self, registry):
+        """``decode.stream`` says whether the pass read the table's
+        multi-symbol plane (``plane``) and why not (``plane_reason``);
+        ``decode.lanes`` counts the lane steps taken through it."""
+        from repro import native
+        from repro.datasets.synthetic import (
+            probs_for_avg_bits,
+            sample_symbols,
+        )
+
+        codes = sample_symbols(probs_for_avg_bits(1024, 1.5), 20000,
+                               np.random.default_rng(3)).astype(np.uint16)
+        sz, _ = compress_symbols(codes)
+        words = np.arange(4000, dtype=np.uint64) % 7
+        wide, _ = compress_symbols(words)
+        with tracing() as tracer:
+            np.testing.assert_array_equal(decompress_symbols(sz), codes)
+            np.testing.assert_array_equal(decompress_symbols(wide), words)
+        streams = [s.to_dict()["attrs"] for s in tracer.spans
+                   if s.name == "decode.stream"]
+        lanes = [s.to_dict()["attrs"] for s in tracer.spans
+                 if s.name == "decode.lanes"]
+        if native.native_available():
+            # SZ-like codes at ~1.5 bits: runs of several codewords
+            assert (streams[0]["plane"], streams[0]["plane_reason"]) == (
+                "multi", "")
+            assert lanes[0]["plane_steps"] > 0
+            # uint64 output: the plane stores the book's uint8 symbols
+            assert (streams[1]["plane"], streams[1]["plane_reason"]) == (
+                "off", "dtype")
+        else:
+            assert [(a["plane"], a["plane_reason"]) for a in streams] == [
+                ("off", "no_native_kernel")] * 2
+            assert lanes[0]["plane_steps"] == 0
+        assert lanes[1]["plane_steps"] == 0
+
     def test_span_nesting_matches_call_structure(self, field, registry):
         with tracing() as tracer:
             compress_field(field, error_bound=1e-2)

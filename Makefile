@@ -19,13 +19,13 @@ unit:
 
 # hosts without a C compiler: with the compiled module (repro.native)
 # switched off, every decode goes through the lane decoder (then
-# assemble), every encode through the NumPy scan-pack
-# (book.lookup -> scan_pack), every histogram through fast_histogram
+# assemble), every encode through the paper's iterative pair
+# (reduce_merge -> shuffle_merge), every histogram through fast_histogram
 # and every Lorenzo quantize/dequantize through its NumPy body — run
 # the chunk-lane, batch and tiered decoder suites, the container fuzz,
 # the serve decode stress (the only leg where hostile bytes reach the
 # lanes through the public entry points), the scan-pack, single-stage,
-# adaptive (its groups pack through the same scan-pack) and
+# adaptive (its groups pack through the same route) and
 # registered-codebook encode suites, the histogram, codebook and
 # decode-table builder suites, the quantization suites, the
 # multi-symbol plane's NumPy oracle plus the conformance smoke that way
@@ -46,7 +46,8 @@ test-no-native:
 # rebuilds it with AddressSanitizer + UBSan under its own cache digest.
 # Python itself is not instrumented, so libasan/libubsan are preloaded
 # and leak checking is off.  Runs the chunk-decode property and hostile
-# tests, the container fuzz, the C-vs-NumPy scan-pack, histogram,
+# tests, the container fuzz, the scan-pack pass against the iterative
+# pair (misaligned views included), the C-vs-NumPy histogram,
 # Lorenzo quantize/dequantize and multi-symbol plane tests (the
 # histogram pass also under the gpu_histogram suite, the Lorenzo passes
 # also under the dataset suite), then the conformance fuzz (170 rounds

@@ -26,10 +26,9 @@ from repro.core.merge_path import MergeStats, merge_path_partition, parallel_mer
 from repro.core.metrics import CompressionMetrics, analyze_stream, metrics_report
 from repro.core.reduce_merge import ReduceMergeResult, reduce_merge, reduce_merge_trace
 from repro.core.scan_pack import (
-    ScanPackResult,
+    PackedChunks,
     analytic_moved_words,
     packed_codeword_table,
-    scan_pack,
     scan_pack_symbols,
 )
 from repro.core.serialization import (
@@ -77,10 +76,9 @@ __all__ = [
     "ENCODE_IMPLS",
     "GpuEncodeResult",
     "gpu_encode",
-    "ScanPackResult",
+    "PackedChunks",
     "analytic_moved_words",
     "packed_codeword_table",
-    "scan_pack",
     "scan_pack_symbols",
     "GenerateCLResult",
     "generate_cl",

@@ -14,10 +14,9 @@ interface ``ReduceShuffleMerge<M, r>(in, out, metadata)``:
 
 Every host encoder packs its whole chunks through :func:`_pack_chunks`
 (steps 1-5: one compiled scan-pack pass that writes the coalesced
-payload, or the NumPy word grid / iterative kernels followed by the
-coalescing copy), and all but the adaptive one finish through
-:func:`_encode_body` (tail, stream, costs, and ``avg_bits`` from the
-packed bit totals).
+payload, or the iterative kernels followed by the coalescing copy), and
+all but the adaptive one finish through :func:`_encode_body` (tail,
+stream, costs, and ``avg_bits`` from the packed bit totals).
 
 The returned :class:`GpuEncodeResult` carries the decodable
 :class:`~repro.core.bitstream.EncodedStream` plus the structural kernel
@@ -32,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import native
 from repro.core.bitstream import EncodedStream
 from repro.core.breaking import (
     BreakingStore,
@@ -40,6 +40,7 @@ from repro.core.breaking import (
 )
 from repro.core.reduce_merge import reduce_merge
 from repro.core.scan_pack import (
+    PackedChunks,
     checked_lengths,
     native_symbol_bits,
     scan_pack_symbols,
@@ -222,8 +223,8 @@ def gpu_encode(
     - ``"iterative"`` — the paper-shaped r-reduce + s-shuffle pipeline;
     - ``"scan"`` (default) — the single-pass scan-pack
       (:mod:`repro.core.scan_pack`): the compiled scan-pack pass of
-      :mod:`repro.native` when that module loads, else its NumPy
-      oracle, with the reason on the ``encode.scan_pack`` span.
+      :mod:`repro.native` when that module loads, else the iterative
+      pipeline, with the reason on the ``encode.scan_pack`` span.
     """
     if impl not in ENCODE_IMPLS:
         raise ValueError(f"impl must be one of {ENCODE_IMPLS}, got {impl!r}")
@@ -323,15 +324,36 @@ def _structural_costs(
     return [fused, *breaking_costs(breaking), blockwise, coalesce]
 
 
-@dataclass
-class PackedChunks:
-    """Whole chunks packed into the dense stream, before the tail."""
-
-    chunk_bits: np.ndarray  # int64 dense bits per chunk
-    payload: np.ndarray  # uint8, byte-aligned chunk slabs
-    offsets: np.ndarray  # int64 byte offset per chunk, len = chunks + 1
-    breaking: BreakingStore  # the broken cells' side channel
-    moved_words: int  # SHUFFLE word moves the fused kernel is charged
+def _iterative_pack(
+    main: np.ndarray,
+    book: CanonicalCodebook,
+    tuning: EncoderTuning,
+) -> PackedChunks:
+    """The paper's pair on whole chunks: ``r`` REDUCE then ``s`` SHUFFLE
+    iterations, then the word grid's coalescing copy."""
+    n_chunks = main.size // tuning.chunk_symbols
+    with _span("encode.reduce_merge", r=tuning.reduction_factor,
+               chunks=n_chunks):
+        lens = checked_lengths(main, book).astype(np.int64)
+        red = reduce_merge(book.codes[main], lens,
+                           tuning.reduction_factor, tuning.word_bits)
+    with _span("encode.shuffle_merge", s=tuning.shuffle_factor,
+               chunks=n_chunks) as shuf_span:
+        if red.broken.any():
+            # zero broken cells *in place*: reduce_merge owns its output
+            # buffers, and the side channel re-gathers the true bits
+            # from the symbols
+            red.values[red.broken] = 0
+            red.lengths[red.broken] = 0
+        merged = shuffle_merge(red.values, red.lengths,
+                               tuning.cells_per_chunk, tuning.word_bits)
+    shuf_span.set_attr(moved_words=merged.moved_words)
+    with _span("encode.coalesce") as co_span:
+        payload, offsets = merged.payload()
+    co_span.set_attr(bytes_out=int(payload.nbytes))
+    return PackedChunks(chunk_bits=merged.bits, payload=payload,
+                        offsets=offsets, broken=red.broken,
+                        moved_words=merged.moved_words)
 
 
 def _pack_chunks(
@@ -342,64 +364,41 @@ def _pack_chunks(
 ) -> PackedChunks:
     """Pack whole chunks (``main.size`` a multiple of the chunk size).
 
-    The merge runs as one :func:`scan_pack_symbols` pass (``"scan"``),
-    which ends in the coalesced payload, or as the paper's ``r`` REDUCE
-    then ``s`` SHUFFLE iterations (``"iterative"``) followed by the word
-    grid's coalescing copy; both give the same bits and bytes and check
-    every symbol.  Then the broken cells are backtraced into the side
+    ``"scan"`` runs the compiled :func:`scan_pack_symbols` pass, which
+    ends in the coalesced payload, whenever :mod:`repro.native` loads,
+    and otherwise the paper's iterative pair; the ``encode.scan_pack``
+    span records which (``impl``) and why (``fallback``, counted in
+    ``repro_encode_native_fallback_total``).  ``"iterative"`` always
+    runs the pair.  Both give the same bits and bytes and check every
+    symbol.  Then the broken cells are backtraced into the side
     channel.  Every host encoder packs through here.
     """
-    n_chunks = main.size // tuning.chunk_symbols
     if impl == "scan":
         with _span("encode.scan_pack", r=tuning.reduction_factor,
-                   s=tuning.shuffle_factor, chunks=n_chunks) as scan_span:
-            res = scan_pack_symbols(main, book, tuning)
-        # "in_pass": the compiled pass wrote each chunk at its byte
-        # offset; "copy": the NumPy pass's word grid was copied out
-        scan_span.set_attr(moved_words=res.moved_words, cells=res.n_cells,
-                           impl=res.impl,
-                           coalesce="in_pass" if res.merged is None
-                           else "copy")
-        if res.fallback is not None:
-            scan_span.set_attr(fallback=res.fallback)
-        bits, payload, offsets = res.bits, res.payload, res.offsets
-        broken, moved_words = res.broken, res.moved_words
+                   s=tuning.shuffle_factor,
+                   chunks=main.size // tuning.chunk_symbols) as scan_span:
+            if native.native_available():
+                scan_span.set_attr(impl="native")
+                packed = scan_pack_symbols(main, book, tuning)
+            else:
+                _metrics().counter("repro_encode_native_fallback_total",
+                                   reason="no_native_kernel").inc()
+                scan_span.set_attr(impl="iterative",
+                                   fallback="no_native_kernel")
+                packed = _iterative_pack(main, book, tuning)
+        scan_span.set_attr(moved_words=packed.moved_words,
+                           cells=int(packed.broken.size))
     else:
-        with _span("encode.reduce_merge", r=tuning.reduction_factor,
-                   chunks=n_chunks):
-            lens = checked_lengths(main, book).astype(np.int64)
-            red = reduce_merge(book.codes[main], lens,
-                               tuning.reduction_factor, tuning.word_bits)
-        with _span("encode.shuffle_merge", s=tuning.shuffle_factor,
-                   chunks=n_chunks) as shuf_span:
-            if red.broken.any():
-                # zero broken cells *in place*: reduce_merge owns its
-                # output buffers, and the side channel below re-gathers
-                # the true bits from the symbols
-                red.values[red.broken] = 0
-                red.lengths[red.broken] = 0
-            merged = shuffle_merge(red.values, red.lengths,
-                                   tuning.cells_per_chunk, tuning.word_bits)
-        shuf_span.set_attr(moved_words=merged.moved_words)
-        with _span("encode.coalesce") as co_span:
-            payload, offsets = merged.payload()
-        co_span.set_attr(bytes_out=int(payload.nbytes))
-        bits, broken = merged.bits, red.broken
-        moved_words = merged.moved_words
+        packed = _iterative_pack(main, book, tuning)
 
     # -- breaking backtrace + sparse save ----------------------------------
     with _span("encode.breaking") as brk_span:
-        breaking = extract_breaking_symbols(
-            main, book, broken, tuning.group_symbols
+        packed.breaking = extract_breaking_symbols(
+            main, book, packed.broken, tuning.group_symbols
         )
-    brk_span.set_attr(nnz=breaking.nnz, fraction=breaking.breaking_fraction)
-    return PackedChunks(
-        chunk_bits=bits,
-        payload=payload,
-        offsets=offsets,
-        breaking=breaking,
-        moved_words=moved_words,
-    )
+    brk_span.set_attr(nnz=packed.breaking.nnz,
+                      fraction=packed.breaking.breaking_fraction)
+    return packed
 
 
 def _encode_body(

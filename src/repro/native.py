@@ -32,10 +32,12 @@ Decode (:mod:`repro.decoder.gap_array`; oracle
   :func:`repro.huffman.decoder.plane_oracle`), one root lookup per
   entry.  Every capacity is checked before a byte is written.
 
-Encode (:mod:`repro.core.scan_pack`; oracle the checked length gather
-and ``book.codes`` gather followed by the generic NumPy
-:func:`~repro.core.scan_pack.scan_pack` and the word grid's coalescing
-copy, which is ``scan_pack_symbols``'s path without this module):
+Encode (:mod:`repro.core.scan_pack`; oracle the paper's iterative
+pair, :func:`~repro.core.reduce_merge.reduce_merge` then
+:func:`~repro.core.shuffle_merge.shuffle_merge` and the word grid's
+coalescing copy, which is also the encode route without this module;
+symbols in dtypes other than uint8/16/32 are range-checked and
+narrowed onto them first):
 
 - ``symbol_bits_u*``: the encoder's stats step — total codeword bits
   over a symbol stream, or the index of the first symbol that is out of
@@ -875,18 +877,21 @@ class NativeKernel:
             raise ValueError(f"plane entry {bad} holds a symbol past {dtype}")
         return run, syms
 
-    def _symbols(
-        self, data: np.ndarray, table: np.ndarray
-    ) -> tuple[str, object, object]:
-        """C-variant suffix plus symbol and gather-table pointers, after
-        checking the layout the encode passes read."""
+    def _symbols(self, data: np.ndarray) -> tuple[np.ndarray, str, object]:
+        """The contiguous symbols as the passes read them — aligned, a
+        copy when ``data`` is not (a view into a buffer at an odd offset)
+        — with their C-variant suffix and pointer."""
         if data.dtype not in SYMBOL_DTYPES or not data.flags.c_contiguous:
             raise ValueError("symbols must be contiguous uint8/16/32")
+        data = np.require(data, requirements=["C", "A"])
+        suffix = {1: "u8", 2: "u16", 4: "u32"}[data.dtype.itemsize]
+        return data, suffix, self._p(f"{data.dtype.name}_t *", data)
+
+    def _gather(self, table: np.ndarray):
+        """Pointer to the encode passes' packed gather table."""
         if table.dtype != np.uint64 or not table.flags.c_contiguous:
             raise ValueError("gather table must be contiguous uint64")
-        suffix = {1: "u8", 2: "u16", 4: "u32"}[data.dtype.itemsize]
-        return (suffix, self._p(f"{data.dtype.name}_t *", data),
-                self._p("uint64_t *", table))
+        return self._p("uint64_t *", table)
 
     def symbol_bits(
         self, data: np.ndarray, table: np.ndarray
@@ -895,10 +900,10 @@ class NativeKernel:
         packed gather ``table``, and ``-1`` or the index of the first
         symbol that is out of range or has no codeword (``total_bits``
         is then meaningless)."""
-        suffix, sym, tab = self._symbols(data, table)
+        data, suffix, sym = self._symbols(data)
         total = self._ffi.new("int64_t *")
         bad = getattr(self._lib, f"symbol_bits_{suffix}")(
-            sym, data.size, tab, table.size, total
+            sym, data.size, self._gather(table), table.size, total
         )
         return int(total[0]), int(bad)
 
@@ -924,10 +929,10 @@ class NativeKernel:
         offsets = np.empty(n_chunks + 1, np.int64)
         bits = np.empty(n_chunks, np.int64)
         broken = np.empty(n_cells, np.bool_)
-        suffix, sym, tab = self._symbols(data, table)
+        data, suffix, sym = self._symbols(data)
         bad = getattr(self._lib, f"scan_pack_{suffix}")(
             sym, n_chunks, group_symbols, cells_per_chunk, word_bits,
-            tab, table.size,
+            self._gather(table), table.size,
             self._p("uint8_t *", out), out.size,
             self._p("int64_t *", offsets),
             self._p("int64_t *", bits),
@@ -944,13 +949,11 @@ class NativeKernel:
         """``(hist, bad)``: the int64 counts of ``data`` over ``n_bins``
         bins, and ``-1`` or the index of the first symbol ``>= n_bins``
         (``hist`` is then incomplete)."""
-        if data.dtype not in SYMBOL_DTYPES or not data.flags.c_contiguous:
-            raise ValueError("symbols must be contiguous uint8/16/32")
+        data, suffix, sym = self._symbols(data)
         hist = np.empty(n_bins, np.int64)
         priv = np.empty(4 * n_bins, np.uint32)
-        suffix = {1: "u8", 2: "u16", 4: "u32"}[data.dtype.itemsize]
         bad = getattr(self._lib, f"histogram_{suffix}")(
-            self._p(f"{data.dtype.name}_t *", data), data.size, n_bins,
+            sym, data.size, n_bins,
             self._p("int64_t *", hist), self._p("uint32_t *", priv),
         )
         return hist, int(bad)
@@ -1075,8 +1078,8 @@ def route(
     dtype: np.dtype, kind: str = "symbol"
 ) -> tuple[Optional[NativeKernel], Optional[str]]:
     """``(kernel, reason)``: the compiled module when it loads and has a
-    variant for ``dtype`` (a ``"symbol"`` dtype of the encode and
-    histogram passes, or a ``"code"`` dtype of the Lorenzo passes), else
+    variant for ``dtype`` (a ``"symbol"`` dtype of the histogram pass,
+    or a ``"code"`` dtype of the Lorenzo passes), else
     ``None`` and why not (``"symbol_dtype"``/``"code_dtype"`` or
     ``"no_native_kernel"``)."""
     dtypes = SYMBOL_DTYPES if kind == "symbol" else CODE_DTYPES

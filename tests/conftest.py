@@ -67,11 +67,11 @@ def kernel_engine(request):
 
     ``numpy`` switches the compiled module (:mod:`repro.native`) off
     for the module, so every gap request takes the counted
-    ``decode_lanes`` fallback and every scan-pack encode runs its NumPy
-    oracle — the paths a host without a C compiler runs.  ``native``
-    leaves the module to load as usual (it still falls back where the
-    host cannot build it, the table is incomplete or the symbol dtype
-    is not unsigned).  Modules whose kernels are NumPy only override it
+    ``decode_lanes`` fallback and every scan-pack encode runs the
+    paper's iterative pair — the paths a host without a C compiler
+    runs.  ``native`` leaves the module to load as usual (it still
+    falls back where the host cannot build it or the table is
+    incomplete).  Modules whose kernels are NumPy only override it
     with a single ``numpy`` leg.
     """
     from repro import native

@@ -3,8 +3,9 @@
 ``NativeKernel.histogram`` must give :func:`fast_histogram`'s counts on
 every symbol dtype it takes, and for an out-of-range symbol it must
 report the same first index the oracle finds.  The edge cases are an
-empty input, a one-bin alphabet and lengths that are not a multiple of
-the pass's four-way unroll.  Skipped where the module cannot be built.
+empty input, a one-bin alphabet, lengths that are not a multiple of
+the pass's four-way unroll and a misaligned view.  Skipped where the
+module cannot be built.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import native
-from repro.histogram.gpu_histogram import fast_histogram
+from repro.histogram.gpu_histogram import fast_histogram, gpu_histogram
 
 kern = native.kernel()
 pytestmark = pytest.mark.skipif(
@@ -104,3 +105,19 @@ def test_rejects_other_dtypes_and_layouts():
         kern.histogram(np.zeros(4, dtype=np.int64), 4)
     with pytest.raises(ValueError):
         kern.histogram(np.zeros(8, dtype=np.uint16)[::2], 4)
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
+def test_misaligned_view_counts_like_aligned_copy(dtype):
+    """A symbol array at an odd byte offset into a buffer reaches the
+    pass aligned (a copy), so it counts as its aligned copy does."""
+    data = (np.arange(4099) * 7 % 300).astype(dtype)
+    buf = bytearray(1 + data.nbytes)
+    buf[1:] = data.tobytes()
+    view = np.frombuffer(buf, dtype, offset=1)
+    assert not view.flags.aligned
+    np.testing.assert_array_equal(gpu_histogram(view, 300).histogram,
+                                  gpu_histogram(view.copy(), 300).histogram)
+    hist, bad = kern.histogram(view, 300)
+    assert bad == -1
+    np.testing.assert_array_equal(hist, np.bincount(data, minlength=300))

@@ -1,17 +1,18 @@
 """Scan-pack fast encoder: equivalence with the iterative reference.
 
-The load-bearing claim of the fast path is *bit-for-bit identity*:
-``scan_pack == shuffle_merge ∘ zeroed(reduce_merge)`` on any input the
-iterative pair accepts (property-tested over random (M, r, W, skew)),
-and ``gpu_encode(impl="scan")`` serializing to the identical container
-bytes with identical modeled costs as ``impl="iterative"``.  The module
-runs once per ``kernel_engine`` leg; on the ``native`` leg the compiled
-scan-pack, which writes the coalesced payload itself, must also equal
-its NumPy oracle's ``merged.payload()`` byte for byte and raise the
-oracle's exact errors.  A pinned tuning skips the stats pass, so the
-packing passes alone must raise the unpinned call's errors, and the
-``avg_bits`` they report from their bit totals must equal the stats
-pass's.
+The load-bearing claim of the fast path is *bit-for-bit identity* with
+the paper's iterative pair: ``gpu_encode(impl="scan")`` serializes to
+the identical container bytes with identical modeled costs as
+``impl="iterative"``.  The module runs once per ``kernel_engine`` leg;
+on the ``numpy`` leg ``impl="scan"`` itself runs the iterative pair, and
+on the ``native`` leg the compiled scan-pack, which writes the
+coalesced payload itself, must equal
+``shuffle_merge(zeroed(reduce_merge(...))).payload()`` byte for byte
+and raise the pair's exact errors.  Symbols in a dtype the pass has no
+variant for are range-checked and narrowed onto it, with the same
+errors.  A pinned tuning skips the stats pass, so the packing passes
+alone must raise the unpinned call's errors, and the ``avg_bits`` they
+report from their bit totals must equal the stats pass's.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import native
+from repro.app.compressor import compress_symbols
 from repro.core.codebook_parallel import parallel_codebook
 from repro.core.encoder import ENCODE_IMPLS, _scan_symbol_stats, gpu_encode
 from repro.core.reduce_merge import reduce_merge
@@ -29,7 +31,7 @@ from repro.core.scan_pack import (
     analytic_moved_words,
     checked_lengths,
     packed_codeword_table,
-    scan_pack,
+    pass_symbols,
     scan_pack_symbols,
 )
 from repro.core.serialization import serialize_stream
@@ -45,11 +47,12 @@ def book_for(data, n):
     return parallel_codebook(np.bincount(data, minlength=n)).codebook
 
 
-def numpy_oracle(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` with the compiled module switched off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(native, "kernel", lambda: None)
-        return fn(*args, **kwargs)
+@pytest.fixture
+def registry():
+    reg = MetricsRegistry()
+    prev = set_registry(reg)
+    yield reg
+    set_registry(prev)
 
 
 def raised(fn, *args, **kwargs):
@@ -59,9 +62,12 @@ def raised(fn, *args, **kwargs):
     return type(ei.value), str(ei.value)
 
 
-def iterative_reference(codes, lens, tuning):
-    """The exact composition gpu_encode's iterative body runs."""
-    red = reduce_merge(codes, lens, tuning.reduction_factor,
+def iterative_reference(syms, book, tuning):
+    """``(payload, offsets, bits, broken, moved_words)`` of the paper's
+    pair on whole chunks: the composition gpu_encode's iterative body
+    runs."""
+    lens = checked_lengths(syms, book).astype(np.int64)
+    red = reduce_merge(book.codes[syms], lens, tuning.reduction_factor,
                        word_bits=tuning.word_bits)
     v = red.values.copy()
     l = red.lengths.copy()
@@ -69,55 +75,11 @@ def iterative_reference(codes, lens, tuning):
     l[red.broken] = 0
     merged = shuffle_merge(v, l, tuning.cells_per_chunk,
                            word_bits=tuning.word_bits)
-    return red, merged
-
-
-def random_cells(rng, n, W, skew):
-    if skew == "uniform":
-        lens = rng.integers(0, W + 1, n)
-    elif skew == "tiny":
-        lens = rng.integers(0, 4, n)
-    elif skew == "fat":  # mostly-breaking cells
-        lens = rng.integers(max(W // 2, 1), 49, n)
-    else:  # mixed: clean runs with breaking bursts
-        lens = rng.integers(1, max(W // 3, 2), n)
-        burst = rng.random(n) < 0.08
-        lens[burst] = rng.integers(W, 49, int(burst.sum()))
-    codes = rng.integers(0, 1 << 62, n, dtype=np.uint64)
-    return codes, lens.astype(np.int64)
+    payload, offsets = merged.payload()
+    return payload, offsets, merged.bits, red.broken, merged.moved_words
 
 
 class TestScanPackProperty:
-    @given(st.data())
-    @settings(max_examples=120, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_scan_pack_equals_reduce_shuffle(self, data):
-        W = data.draw(st.sampled_from([8, 16, 32]))
-        M = data.draw(st.integers(2, 7))
-        r = data.draw(st.integers(0, min(3, M - 1)))
-        n_chunks = data.draw(st.integers(1, 4))
-        skew = data.draw(
-            st.sampled_from(["uniform", "tiny", "fat", "mixed"])
-        )
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        tuning = EncoderTuning(M, r, W)
-        codes, lens = random_cells(rng, n_chunks << M, W, skew)
-
-        sp = scan_pack(codes, lens, tuning)
-        red, merged = iterative_reference(codes, lens, tuning)
-
-        assert np.array_equal(sp.merged.words, merged.words)
-        assert np.array_equal(sp.merged.bits, merged.bits)
-        assert sp.merged.iterations == merged.iterations
-        assert sp.merged.moved_words == merged.moved_words
-        assert np.array_equal(sp.broken, red.broken)
-        assert sp.breaking_fraction == red.breaking_fraction
-        payload, offsets = merged.payload()
-        assert np.array_equal(sp.payload, payload)
-        assert np.array_equal(sp.offsets, offsets)
-        assert np.array_equal(sp.bits, merged.bits)
-        assert sp.moved_words == merged.moved_words
-
     @given(st.data())
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -272,22 +234,11 @@ class TestScanPackUnits:
 class TestScanPackRoute:
     """Which scan-pack ran, and why not the compiled one, is recorded."""
 
-    @pytest.fixture
-    def registry(self):
-        reg = MetricsRegistry()
-        prev = set_registry(reg)
-        yield reg
-        set_registry(prev)
-
     @staticmethod
     def _spans(data, book, **kwargs):
         with tracing(Tracer("scan")) as tracer:
             gpu_encode(data, book, magnitude=6, **kwargs)
         return {sp.name: sp.to_dict()["attrs"] for sp in tracer.spans}
-
-    @classmethod
-    def _scan_span(cls, data, book):
-        return cls._spans(data, book)["encode.scan_pack"]
 
     def test_span_and_counter_name_the_route(self, kernel_engine, registry):
         data = np.random.default_rng(2).integers(0, 5, 512)
@@ -296,14 +247,15 @@ class TestScanPackRoute:
         attrs = spans["encode.scan_pack"]
         if kernel_engine == "native" and native.native_available():
             assert attrs["impl"] == "native"
-            assert attrs["coalesce"] == "in_pass"
             assert "fallback" not in attrs
             assert "encode.coalesce" not in spans
+            assert "encode.reduce_merge" not in spans
             assert registry.total("repro_encode_native_fallback_total") == 0
         else:
-            assert attrs["impl"] == "numpy"
-            assert attrs["coalesce"] == "copy"
+            assert attrs["impl"] == "iterative"
             assert attrs["fallback"] == "no_native_kernel"
+            assert {"encode.reduce_merge", "encode.shuffle_merge",
+                    "encode.coalesce"} <= set(spans)
             assert registry.total("repro_encode_native_fallback_total",
                                   reason="no_native_kernel") == 1
 
@@ -319,18 +271,117 @@ class TestScanPackRoute:
             "histogram"
         assert "encode.lookup" not in pinned
 
-    def test_signed_symbols_fall_back_by_dtype(self, registry):
-        data = np.random.default_rng(3).integers(0, 5, 512)
-        book = book_for(data, 5)
-        attrs = self._scan_span(data.astype(np.int32), book)
-        assert attrs["impl"] == "numpy"
-        assert attrs["fallback"] == "symbol_dtype"
-        assert registry.total("repro_encode_native_fallback_total",
-                              reason="symbol_dtype") == 1
+    def test_forced_iterative_takes_no_scan_span(self, registry):
+        data = np.random.default_rng(2).integers(0, 5, 512).astype(np.uint8)
+        spans = self._spans(data, book_for(data, 5), impl="iterative")
+        assert "encode.scan_pack" not in spans
+        assert "encode.reduce_merge" in spans
+        assert registry.total("repro_encode_native_fallback_total") == 0
+
+    @pytest.mark.parametrize("view_dtype", [np.uint16, np.uint32])
+    def test_misaligned_views_encode_like_aligned_copies(self, view_dtype):
+        """A symbol array at an odd byte offset into a buffer (as a view
+        into a container is) gives the aligned copy's container."""
+        rng = np.random.default_rng(8)
+        syms = rng.integers(0, 300, 5 * 1024 + 7).astype(view_dtype)
+        buf = bytearray(1 + syms.nbytes)
+        buf[1:] = syms.tobytes()
+        view = np.frombuffer(buf, view_dtype, offset=1)
+        assert not view.flags.aligned
+        assert compress_symbols(view, 300)[0] == \
+            compress_symbols(view.copy(), 300)[0]
+
+
+class TestNarrowedSymbols:
+    """Signed and 64-bit symbols are range-checked, then narrowed onto
+    a dtype the pass reads: same errors, same bytes, no fallback."""
+
+    DTYPES = [np.int32, np.int64, np.uint64]
+
+    @staticmethod
+    def syms_and_book():
+        rng = np.random.default_rng(11)
+        syms = rng.integers(0, 2, 5 * 64 + 9)
+        return syms, book_for(syms, 3)  # symbol 2 has no codeword
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("where", ["chunk", "tail"])
+    def test_errors_match_the_checked_gather(self, dtype, where):
+        syms, book = self.syms_and_book()
+        tuning = EncoderTuning(6, 2, 32)
+        pos = 100 if where == "chunk" else syms.size - 4
+        big = (1 << 31) - 1 if dtype == np.int32 else (1 << 32) + 3
+        cases = [(9, IndexError), (big, IndexError), (2, ValueError)]
+        if np.dtype(dtype).kind == "i":
+            cases.append((-1, IndexError))
+        for value, exc in cases:
+            bad = syms.astype(dtype)
+            bad[pos] = value
+            want = raised(checked_lengths, bad, book)
+            assert want[0] is exc
+            for impl in ENCODE_IMPLS:
+                assert raised(gpu_encode, bad, book, impl=impl) == want
+                assert raised(gpu_encode, bad, book, tuning=tuning,
+                              impl=impl) == want
+        if np.dtype(dtype).kind == "i":
+            assert want[1] == \
+                "index -1 is out of bounds for axis 0 with size 3"
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_values_that_would_wrap_raise(self, dtype):
+        """Each value below casts to coded symbol 1 in the narrowed
+        uint8, so only the check before the cast can catch it."""
+        syms, book = self.syms_and_book()
+        values = [(1 << 8) + 1, (1 << 16) + 1]
+        if np.dtype(dtype).itemsize == 8:
+            values.append((1 << 32) + 1)
+        if np.dtype(dtype).kind == "i":
+            values.append(-255)
+        for value in values:
+            bad = syms.astype(dtype)
+            bad[5] = value
+            with pytest.raises(IndexError, match="out of bounds"):
+                pass_symbols(bad, book)
+            assert raised(gpu_encode, bad, book, tuning=EncoderTuning(
+                6, 2, 32)) == raised(checked_lengths, bad, book)
+
+    @pytest.mark.parametrize("n_symbols,narrow", [
+        (3, np.uint8), (256, np.uint8), (257, np.uint16),
+        (65536, np.uint16), (65537, np.uint32),
+    ])
+    def test_narrowest_pass_dtype(self, n_symbols, narrow):
+        hist = np.ones(n_symbols, np.int64)
+        book = parallel_codebook(hist).codebook
+        syms = np.array([0, n_symbols - 1], np.int64)
+        got = pass_symbols(syms, book)
+        assert got.dtype == narrow and got.tolist() == syms.tolist()
+        u32 = syms.astype(np.uint32)
+        assert pass_symbols(u32, book) is u32
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_in_range_bytes_equal_uint16(self, kernel_engine, registry,
+                                         dtype):
+        rng = np.random.default_rng(12)
+        syms = rng.choice(300, 9 * 256 + 5,
+                          p=rng.dirichlet(np.ones(300) * 0.3))
+        book = book_for(syms, 300)
+        want = serialize_stream(
+            gpu_encode(syms.astype(np.uint16), book, magnitude=8).stream,
+            book)
+        with tracing(Tracer("narrow")) as tracer:
+            got = gpu_encode(syms.astype(dtype), book, magnitude=8)
+        assert serialize_stream(got.stream, book) == want
+        attrs = next(sp.to_dict()["attrs"] for sp in tracer.spans
+                     if sp.name == "encode.scan_pack")
+        if kernel_engine == "native" and native.native_available():
+            assert attrs["impl"] == "native" and "fallback" not in attrs
+            assert registry.total("repro_encode_native_fallback_total") == 0
+        else:
+            assert attrs["fallback"] == "no_native_kernel"
 
 
 class TestNativeScanPack:
-    """The compiled scan-pack against its NumPy oracle (native leg)."""
+    """The compiled scan-pack against the iterative pair (native leg)."""
 
     @pytest.fixture(autouse=True)
     def native_leg(self, kernel_engine):
@@ -338,17 +389,19 @@ class TestNativeScanPack:
             pytest.skip("compiled module not in play on this leg")
 
     @staticmethod
-    def assert_same_bytes(got, want):
-        """The compiled pass's payload equals the oracle's word grid
-        after its coalescing copy, with equal offsets, bits and flags."""
-        assert (got.impl, want.impl) == ("native", "numpy")
-        assert got.merged is None
-        payload, offsets = want.merged.payload()
-        for a, b in ((got.payload, payload), (got.offsets, offsets),
-                     (got.bits, want.merged.bits), (got.broken, want.broken)):
+    def assert_same_bytes(syms, book, tuning):
+        """The compiled pass's payload equals the iterative pair's word
+        grid after its coalescing copy, with equal offsets, bits, flags
+        and SHUFFLE count; returns the pass's result."""
+        got = scan_pack_symbols(syms, book, tuning)
+        want = iterative_reference(syms, book, tuning)
+        for a, b in zip((got.payload, got.offsets, got.chunk_bits,
+                         got.broken), want):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
-        assert got.moved_words == want.merged.moved_words
+        assert got.moved_words == want[-1]
+        assert got.breaking is None
+        return got
 
     @given(st.data())
     @settings(max_examples=120, deadline=None,
@@ -377,10 +430,7 @@ class TestNativeScanPack:
         hist = np.bincount(syms, minlength=alphabet)
         hist[0] += 1  # every book codes at least one symbol
         book = parallel_codebook(hist).codebook
-
-        got = scan_pack_symbols(syms, book, tuning)
-        want = numpy_oracle(scan_pack_symbols, syms, book, tuning)
-        self.assert_same_bytes(got, want)
+        self.assert_same_bytes(syms, book, tuning)
 
     @pytest.mark.parametrize("W", [8, 16, 32])
     @pytest.mark.parametrize("M", [4, 8, 10, 12])
@@ -390,9 +440,7 @@ class TestNativeScanPack:
         for r in range(4):
             tuning = EncoderTuning(M, r, W)
             syms = text_like[: text_like.size >> M << M]
-            got = scan_pack_symbols(syms, book, tuning)
-            want = numpy_oracle(scan_pack_symbols, syms, book, tuning)
-            self.assert_same_bytes(got, want)
+            self.assert_same_bytes(syms, book, tuning)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
     @pytest.mark.parametrize("W", [8, 16, 32])
@@ -403,17 +451,11 @@ class TestNativeScanPack:
         book = book_for(syms.astype(np.int64), 256)
         r = {8: 1, 16: 2, 32: 3}[W]  # cells of 2W bits: every one breaks
         tuning = EncoderTuning(6, r, W)
-        got = scan_pack_symbols(syms, book, tuning)
-        want = numpy_oracle(scan_pack_symbols, syms, book, tuning)
-        self.assert_same_bytes(got, want)
-        assert got.broken.all() and not got.bits.any()
+        got = self.assert_same_bytes(syms, book, tuning)
+        assert got.broken.all() and not got.chunk_bits.any()
         assert got.payload.size == 0 and not got.offsets.any()
-        empty = scan_pack_symbols(syms[:0], book, tuning)
-        self.assert_same_bytes(
-            empty, numpy_oracle(scan_pack_symbols, syms[:0], book, tuning)
-        )
+        empty = self.assert_same_bytes(syms[:0], book, tuning)
         assert empty.offsets.tolist() == [0] and empty.payload.size == 0
-
     def test_raw_pass_refuses_a_chunk_past_n_out(self):
         """A chunk whose worst case (cpc * W / 8 bytes plus the 4-byte
         trailing store) could pass ``n_out`` is refused before it
@@ -457,14 +499,13 @@ class TestNativeScanPack:
             bad[size // 3] = bad_value
             got = raised(gpu_encode, bad, book)
             assert got[0] is exc
-            assert got == numpy_oracle(raised, gpu_encode, bad, book)
+            assert got == raised(gpu_encode, bad, book, impl="iterative")
 
     def test_scan_pack_symbols_index_error_matches_numpy(self):
         syms = np.zeros(256, dtype=np.uint16)
         syms[100] = 9
         book = book_for(np.array([0, 1, 1], dtype=np.uint16), 3)
-        tuning = EncoderTuning(6, 0, 32)  # r = 0: the oracle's plain gather
+        tuning = EncoderTuning(6, 0, 32)  # r = 0: the pair's plain gather
         got = raised(scan_pack_symbols, syms, book, tuning)
         assert got[0] is IndexError
-        assert got == numpy_oracle(raised, scan_pack_symbols, syms, book,
-                                   tuning)
+        assert got == raised(checked_lengths, syms, book)

@@ -111,14 +111,16 @@ class EncodedStream:
 
 def stream_lanes(
     stream: EncodedStream,
+    pad: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Flatten a container into decode lanes over one shared buffer.
 
     Lane order: the ``n_chunks`` dense chunk streams, then the broken
     cells' side-channel streams, then the tail.  Every lane is
-    byte-aligned in its section, so the shared buffer is just the
-    concatenation of the three payload sections — a zero-copy view when
-    only the chunk payload exists.
+    byte-aligned in its section, so the shared buffer is just the three
+    payload sections back to back, followed by ``pad`` zero bytes (the
+    compiled decode pass's read-ahead): one copy, or a zero-copy view
+    when only the chunk payload exists and no pad is asked for.
 
     Returns ``(buffer, start_bits, end_bits, n_symbols)``.
     """
@@ -139,10 +141,10 @@ def stream_lanes(
     if stream.tail_bits > stream.tail_payload.nbytes * 8:
         raise ValueError("tail payload truncated")
 
-    sections = [stream.payload]
-    if brk.payload.size or stream.tail_payload.size:
-        sections += [brk.payload, stream.tail_payload]
-        buffer = np.concatenate(sections)
+    if pad or brk.payload.size or stream.tail_payload.size:
+        buffer = np.concatenate([stream.payload, brk.payload,
+                                 stream.tail_payload,
+                                 np.zeros(pad, np.uint8)])
     else:
         buffer = stream.payload
 
@@ -313,11 +315,12 @@ def decode_stream(
             table = cached_decode_table(book)
         sp.set_attr(table_tier=table.tier)
         with _span("decode.lanes") as lanes_span:
-            buffer, starts, ends, nsyms = stream_lanes(stream)
+            pad = gap_array.lane_pad(table.max_length)
+            buffer, starts, ends, nsyms = stream_lanes(stream, pad)
             lanes_span.set_attr(lanes=int(nsyms.size))
             res = gap_array.gap_decode_lanes(
                 buffer, starts, ends, nsyms, book, table,
-                placement=stream_placement(stream), dtype=dtype,
+                placement=stream_placement(stream), dtype=dtype, pad=pad,
             )
             lanes_span.set_attr(plane_steps=res.plane_steps)
         sp.set_attr(plane="off" if res.plane_reason else "multi",

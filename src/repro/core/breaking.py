@@ -5,7 +5,12 @@ cells overflow ``W`` bits ("breaking", Table II/V: 1e-6 … 1e-3 of the
 data).  The paper backtraces the breaking points with one extra reduction
 pass (~300 µs at scale, no bit operations) and saves them through a
 cuSPARSE dense-to-sparse conversion so the dense bitstream stays uniform;
-the compression-ratio impact is negligible.
+the compression-ratio impact is negligible.  The compiled scan-pack
+pass of :mod:`repro.native` does both in the pack itself: it appends
+each broken cell's index, bit length and bits to the side channel as it
+meets the cell, and :func:`save_breaking` stores them;
+:func:`extract_breaking_symbols` is its oracle and the iterative pair's
+route.
 
 :class:`BreakingStore` is that side channel: per broken cell, the exact
 concatenated bits of its ``2^r`` source codewords, addressed by global
@@ -30,6 +35,7 @@ __all__ = [
     "extract_breaking_cells",
     "extract_breaking_symbols",
     "breaking_costs",
+    "save_breaking",
 ]
 
 
@@ -129,6 +135,35 @@ def _len_dtype(group_symbols: int):
     return np.uint16 if group_symbols * 64 <= 0xFFFF else np.int64
 
 
+def save_breaking(
+    n_cells: int,
+    group_symbols: int,
+    cell_indices: np.ndarray,
+    bit_lengths: np.ndarray,
+    payload: np.ndarray,
+) -> BreakingStore:
+    """The side channel of broken cells already packed: ascending
+    ``cell_indices``, their ``bit_lengths`` and their byte-aligned bits
+    back to back in ``payload`` (as the compiled scan-pack pass writes
+    them).  The byte offsets are one prefix sum; every cell is counted
+    in the encode metrics."""
+    nnz = int(cell_indices.size)
+    _count_breaking(n_cells, nnz)
+    if nnz == 0:
+        return BreakingStore.empty(n_cells, group_symbols)
+    offsets = np.zeros(nnz + 1, dtype=np.int64)
+    np.cumsum((bit_lengths.astype(np.int64) + 7) >> 3, out=offsets[1:])
+    return BreakingStore(
+        n_cells=n_cells,
+        group_symbols=group_symbols,
+        cell_indices=cell_indices.astype(np.uint32, copy=False),
+        bit_lengths=bit_lengths.astype(_len_dtype(group_symbols),
+                                       copy=False),
+        payload=payload,
+        payload_offsets=offsets,
+    )
+
+
 def extract_breaking_cells(
     gathered_codes: np.ndarray,
     gathered_lens: np.ndarray,
@@ -139,11 +174,9 @@ def extract_breaking_cells(
     """Pack *pre-gathered* broken cells into the side channel.
 
     ``gathered_codes``/``gathered_lens`` are ``(nnz, group_symbols)``
-    rows — only the broken cells, in ascending ``cell_indices`` order.
-    This is the entry point the scan-pack encoder uses: it never
-    materializes the full per-symbol code/length arrays, only the broken
-    fraction (1e-6 … 1e-3 of the data).  Byte-identical to
-    :func:`extract_breaking` over the same cells.
+    rows — only the broken cells, in ascending ``cell_indices`` order,
+    so the full per-symbol code/length arrays are never materialized.
+    Byte-identical to :func:`extract_breaking` over the same cells.
     """
     _count_breaking(n_cells, int(cell_indices.size))
     if cell_indices.size == 0:
@@ -172,12 +205,13 @@ def extract_breaking_symbols(
 ) -> BreakingStore:
     """Backtrace broken cells straight from the *symbol* stream.
 
-    The scan-pack path has no per-symbol code/length arrays to hand —
-    only the packed reduce output — so the backtrace re-gathers the
-    codewords of just the broken cells from the codebook (the paper's
-    "simple reduction without bit operations" reads the input the same
-    way).  Byte-identical to :func:`extract_breaking` over the full
-    lookup arrays.
+    The iterative pair's packed output carries no per-symbol codewords,
+    so the backtrace re-gathers the codewords of just the broken cells
+    from the codebook (the paper's "simple reduction without bit
+    operations" reads the input the same way).  Byte-identical to
+    :func:`extract_breaking` over the full lookup arrays, and the oracle
+    of the side channel the compiled scan-pack pass writes itself
+    (:func:`save_breaking` stores that one).
     """
     broken = np.asarray(broken, dtype=bool)
     n_cells = broken.size

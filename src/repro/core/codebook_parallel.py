@@ -13,7 +13,10 @@ kernel of the baseline (see :mod:`repro.core.canonical`) is unnecessary —
 this is the paper's key structural improvement over cuSZ's stage 3.
 
 :func:`parallel_codebook` builds the same book on the host in O(K): the
-same stable sort, two-queue lengths with GenerateCL's tie rule, then
+same stable sort, two-queue lengths with GenerateCL's tie rule (the
+compiled ``two_queue_lengths`` pass of :mod:`repro.native` when it
+loads, else :func:`_two_queue_lengths`, its oracle; the
+``encode.codebook`` span's ``lengths_impl`` says which), then
 :func:`~repro.huffman.codebook.canonical_from_lengths`.  Steps 2-3 run
 only when the result's modeled costs are first read, and that run
 checks GenerateCW's book against the host book field for field.
@@ -25,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro import native
 from repro.core.generate_cl import generate_cl
 from repro.core.generate_cw import generate_cw
 from repro.cuda.costmodel import KernelCost
@@ -190,9 +194,12 @@ def parallel_codebook(
         with _span("encode.codebook.sort", n_used=int(used.size)):
             order = used[np.argsort(freqs[used], kind="stable")]
             f_sorted = freqs[order]
+        kern = native.kernel()
         lengths = np.zeros(n, dtype=np.int32)
-        lengths[order] = _two_queue_lengths(f_sorted)
+        lengths[order] = (_two_queue_lengths(f_sorted) if kern is None
+                          else kern.two_queue_lengths(f_sorted))
         with _span("encode.canonize"):
             book = canonical_from_lengths(lengths)
-        _add_attrs(max_length=int(book.max_length))
+        _add_attrs(max_length=int(book.max_length),
+                   lengths_impl="numpy" if kern is None else "native")
     return ParallelCodebookResult(book, order, f_sorted, device)

@@ -14,7 +14,8 @@ interface ``ReduceShuffleMerge<M, r>(in, out, metadata)``:
 
 Every host encoder packs its whole chunks through :func:`_pack_chunks`
 (steps 1-5: one compiled scan-pack pass that writes the coalesced
-payload, or the iterative kernels followed by the coalescing copy), and
+payload and the breaking side channel, or the iterative kernels followed
+by the coalescing copy and the NumPy backtrace), and
 all but the adaptive one finish through :func:`_encode_body` (tail,
 stream, costs, and ``avg_bits`` from the packed bit totals).
 
@@ -37,12 +38,14 @@ from repro.core.breaking import (
     BreakingStore,
     breaking_costs,
     extract_breaking_symbols,
+    save_breaking,
 )
 from repro.core.reduce_merge import reduce_merge
 from repro.core.scan_pack import (
     PackedChunks,
     checked_lengths,
     native_symbol_bits,
+    pass_symbols,
     scan_pack_symbols,
 )
 from repro.core.shuffle_merge import shuffle_merge
@@ -234,15 +237,29 @@ def gpu_encode(
                      impl=impl,
                      bits_from="stats_pass" if tuning is None else "histogram")
     with enc_span:
+        syms = _pass_input(data, book, impl)
         if tuning is None:
             with _span("encode.lookup", n_symbols=int(data.size)):
-                avg_bits = _scan_symbol_stats(data, book)
+                avg_bits = _scan_symbol_stats(syms, book)
             tuning = _resolve_tuning(
                 magnitude, reduction_factor, word_bits, avg_bits
             )
-        result = _encode_body(data, book, tuning, impl)
+        result = _encode_body(syms, book, tuning, impl, int(data.nbytes))
     _record_encode(enc_span, data, result)
     return result
+
+
+def _pass_input(
+    data: np.ndarray, book: CanonicalCodebook, impl: str = "scan"
+) -> np.ndarray:
+    """The symbols every pass of an encode reads: narrowed once
+    (:func:`~repro.core.scan_pack.pass_symbols`, which raises an
+    out-of-range symbol's error) when the compiled passes run them, so
+    the stats pass and the scan-pack pass share one array; else
+    ``data``."""
+    if impl == "scan" and native.native_available():
+        return pass_symbols(data, book)
+    return data
 
 
 def _resolve_tuning(
@@ -264,7 +281,7 @@ def _resolve_tuning(
 
 
 def _structural_costs(
-    data: np.ndarray,
+    input_bytes: int,
     stream: EncodedStream,
     tuning: EncoderTuning,
     n_full: int,
@@ -282,7 +299,7 @@ def _structural_costs(
     r = tuning.reduction_factor
     s = tuning.shuffle_factor
     n_main = n_full * tuning.chunk_symbols
-    in_bytes = float(data.nbytes)
+    in_bytes = float(input_bytes)
     out_bytes = float(stream.payload_bytes)
     merges = float(n_main) * (1.0 - 0.5**r) if r else 0.0
     penalty = _occupancy_penalty(s) * _deep_reduce_penalty(r)
@@ -291,7 +308,7 @@ def _structural_costs(
         bytes_coalesced=in_bytes + out_bytes,
         launches=1,
         compute_cycles=(
-            _LOOKUP_CYCLES * data.size
+            _LOOKUP_CYCLES * stream.n_symbols
             + _MERGE_CYCLES * merges
             + _MOVE_CYCLES * moved_words
         ) * penalty,
@@ -370,8 +387,10 @@ def _pack_chunks(
     span records which (``impl``) and why (``fallback``, counted in
     ``repro_encode_native_fallback_total``).  ``"iterative"`` always
     runs the pair.  Both give the same bits and bytes and check every
-    symbol.  Then the broken cells are backtraced into the side
-    channel.  Every host encoder packs through here.
+    symbol.  Then the broken cells are saved as the side channel: the
+    compiled pass has written it (``impl="native"`` on the
+    ``encode.breaking`` span), the pair's are backtraced from the
+    symbols (``impl="numpy"``).  Every host encoder packs through here.
     """
     if impl == "scan":
         with _span("encode.scan_pack", r=tuning.reduction_factor,
@@ -393,9 +412,16 @@ def _pack_chunks(
 
     # -- breaking backtrace + sparse save ----------------------------------
     with _span("encode.breaking") as brk_span:
-        packed.breaking = extract_breaking_symbols(
-            main, book, packed.broken, tuning.group_symbols
-        )
+        if packed.side is not None:
+            brk_span.set_attr(impl="native")
+            packed.breaking = save_breaking(
+                packed.broken.size, tuning.group_symbols, *packed.side
+            )
+        else:
+            brk_span.set_attr(impl="numpy")
+            packed.breaking = extract_breaking_symbols(
+                main, book, packed.broken, tuning.group_symbols
+            )
     brk_span.set_attr(nnz=packed.breaking.nnz,
                       fraction=packed.breaking.breaking_fraction)
     return packed
@@ -406,10 +432,15 @@ def _encode_body(
     book: CanonicalCodebook,
     tuning: EncoderTuning,
     impl: str = "scan",
+    input_bytes: int | None = None,
 ) -> GpuEncodeResult:
     """Pack the whole chunks, then the tail, and build the stream, its
     structural costs and the result; ``avg_bits`` comes from the packed
-    bit totals (dense chunk bits + broken-cell bits + tail bits)."""
+    bit totals (dense chunk bits + broken-cell bits + tail bits).
+    ``input_bytes`` is the caller's input size when ``data`` is its
+    narrowed copy (:func:`_pass_input`)."""
+    if input_bytes is None:
+        input_bytes = int(data.nbytes)
     n_main = data.size // tuning.chunk_symbols * tuning.chunk_symbols
     try:
         packed = _pack_chunks(data[:n_main], book, tuning, impl)
@@ -435,7 +466,7 @@ def _encode_body(
     )
     frac = packed.breaking.breaking_fraction
     costs = _structural_costs(
-        data, stream, tuning, stream.n_chunks, packed.moved_words,
+        input_bytes, stream, tuning, stream.n_chunks, packed.moved_words,
         frac, packed.breaking,
     )
     total_bits = (
@@ -449,5 +480,5 @@ def _encode_body(
         tuning=tuning,
         avg_bits=_avg_bits(total_bits, data.size),
         breaking_fraction=frac,
-        input_bytes=int(data.nbytes),
+        input_bytes=input_bytes,
     )

@@ -15,8 +15,14 @@ gathers, merges and stores each cell's bits straight into the payload
 at the chunk's running byte offset (the prefix sum becomes a running
 bit accumulator, and the coalescing copy of Table I disappears, as in
 the prefix-sum encoders that write each chunk at its output offset).
-It reads ``uint8``/``uint16``/``uint32`` symbols; any other integer
-array is range-checked and narrowed first (:func:`pass_symbols`).  Its
+The same pass writes the breaking side channel: each cell that passes
+W bits goes, as the pass meets it, to the next slots of the cell-index
+and bit-length arrays and, byte-aligned, to the side payload at its
+running offset, so no backtrace re-gathers it afterwards (the NumPy
+backtrace :func:`~repro.core.breaking.extract_breaking_symbols` is its
+oracle).  It reads ``uint8``/``uint16``/``uint32`` symbols; any other
+integer array is range-checked and narrowed first
+(:func:`pass_symbols`).  Its
 oracle, and the route on hosts without the module, is the paper's own
 iterative pair ``shuffle_merge(zeroed(reduce_merge(...))).payload()``
 (``repro.core.encoder._pack_chunks`` picks between them).  Both give a
@@ -26,7 +32,8 @@ symbol with :func:`checked_lengths`' error.
 The compiled pass gathers through :func:`packed_codeword_table`, one
 uint64 per symbol holding the codeword value in bits ``16..63`` and its
 bit length in bits ``0..15`` (digest-cached, so a registered codebook
-builds it once).
+builds it once); a broken cell's bits come from ``book.codes`` itself,
+which keeps every codeword exact up to ``MAX_CODE_BITS`` = 63.
 
 The module never touches the modeled-kernel cost path: the SHUFFLE
 word moves the encoder charges are computed analytically here and
@@ -98,8 +105,10 @@ class PackedChunks:
     pair's ``shuffle_merge(...).bits`` and ``.payload()``; ``broken``
     flags each cell as :class:`~repro.core.reduce_merge.ReduceMergeResult`
     does, ``moved_words`` is the SHUFFLE count the fused kernel is
-    charged, and ``breaking`` is the broken cells' side channel once
-    ``repro.core.encoder._pack_chunks`` has backtraced it.
+    charged, ``side`` is the compiled pass's side channel (``None`` from
+    the iterative pair), and ``breaking`` is the broken cells'
+    :class:`~repro.core.breaking.BreakingStore` once
+    ``repro.core.encoder._pack_chunks`` has saved it.
     """
 
     chunk_bits: np.ndarray  # int64 dense bits per chunk
@@ -107,6 +116,7 @@ class PackedChunks:
     offsets: np.ndarray  # int64 byte offset per chunk, len = chunks + 1
     broken: np.ndarray  # bool per cell
     moved_words: int  # SHUFFLE word moves
+    side: tuple | None = None  # (cell_indices, bit_lengths, payload)
     breaking: BreakingStore | None = None
 
 
@@ -210,8 +220,10 @@ def scan_pack_symbols(
     book: CanonicalCodebook,
     tuning: EncoderTuning,
 ) -> PackedChunks:
-    """Whole chunks of ``data`` to the coalesced payload in one compiled
-    pass (``breaking`` not yet filled).
+    """Whole chunks of ``data`` to the coalesced payload and the broken
+    cells' side channel (``side``: ascending uint32 cell indices, their
+    bit lengths and byte-aligned bits, read from ``book.codes``) in one
+    compiled pass; ``breaking`` is not yet filled.
 
     ``data.size`` must be a multiple of ``tuning.chunk_symbols`` (the
     encoder handles the tail separately) and :mod:`repro.native` must
@@ -225,9 +237,10 @@ def scan_pack_symbols(
     kern = native.kernel()
     if kern is None:
         raise RuntimeError(f"repro.native is off: {native.native_error()}")
-    bits, payload, offsets, broken, bad = kern.scan_pack(
-        pass_symbols(data, book), packed_codeword_table(book),
+    bits, payload, offsets, broken, side, bad = kern.scan_pack(
+        pass_symbols(data, book), packed_codeword_table(book), book.codes,
         tuning.group_symbols, tuning.cells_per_chunk, tuning.word_bits,
+        book.max_length,
     )
     if bad >= 0:
         checked_lengths(data, book)
@@ -236,4 +249,5 @@ def scan_pack_symbols(
     return PackedChunks(
         chunk_bits=bits, payload=payload, offsets=offsets, broken=broken,
         moved_words=analytic_moved_words(bits.size, tuning.shuffle_factor),
+        side=side,
     )

@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.encoder import (
     GpuEncodeResult,
     _encode_body,
+    _pass_input,
     _record_encode,
     _resolve_tuning,
     _scan_symbol_stats,
@@ -100,15 +101,17 @@ def single_stage_encode(
         bits_from="stats_pass" if tuning is None else "histogram",
     )
     with enc_span:
+        syms = _pass_input(data, book)
         if tuning is None:
             with _span("encode.lookup", n_symbols=int(data.size)):
                 # the registered book's packed codeword table is already
                 # warm in the scan-pack digest cache, so this pass is the
                 # entire front half of the pipeline
-                avg_bits = _scan_symbol_stats(data, book)
+                avg_bits = _scan_symbol_stats(syms, book)
             tuning = _resolve_tuning(
                 magnitude, reduction_factor, word_bits, avg_bits
             )
-        result = _encode_body(data, book, tuning)
+        result = _encode_body(syms, book, tuning,
+                              input_bytes=int(data.nbytes))
     _record_encode(enc_span, data, result)
     return result

@@ -171,7 +171,7 @@ def lorenzo_quantize(
         raise ValueError("n_bins must be within [4, 2**32]")
     flat = np.ascontiguousarray(field, dtype=np.float64).reshape(-1)
     with _span("quantize.lorenzo", n=int(flat.size)) as sp:
-        kern, fallback = native.route(code_dtype(n_bins), "code")
+        kern, fallback = native.route(code_dtype(n_bins))
         if kern is not None:
             codes = np.empty(flat.size, code_dtype(n_bins))
             out_idx, bad = kern.lorenzo_quantize(
@@ -242,7 +242,7 @@ def dequantize(qf: QuantizedField) -> np.ndarray:
     check_outliers(idx, np.size(qf.outliers_val), n)
     codes = qf.codes.reshape(-1)
     with _span("dequantize.lorenzo", n=int(n)) as sp:
-        kern, fallback = native.route(codes.dtype, "code")
+        kern, fallback = native.route(codes.dtype)
         if kern is not None:
             recon, bad = kern.lorenzo_dequantize(
                 np.ascontiguousarray(codes), 2 * qf.error_bound,

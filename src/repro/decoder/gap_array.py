@@ -61,6 +61,7 @@ __all__ = [
     "PLANE_MIN_RUN",
     "gap_decode_lanes",
     "gap_supported",
+    "lane_pad",
     "plane_reason",
 ]
 
@@ -150,12 +151,18 @@ def gap_supported(
     return True, ""
 
 
+def lane_pad(max_length: int) -> int:
+    """Spare zero bytes the compiled pass reads past a lane buffer's
+    end: 8 for the 64-bit root window at any bit before the lane end,
+    plus ``ceil(max_length / 8)`` for the subtable loads of a codeword
+    that starts there."""
+    return 8 + -(-int(max_length) // 8)
+
+
 def _pad_buffer(buffer: np.ndarray, max_length: int) -> np.ndarray:
-    """Copy with spare zero bytes so no kernel load runs off the end:
-    8 for the 64-bit root window at any bit before the lane end, plus
-    ``ceil(max_length / 8)`` for the subtable loads of a codeword that
-    starts there."""
-    out = np.zeros(buffer.size + 8 + -(-int(max_length) // 8), np.uint8)
+    """Copy with :func:`lane_pad` spare zero bytes, so no kernel load
+    runs off the end."""
+    out = np.zeros(buffer.size + lane_pad(max_length), np.uint8)
     out[: buffer.size] = buffer
     return out
 
@@ -180,6 +187,7 @@ def gap_decode_lanes(
     *,
     placement: LanePlacement | None = None,
     dtype=np.int64,
+    pad: int = 0,
 ) -> GapDecodeResult:
     """Decode chunk lanes (drop-in for ``decode_lanes``).
 
@@ -189,6 +197,11 @@ def gap_decode_lanes(
     through ``decode_lanes``, reports ``backend="lanes"`` and counts the
     reason in ``repro_decode_gap_lut_fallback_total``: a
     :func:`gap_supported` reason or ``"no_native_kernel"``.
+
+    ``buffer``'s last ``pad`` bytes are zeros past every lane
+    (:func:`~repro.core.bitstream.stream_lanes` with a ``pad``); when
+    they cover :func:`lane_pad`, the pass reads ``buffer`` in place,
+    else it reads a padded copy.
     """
     if table is None:
         table = build_decode_table(book)
@@ -197,12 +210,16 @@ def gap_decode_lanes(
     kern = native.kernel() if ok else None
     if ok and kern is None:
         reason = "no_native_kernel"
+    padded = buffer
+    buffer = buffer[: buffer.size - pad] if pad else buffer
     if kern is None:
         reg.counter("repro_decode_gap_lut_fallback_total", reason=reason).inc()
         symbols = decode_lanes(buffer, starts, ends, nsyms, book, table)
         return GapDecodeResult(symbols, "lanes", reason, plane_reason=reason)
 
     buffer, starts, ends, nsyms = _check_lanes(buffer, starts, ends, nsyms)
+    if pad < lane_pad(table.max_length):
+        padded = _pad_buffer(buffer, table.max_length)
     if placement is None:
         placement = _lane_major(nsyms)
     out = np.empty(placement.n_out, dtype)
@@ -210,7 +227,7 @@ def gap_decode_lanes(
     off = plane_reason(table, dtype, int((ends - starts).sum()), n_symbols,
                        placement.holes.size * placement.group)
     bad, n_subgather, n_plane = kern.chunk_decode(
-        _pad_buffer(buffer, table.max_length), buffer.size * 8,
+        padded, buffer.size * 8,
         starts, ends, nsyms, placement.out_off, placement.hole_base,
         placement.holes, placement.group, table, out, plane=not off,
     )

@@ -187,23 +187,29 @@ def host_histogram(
     """``(hist, backend, fallback)``: the exact int64 counts of the 1-D
     integer array ``flat`` over ``num_bins`` bins.
 
-    Unsigned 8/16/32-bit symbols take the compiled pass of
-    :mod:`repro.native`, which checks every symbol against ``num_bins``
-    as it counts.  Other dtypes, and hosts without the module, run the
-    oracle: a ``min``/``max`` range check, then :func:`fast_histogram`;
-    ``fallback`` says why (see :func:`repro.native.route`).  Both raise
-    ``ValueError`` for a symbol outside ``[0, num_bins)``.
+    The compiled pass of :mod:`repro.native` counts unsigned 8/16/32-bit
+    symbols and checks every one against ``num_bins`` as it counts; any
+    other integer dtype is range-checked first (``min``/``max``) and
+    narrowed onto the smallest of those that holds its largest symbol.
+    Hosts without the module run the oracle: the same range check, then
+    :func:`fast_histogram` (``fallback="no_native_kernel"``).  Both
+    raise ``ValueError`` for a symbol outside ``[0, num_bins)``.
     """
-    kern, reason = native.route(flat.dtype)
-    if kern is not None:
-        hist, bad = kern.histogram(np.ascontiguousarray(flat), num_bins)
-        if bad >= 0:
+    kern = native.kernel()
+    if kern is None or flat.dtype not in native.SYMBOL_DTYPES:
+        hi = int(flat.max()) if flat.size else 0
+        if hi >= num_bins or (flat.size and int(flat.min()) < 0):
             raise ValueError("symbol out of histogram range")
-        return hist, "native", None
-    if flat.size and (int(flat.max()) >= num_bins or int(flat.min()) < 0):
+        if kern is None:
+            hist = fast_histogram(flat, num_bins).astype(np.int64,
+                                                         copy=False)
+            return hist, "numpy", "no_native_kernel"
+        flat = flat.astype(next(dt for dt in native.SYMBOL_DTYPES
+                                if hi <= np.iinfo(dt).max))
+    hist, bad = kern.histogram(np.ascontiguousarray(flat), num_bins)
+    if bad >= 0:
         raise ValueError("symbol out of histogram range")
-    hist = fast_histogram(flat, num_bins).astype(np.int64, copy=False)
-    return hist, "numpy", reason
+    return hist, "native", None
 
 
 def gpu_histogram(

@@ -1,6 +1,7 @@
 """The runtime-compiled C module: chunk-lane decode and its
-multi-symbol plane, scan-pack encode, the histogram and the Lorenzo
-quantize/dequantize passes.
+multi-symbol plane, scan-pack encode with its breaking side channel,
+the histogram, the codeword lengths and the Lorenzo quantize/dequantize
+passes.
 
 One C source set, compiled once per process via :mod:`cffi` and the
 system C compiler and cached on disk under one digest of that source
@@ -45,27 +46,44 @@ narrowed onto them first):
   tuning runs it (serve's single-stage encode, an unpinned
   ``gpu_encode``); the app facade takes the same total from its
   histogram in O(K).
-- ``scan_pack_u*``: reduce-shuffle-merge and the coalescing copy
-  collapsed to one pass per chunk.  Each cell gathers and merges its
-  ``group_symbols`` codewords and records whether it breaks (length >
-  W); a kept cell is appended to the chunk's bit accumulator, which
-  stores 32 bits at a time big-endian straight into the payload from
-  the chunk's running byte offset (the byte stream does not depend on
-  W).  Every symbol is checked against the book size and for a nonzero
-  codeword length before its bits are used, and a chunk whose worst
-  case (``cells_per_chunk * W / 8`` bytes plus a 4-byte trailing store)
-  could pass the payload capacity ``n_out`` is refused before it
-  starts.
+- ``scan_pack_u*``: reduce-shuffle-merge, the coalescing copy and the
+  breaking-point save collapsed to one pass per chunk.  Each cell
+  gathers and merges its ``group_symbols`` codewords and records
+  whether it breaks (length > W); a kept cell is appended to the
+  chunk's bit accumulator, which stores the next 32 bits big-endian
+  straight into the payload from the chunk's running byte offset after
+  every kept cell and moves on only past full words (a branchless
+  flush; the byte stream does not depend on W).  A broken cell appends
+  its index, its bit length and its codewords — read from the book's
+  exact uint64 ``codes``, so up to 63 bits each — MSB-first and
+  byte-aligned to the side channel at its running offset (the paper's
+  backtrace and dense-to-sparse save; oracle
+  :func:`repro.core.breaking.extract_breaking_symbols`).  Every symbol
+  is checked against the book size and for a nonzero codeword length
+  before its bits are used; a chunk whose worst case
+  (``cells_per_chunk * W / 8`` bytes plus a 4-byte trailing store)
+  could pass the payload capacity ``n_out``, and a broken cell whose
+  index slot or exact bytes could pass the side channel's capacities,
+  are refused before they are written.
 
 Histogram (:func:`repro.histogram.gpu_histogram.host_histogram`;
 oracle :func:`~repro.histogram.gpu_histogram.fast_histogram` after a
-``min``/``max`` range check):
+``min``/``max`` range check; other integer dtypes are range-checked and
+narrowed onto uint8/16/32 first):
 
 - ``histogram_u*``: one pass that counts symbol ``i`` into private
   sub-histogram ``i % 4`` and folds the four at the end (the paper's
   replicated bins, §IV-A).  Every symbol is checked against the bin
   count before its increment; the pass returns the index of the first
   out-of-range one.
+
+Codebook (:func:`repro.core.codebook_parallel.parallel_codebook`;
+oracle ``codebook_parallel._two_queue_lengths``):
+
+- ``two_queue_lengths``: the O(m) two-queue Huffman build over the
+  ascending used counts, a leaf winning a tie with an internal node
+  (GenerateCL's rule), then one reverse sweep for the depths.  Its
+  scratch and output capacities are checked before it writes.
 
 Lorenzo quantization (:mod:`repro.datasets.quantization`; oracle the
 NumPy bodies of ``lorenzo_quantize`` and ``dequantize``), over the code
@@ -193,14 +211,22 @@ int64_t symbol_bits_u16(const uint16_t *sym, int64_t n, const uint64_t *tab,
 int64_t symbol_bits_u32(const uint32_t *sym, int64_t n, const uint64_t *tab,
     int64_t K, int64_t *total);
 int64_t scan_pack_u8(const uint8_t *sym, int64_t n_chunks, int64_t G,
-    int64_t cpc, int W, const uint64_t *tab, int64_t K, uint8_t *out,
-    int64_t n_out, int64_t *offsets, int64_t *bits, uint8_t *broken);
+    int64_t cpc, int W, const uint64_t *tab, const uint64_t *codes,
+    int64_t K, uint8_t *out, int64_t n_out, int64_t *offsets, int64_t *bits,
+    uint8_t *broken, uint32_t *bidx, void *blen, int wide, int64_t n_bidx,
+    uint8_t *bpay, int64_t n_bpay, int64_t *side);
 int64_t scan_pack_u16(const uint16_t *sym, int64_t n_chunks, int64_t G,
-    int64_t cpc, int W, const uint64_t *tab, int64_t K, uint8_t *out,
-    int64_t n_out, int64_t *offsets, int64_t *bits, uint8_t *broken);
+    int64_t cpc, int W, const uint64_t *tab, const uint64_t *codes,
+    int64_t K, uint8_t *out, int64_t n_out, int64_t *offsets, int64_t *bits,
+    uint8_t *broken, uint32_t *bidx, void *blen, int wide, int64_t n_bidx,
+    uint8_t *bpay, int64_t n_bpay, int64_t *side);
 int64_t scan_pack_u32(const uint32_t *sym, int64_t n_chunks, int64_t G,
-    int64_t cpc, int W, const uint64_t *tab, int64_t K, uint8_t *out,
-    int64_t n_out, int64_t *offsets, int64_t *bits, uint8_t *broken);
+    int64_t cpc, int W, const uint64_t *tab, const uint64_t *codes,
+    int64_t K, uint8_t *out, int64_t n_out, int64_t *offsets, int64_t *bits,
+    uint8_t *broken, uint32_t *bidx, void *blen, int wide, int64_t n_bidx,
+    uint8_t *bpay, int64_t n_bpay, int64_t *side);
+int64_t two_queue_lengths(const int64_t *f, int64_t m, uint64_t *scratch,
+    int64_t n_scratch, int32_t *len, int64_t n_len);
 int64_t histogram_u8(const uint8_t *sym, int64_t n, int64_t K,
     int64_t *hist, uint32_t *priv);
 int64_t histogram_u16(const uint16_t *sym, int64_t n, int64_t K,
@@ -504,26 +530,59 @@ int64_t NAME(const T *sym, int64_t n, const uint64_t *tab, int64_t K,     \
  * byte offsets[c] on, and offsets[c + 1] = offsets[c] + ceil(bits[c] / 8),
  * so no word grid and no copy follow.  broken[] marks a cell iff its true
  * length exceeds W.  The value merge runs unconditionally (each shift is
- * by one codeword length, < 64): it is exact for a kept cell, whose
- * codewords total <= W <= 32 bits, and discarded for a broken one.  Kept
- * cells append to a bit accumulator whose low nacc < 32 bits are
- * pending; each full 32 bits are stored big-endian (the byte stream does
- * not depend on W), and a chunk's last 1..31 bits go out as one more
- * 4-byte store whose zero low bytes the next chunk overwrites.
+ * by one codeword length, at most MAX_CODE_BITS = 63): it is exact for a
+ * kept cell, whose codewords total <= W <= 32 bits, and discarded for a
+ * broken one.  Kept cells append to a bit accumulator whose low nacc < 32
+ * bits are pending; every kept cell stores the accumulator's next 32 bits
+ * big-endian at o and advances o by 4 only when they are all real (a
+ * branchless flush: a partial word is overwritten by the next store; the
+ * byte stream does not depend on W), and a chunk's last 1..31 bits go out
+ * as one more 4-byte store whose zero low bytes the next chunk
+ * overwrites.
  *
- * A chunk's kept bits are at most cpc * W, so it writes at most
- * cpc * W / 8 + 4 bytes from its offset; a chunk that could pass n_out
- * is refused before it starts.  Returns -1; -2 for a refused chunk; or
- * the index of the first symbol that is out of range or has no
- * codeword (a zero length byte; the gather reads tab only below K).
- * The outputs are then incomplete. */
+ * A chunk's kept bits are at most cpc * W, and o only moves past full
+ * words, so it writes at most cpc * W / 8 + 4 bytes from its offset; a
+ * chunk that could pass n_out is refused before it starts.
+ *
+ * Every broken cell also goes to the breaking side channel (the paper's
+ * backtrace and dense-to-sparse save, in the same pass): its index to
+ * bidx, its bit length to blen (int64 if wide, else uint16), and its
+ * codewords, read from codes (the exact uint64 values: tab keeps only 48
+ * bits of one), MSB-first into bpay from a running byte offset, padded
+ * with zeros to a byte boundary.  Before a broken cell is written, its
+ * index slot and its exact ceil(length / 8) bytes are checked against
+ * n_bidx and n_bpay.  side[0] receives the broken-cell count, side[1] the
+ * side-channel bytes.
+ *
+ * Returns -1; -2 for a refused chunk or a broken cell past a side-channel
+ * capacity (nothing is written past any capacity); or the index of the
+ * first symbol that is out of range or has no codeword (a zero length
+ * byte; tab and codes are read only below K).  The outputs are then
+ * incomplete. */
+static inline uint8_t *put_bits(uint8_t *q, uint64_t *acc, int *nacc,
+                                uint64_t v, int l) {
+    /* append l <= 32 bits to an accumulator of *nacc < 32 pending bits,
+     * storing a big-endian word once 32 are pending */
+    *acc = (*acc << l) | v;
+    *nacc += l;
+    if (*nacc >= 32) {
+        *nacc -= 32;
+        uint32_t w = __builtin_bswap32((uint32_t)(*acc >> *nacc));
+        memcpy(q, &w, 4);
+        q += 4;
+    }
+    return q;
+}
+
 #define SCAN_PACK(NAME, T)                                                \
 int64_t NAME(const T *sym, int64_t n_chunks, int64_t G, int64_t cpc,      \
-             int W, const uint64_t *tab, int64_t K, uint8_t *out,         \
-             int64_t n_out, int64_t *offsets, int64_t *bits,              \
-             uint8_t *broken) {                                           \
+             int W, const uint64_t *tab, const uint64_t *codes,           \
+             int64_t K, uint8_t *out, int64_t n_out, int64_t *offsets,    \
+             int64_t *bits, uint8_t *broken, uint32_t *bidx, void *blen,  \
+             int wide, int64_t n_bidx, uint8_t *bpay, int64_t n_bpay,     \
+             int64_t *side) {                                             \
     const int64_t worst = cpc * W / 8 + 4;                                \
-    int64_t pos = 0;                                                      \
+    int64_t pos = 0, nbrk = 0, bpos = 0;                                  \
     offsets[0] = 0;                                                       \
     for (int64_t c = 0; c < n_chunks; c++) {                              \
         if (n_out - pos < worst) return -2;                               \
@@ -544,18 +603,43 @@ int64_t NAME(const T *sym, int64_t n_chunks, int64_t G, int64_t cpc,      \
                 v = (v << l) | (e >> 16);                                 \
             }                                                             \
             broken[c * cpc + j] = (uint8_t)(len > W);                     \
-            if (len <= W) {                                               \
+            if (__builtin_expect(len <= W, 1)) {                          \
                 acc = (acc << len) | v;                                   \
                 nacc += len;                                              \
                 cb += len;                                                \
-                if (nacc >= 32) {                                         \
-                    nacc -= 32;                                           \
-                    uint32_t w = (uint32_t)(acc >> nacc);                 \
-                    w = __builtin_bswap32(w);                             \
-                    memcpy(o, &w, 4);                                     \
-                    o += 4;                                               \
-                }                                                         \
+                int64_t full = nacc >= 32;                                \
+                nacc -= full << 5;                                        \
+                uint32_t w = __builtin_bswap32((uint32_t)(acc >> nacc));  \
+                memcpy(o, &w, 4);                                         \
+                o += full << 2;                                           \
+                continue;                                                 \
             }                                                             \
+            int64_t nb = (len + 7) >> 3;                                  \
+            if (nbrk >= n_bidx || n_bpay - bpos < nb) return -2;          \
+            bidx[nbrk] = (uint32_t)(c * cpc + j);                         \
+            if (wide) ((int64_t *)blen)[nbrk] = len;                      \
+            else ((uint16_t *)blen)[nbrk] = (uint16_t)len;                \
+            nbrk++;                                                       \
+            uint8_t *q = bpay + bpos;                                     \
+            uint64_t a = 0;                                               \
+            int na = 0;                                                   \
+            for (int64_t g = 0; g < G; g++) {                             \
+                uint64_t s = p[g];                                        \
+                int l = (int)(tab[s] & 0xFFFF);                           \
+                uint64_t x = codes[s] & ((2ULL << (l - 1)) - 1);          \
+                if (l > 32) {                                             \
+                    q = put_bits(q, &a, &na, x >> 32, l - 32);            \
+                    x &= 0xFFFFFFFFULL;                                   \
+                    l = 32;                                               \
+                }                                                         \
+                q = put_bits(q, &a, &na, x, l);                           \
+            }                                                             \
+            if (na) {                                                     \
+                uint32_t w = (uint32_t)(a << (32 - na));                  \
+                for (int b = 0; b < na; b += 8, w <<= 8)                  \
+                    *q++ = (uint8_t)(w >> 24);                            \
+            }                                                             \
+            bpos += nb;                                                   \
         }                                                                 \
         if (nacc) {                                                       \
             uint32_t w = (uint32_t)(acc << (32 - nacc));                  \
@@ -566,7 +650,53 @@ int64_t NAME(const T *sym, int64_t n_chunks, int64_t G, int64_t cpc,      \
         pos += (cb + 7) >> 3;                                             \
         offsets[c + 1] = pos;                                             \
     }                                                                     \
+    side[0] = nbrk;                                                       \
+    side[1] = bpos;                                                       \
     return -1;                                                            \
+}
+
+/* Huffman codeword lengths of m counts f in ascending order (the oracle
+ * is repro.core.codebook_parallel._two_queue_lengths): the two-queue
+ * build, where leaves wait in f order and internal nodes in creation
+ * order (their weights never decrease), and each meld takes the two
+ * smallest fronts, a leaf winning a tie with an internal node
+ * (GenerateCL's tie rule).  Parents are created after their children,
+ * so one reverse sweep over the internal nodes gives every depth, and a
+ * leaf's length is its parent's depth plus one.  Weights add as uint64.
+ *
+ * scratch holds 3 * m words: the internal nodes' weights (then their
+ * depths), their parents and each leaf's parent.  Every index stays in
+ * range whatever the counts: melding node t has consumed 2t items, so
+ * the internal queue is never read at or past its end.  Returns -2
+ * (nothing written) when scratch holds fewer than 3 * m words or len
+ * fewer than m entries, else -1. */
+int64_t two_queue_lengths(const int64_t *f, int64_t m, uint64_t *scratch,
+                          int64_t n_scratch, int32_t *len, int64_t n_len) {
+    if (m < 0 || n_len < m || n_scratch / 3 < m) return -2;
+    if (m <= 1) {
+        for (int64_t i = 0; i < m; i++) len[i] = 1;
+        return -1;
+    }
+    uint64_t *w = scratch, *par = scratch + m, *leaf = scratch + 2 * m;
+    int64_t li = 0, ii = 0;
+    for (int64_t node = 0; node < m - 1; node++) {
+        uint64_t sum = 0;
+        for (int k = 0; k < 2; k++) {
+            if (li < m && (ii == node || (uint64_t)f[li] <= w[ii])) {
+                sum += (uint64_t)f[li];
+                leaf[li++] = (uint64_t)node;
+            } else {
+                sum += w[ii];
+                par[ii++] = (uint64_t)node;
+            }
+        }
+        w[node] = sum;
+    }
+    /* the last node is the root; depths overwrite the weights */
+    w[m - 2] = 0;
+    for (int64_t j = m - 3; j >= 0; j--) w[j] = w[par[j]] + 1;
+    for (int64_t i = 0; i < m; i++) len[i] = (int32_t)(w[leaf[i]] + 1);
+    return -1;
 }
 
 /* Histogram: hist[s] = occurrences of s in sym[0..n).  Symbol i
@@ -911,37 +1041,76 @@ class NativeKernel:
         self,
         data: np.ndarray,
         table: np.ndarray,
+        codes: np.ndarray,
         group_symbols: int,
         cells_per_chunk: int,
         word_bits: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
-        """``(bits, payload, offsets, broken, bad)`` for whole chunks of
-        ``data``: per-chunk dense bits, the coalesced uint8 payload with
-        its ``n_chunks + 1`` byte offsets, per-cell broken flags, and
-        ``-1`` or the index of the first symbol that is out of range or
-        has no codeword (the other outputs are then incomplete)."""
+        max_length: int,
+    ) -> tuple:
+        """``(bits, payload, offsets, broken, side, bad)`` for whole
+        chunks of ``data``: per-chunk dense bits, the coalesced uint8
+        payload with its ``n_chunks + 1`` byte offsets, per-cell broken
+        flags, the breaking side channel ``(cell_indices, bit_lengths,
+        side_payload)`` (uint32, ``bit_lengths`` uint16 unless a cell
+        can pass 65535 bits, then int64; uint8), and ``-1`` or the index
+        of the first symbol that is out of range or has no codeword (the
+        other outputs are then incomplete).  ``codes`` holds the book's
+        uint64 codewords, one per ``table`` entry, and ``max_length``
+        bounds every codeword's length."""
+        codes = np.require(codes, np.uint64, ["C", "A"])
+        if codes.shape != table.shape:
+            raise ValueError("codes and gather table disagree in size")
         n_cells = data.size // group_symbols
         n_chunks = n_cells // cells_per_chunk
         # every chunk's worst case (all cells kept) plus the last chunk's
-        # 4-byte trailing store; only the pages the pass writes are touched
+        # 4-byte trailing store, and every cell broken at max_length bits
+        # per codeword; only the pages the pass writes are touched
         out = np.empty(n_chunks * cells_per_chunk * word_bits // 8 + 4,
                        np.uint8)
         offsets = np.empty(n_chunks + 1, np.int64)
         bits = np.empty(n_chunks, np.int64)
         broken = np.empty(n_cells, np.bool_)
+        wide = group_symbols * 64 > 0xFFFF
+        bidx = np.empty(n_cells, np.uint32)
+        blen = np.empty(n_cells, np.int64 if wide else np.uint16)
+        bpay = np.empty(n_cells * -(-group_symbols * int(max_length) // 8),
+                        np.uint8)
+        side = self._ffi.new("int64_t[2]")
         data, suffix, sym = self._symbols(data)
         bad = getattr(self._lib, f"scan_pack_{suffix}")(
             sym, n_chunks, group_symbols, cells_per_chunk, word_bits,
-            self._gather(table), table.size,
+            self._gather(table), self._p("uint64_t *", codes), table.size,
             self._p("uint8_t *", out), out.size,
             self._p("int64_t *", offsets),
             self._p("int64_t *", bits),
             self._p("uint8_t *", broken),
+            self._p("uint32_t *", bidx), self._p("void *", blen), int(wide),
+            bidx.size, self._p("uint8_t *", bpay), bpay.size, side,
         )
         if bad == -2:
-            raise RuntimeError("scan_pack refused a chunk that could "
-                               "overrun its payload capacity")
-        return bits, out[: offsets[-1]], offsets, broken, int(bad)
+            raise RuntimeError("scan_pack refused a chunk or a broken cell "
+                               "that could overrun its capacity")
+        nnz, nbytes = int(side[0]), int(side[1])
+        # copies: the side channel is a sliver of its worst-case buffers
+        side_channel = (bidx[:nnz].copy(), blen[:nnz].copy(),
+                        bpay[:nbytes].copy())
+        return (bits, out[: offsets[-1]], offsets, broken, side_channel,
+                int(bad))
+
+    def two_queue_lengths(self, f_sorted: np.ndarray) -> np.ndarray:
+        """int32 Huffman codeword lengths of the ascending int64 counts
+        ``f_sorted``, a leaf winning a tie with an internal node."""
+        f = np.require(f_sorted, np.int64, ["C", "A"])
+        if f.ndim != 1:
+            raise ValueError("counts must be one-dimensional")
+        out = np.empty(f.size, np.int32)
+        scratch = np.empty(3 * f.size, np.uint64)
+        self._lib.two_queue_lengths(
+            self._p("int64_t *", f), f.size,
+            self._p("uint64_t *", scratch), scratch.size,
+            self._p("int32_t *", out), out.size,
+        )
+        return out
 
     def histogram(
         self, data: np.ndarray, n_bins: int
@@ -1074,17 +1243,12 @@ def kernel() -> Optional[NativeKernel]:
     return _KERNEL
 
 
-def route(
-    dtype: np.dtype, kind: str = "symbol"
-) -> tuple[Optional[NativeKernel], Optional[str]]:
+def route(dtype: np.dtype) -> tuple[Optional[NativeKernel], Optional[str]]:
     """``(kernel, reason)``: the compiled module when it loads and has a
-    variant for ``dtype`` (a ``"symbol"`` dtype of the histogram pass,
-    or a ``"code"`` dtype of the Lorenzo passes), else
-    ``None`` and why not (``"symbol_dtype"``/``"code_dtype"`` or
-    ``"no_native_kernel"``)."""
-    dtypes = SYMBOL_DTYPES if kind == "symbol" else CODE_DTYPES
-    if np.dtype(dtype) not in dtypes:
-        return None, f"{kind}_dtype"
+    Lorenzo variant for the code dtype ``dtype``, else ``None`` and why
+    not (``"code_dtype"`` or ``"no_native_kernel"``)."""
+    if np.dtype(dtype) not in CODE_DTYPES:
+        return None, "code_dtype"
     kern = kernel()
     return kern, None if kern is not None else "no_native_kernel"
 

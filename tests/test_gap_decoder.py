@@ -165,6 +165,31 @@ class TestGapEqualsLanes:
         stream = gpu_encode(data, book, magnitude=6).stream
         _assert_decode_matches_oracle(book, stream, data)
 
+    def test_padded_lanes_are_the_one_payload_copy(self, kernel_engine,
+                                                   monkeypatch):
+        """``stream_lanes(stream, pad)`` lays the chunk, breaking and
+        tail sections back to back and then ``pad`` zero bytes, and
+        ``decode_stream`` hands that buffer to the pass in place."""
+        rng = np.random.default_rng(3)
+        book = wbit_codebook(14)
+        data = rng.integers(0, book.n_symbols, 4000 + 77).astype(np.uint16)
+        stream = gpu_encode(data, book, magnitude=8,
+                            reduction_factor=2).stream
+        assert stream.breaking.nnz and stream.tail_symbols
+        pad = gap_array.lane_pad(book.max_length)
+        buf, starts, ends, nsyms = stream_lanes(stream, pad)
+        plain = stream_lanes(stream)
+        assert np.array_equal(buf[:-pad], plain[0])
+        assert not buf[-pad:].any()
+        for a, b in zip((starts, ends, nsyms), plain[1:]):
+            assert np.array_equal(a, b)
+
+        def no_copy(*args):
+            raise AssertionError("the padded lanes were copied again")
+
+        monkeypatch.setattr(gap_array, "_pad_buffer", no_copy)
+        assert np.array_equal(decode_stream(stream, book), data)
+
     def test_breaking_heavy_stream(self):
         """Pinned r=2 under a wide-ish book: most cells break, so the
         chunk lanes jump over dense runs of holes while the broken-cell

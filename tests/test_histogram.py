@@ -69,19 +69,46 @@ class TestGpuHistogram:
         assert np.array_equal(res.histogram,
                               np.bincount(data, minlength=200))
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64,
+                                       np.uint64])
+    def test_values_that_would_wrap_raise(self, dtype):
+        """Other dtypes are narrowed onto the pass only after the range
+        check: each value below would cast to an in-range bin."""
+        values = [(1 << 8) + 1]
+        if np.dtype(dtype).itemsize >= 4:
+            values.append((1 << 16) + 1)
+        if np.dtype(dtype).itemsize == 8:
+            values.append((1 << 32) + 1)
+        if np.dtype(dtype).kind == "i":
+            values.append(-255)
+        for value in values:
+            data = np.zeros(9, dtype=dtype)
+            data[5] = value
+            with pytest.raises(ValueError, match="out of histogram range"):
+                gpu_histogram(data, 4)
+
+    @pytest.mark.parametrize("n_bins", [3, 300, 70000])
+    def test_narrowed_counts_match_bincount(self, rng, n_bins):
+        data = rng.integers(0, n_bins, 5003)
+        data[0] = n_bins - 1
+        for dtype in (np.int32, np.int64, np.uint64):
+            res = gpu_histogram(data.astype(dtype), n_bins)
+            assert np.array_equal(res.histogram,
+                                  np.bincount(data, minlength=n_bins))
+
     def test_span_records_backend(self, rng):
         with tracing() as tracer:
             gpu_histogram(rng.integers(0, 9, 100).astype(np.uint16), 9)
             gpu_histogram(rng.integers(0, 9, 100).astype(np.int64), 9)
         spans = [s for s in tracer.spans if s.name == "encode.histogram"]
-        u16, i64 = (s.attrs for s in spans)
-        assert i64["backend"] == "numpy"
-        assert i64["fallback"] == "symbol_dtype"
-        if native.kernel() is not None:
-            assert u16["backend"] == "native" and "fallback" not in u16
-        else:
-            assert u16["backend"] == "numpy"
-            assert u16["fallback"] == "no_native_kernel"
+        # int64 symbols are range-checked and narrowed onto the pass
+        for attrs in (s.attrs for s in spans):
+            if native.kernel() is not None:
+                assert attrs["backend"] == "native"
+                assert "fallback" not in attrs
+            else:
+                assert attrs["backend"] == "numpy"
+                assert attrs["fallback"] == "no_native_kernel"
 
     def test_costs_priced_on_first_read(self, rng):
         data = rng.integers(0, 256, 5000).astype(np.uint8)

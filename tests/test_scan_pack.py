@@ -8,7 +8,8 @@ on the ``numpy`` leg ``impl="scan"`` itself runs the iterative pair, and
 on the ``native`` leg the compiled scan-pack, which writes the
 coalesced payload itself, must equal
 ``shuffle_merge(zeroed(reduce_merge(...))).payload()`` byte for byte
-and raise the pair's exact errors.  Symbols in a dtype the pass has no
+and raise the pair's exact errors, and its breaking side channel must
+equal the NumPy backtrace's.  Symbols in a dtype the pass has no
 variant for are range-checked and narrowed onto it, with the same
 errors.  A pinned tuning skips the stats pass, so the packing passes
 alone must raise the unpinned call's errors, and the ``avg_bits`` they
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro import native
 from repro.app.compressor import compress_symbols
+from repro.core.breaking import extract_breaking_symbols, save_breaking
 from repro.core.codebook_parallel import parallel_codebook
 from repro.core.encoder import ENCODE_IMPLS, _scan_symbol_stats, gpu_encode
 from repro.core.reduce_merge import reduce_merge
@@ -77,6 +79,43 @@ def iterative_reference(syms, book, tuning):
                            word_bits=tuning.word_bits)
     payload, offsets = merged.payload()
     return payload, offsets, merged.bits, red.broken, merged.moved_words
+
+
+def deep_book():
+    """A 64-symbol book on Fibonacci counts: symbol ``i >= 1`` takes
+    ``64 - i`` bits and symbol 0 takes 63, so its deepest codewords pass
+    the packed table's 48 value bits."""
+    fib = [1, 1]
+    while len(fib) < 64:
+        fib.append(fib[-1] + fib[-2])
+    book = parallel_codebook(np.array(fib, np.int64)).codebook
+    assert book.max_length == 63
+    return book
+
+
+def raw_scan_pack(kern, syms, book, G, cpc, W, out, n_out, offsets, bits,
+                  broken, bidx=None, blen=None, n_bidx=None, bpay=None,
+                  n_bpay=None, side=None):
+    """One raw ``scan_pack_u8`` call over caller-owned arrays (the
+    side-channel buffers default to ample ones), returning the pass's
+    code."""
+    n_cells = syms.size // G
+    bidx = np.empty(n_cells, np.uint32) if bidx is None else bidx
+    blen = np.empty(n_cells, np.uint16) if blen is None else blen
+    bpay = np.empty(n_cells * G * 8, np.uint8) if bpay is None else bpay
+    side = np.zeros(2, np.int64) if side is None else side
+    table = packed_codeword_table(book)
+    p = kern._p
+    return kern._lib.scan_pack_u8(
+        p("uint8_t *", syms), syms.size // (G * cpc), G, cpc, W,
+        p("uint64_t *", table), p("uint64_t *", book.codes), table.size,
+        p("uint8_t *", out), n_out, p("int64_t *", offsets),
+        p("int64_t *", bits), p("uint8_t *", broken),
+        p("uint32_t *", bidx), p("void *", blen), 0,
+        bidx.size if n_bidx is None else n_bidx,
+        p("uint8_t *", bpay), bpay.size if n_bpay is None else n_bpay,
+        p("int64_t *", side),
+    )
 
 
 class TestScanPackProperty:
@@ -248,12 +287,14 @@ class TestScanPackRoute:
         if kernel_engine == "native" and native.native_available():
             assert attrs["impl"] == "native"
             assert "fallback" not in attrs
+            assert spans["encode.breaking"]["impl"] == "native"
             assert "encode.coalesce" not in spans
             assert "encode.reduce_merge" not in spans
             assert registry.total("repro_encode_native_fallback_total") == 0
         else:
             assert attrs["impl"] == "iterative"
             assert attrs["fallback"] == "no_native_kernel"
+            assert spans["encode.breaking"]["impl"] == "numpy"
             assert {"encode.reduce_merge", "encode.shuffle_merge",
                     "encode.coalesce"} <= set(spans)
             assert registry.total("repro_encode_native_fallback_total",
@@ -380,6 +421,38 @@ class TestNarrowedSymbols:
             assert attrs["fallback"] == "no_native_kernel"
 
 
+class TestNarrowOnce:
+    """An unpinned encode narrows other dtypes once, at entry, and hands
+    the narrowed array to both the stats pass and the scan-pack pass."""
+
+    @pytest.mark.parametrize("entry", ["gpu_encode", "single_stage"])
+    def test_one_narrowing_per_encode(self, kernel_engine, monkeypatch,
+                                      entry):
+        from repro.core import scan_pack
+        from repro.core.single_stage import single_stage_encode
+
+        narrowed = []
+        real = scan_pack.pass_symbols
+
+        def counting(data, book):
+            if data.dtype not in native.SYMBOL_DTYPES:
+                narrowed.append(data.dtype)
+            return real(data, book)
+
+        monkeypatch.setattr(scan_pack, "pass_symbols", counting)
+        monkeypatch.setattr("repro.core.encoder.pass_symbols", counting)
+        rng = np.random.default_rng(13)
+        syms = rng.integers(0, 40, 7 * 256 + 9)
+        book = book_for(syms, 40)
+        encode = gpu_encode if entry == "gpu_encode" else single_stage_encode
+        got = encode(syms.astype(np.int64), book, magnitude=8)
+        want = encode(syms.astype(np.uint16), book, magnitude=8)
+        assert serialize_stream(got.stream, book) == \
+            serialize_stream(want.stream, book)
+        on = kernel_engine == "native" and native.native_available()
+        assert narrowed == ([np.dtype(np.int64)] if on else [])
+
+
 class TestNativeScanPack:
     """The compiled scan-pack against the iterative pair (native leg)."""
 
@@ -471,21 +544,106 @@ class TestNativeScanPack:
         offsets = np.zeros(5, np.int64)
         bits = np.zeros(4, np.int64)
         broken = np.zeros(4 * cpc, np.bool_)
-        p = kern._p
         for n_out, refused_at in ((worst - 1, 0), (worst, 1)):
             out[:] = 0xA5
-            ret = kern._lib.scan_pack_u8(
-                p("uint8_t *", syms), 4, G, cpc, W,
-                p("uint64_t *", table), table.size,
-                p("uint8_t *", out), n_out, p("int64_t *", offsets),
-                p("int64_t *", bits), p("uint8_t *", broken),
-            )
+            ret = raw_scan_pack(kern, syms, book, G, cpc, W, out, n_out,
+                                offsets, bits, broken)
             assert ret == -2
             assert (out[n_out:] == 0xA5).all()
             assert offsets[refused_at] <= n_out
         # the wrapper's own capacity never refuses
-        got = kern.scan_pack(syms, table, G, cpc, W)
+        got = kern.scan_pack(syms, table, book.codes, G, cpc, W,
+                             book.max_length)
         assert got[-1] == -1 and got[2].tolist()[-1] == got[1].size
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_side_channel_equals_backtrace(self, data):
+        """The pass's side channel — cell indices, bit lengths, bits and
+        (after the store's prefix sum) byte offsets — equals the NumPy
+        backtrace's, for every symbol dtype, G and W, with no cell, some
+        or every cell broken, and codewords up to 63 bits."""
+        dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.uint32]))
+        G = data.draw(st.sampled_from([1, 2, 4, 8]))
+        W = data.draw(st.sampled_from([8, 16, 32]))
+        r = G.bit_length() - 1
+        M = data.draw(st.integers(max(r + 1, 3), 9))
+        n_chunks = data.draw(st.integers(0, 6))
+        kind = data.draw(st.sampled_from(["random", "none", "all", "deep"]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = n_chunks << M
+        if kind == "random":
+            alphabet = data.draw(st.sampled_from([3, 64, 256]))
+            syms = rng.choice(alphabet, n,
+                              p=rng.dirichlet(np.ones(alphabet) * 0.3))
+            hist = np.bincount(syms, minlength=alphabet)
+            hist[0] += 1
+            book = parallel_codebook(hist).codebook
+        elif kind == "none":  # 1-bit codewords: no cell passes W
+            syms = rng.integers(0, 2, n)
+            book = parallel_codebook(np.ones(2, np.int64)).codebook
+        else:
+            book = deep_book()
+            # symbols below 24 take 40+ bits: every cell breaks
+            syms = rng.integers(0, 24 if kind == "all" else 64, n)
+        syms = syms.astype(dtype)
+        tuning = EncoderTuning(M, r, W)
+        got = self.assert_same_bytes(syms, book, tuning)
+        want = extract_breaking_symbols(syms, book, got.broken, G)
+        store = save_breaking(got.broken.size, G, *got.side)
+        for name in ("cell_indices", "bit_lengths", "payload",
+                     "payload_offsets"):
+            a, b = getattr(store, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        if kind == "none":
+            assert store.nnz == 0
+        if kind == "all":
+            assert store.nnz == got.broken.size
+            assert not got.chunk_bits.any()
+
+    @pytest.mark.parametrize("short", ["payload", "indices"])
+    def test_raw_pass_refuses_a_broken_cell_past_the_side_capacity(
+            self, short):
+        """A broken cell whose index slot or exact bytes would pass the
+        side channel's capacity is refused: -2, and nothing lands past
+        the capacity."""
+        kern = native.kernel()
+        syms = np.arange(256, dtype=np.uint8).repeat(4)
+        book = book_for(syms, 256)  # 8-bit codewords: G=4 cells of 32 bits
+        G, cpc, W = 4, 16, 16  # M = 6, r = 2: every cell breaks
+        n_cells = syms.size // G
+        out = np.empty(syms.size, np.uint8)
+        offsets = np.empty(syms.size // 64 + 1, np.int64)
+        bits = np.empty(syms.size // 64, np.int64)
+        broken = np.empty(n_cells, np.bool_)
+
+        def run(n_bidx, n_bpay):
+            bidx = np.full(n_cells + 4, 0xA5A5A5A5, np.uint32)
+            blen = np.zeros(n_cells + 4, np.uint16)
+            bpay = np.full(n_cells * 4 + 16, 0xA5, np.uint8)
+            side = np.zeros(2, np.int64)
+            ret = raw_scan_pack(kern, syms, book, G, cpc, W, out, out.size,
+                                offsets, bits, broken, bidx, blen, n_bidx,
+                                bpay, n_bpay, side)
+            return ret, bidx, bpay, side
+
+        ret, bidx, bpay, side = run(n_cells, n_cells * 4)
+        assert ret == -1 and side.tolist() == [n_cells, n_cells * 4]
+        assert bidx[:n_cells].tolist() == list(range(n_cells))
+        want = extract_breaking_symbols(syms, book, broken, G)
+        assert np.array_equal(bpay[: n_cells * 4], want.payload)
+        if short == "payload":
+            got = run(n_cells, n_cells * 4 - 1)
+            assert (got[2][n_cells * 4 - 1:] == 0xA5).all()
+            # the cells that fit were written before the refusal
+            assert np.array_equal(got[2][: n_cells * 4 - 4],
+                                  want.payload[:-4])
+        else:
+            got = run(n_cells - 1, n_cells * 4)
+            assert (got[1][n_cells - 1:] == 0xA5A5A5A5).all()
+            assert (got[2][n_cells * 4 - 4:] == 0xA5).all()
+        assert got[0] == -2
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
     @pytest.mark.parametrize("size", [600, 5000])

@@ -29,7 +29,9 @@ unit:
 # registered-codebook encode suites, the histogram, codebook and
 # decode-table builder suites, the quantization suites, the
 # multi-symbol plane's NumPy oracle, the codeword-length route (its
-# Python two-queue oracle) plus the conformance smoke that way
+# Python two-queue oracle), the decode-setup routes (canonical codes,
+# decode table and lane layout from their NumPy oracles) plus the
+# conformance smoke that way
 test-no-native:
 	REPRO_DISABLE_NATIVE=1 $(PY) -m pytest -x -q \
 	        tests/test_gap_decoder.py tests/test_batch_decoder.py \
@@ -40,7 +42,8 @@ test-no-native:
 	        tests/test_codebooks_registry.py tests/test_histogram.py \
 	        tests/test_generate_cl_cw.py tests/test_decode_table_build.py \
 	        tests/test_quantize_pass.py tests/test_datasets.py \
-	        tests/test_multi_plane.py tests/test_two_queue_pass.py
+	        tests/test_multi_plane.py tests/test_two_queue_pass.py \
+	        tests/test_decode_setup_pass.py
 	REPRO_DISABLE_NATIVE=1 $(MAKE) --no-print-directory conform-smoke
 
 # memory-safety leg for the native module (tier 2): REPRO_NATIVE_SANITIZE=1
@@ -50,8 +53,9 @@ test-no-native:
 # tests, the container fuzz, the scan-pack pass against the iterative
 # pair and its breaking side channel against the NumPy backtrace
 # (misaligned views and short side buffers included), the C-vs-NumPy
-# histogram, two-queue codeword-length, Lorenzo quantize/dequantize and
-# multi-symbol plane tests (the
+# histogram, two-queue codeword-length, Lorenzo quantize/dequantize,
+# multi-symbol plane and decode-setup (canonical codes, decode table,
+# lane layout, with their too-small-buffer refusals) tests (the
 # histogram pass also under the gpu_histogram suite, the Lorenzo passes
 # also under the dataset suite), then the conformance fuzz (170 rounds
 # x 6 ops = 1020 mutants per container on the text and DNA corpora,
@@ -66,7 +70,7 @@ native-asan:
 	        tests/test_scan_pack.py tests/test_histogram_pass.py \
 	        tests/test_histogram.py tests/test_quantize_pass.py \
 	        tests/test_datasets.py tests/test_multi_plane.py \
-	        tests/test_two_queue_pass.py
+	        tests/test_two_queue_pass.py tests/test_decode_setup_pass.py
 	$(ASAN_RUN) $(PY) -m repro.conform.cli --corpora enwik8,genomics \
 	        --fuzz-rounds 170 --out /tmp/CONFORMANCE.asan.json
 	! $(ASAN_RUN) $(PY) tests/asan_negative_probe.py \

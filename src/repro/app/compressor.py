@@ -26,6 +26,7 @@ from repro.core.bitstream import decode_stream, symbol_dtype
 from repro.core.chunk_parallel import parallel_encode
 from repro.core.codebook_parallel import parallel_codebook
 from repro.core.encoder import _avg_bits, _resolve_tuning
+from repro.core.scan_pack import narrow_symbols
 from repro.core.serialization import (
     container_guard,
     deserialize_adaptive,
@@ -45,6 +46,7 @@ from repro.datasets.quantization import (
 )
 from repro.histogram.gpu_histogram import MAX_HISTOGRAM_BINS, gpu_histogram
 from repro.huffman.cache import cached_codebook
+from repro.native import SYMBOL_DTYPES
 from repro.obs import metrics as _metrics
 from repro.obs import span as _span
 
@@ -92,7 +94,15 @@ def _record_app_metrics(op: str, report: CompressionReport) -> None:
 def _encode_to_bytes(
     data: np.ndarray, num_symbols: int, magnitude: int, device: DeviceSpec,
 ) -> tuple[bytes, CompressionReport]:
-    hist = gpu_histogram(data, num_symbols, device=device)
+    # int32/int64/uint64 symbols are range-checked and narrowed once, for
+    # both the histogram and the encode (the histogram's error if a
+    # symbol is outside [0, num_symbols)); the costs keep the input size
+    syms = data
+    if data.dtype not in SYMBOL_DTYPES:
+        syms = narrow_symbols(data, num_symbols)
+        if syms is None:
+            raise ValueError("symbol out of histogram range")
+    hist = gpu_histogram(syms, num_symbols, device=device)
     # The codebook is a pure function of the histogram: repeated compress
     # calls over same-distribution data (timestep streams) skip the whole
     # two-phase construction via the digest-keyed cache.
@@ -105,7 +115,8 @@ def _encode_to_bytes(
     total_bits = int(hist.histogram @ book.lengths)
     tuning = _resolve_tuning(magnitude, None, 32,
                              _avg_bits(total_bits, data.size))
-    enc = parallel_encode(data, book, tuning=tuning, device=device)
+    enc = parallel_encode(syms, book, tuning=tuning, device=device,
+                          input_bytes=int(data.nbytes))
     payload = serialize_stream(enc.stream, book)
     report = CompressionReport(
         input_bytes=int(data.nbytes),

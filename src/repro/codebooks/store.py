@@ -9,7 +9,7 @@ A canonical codebook is fully determined by its length vector, so the
 book file persists exactly the bytes of
 :func:`repro.core.serialization.serialize_codebook` behind a small
 magic/version header; loading rebuilds the code assignment with
-:func:`repro.huffman.codebook.canonical_from_lengths` and then verifies
+:func:`repro.huffman.codebook.canonical_codes` and then verifies
 that the rebuilt book's content digest matches the id it was filed
 under — a flipped length byte cannot silently alias another book.
 
@@ -30,7 +30,7 @@ from pathlib import Path
 
 from repro.core.serialization import container_guard, serialize_codebook
 from repro.huffman.cache import codebook_digest
-from repro.huffman.codebook import CanonicalCodebook, canonical_from_lengths
+from repro.huffman.codebook import CanonicalCodebook, canonical_codes
 
 __all__ = ["CodebookStore", "BOOK_MAGIC", "STORE_VERSION", "MANIFEST_NAME"]
 
@@ -59,9 +59,7 @@ def _parse_book(buf: bytes, expect_id: str) -> CanonicalCodebook:
         raise ValueError("truncated codebook file")
     import numpy as np
 
-    book = canonical_from_lengths(
-        np.frombuffer(lengths, dtype=np.uint8).astype(np.int32)
-    )
+    book = canonical_codes(np.frombuffer(lengths, dtype=np.uint8))
     got = codebook_digest(book)
     if got != expect_id:
         raise ValueError(

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import native
 from repro.core.breaking import BreakingStore
 from repro.core.tuning import EncoderTuning
 from repro.huffman.cache import cached_decode_table
@@ -48,6 +49,8 @@ __all__ = [
     "decode_stream_scalar",
     "stream_lanes",
     "stream_placement",
+    "lane_layout",
+    "layout_oracle",
     "decode_lanes",
     "assemble_stream_symbols",
     "symbol_dtype",
@@ -109,10 +112,7 @@ class EncodedStream:
         return self.payload[lo:hi], int(self.chunk_bits[chunk])
 
 
-def stream_lanes(
-    stream: EncodedStream,
-    pad: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def stream_lanes(stream: EncodedStream, pad: int = 0, placement: bool = False):
     """Flatten a container into decode lanes over one shared buffer.
 
     Lane order: the ``n_chunks`` dense chunk streams, then the broken
@@ -120,10 +120,110 @@ def stream_lanes(
     byte-aligned in its section, so the shared buffer is just the three
     payload sections back to back, followed by ``pad`` zero bytes (the
     compiled decode pass's read-ahead): one copy, or a zero-copy view
-    when only the chunk payload exists and no pad is asked for.
+    when only the chunk payload exists and no pad is asked for.  The
+    lanes come from :func:`lane_layout`, which raises ``ValueError`` for
+    a truncated section or disordered cell indices.
 
-    Returns ``(buffer, start_bits, end_bits, n_symbols)``.
+    Returns ``(buffer, start_bits, end_bits, n_symbols)``, and with
+    ``placement=True`` the lanes' stream-order
+    :class:`~repro.decoder.gap_array.LanePlacement` as a fifth item
+    (the same layout pass, not a second one).
     """
+    starts, ends, nsyms, place = lane_layout(stream)
+    brk = stream.breaking
+    if pad or brk.payload.size or stream.tail_payload.size:
+        buffer = np.concatenate([stream.payload, brk.payload,
+                                 stream.tail_payload,
+                                 np.zeros(pad, np.uint8)])
+    else:
+        buffer = stream.payload
+    if placement:
+        return buffer, starts, ends, nsyms, place
+    return buffer, starts, ends, nsyms
+
+
+def stream_placement(stream: EncodedStream):
+    """Stream-order placement of the lanes of :func:`stream_lanes`.
+
+    Chunk ``c`` stores from ``c * N`` on and jumps over its broken
+    cells (holes at ``cell * G``); broken-cell lane ``j`` fills its own
+    cell; the tail lands after the last full chunk.  Returns a
+    :class:`repro.decoder.gap_array.LanePlacement`.
+    """
+    return lane_layout(stream)[3]
+
+
+#: the section checks of the lane layout, by the compiled pass's codes
+_LAYOUT_ERRORS = {
+    1: "chunk payload truncated",
+    2: "breaking payload truncated",
+    3: "tail payload truncated",
+    4: "breaking cell indices unsorted or out of range",
+}
+
+#: geometry the compiled layout pass takes: every lane offset and bit
+#: count below this stays exact in its int64 arithmetic
+_LAYOUT_LIMIT = 1 << 62
+
+
+def lane_layout(stream: EncodedStream):
+    """``(starts, ends, nsyms, placement)``: every decode lane of
+    ``stream`` — its start and end bit in the buffer of
+    :func:`stream_lanes` and its symbol count — and where its symbols
+    land (:class:`~repro.decoder.gap_array.LanePlacement`).
+
+    The compiled ``lane_layout`` pass of :mod:`repro.native` derives
+    them in one sweep over ``chunk_bits``, the chunk offsets, the broken
+    cells' indices, bit lengths and offsets and the tail fields; without
+    the module, or for a geometry past ``_LAYOUT_LIMIT``,
+    :func:`layout_oracle` does.  Both check every lane's section first:
+    the chunk, breaking and tail payloads must hold their lanes, and the
+    cell indices must increase strictly below the cell count, else
+    ``ValueError``.  The ``decode.layout`` span records ``impl``
+    (``"native"`` or ``"numpy"``) and ``fallback``.
+    """
+    t = stream.tuning
+    kern = native.kernel()
+    with _span("decode.layout", chunks=stream.n_chunks,
+               broken=stream.breaking.nnz) as sp:
+        if kern is None:
+            reason = "no_native_kernel"
+        elif max(t.chunk_symbols * max(stream.n_chunks, 1), stream.tail_bits,
+                 stream.tail_symbols) >= _LAYOUT_LIMIT:
+            reason = "geometry"
+        else:
+            sp.set_attr(impl="native")
+            return _native_layout(kern, stream)
+        sp.set_attr(impl="numpy", fallback=reason)
+        return layout_oracle(stream)
+
+
+def _native_layout(kern, stream: EncodedStream):
+    from repro.decoder.gap_array import LanePlacement
+
+    t = stream.tuning
+    brk = stream.breaking
+    status, out = kern.lane_layout(
+        stream.n_chunks, t.cells_per_chunk, t.group_symbols,
+        stream.chunk_offsets, stream.chunk_bits, stream.payload.nbytes,
+        brk.cell_indices, brk.bit_lengths, brk.payload_offsets,
+        brk.payload.nbytes, stream.tail_symbols, stream.tail_bits,
+        stream.tail_payload.nbytes,
+    )
+    if status > 0:
+        raise ValueError(_LAYOUT_ERRORS[status])
+    n = stream.n_chunks + brk.nnz + (stream.tail_symbols > 0)
+    placement = LanePlacement(out[3 * n: 4 * n], out[4 * n: 5 * n + 1],
+                              out[5 * n + 1:], t.group_symbols,
+                              stream.n_symbols)
+    return out[:n], out[n: 2 * n], out[2 * n: 3 * n], placement
+
+
+def layout_oracle(stream: EncodedStream):
+    """NumPy reference of the compiled ``lane_layout`` pass: the same
+    ``(starts, ends, nsyms, placement)`` and the same errors."""
+    from repro.decoder.gap_array import LanePlacement
+
     t = stream.tuning
     cpc = t.cells_per_chunk
     group = t.group_symbols
@@ -135,24 +235,25 @@ def stream_lanes(
     # shift the later sections left and lanes would silently read the
     # neighbouring section's bits.
     if n_chunks and int(stream.chunk_offsets[-1]) > stream.payload.nbytes:
-        raise ValueError("chunk payload truncated")
+        raise ValueError(_LAYOUT_ERRORS[1])
     if brk.nnz and int(brk.payload_offsets[-1]) > brk.payload.nbytes:
-        raise ValueError("breaking payload truncated")
+        raise ValueError(_LAYOUT_ERRORS[2])
     if stream.tail_bits > stream.tail_payload.nbytes * 8:
-        raise ValueError("tail payload truncated")
-
-    if pad or brk.payload.size or stream.tail_payload.size:
-        buffer = np.concatenate([stream.payload, brk.payload,
-                                 stream.tail_payload,
-                                 np.zeros(pad, np.uint8)])
-    else:
-        buffer = stream.payload
+        raise ValueError(_LAYOUT_ERRORS[3])
+    cells = brk.cell_indices.astype(np.int64)
+    if cells.size and (int(cells[0]) < 0 or int(cells[-1]) >= n_chunks * cpc
+                       or np.any(np.diff(cells) <= 0)):
+        raise ValueError(_LAYOUT_ERRORS[4])
+    # per chunk (plus one end entry), its first broken cell's index
+    first_broken = np.searchsorted(
+        cells, np.arange(n_chunks + 1, dtype=np.int64) * cpc
+    )
 
     # dense chunk lanes: byte-aligned at chunk_offsets, per-chunk symbol
     # count shrinks by `group` for every broken cell in the chunk
     chunk_starts = stream.chunk_offsets[:-1].astype(np.int64) * 8
     chunk_ends = chunk_starts + stream.chunk_bits.astype(np.int64)
-    chunk_syms = (cpc - np.diff(_first_broken(stream))) * group
+    chunk_syms = (cpc - np.diff(first_broken)) * group
 
     # broken-cell lanes: byte-aligned inside the breaking payload section
     brk_base = stream.payload.nbytes * 8
@@ -160,59 +261,28 @@ def stream_lanes(
     brk_ends = brk_starts + brk.bit_lengths.astype(np.int64)
     brk_syms = np.full(brk.nnz, group, dtype=np.int64)
 
-    starts = [chunk_starts, brk_starts]
-    ends = [chunk_ends, brk_ends]
-    nsyms = [chunk_syms.astype(np.int64), brk_syms]
-    if stream.tail_symbols:
-        tail_base = (stream.payload.nbytes + brk.payload.nbytes) * 8
-        starts.append(np.array([tail_base], dtype=np.int64))
-        ends.append(np.array([tail_base + stream.tail_bits], dtype=np.int64))
-        nsyms.append(np.array([stream.tail_symbols], dtype=np.int64))
-
-    return (
-        buffer,
-        np.concatenate(starts),
-        np.concatenate(ends),
-        np.concatenate(nsyms),
-    )
-
-
-def _first_broken(stream: EncodedStream) -> np.ndarray:
-    """Per chunk (plus one end entry), the index of its first broken
-    cell in ``breaking.cell_indices``."""
-    cpc = stream.tuning.cells_per_chunk
-    return np.searchsorted(
-        stream.breaking.cell_indices.astype(np.int64),
-        np.arange(stream.n_chunks + 1, dtype=np.int64) * cpc,
-    )
-
-
-def stream_placement(stream: EncodedStream):
-    """Stream-order placement of the lanes of :func:`stream_lanes`.
-
-    Chunk ``c`` stores from ``c * N`` on and jumps over its broken
-    cells (holes at ``cell * G``); broken-cell lane ``j`` fills its own
-    cell; the tail lands after the last full chunk.  Returns a
-    :class:`repro.decoder.gap_array.LanePlacement`.
-    """
-    # local import: gap_array builds on the huffman decode machinery
-    from repro.decoder.gap_array import LanePlacement
-
-    t = stream.tuning
-    N = t.chunk_symbols
-    cells = stream.breaking.cell_indices.astype(np.int64) * t.group_symbols
     n_tail = 1 if stream.tail_symbols else 0
+    tail_base = (stream.payload.nbytes + brk.payload.nbytes) * 8
+    starts = np.concatenate([chunk_starts, brk_starts,
+                             np.full(n_tail, tail_base, np.int64)])
+    ends = np.concatenate([chunk_ends, brk_ends,
+                           np.full(n_tail, tail_base + stream.tail_bits,
+                                   np.int64)])
+    nsyms = np.concatenate([chunk_syms.astype(np.int64), brk_syms,
+                            np.full(n_tail, stream.tail_symbols, np.int64)])
+
+    holes = cells * group
     out_off = np.concatenate([
-        np.arange(stream.n_chunks, dtype=np.int64) * N,
-        cells,
-        np.full(n_tail, stream.n_chunks * N, dtype=np.int64),
+        np.arange(n_chunks, dtype=np.int64) * t.chunk_symbols,
+        holes,
+        np.full(n_tail, n_chunks * t.chunk_symbols, dtype=np.int64),
     ])
     hole_base = np.concatenate([
-        _first_broken(stream),
-        np.full(cells.size + n_tail, cells.size, dtype=np.int64),
+        first_broken,
+        np.full(holes.size + n_tail, holes.size, dtype=np.int64),
     ])
-    return LanePlacement(out_off, hole_base, cells, t.group_symbols,
-                         stream.n_symbols)
+    return starts, ends, nsyms, LanePlacement(out_off, hole_base, holes,
+                                              group, stream.n_symbols)
 
 
 def symbol_dtype(book: CanonicalCodebook, dtype) -> np.dtype:
@@ -316,11 +386,13 @@ def decode_stream(
         sp.set_attr(table_tier=table.tier)
         with _span("decode.lanes") as lanes_span:
             pad = gap_array.lane_pad(table.max_length)
-            buffer, starts, ends, nsyms = stream_lanes(stream, pad)
+            buffer, starts, ends, nsyms, placement = stream_lanes(
+                stream, pad, placement=True
+            )
             lanes_span.set_attr(lanes=int(nsyms.size))
             res = gap_array.gap_decode_lanes(
                 buffer, starts, ends, nsyms, book, table,
-                placement=stream_placement(stream), dtype=dtype, pad=pad,
+                placement=placement, dtype=dtype, pad=pad,
             )
             lanes_span.set_attr(plane_steps=res.plane_steps)
         sp.set_attr(plane="off" if res.plane_reason else "multi",

@@ -17,7 +17,9 @@ same stable sort, two-queue lengths with GenerateCL's tie rule (the
 compiled ``two_queue_lengths`` pass of :mod:`repro.native` when it
 loads, else :func:`_two_queue_lengths`, its oracle; the
 ``encode.codebook`` span's ``lengths_impl`` says which), then
-:func:`~repro.huffman.codebook.canonical_from_lengths`.  Steps 2-3 run
+:func:`~repro.huffman.codebook.canonical_codes` (the compiled
+``canonical_codes`` pass, or ``canonical_from_lengths``, its oracle;
+the ``codebook.canonical`` span's ``impl`` says which).  Steps 2-3 run
 only when the result's modeled costs are first read, and that run
 checks GenerateCW's book against the host book field for field.
 """
@@ -34,7 +36,7 @@ from repro.core.generate_cw import generate_cw
 from repro.cuda.costmodel import KernelCost
 from repro.cuda.device import DeviceSpec, V100
 from repro.cuda.launch import KernelInfo, register_kernel
-from repro.huffman.codebook import CanonicalCodebook, canonical_from_lengths
+from repro.huffman.codebook import CanonicalCodebook, canonical_codes
 from repro.obs import add_attrs as _add_attrs
 from repro.obs import span as _span
 
@@ -199,7 +201,7 @@ def parallel_codebook(
         lengths[order] = (_two_queue_lengths(f_sorted) if kern is None
                           else kern.two_queue_lengths(f_sorted))
         with _span("encode.canonize"):
-            book = canonical_from_lengths(lengths)
+            book = canonical_codes(lengths)
         _add_attrs(max_length=int(book.max_length),
                    lengths_impl="numpy" if kern is None else "native")
     return ParallelCodebookResult(book, order, f_sorted, device)

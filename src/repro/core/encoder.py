@@ -182,7 +182,7 @@ def _record_encode(
     )
     reg = _metrics()
     reg.counter("repro_encode_symbols_total").inc(int(data.size))
-    reg.counter("repro_encode_bytes_in_total").inc(int(data.nbytes))
+    reg.counter("repro_encode_bytes_in_total").inc(int(result.input_bytes))
     reg.counter("repro_encode_bytes_out_total").inc(
         int(result.stream.payload_bytes)
     )
@@ -202,6 +202,7 @@ def gpu_encode(
     word_bits: int = 32,
     device: DeviceSpec = V100,
     impl: str = "scan",
+    input_bytes: int | None = None,
 ) -> GpuEncodeResult:
     """Encode ``data`` with the reduce-shuffle-merge scheme.
 
@@ -228,12 +229,19 @@ def gpu_encode(
       (:mod:`repro.core.scan_pack`): the compiled scan-pack pass of
       :mod:`repro.native` when that module loads, else the iterative
       pipeline, with the reason on the ``encode.scan_pack`` span.
+
+    ``input_bytes`` is the caller's input size when ``data`` is its
+    narrowed copy (the app facade narrows int32/int64/uint64 symbols
+    once for its histogram and this encode); the modeled costs and the
+    byte counters read it.
     """
     if impl not in ENCODE_IMPLS:
         raise ValueError(f"impl must be one of {ENCODE_IMPLS}, got {impl!r}")
     data = np.asarray(data)
+    if input_bytes is None:
+        input_bytes = int(data.nbytes)
     enc_span = _span("encode.reduce_shuffle_merge",
-                     bytes_in=int(data.nbytes), device=device.name,
+                     bytes_in=input_bytes, device=device.name,
                      impl=impl,
                      bits_from="stats_pass" if tuning is None else "histogram")
     with enc_span:
@@ -244,7 +252,7 @@ def gpu_encode(
             tuning = _resolve_tuning(
                 magnitude, reduction_factor, word_bits, avg_bits
             )
-        result = _encode_body(syms, book, tuning, impl, int(data.nbytes))
+        result = _encode_body(syms, book, tuning, impl, input_bytes)
     _record_encode(enc_span, data, result)
     return result
 

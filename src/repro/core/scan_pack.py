@@ -61,6 +61,7 @@ __all__ = [
     "analytic_moved_words",
     "checked_lengths",
     "pass_symbols",
+    "narrow_symbols",
     "packed_codeword_table",
     "native_symbol_bits",
 ]
@@ -175,26 +176,42 @@ def checked_lengths(
     return lens
 
 
+def narrow_symbols(data: np.ndarray, n_symbols: int) -> np.ndarray | None:
+    """Integer ``data`` cast to the narrowest of the compiled passes'
+    symbol dtypes that holds ``n_symbols - 1``, after one ``min``/``max``
+    range check; ``None`` when a symbol lies outside ``[0, n_symbols)``
+    (so ``2**32 + 3`` is refused rather than wrapped to symbol 3).  An
+    alphabet past 2^32 symbols keeps ``data`` as it is."""
+    if data.size and (int(data.min()) < 0 or int(data.max()) >= n_symbols):
+        return None
+    dtype = _narrowest(n_symbols)
+    return data if dtype is None else data.astype(dtype)
+
+
+def _narrowest(n_symbols: int) -> np.dtype | None:
+    top = max(int(n_symbols) - 1, 0)
+    return next((dt for dt in native.SYMBOL_DTYPES
+                 if top <= np.iinfo(dt).max), None)
+
+
 def pass_symbols(data: np.ndarray, book: CanonicalCodebook) -> np.ndarray:
     """``data`` as a contiguous array of a symbol dtype the compiled
     passes read.
 
     ``uint8``/``uint16``/``uint32`` arrays keep their dtype.  Any other
-    array is checked first — a negative or out-of-range symbol raises
-    :func:`checked_lengths`' ``IndexError`` (so ``2**32 + 3`` raises
-    rather than wrapping to symbol 3) — and then cast to the narrowest
-    of those dtypes that holds ``book.n_symbols - 1``.  A symbol without
-    a codeword is left to the pass, which stops at it.
+    array is narrowed by :func:`narrow_symbols` onto the dtype that
+    holds ``book.n_symbols - 1``; a negative or out-of-range symbol
+    raises :func:`checked_lengths`' ``IndexError`` instead.  A symbol
+    without a codeword is left to the pass, which stops at it.
     """
     if data.dtype in native.SYMBOL_DTYPES:
         return np.ascontiguousarray(data)
-    book.reject_negative(data)
-    if data.dtype.kind not in "iu" or (
-            data.size and int(data.max()) >= book.n_symbols):
-        checked_lengths(data, book)
-    top = book.n_symbols - 1
-    return data.astype(next(dt for dt in native.SYMBOL_DTYPES
-                            if top <= np.iinfo(dt).max))
+    if data.dtype.kind in "iu":
+        out = narrow_symbols(data, book.n_symbols)
+        if out is not None:
+            return out
+    checked_lengths(data, book)  # raises an out-of-range symbol's error
+    return data.astype(_narrowest(book.n_symbols))
 
 
 def native_symbol_bits(

@@ -29,7 +29,7 @@ import numpy as np
 from repro.core.bitstream import EncodedStream
 from repro.core.breaking import BreakingStore
 from repro.core.tuning import EncoderTuning
-from repro.huffman.codebook import CanonicalCodebook, canonical_from_lengths
+from repro.huffman.codebook import CanonicalCodebook, canonical_codes
 
 __all__ = [
     "MAGIC",
@@ -108,8 +108,11 @@ class _Reader:
         return self.take(n)
 
     def array(self, dtype, count: int) -> np.ndarray:
+        """A read-only view of the next ``count`` items, at whatever
+        alignment the container gives them (the compiled passes copy
+        such a view, or read it unaligned)."""
         itemsize = np.dtype(dtype).itemsize
-        return np.frombuffer(self.take(count * itemsize), dtype=dtype).copy()
+        return np.frombuffer(self.take(count * itemsize), dtype=dtype)
 
 
 def serialize_codebook(book: CanonicalCodebook) -> bytes:
@@ -129,8 +132,7 @@ def serialize_codebook(book: CanonicalCodebook) -> bytes:
 def deserialize_codebook(buf: bytes) -> CanonicalCodebook:
     r = _Reader(buf)
     (n,) = r.unpack("<I")
-    lengths = r.array(np.uint8, n).astype(np.int32)
-    return canonical_from_lengths(lengths)
+    return canonical_codes(r.array(np.uint8, n))
 
 
 def serialize_stream(stream: EncodedStream, book: CanonicalCodebook) -> bytes:
@@ -173,13 +175,17 @@ def deserialize_stream(
     against :mod:`repro.codebooks`), the container's length vector is
     *verified* against it byte-for-byte and the provided book — whose
     First/Entry arrays and cached k-bit LUT are already built — is
-    reused instead of running ``canonical_from_lengths`` again.  A
-    mismatch falls back to the cold rebuild rather than erroring: the
-    container stays self-describing either way.
+    reused instead of building the canonical book again
+    (:func:`~repro.huffman.codebook.canonical_codes`).  A mismatch
+    falls back to the cold rebuild rather than erroring: the container
+    stays self-describing either way.
 
-    The three payload sections come back as read-only views of ``buf``
-    (which they keep alive): the decoder's padded copy is the only copy
-    of the payload on the decode path.
+    The three payload sections, the broken cells' indices and their bit
+    lengths come back as read-only views of ``buf`` (which they keep
+    alive); ``chunk_bits`` is the one copy of the metadata (widened to
+    int64), and the book's lengths are copied once, into the book.  The
+    decoder's padded buffer is the only copy of the payload on the
+    decode path.
     """
     r = _Reader(buf)
     if r.take(4) != MAGIC:
@@ -190,7 +196,7 @@ def deserialize_stream(
     n_symbols, n_chunks, tail_symbols, tail_bits = r.unpack("<QQQQ")
 
     (alphabet,) = r.unpack("<I")
-    lengths = r.array(np.uint8, alphabet).astype(np.int32)
+    lengths = r.array(np.uint8, alphabet)
     if (
         book is not None
         and book.n_symbols == int(alphabet)
@@ -198,7 +204,7 @@ def deserialize_stream(
     ):
         pass  # registry hit: skip the canonical rebuild
     else:
-        book = canonical_from_lengths(lengths)
+        book = canonical_codes(lengths)
 
     chunk_bits = r.array(np.uint32, n_chunks).astype(np.int64)
     payload = np.frombuffer(r.blob(), dtype=np.uint8)
@@ -211,8 +217,9 @@ def deserialize_stream(
     indices = r.array(np.uint32, nnz)
     bit_lengths = r.array(np.uint16, nnz)
     bpayload = np.frombuffer(r.blob(), dtype=np.uint8)
+    bits64 = bit_lengths.astype(np.int64)
     boffsets = np.zeros(nnz + 1, dtype=np.int64)
-    np.cumsum((bit_lengths.astype(np.int64) + 7) // 8, out=boffsets[1:])
+    np.cumsum((bits64 + 7) // 8, out=boffsets[1:])
     if int(boffsets[-1]) != bpayload.size:
         raise ValueError("breaking payload size disagrees with bit lengths")
     breaking = BreakingStore(
@@ -239,11 +246,7 @@ def deserialize_stream(
         raise ValueError("tail symbols exceed tail bits")
     if (int(tail_bits) + 7) // 8 != tail_payload.size:
         raise ValueError("tail payload size disagrees with tail bits")
-    total_bits = (
-        int(chunk_bits.sum())
-        + int(bit_lengths.astype(np.int64).sum())
-        + int(tail_bits)
-    )
+    total_bits = int(chunk_bits.sum()) + int(bits64.sum()) + int(tail_bits)
     if int(n_symbols) > total_bits:
         raise ValueError("declared symbols exceed encoded bits")
     if int(n_cells) != int(n_chunks) * tuning.cells_per_chunk:
@@ -318,8 +321,7 @@ def deserialize_adaptive(buf: bytes):
         raise ValueError(f"unsupported container version {version}")
     n_symbols, n_chunks, tail_symbols, tail_bits = r.unpack("<QQQQ")
     (alphabet,) = r.unpack("<I")
-    lengths = r.array(np.uint8, alphabet).astype(np.int32)
-    book = canonical_from_lengths(lengths)
+    book = canonical_codes(r.array(np.uint8, alphabet))
     chunk_r = r.array(np.uint8, n_chunks)
     (n_groups,) = r.unpack("<I")
     group_streams = {}

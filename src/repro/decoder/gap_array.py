@@ -201,7 +201,10 @@ def gap_decode_lanes(
     ``buffer``'s last ``pad`` bytes are zeros past every lane
     (:func:`~repro.core.bitstream.stream_lanes` with a ``pad``); when
     they cover :func:`lane_pad`, the pass reads ``buffer`` in place,
-    else it reads a padded copy.
+    else it reads a padded copy.  The pass bounds-checks every lane
+    before it decodes it, so the lane checks of ``decode_lanes``
+    (``_check_lanes``) run only when it stops, and a lane outside the
+    buffer raises the same error as there.
     """
     if table is None:
         table = build_decode_table(book)
@@ -217,8 +220,13 @@ def gap_decode_lanes(
         symbols = decode_lanes(buffer, starts, ends, nsyms, book, table)
         return GapDecodeResult(symbols, "lanes", reason, plane_reason=reason)
 
-    buffer, starts, ends, nsyms = _check_lanes(buffer, starts, ends, nsyms)
-    if pad < lane_pad(table.max_length):
+    starts, ends, nsyms = (np.ascontiguousarray(a, np.int64)
+                           for a in (starts, ends, nsyms))
+    if not starts.shape == ends.shape == nsyms.shape or starts.ndim != 1:
+        raise ValueError("lane arrays must be equal-shape 1-D")
+    if pad < lane_pad(table.max_length) or not (
+            padded.dtype == np.uint8 and padded.flags.c_contiguous):
+        buffer = np.ascontiguousarray(buffer, np.uint8)
         padded = _pad_buffer(buffer, table.max_length)
     if placement is None:
         placement = _lane_major(nsyms)
@@ -232,9 +240,12 @@ def gap_decode_lanes(
         placement.holes, placement.group, table, out, plane=not off,
     )
     if bad >= 0:
-        # the pass checked the lane's placement before decoding it, and
-        # its bits already passed _check_lanes: if the placement fits,
-        # the lane ran out of bits
+        # the pass checks every lane's bits and placement before it
+        # decodes it, so the lanes are validated only on this path: a
+        # lane outside the buffer raises _check_lanes' error (as if it
+        # had run first); else, if the placement fits, the lane ran out
+        # of bits
+        _check_lanes(buffer, starts, ends, nsyms)
         if _lane_fits(placement, nsyms, bad):
             raise ValueError("bitstream exhausted before all symbols decoded")
         raise ValueError("lane placement outside the output")

@@ -24,7 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CanonicalCodebook", "canonical_from_lengths", "MAX_CODE_BITS"]
+from repro import native
+from repro.obs.trace import span as _span
+
+__all__ = [
+    "CanonicalCodebook",
+    "canonical_codes",
+    "canonical_from_lengths",
+    "MAX_CODE_BITS",
+]
 
 #: Codewords are held in 64-bit words; practical HPC datasets in the paper
 #: stay well under 32 bits.
@@ -154,7 +162,11 @@ def canonical_from_lengths(lengths: np.ndarray) -> CanonicalCodebook:
     Symbols are ranked by (length, symbol index); within each length class
     codewords are consecutive integers; the first codeword of length l is
     ``(first[l-1] + count[l-1]) << (l - (l-1))`` per the standard canonical
-    recurrence.  Raises if the lengths violate the Kraft inequality.
+    recurrence.  Raises ``ValueError`` if a length passes
+    ``MAX_CODE_BITS`` or the lengths violate the Kraft inequality.
+
+    This is the oracle of the compiled ``canonical_codes`` pass, which
+    :func:`canonical_codes` runs when :mod:`repro.native` loads.
     """
     lengths = np.asarray(lengths, dtype=np.int32)
     n = lengths.size
@@ -171,19 +183,18 @@ def canonical_from_lengths(lengths: np.ndarray) -> CanonicalCodebook:
         raise ValueError(f"codeword length {maxlen} exceeds {MAX_CODE_BITS}")
     counts = np.bincount(lengths[used], minlength=maxlen + 1).astype(np.int64)
     counts[0] = 0
-    # Kraft check: sum 2^-l <= 1  <=>  sum counts[l] * 2^(H-l) <= 2^H
-    kraft_scaled = int(np.sum(counts * (1 << (maxlen - np.arange(maxlen + 1)))))
-    if kraft_scaled > (1 << maxlen):
-        raise ValueError("length vector violates the Kraft inequality")
 
     first = np.zeros(maxlen + 1, dtype=np.int64)
     entry = np.zeros(maxlen + 1, dtype=np.int64)
     code = 0
     for l in range(1, maxlen + 1):
         code = (code + int(counts[l - 1])) << 1
+        # codes of length l occupy [first[l], first[l] + counts[l]); in
+        # exact integers that fits 2^l iff the Kraft sum up to l is <= 1
+        if code + int(counts[l]) > 1 << l:
+            raise ValueError("length vector violates the Kraft inequality")
         first[l] = code
         entry[l] = entry[l - 1] + counts[l - 1]
-        # codes of length l occupy [first[l], first[l] + counts[l])
     # assign codes: used symbols sorted by (length, symbol); class l
     # starts at position entry[l], so a symbol's rank within its class
     # is its position minus that
@@ -198,3 +209,30 @@ def canonical_from_lengths(lengths: np.ndarray) -> CanonicalCodebook:
         entry=entry,
         symbols_by_code=order.astype(np.int64),
     )
+
+
+def canonical_codes(lengths: np.ndarray) -> CanonicalCodebook:
+    """The canonical codebook of a length vector, built by the compiled
+    ``canonical_codes`` pass of :mod:`repro.native` when it loads, else
+    by :func:`canonical_from_lengths`, its oracle: the same arrays and
+    the same ``ValueError`` either way.
+
+    The ``codebook.canonical`` span records the route as ``impl``
+    (``"native"`` or ``"numpy"``) and why NumPy ran as ``fallback``.
+    """
+    kern = native.kernel()
+    with _span("codebook.canonical") as sp:
+        if kern is None:
+            sp.set_attr(impl="numpy", fallback="no_native_kernel")
+            return canonical_from_lengths(lengths)
+        sp.set_attr(impl="native")
+        status, maxlen, arrays = kern.canonical_codes(lengths)
+    if status == 1:
+        raise ValueError(f"codeword length {maxlen} exceeds {MAX_CODE_BITS}")
+    if status == 2:
+        raise ValueError("length vector violates the Kraft inequality")
+    if arrays is None:
+        raise RuntimeError(f"canonical_codes refused its buffers ({status})")
+    lengths, codes, first, entry, order = arrays
+    return CanonicalCodebook(codes=codes, lengths=lengths, first=first,
+                             entry=entry, symbols_by_code=order)

@@ -31,6 +31,7 @@ from repro import native
 from repro.huffman.codebook import CanonicalCodebook
 from repro.huffman.tree import HuffmanTree
 from repro.obs import metrics as _metrics
+from repro.obs import span as _span
 from repro.utils.bits import unpack_to_bits
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "decode_canonical",
     "plane_dtype",
     "plane_oracle",
+    "table_oracle",
     "decode_lanes",
     "decode_batch",
     "decode_with_tree",
@@ -223,6 +225,14 @@ def _groups(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(new), np.cumsum(new) - 1
 
 
+def _check_alphabet(book: CanonicalCodebook) -> None:
+    if book.n_symbols - 1 > MAX_TABLE_SYMBOL:
+        raise ValueError(
+            f"alphabet too large for packed decode entries "
+            f"(max symbol {MAX_TABLE_SYMBOL})"
+        )
+
+
 def build_decode_table(
     book: CanonicalCodebook, k: int | None = None
 ) -> DecodeTable:
@@ -236,19 +246,56 @@ def build_decode_table(
     ``_NODE_BITS`` bits — or every remaining bit at once when the
     remainder fits a single (slightly wider) level.  Every codeword,
     including W=32 chains and 2^16+-symbol books, resolves through
-    gathers only.
+    gathers only.  Nodes are numbered breadth first, children in prefix
+    order.
 
-    Nodes are numbered breadth first, children in prefix order.  The
-    build runs one depth at a time: the deep codewords are sorted by
+    The compiled ``decode_table`` passes of :mod:`repro.native` build it
+    when the module loads: one sweep over ``book.symbols_by_code`` (a
+    canonical book lists its codewords in ascending left-aligned order,
+    so every node owns one run of them) plans the nodes, a second fills
+    the tables.  :func:`table_oracle` builds it otherwise — no module,
+    or a plan that refuses the book: its ``symbols_by_code`` is not that
+    order of a prefix code (or the root is wider than 30 bits) — with
+    the same arrays.  The ``decode.table`` span records ``impl``
+    (``"native"`` or ``"numpy"``) and ``fallback``.  A flat, complete
+    table then gets its multi-symbol plane.
+    """
+    _check_alphabet(book)
+    k = _root_bits(book, k)
+    maxlen = int(book.max_length)
+    kern = native.kernel()
+    with _span("decode.table", k=k) as sp:
+        arrays = None
+        if kern is None:
+            reason = "no_native_kernel"
+        else:
+            arrays = kern.decode_table(
+                book.lengths, book.codes, book.symbols_by_code, k, maxlen,
+                _NODE_BITS, _NODE_SPILL,
+            )
+            reason = "book_order"
+        if arrays is None:
+            table = table_oracle(book, k)
+            sp.set_attr(impl="numpy", fallback=reason)
+        else:
+            table = DecodeTable(k, *arrays, maxlen)
+            sp.set_attr(impl="native")
+        sp.set_attr(tier=table.tier)
+        _attach_plane(table, book)
+    return table
+
+
+def table_oracle(
+    book: CanonicalCodebook, k: int | None = None
+) -> DecodeTable:
+    """NumPy reference of the compiled table build (no plane attached).
+
+    The build runs one depth at a time: the deep codewords are sorted by
     their left-aligned value once, so every node at every depth owns one
     contiguous run of them, and a depth's widths, bases, span fills and
     child pointers are each one vectorized pass over its runs.
     """
-    if book.n_symbols - 1 > MAX_TABLE_SYMBOL:
-        raise ValueError(
-            f"alphabet too large for packed decode entries "
-            f"(max symbol {MAX_TABLE_SYMBOL})"
-        )
+    _check_alphabet(book)
     maxlen = int(book.max_length)
     k = _root_bits(book, k)
     used = np.flatnonzero(book.lengths > 0)
@@ -314,9 +361,7 @@ def build_decode_table(
     complete = bool(
         (root != _INVALID).all() and (sub != _INVALID).all()
     )
-    table = DecodeTable(k, root, sub, node_base, node_bits, complete, maxlen)
-    _attach_plane(table, book)
-    return table
+    return DecodeTable(k, root, sub, node_base, node_bits, complete, maxlen)
 
 
 def plane_dtype(book: CanonicalCodebook) -> np.dtype:

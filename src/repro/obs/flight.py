@@ -15,7 +15,11 @@ after it finishes, when its fate is known.
 - every request that *failed* (user error, shed) is kept;
 - every request whose latency reaches the rolling p99 of recent
   completions is kept (the outliers are exactly the ones worth
-  debugging);
+  debugging).  The recorder's first completion (a service's cold
+  start: imports, compiled-module load, empty caches) sets no bar:
+  below 100 samples the nearest-rank p99 is the window's maximum, so
+  it would otherwise hide every warm outlier until it leaves the
+  window;
 - of the boring majority, one in ``sample_every`` is kept as ambient
   baseline.
 
@@ -148,6 +152,7 @@ class FlightRecorder:
         self.sample_every = int(sample_every)
         self.min_outlier_window = int(min_outlier_window)
         self._durations: deque[float] = deque(maxlen=int(p99_window))
+        self._appended = 0  # durations ever added to the window
         self._lock = threading.Lock()
         self._epoch_wall = time.time()
         self.seen = 0
@@ -158,7 +163,14 @@ class FlightRecorder:
         n = len(self._durations)
         if n < self.min_outlier_window:
             return None
+        # the first completion counts toward filling the window but,
+        # while it is in it, sets no bar: it is the cold start
         ordered = sorted(self._durations)
+        if self._appended == n:
+            ordered.remove(self._durations[0])
+            n -= 1
+        if not n:
+            return None
         return ordered[min(n - 1, int(0.99 * n))]
 
     def record(self, rec: RequestRecord) -> str:
@@ -171,6 +183,7 @@ class FlightRecorder:
             self.seen += 1
             p99 = self._p99_locked()
             self._durations.append(rec.duration_ms)
+            self._appended += 1
             if rec.status != "ok":
                 reason = "error"
             elif p99 is not None and rec.duration_ms >= p99:
@@ -222,6 +235,7 @@ class FlightRecorder:
             self._important.clear()
             self._sampled.clear()
             self._durations.clear()
+            self._appended = 0
             self.seen = 0
             self.kept = 0
 

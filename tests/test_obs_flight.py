@@ -70,6 +70,22 @@ def test_outlier_kept_after_window_fills(reg):
     assert "slow" in ids
 
 
+def test_cold_first_request_sets_no_outlier_bar(reg):
+    """The first completion is the cold start (4-6 ms against 0.5-0.9 ms
+    warm for a small compress).  Below 100 samples the nearest-rank p99
+    is the window's maximum, so if the cold request counted, a warm
+    request 6x slower than the others would still fall under it."""
+    fr = FlightRecorder(capacity=64, sample_every=1000)
+    assert fr.record(rec("cold", duration_ms=6.0, ts=0.0)) == ""
+    for i in range(40):
+        fr.record(rec(f"warm{i}", duration_ms=0.5 + 0.01 * (i % 10),
+                      ts=1.0 + i))
+    assert fr.stats()["p99_ms_estimate"] == pytest.approx(0.59)
+    reason = fr.record(rec("slow", duration_ms=3.5, ts=99.0))
+    assert reason == "outlier"
+    assert "slow" in [r.request_id for r in fr.recent()]
+
+
 def test_healthy_flood_cannot_evict_errors(reg):
     fr = FlightRecorder(capacity=8, sample_every=1, min_outlier_window=999)
     fr.record(rec("the-error", status="error", ts=0.0))

@@ -452,6 +452,53 @@ class TestNarrowOnce:
         on = kernel_engine == "native" and native.native_available()
         assert narrowed == ([np.dtype(np.int64)] if on else [])
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+    def test_facade_narrows_once(self, kernel_engine, monkeypatch, dtype):
+        """``compress_symbols`` narrows other dtypes once, before its
+        histogram: both the histogram and the encode get the narrowed
+        array, and the container is the uint16 one but for the itemsize
+        byte of its header."""
+        import importlib
+
+        from repro.core import encoder
+
+        hist_mod = importlib.import_module("repro.histogram.gpu_histogram")
+
+        seen = []
+        real_hist, real_pass = hist_mod.host_histogram, encoder.pass_symbols
+        monkeypatch.setattr(hist_mod, "host_histogram", lambda d, n: (
+            seen.append(("histogram", d.dtype)) or real_hist(d, n)))
+        monkeypatch.setattr(encoder, "pass_symbols", lambda d, b: (
+            seen.append(("encode", d.dtype)) or real_pass(d, b)))
+        rng = np.random.default_rng(17)
+        syms = rng.choice(300, 9 * 1024 + 5,
+                          p=rng.dirichlet(np.ones(300) * 0.3))
+        blob, report = compress_symbols(syms.astype(dtype), 300)
+        want, _ = compress_symbols(syms.astype(np.uint16), 300)
+        assert blob[13:] == want[13:]
+        assert blob[4] == np.dtype(dtype).itemsize and want[4] == 2
+        assert report.input_bytes == syms.size * np.dtype(dtype).itemsize
+        narrowed = [(stage, dt) for stage, dt in seen
+                    if dt not in native.SYMBOL_DTYPES]
+        assert narrowed == []
+        assert ("histogram", np.dtype(np.uint16)) in seen
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint64])
+    def test_facade_errors_unchanged(self, dtype):
+        """A symbol outside ``[0, num_symbols)`` still raises the
+        histogram's error, before anything is narrowed."""
+        values = [300, (1 << 31) - 1]
+        if np.dtype(dtype).itemsize == 8:
+            values.append((1 << 32) + 3)
+        if np.dtype(dtype).kind == "i":
+            values.append(-1)
+        for value in values:
+            syms = np.arange(2000) % 300
+            bad = syms.astype(dtype)
+            bad[700] = value
+            with pytest.raises(ValueError, match="out of histogram range"):
+                compress_symbols(bad, 300)
+
 
 class TestNativeScanPack:
     """The compiled scan-pack against the iterative pair (native leg)."""

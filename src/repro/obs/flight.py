@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -143,6 +144,8 @@ class FlightRecorder:
             raise ValueError("capacity must be >= 2")
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
+        if p99_window < 1:
+            raise ValueError("p99_window must be >= 1")
         # errors/outliers get half the capacity, ambient samples the rest
         self._important: deque[RequestRecord] = deque(maxlen=capacity // 2)
         self._sampled: deque[RequestRecord] = deque(
@@ -152,6 +155,8 @@ class FlightRecorder:
         self.sample_every = int(sample_every)
         self.min_outlier_window = int(min_outlier_window)
         self._durations: deque[float] = deque(maxlen=int(p99_window))
+        #: the same window kept sorted, so the p99 is one index, not a sort
+        self._ordered: list[float] = []
         self._appended = 0  # durations ever added to the window
         self._lock = threading.Lock()
         self._epoch_wall = time.time()
@@ -160,18 +165,29 @@ class FlightRecorder:
 
     # -------------------------------------------------------- retention --
     def _p99_locked(self) -> Optional[float]:
-        n = len(self._durations)
-        if n < self.min_outlier_window:
+        ordered = self._ordered
+        n = len(ordered)
+        if not n or n < self.min_outlier_window:
             return None
+        if self._appended != n:
+            return ordered[min(n - 1, int(0.99 * n))]
         # the first completion counts toward filling the window but,
-        # while it is in it, sets no bar: it is the cold start
-        ordered = sorted(self._durations)
-        if self._appended == n:
-            ordered.remove(self._durations[0])
-            n -= 1
+        # while it is in it, sets no bar: it is the cold start.  Rank
+        # among the others by stepping over one copy of its value.
+        skip = bisect_left(ordered, self._durations[0])
+        n -= 1
         if not n:
             return None
-        return ordered[min(n - 1, int(0.99 * n))]
+        k = min(n - 1, int(0.99 * n))
+        return ordered[k + 1 if k >= skip else k]
+
+    def _push_locked(self, duration_ms: float) -> None:
+        window = self._durations
+        if len(window) == window.maxlen:
+            del self._ordered[bisect_left(self._ordered, window[0])]
+        window.append(duration_ms)
+        insort(self._ordered, duration_ms)
+        self._appended += 1
 
     def record(self, rec: RequestRecord) -> str:
         """Offer one completed request; returns the retention reason.
@@ -182,8 +198,7 @@ class FlightRecorder:
         with self._lock:
             self.seen += 1
             p99 = self._p99_locked()
-            self._durations.append(rec.duration_ms)
-            self._appended += 1
+            self._push_locked(rec.duration_ms)
             if rec.status != "ok":
                 reason = "error"
             elif p99 is not None and rec.duration_ms >= p99:
@@ -235,6 +250,7 @@ class FlightRecorder:
             self._important.clear()
             self._sampled.clear()
             self._durations.clear()
+            self._ordered.clear()
             self._appended = 0
             self.seen = 0
             self.kept = 0
@@ -245,10 +261,11 @@ class FlightRecorder:
 
         Each record's spans keep their internal layout (they are
         request-tracer-relative) and the whole tree is placed on the
-        wall-clock axis at the request's measured start (completion −
-        duration), so concurrent requests interleave the way they really
-        did.  Tracks: one tid per originating thread, prefixed by
-        metadata naming the request ids it carries.
+        wall-clock axis so that it ends at the request's completion
+        (``duration_ms`` also covers the wait before a shard picked the
+        request up, when no span ran), so concurrent requests interleave
+        the way they really did.  Tracks: one tid per originating
+        thread, prefixed by metadata naming the request ids it carries.
         """
         records = self.recent(n)
         events: list[dict] = [{
@@ -259,8 +276,9 @@ class FlightRecorder:
             if not rec.spans:
                 continue
             root_ts = min(float(s.get("ts_us", 0.0)) for s in rec.spans)
-            base_us = (rec.ts - self._epoch_wall) * 1e6 \
-                - rec.duration_ms * 1e3
+            end_ts = max(float(s.get("ts_us", 0.0))
+                         + float(s.get("dur_us", 0.0)) for s in rec.spans)
+            base_us = (rec.ts - self._epoch_wall) * 1e6 - (end_ts - root_ts)
             for sp in rec.spans:
                 events.append({
                     "name": sp.get("name", "?"),

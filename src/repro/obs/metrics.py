@@ -216,11 +216,21 @@ class MetricsRegistry:
         self.max_series_per_name = int(max_series_per_name)
         self._series: dict[str, dict[tuple, _Instrument]] = {}
         self._kind: dict[str, str] = {}
+        #: validated ``(kind, name, labels as passed)`` -> instrument, so
+        #: a repeat lookup skips the name checks and the label sort.
+        #: Overflow-folded lookups are never stored: each must count.
+        self._memo: dict[tuple, _Instrument] = {}
         self._lock = threading.Lock()
         self.dropped_series = 0
 
     # ---------------------------------------------------------- lookup --
     def _get(self, kind: str, name: str, labels: dict, **extra):
+        # str() the values: 1, 1.0 and True hash alike but name
+        # different series
+        memo_key = (kind, name, *[(k, str(v)) for k, v in labels.items()])
+        inst = self._memo.get(memo_key)
+        if inst is not None:
+            return inst
         if not _NAME_RE.match(name):
             raise ValueError(
                 f"invalid metric name {name!r} "
@@ -250,9 +260,10 @@ class MetricsRegistry:
                     if inst is None:
                         inst = _KINDS[kind](name, key, **extra)
                         series[key] = inst
-                else:
-                    inst = _KINDS[kind](name, key, **extra)
-                    series[key] = inst
+                    return inst
+                inst = _KINDS[kind](name, key, **extra)
+                series[key] = inst
+            self._memo[memo_key] = inst
             return inst
 
     def counter(self, name: str, **labels) -> Counter:
@@ -333,6 +344,7 @@ class MetricsRegistry:
         with self._lock:
             self._series.clear()
             self._kind.clear()
+            self._memo.clear()
             self.dropped_series = 0
 
 

@@ -18,12 +18,21 @@ Batches are keyed by :func:`batch_key`:
 - decompress: ``("d", codebook digest, magnitude)`` peeked from the
   container header without a full deserialize.
 
-Flush triggers, checked on every loop iteration:
+Flushing is work-conserving: the batcher gathers only work that is
+already waiting.  After each request is popped and keyed:
 
-1. a key's batch reaches ``max_batch`` (size flush);
-2. a key's oldest request has waited ``max_delay_s`` (latency flush);
-3. the admission queue drained and nothing new arrived within the poll
-   window (drain flush) — an idle server never sits on work.
+1. a key's batch that reaches ``max_batch`` flushes (size flush);
+2. if the admission queue is now empty, every pending key flushes at
+   once (empty-queue flush) — a lone request goes straight to a shard,
+   and coalescing happens only over a real backlog;
+3. a key whose oldest request has waited ``max_delay_s`` flushes even
+   while a backlog of other keys keeps the queue busy (starvation
+   bound).
+
+Between requests the batcher blocks in :meth:`AdmissionQueue.get`: with
+nothing pending until a request arrives (or :meth:`MicroBatcher.stop`
+wakes it), with keys pending until the oldest key's ``max_delay_s``
+deadline.  There is no polling interval.
 """
 
 from __future__ import annotations
@@ -64,22 +73,20 @@ class BatchPolicy:
     """Knobs of the micro-batcher (see docs/ARCHITECTURE.md, Serving)."""
 
     max_batch: int = 16
-    #: how long a key's oldest request may wait before a latency flush.
-    #: ``0`` is allowed but intentional-use-only: it flushes every poll
-    #: iteration, i.e. it disables coalescing entirely.
+    #: starvation bound: the longest a key's oldest request may wait
+    #: while a backlog of other keys keeps the queue from emptying.
+    #: ``0`` is allowed but intentional-use-only: it flushes after every
+    #: request, i.e. it disables coalescing entirely.
     max_delay_s: float = 0.005
-    poll_s: float = 0.002
 
     def __post_init__(self):
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if self.max_delay_s < 0:
             raise ValueError(
-                "max_delay_s must be >= 0 (0 flushes every poll, "
-                "disabling coalescing)"
+                "max_delay_s must be >= 0 (0 flushes after every "
+                "request, disabling coalescing)"
             )
-        if self.poll_s <= 0:
-            raise ValueError("poll_s must be > 0")
 
 
 @dataclass
@@ -94,15 +101,30 @@ class Batch:
         return len(self.requests)
 
 
-def _peek_codebook_digest(buf: bytes) -> Optional[str]:
+def _byte_view(payload) -> memoryview:
+    """A flat byte view of ``payload``; copies (as ``bytes(payload)``)
+    only when it has no C-contiguous buffer."""
+    try:
+        view = memoryview(payload)
+        if view.c_contiguous:
+            return view if view.format == "B" and view.ndim == 1 \
+                else view.cast("B")
+    except (TypeError, ValueError):
+        pass
+    return memoryview(bytes(payload))
+
+
+def _peek_codebook_digest(buf) -> Optional[str]:
     """Codebook digest + magnitude of a serialized container, or ``None``.
 
     Reads just enough of the header(s) to hash the canonical length
     vector — the same bytes :func:`repro.huffman.cache.codebook_digest`
     ultimately keys on (canonical codes are a pure function of their
-    lengths).  Returns ``None`` on anything unparseable; the request
-    then forms its own singleton batch and the real error surfaces in
-    the worker with a proper exception.
+    lengths).  ``buf`` is any bytes-like object; slicing a
+    ``memoryview`` keeps the peek copy-free.  Returns ``None`` on
+    anything unparseable; the request then forms its own singleton
+    batch and the real error surfaces in the worker with a proper
+    exception.
     """
     try:
         if buf[:4] == b"RPRS":  # app symbol container: skip its header
@@ -176,8 +198,10 @@ def batch_key(req: ServeRequest) -> Hashable:
 
     Side effect for compress requests: the payload is validated and the
     histogram is computed here (once), stored in ``req.meta`` for the
-    worker.  Invalid payloads raise :class:`ValueError`; the batcher
-    maps that onto the request's future (never onto its own thread).
+    worker.  Decompress requests get the peeked header digest (or
+    ``None``) as ``req.meta["codebook_digest"]``.  Invalid payloads
+    raise :class:`ValueError`; the batcher maps that onto the request's
+    future (never onto its own thread).
     """
     if req.op == "compress":
         data = np.asarray(req.payload)
@@ -214,7 +238,9 @@ def batch_key(req: ServeRequest) -> Hashable:
         digest = histogram_digest(req.meta["histogram"])
         return ("c", digest, req.meta.get("magnitude"))
     if req.op == "decompress":
-        digest = _peek_codebook_digest(bytes(req.payload))
+        # the worker's registry lookup reuses this peek (``meta``)
+        digest = _peek_codebook_digest(_byte_view(req.payload))
+        req.meta["codebook_digest"] = digest
         if digest is None:
             return ("d", "opaque", req.req_id)  # singleton batch
         return ("d", digest)
@@ -262,6 +288,7 @@ class MicroBatcher:
 
     def stop(self) -> None:
         self._stop.set()
+        self.queue.wake()  # the loop may be blocked on an empty queue
         if self._thread is not None:
             self._thread.join(timeout=5.0)
 
@@ -278,22 +305,31 @@ class MicroBatcher:
 
     # --------------------------------------------------------------- loop --
     def _run(self) -> None:
-        poll = self.policy.poll_s
         while not self._stop.is_set():
-            req = self.queue.get(timeout=poll)
-            now = time.monotonic()
+            req = self.queue.get(timeout=self._wait_s())
             if req is not None:
                 self._idle.clear()
-                self._add(req, now)
-            self._flush_due(now, drain=req is None)
+                self._add(req, time.monotonic())
+            self._flush_due(time.monotonic(), drain=self.queue.depth() == 0)
             with self._lock:
                 if not self._pending:
                     self._idle.set()
+            if req is None and self.queue.closed:
+                break  # closed and drained: nothing more can arrive
         # shutdown: flush whatever is left so nothing is dropped
-        self._flush_due(time.monotonic(), drain=True, force=True)
+        self._flush_due(time.monotonic(), drain=True)
         with self._lock:
             if not self._pending:
                 self._idle.set()
+
+    def _wait_s(self) -> Optional[float]:
+        """How long ``get`` may block: until the oldest pending key's
+        starvation deadline, or indefinitely when nothing is pending."""
+        with self._lock:
+            if not self._oldest:
+                return None
+            oldest = min(self._oldest.values())
+        return max(0.0, oldest + self.policy.max_delay_s - time.monotonic())
 
     def _add(self, req: ServeRequest, now: float) -> None:
         try:
@@ -324,13 +360,12 @@ class MicroBatcher:
         if full:
             self._flush_key(key)
 
-    def _flush_due(self, now: float, drain: bool, force: bool = False) -> None:
+    def _flush_due(self, now: float, drain: bool) -> None:
         with self._lock:
             due = [
                 k
                 for k, t0 in self._oldest.items()
-                if force
-                or drain
+                if drain
                 or now - t0 >= self.policy.max_delay_s
                 or len(self._pending[k]) >= self.policy.max_batch
             ]
@@ -344,10 +379,12 @@ class MicroBatcher:
         if not reqs:
             return
         live = []
+        now = time.monotonic()
         for r in reqs:
-            if r.expired():
+            if r.expired(now):
                 r.shed("deadline")
             else:
+                r.flushed_at = now
                 live.append(r)
         if not live:
             return

@@ -41,7 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-size", type=int, default=256)
     p.add_argument("--max-batch", type=int, default=16)
     p.add_argument("--max-delay-ms", type=float, default=5.0,
-                   help="micro-batcher latency budget")
+                   help="starvation bound: the longest a codebook's "
+                        "requests wait behind a backlog of other "
+                        "codebooks (an empty queue flushes at once)")
     p.add_argument("--shards", type=int, default=None,
                    help="worker shards (default: sized from --device)")
     p.add_argument("--device", default="V100",

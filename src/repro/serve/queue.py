@@ -114,7 +114,10 @@ class ServeRequest:
     request_id: str = field(default_factory=new_request_id)
     attempts: int = 0
     future: Future = field(default_factory=Future)
+    #: admission time (monotonic); request latency is measured from here
     enqueued_at: float = field(default_factory=time.monotonic)
+    #: when the batcher last flushed this request's batch to a shard
+    flushed_at: Optional[float] = None
 
     def expired(self, now: Optional[float] = None) -> bool:
         if self.deadline_s is None:
@@ -169,6 +172,8 @@ class AdmissionQueue:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
+        #: set by :meth:`wake`, consumed by the next :meth:`get`
+        self._woken = False
         #: recent service-rate estimate used for the retry-after hint
         self._drain_hint_s = 0.05
 
@@ -197,9 +202,10 @@ class AdmissionQueue:
     def get(self, timeout: Optional[float] = None) -> Optional[ServeRequest]:
         """Pop the next live request, shedding expired ones on the way.
 
-        Returns ``None`` on timeout or when the queue is closed and
-        empty.  Every expired request popped here has its future
-        completed with :class:`DeadlineExceeded` — shed, not dropped.
+        Returns ``None`` on timeout, after a :meth:`wake`, or when the
+        queue is closed and empty.  Every expired request popped here
+        has its future completed with :class:`DeadlineExceeded` — shed,
+        not dropped.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._not_empty:
@@ -210,7 +216,8 @@ class AdmissionQueue:
                         self._depth_locked()
                     )
                     return req
-                if self._closed:
+                if self._closed or self._woken:
+                    self._woken = False
                     return None
                 remaining = (
                     None if deadline is None else deadline - time.monotonic()
@@ -230,6 +237,13 @@ class AdmissionQueue:
                     continue
                 return req
         return None
+
+    def wake(self) -> None:
+        """Make the consumer's current or next empty :meth:`get` return
+        ``None`` at once, so it can notice a stop request."""
+        with self._not_empty:
+            self._woken = True
+            self._not_empty.notify_all()
 
     # ------------------------------------------------------------- state --
     def _depth_locked(self) -> int:

@@ -284,10 +284,17 @@ class CompressionService:
         )
         t0 = time.monotonic()
         error: Optional[Exception] = None
+        # where the request waited before this shard picked it up: in
+        # the admission queue until its batch flushed, then behind its
+        # batchmates and the shard's inbox
+        flushed_at = req.flushed_at if req.flushed_at is not None else t0
+        span_kw: dict = {
+            "queue_wait_ms": round((flushed_at - req.enqueued_at) * 1e3, 3),
+            "batch_wait_ms": round((t0 - flushed_at) * 1e3, 3),
+        }
         # registry attribution (satellite of the codebooks subsystem):
         # the batcher stamped these into meta when a codebook_id request
         # resolved; decode-side hits are stamped by _do_decompress
-        span_kw: dict = {}
         if "codebook_id" in req.meta:
             span_kw["codebook_id"] = req.meta["codebook_id"]
         if "registry_hit" in req.meta:
@@ -310,7 +317,8 @@ class CompressionService:
                     NotImplementedError) as exc:
                 # user error: belongs to this request, not to the shard
                 error = exc
-        elapsed = time.monotonic() - t0
+        # latency as the client sees it: from admission, not pickup
+        elapsed = time.monotonic() - req.enqueued_at
         _metrics().histogram(
             "repro_serve_request_latency_seconds",
             buckets=_LATENCY_BUCKETS,
@@ -383,21 +391,19 @@ class CompressionService:
             adaptive=bool(req.meta.get("adaptive", False)),
         )
 
-    def _resolve_decode_entry(self, buf: bytes):
+    def _resolve_decode_entry(self, req: ServeRequest):
         """Match a container header against the codebook registry.
 
-        Returns a ``RegisteredCodebook`` or ``None``; peeks only the
-        serialized length vector (no codebook rebuild) via the same
-        header walk the batcher's coalescing key uses.  Skipped when
-        the registry is empty so unregistered deployments never pay
-        the peek or pollute the miss counters.
+        Returns a ``RegisteredCodebook`` or ``None``.  The lookup key is
+        the length-vector digest ``batch_key`` peeked from the header
+        (``req.meta["codebook_digest"]``), so the container is not
+        parsed again.  Skipped when the registry is empty so
+        unregistered deployments never pollute the miss counters.
         """
-        from repro.serve.batcher import _peek_codebook_digest
-
         registry = process_registry()
         if not registry.entries():
             return None
-        peek = _peek_codebook_digest(buf)
+        peek = req.meta.get("codebook_digest")
         if peek is None:
             return None
         return registry.resolve_lengths_digest(peek.split(":")[0])
@@ -406,7 +412,7 @@ class CompressionService:
         buf = bytes(req.payload)
         if len(buf) > self.config.request_max_bytes:
             raise ValueError(f"payload {len(buf)} B exceeds request_max_bytes")
-        entry = self._resolve_decode_entry(buf)
+        entry = self._resolve_decode_entry(req)
         if entry is not None:
             # stamp the enclosing serve.request span (open right now on
             # this thread's tracer) + the flight record via meta

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import threading
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.flight import (
     FlightRecorder,
@@ -102,6 +105,77 @@ def test_capacity_validation():
         FlightRecorder(capacity=1)
     with pytest.raises(ValueError):
         FlightRecorder(sample_every=0)
+    with pytest.raises(ValueError):
+        FlightRecorder(p99_window=0)
+
+
+def _sorted_rule_reasons(offers, window, min_window, sample_every):
+    """The retention rule as a sort of the whole window per record:
+    the reference the recorder's incrementally ordered window must
+    match, cold-start exclusion included."""
+    durations: deque = deque(maxlen=window)
+    appended = seen = 0
+    reasons, p99s = [], []
+    for duration, status in offers:
+        seen += 1
+        n = len(durations)
+        p99 = None
+        if n >= min_window:
+            ordered = sorted(durations)
+            if appended == n:
+                ordered.remove(durations[0])
+                n -= 1
+            if n:
+                p99 = ordered[min(n - 1, int(0.99 * n))]
+        p99s.append(p99)
+        durations.append(duration)
+        appended += 1
+        if status != "ok":
+            reasons.append("error")
+        elif p99 is not None and duration >= p99:
+            reasons.append("outlier")
+        elif seen % sample_every == 0:
+            reasons.append("sample")
+        else:
+            reasons.append("")
+    return reasons, p99s
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    offers=st.lists(
+        st.tuples(
+            # few distinct values force ties; wide ones force reordering
+            st.one_of(
+                st.sampled_from([0.5, 1.0, 1.0, 2.0, 6.0]),
+                st.floats(0.0, 1e4, allow_nan=False),
+            ),
+            st.sampled_from(["ok"] * 6 + ["error", "shed"]),
+        ),
+        max_size=80,
+    ),
+    window=st.integers(1, 24),
+    min_window=st.integers(1, 30),
+    sample_every=st.integers(1, 5),
+)
+def test_retention_matches_sorted_rule(offers, window, min_window,
+                                       sample_every):
+    prev = set_registry(MetricsRegistry())
+    try:
+        fr = FlightRecorder(capacity=8, sample_every=sample_every,
+                            p99_window=window, min_outlier_window=min_window)
+        got = []
+        p99s = []
+        for i, (duration, status) in enumerate(offers):
+            p99s.append(fr.stats()["p99_ms_estimate"])
+            got.append(fr.record(rec(f"r{i}", status=status,
+                                     duration_ms=duration, ts=float(i))))
+    finally:
+        set_registry(prev)
+    want, want_p99s = _sorted_rule_reasons(offers, window, min_window,
+                                           sample_every)
+    assert got == want
+    assert p99s == want_p99s
 
 
 # ---------------------------------------------------------- concurrency --
@@ -180,6 +254,21 @@ def test_chrome_trace_shape(reg):
     assert by_name["encode.lookup"]["ts"] > by_name["serve.request"]["ts"]
     assert doc["otherData"]["records"][0]["request_id"] == "traced"
     assert "spans" not in doc["otherData"]["records"][0]
+
+
+def test_chrome_trace_tree_ends_at_completion(reg):
+    """``duration_ms`` runs from admission, so it is longer than the span
+    tree; the tree is drawn where it ran, ending at completion."""
+    fr = FlightRecorder(capacity=8, sample_every=1, min_outlier_window=999)
+    spans = (
+        {"name": "serve.request", "span_id": 1, "parent_id": 0, "tid": 7,
+         "ts_us": 10.0, "dur_us": 50.0, "attrs": {}},
+    )
+    fr.record(rec("queued", duration_ms=40.0, ts=fr._epoch_wall + 1.0,
+                  spans=spans))
+    (event,) = [e for e in fr.to_chrome_trace()["traceEvents"]
+                if e.get("ph") == "X"]
+    assert event["ts"] + event["dur"] == pytest.approx(1e6)
 
 
 # ------------------------------------------------------------- globals --

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -106,6 +107,50 @@ class TestCardinality:
         assert reg.total("repro_hot_total", k="a") == 5
 
 
+class TestLookupMemo:
+    """Repeat lookups come from a memo; its answers must equal the
+    validated slow path's, and overflow must keep counting."""
+
+    def test_same_instrument_any_label_order(self, reg):
+        a = reg.counter("repro_memo_total", op="c", path="x")
+        assert reg.counter("repro_memo_total", op="c", path="x") is a
+        assert reg.counter("repro_memo_total", path="x", op="c") is a
+        assert reg.counter("repro_memo_total", op="c", path="y") is not a
+
+    def test_values_keyed_by_their_text(self, reg):
+        one = reg.counter("repro_memo_total", n=1)
+        assert reg.counter("repro_memo_total", n="1") is one
+        assert reg.counter("repro_memo_total", n=True) is not one
+        assert reg.counter("repro_memo_total", n=1.0) is not one
+
+    def test_kind_clash_and_bad_names_still_raise(self, reg):
+        reg.counter("repro_memo_total", op="c")
+        reg.counter("repro_memo_total", op="c")  # memoized
+        with pytest.raises(ValueError, match="already registered"):
+            reg.gauge("repro_memo_total", op="c")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="metric name"):
+                reg.counter("Repro-Bad Name")
+            with pytest.raises(ValueError, match="label name"):
+                reg.counter("repro_memo_total", **{"bad-label": "v"})
+
+    def test_overflow_lookups_count_every_time(self):
+        reg = MetricsRegistry(max_series_per_name=1)
+        reg.counter("repro_hot_total", k="a")
+        for _ in range(3):
+            reg.counter("repro_hot_total", k="b").inc()
+        assert reg.dropped_series == 3
+        assert reg.total("repro_hot_total", overflow="true") == 3
+
+    def test_reset_forgets_memoized_instruments(self, reg):
+        a = reg.counter("repro_memo_total", op="c")
+        a.inc()
+        reg.reset()
+        b = reg.counter("repro_memo_total", op="c")
+        assert b is not a
+        assert reg.total("repro_memo_total") == 0
+
+
 class TestThreadSafety:
     def test_concurrent_inc(self, reg):
         c = reg.counter("repro_contended_total")
@@ -132,6 +177,32 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert reg.total("repro_many_total") == 400
+
+    def test_memoized_lookups_race_series_creation(self):
+        """Memo reads race the slow path's creation and overflow fold;
+        every lookup must still land on one series or count a drop."""
+        reg = MetricsRegistry(max_series_per_name=4)
+
+        def work():
+            for j in range(300):
+                reg.counter("repro_race_total", k=str(j % 6)).inc()
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+        finally:
+            sys.setswitchinterval(prev)
+        assert not any(t.is_alive() for t in threads)
+        assert reg.total("repro_race_total") == 8 * 300
+        # 4 of the 6 label sets own a series; the other 2 fold on every
+        # one of their 8 * 50 lookups
+        assert reg.dropped_series == 2 * 8 * 50
+        assert reg.total("repro_race_total", overflow="true") == 2 * 8 * 50
 
 
 class TestRenderSnapshotReset:

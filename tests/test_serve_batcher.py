@@ -9,6 +9,7 @@ dropped.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -127,6 +128,124 @@ class TestCoalescing:
         assert dead.future.done()  # shed, not dropped
         with pytest.raises(DeadlineExceeded):
             dead.future.result(0)
+
+
+class _CountingQueue(AdmissionQueue):
+    """Counts ``get`` calls, so a test can tell which call a flush
+    happened before."""
+
+    def __init__(self, *a, **kw):
+        super().__init__(*a, **kw)
+        self.gets = 0
+
+    def get(self, timeout=None):
+        self.gets += 1
+        return super().get(timeout)
+
+
+class _BacklogQueue(AdmissionQueue):
+    """Keeps at least one ``"busy"``-keyed request queued behind every
+    ``get`` while ``streaming`` is set: a sustained backlog of another
+    key, one request per millisecond."""
+
+    def __init__(self, *a, **kw):
+        super().__init__(*a, **kw)
+        self.streaming = threading.Event()
+        self.streaming.set()
+
+    def get(self, timeout=None):
+        if self.streaming.is_set():
+            time.sleep(0.001)
+            while self.depth() < 2:
+                self.submit(ServeRequest(op="compress", payload=None,
+                                         meta={"k": "busy"}))
+        return super().get(timeout)
+
+
+def _meta_key(req):
+    return req.meta["k"]
+
+
+class TestWorkConserving:
+    def test_lone_request_flushes_before_next_get(self):
+        """With nothing else queued the request is flushed at once, not
+        after ``max_delay_s`` nor after a further wait on the queue."""
+        q = _CountingQueue(maxsize=8)
+        flushed = threading.Event()
+        seen = []
+
+        def sink(batch):
+            seen.append((q.gets, len(batch)))
+            flushed.set()
+
+        mb = MicroBatcher(q, sink, BatchPolicy(max_batch=16,
+                                               max_delay_s=10.0))
+        mb.start()
+        try:
+            req = ServeRequest(op="decompress", payload=REFERENCE[0])
+            q.submit(req)
+            assert flushed.wait(2.0)
+            assert seen == [(1, 1)]
+            assert req.flushed_at is not None
+            assert req.flushed_at >= req.enqueued_at
+        finally:
+            mb.stop()
+
+    def test_key_behind_backlog_flushed_within_max_delay(self):
+        q = _BacklogQueue(maxsize=64)
+        max_delay = 0.05
+        flushes = []
+        mb = MicroBatcher(
+            q, lambda b: flushes.append((b.key, time.monotonic())),
+            BatchPolicy(max_batch=10_000, max_delay_s=max_delay),
+            key_fn=_meta_key,
+        )
+        lone = ServeRequest(op="compress", payload=None, meta={"k": "lone"})
+        q.submit(lone)
+        mb.start()
+        try:
+            time.sleep(0.5)  # the backlog never lets the queue empty
+            stream_end = time.monotonic()
+            lone_at = [t for k, t in flushes if k == "lone"]
+            assert lone_at, "starved key never flushed"
+            assert lone_at[0] < stream_end
+            # one get (≈1 ms) of slack past the deadline, plus jitter
+            assert lone_at[0] - lone.enqueued_at <= max_delay + 0.05
+            assert lone.flushed_at == pytest.approx(lone_at[0], abs=0.01)
+        finally:
+            q.streaming.clear()
+            mb.stop()
+
+    def test_stop_wakes_batcher_blocked_on_empty_open_queue(self):
+        q = AdmissionQueue(maxsize=8)
+        mb = MicroBatcher(q, lambda b: None, BatchPolicy())
+        mb.start()
+        time.sleep(0.05)  # let it block in get()
+        t0 = time.monotonic()
+        mb.stop()
+        assert time.monotonic() - t0 < 1.0
+        assert not mb._thread.is_alive()
+        assert not q.closed
+
+    def test_prequeued_backlog_coalesces_into_one_batch(self):
+        q = AdmissionQueue(maxsize=64)
+        batches = []
+        mb = MicroBatcher(q, batches.append,
+                          BatchPolicy(max_batch=16, max_delay_s=10.0))
+        for _ in range(6):
+            q.submit(ServeRequest(op="decompress", payload=REFERENCE[0]))
+        mb.start()
+        assert mb.drain(5.0)
+        mb.stop()
+        assert [len(b) for b in batches] == [6]
+
+    def test_decompress_key_stashes_header_digest(self):
+        req = ServeRequest(op="decompress", payload=REFERENCE[0])
+        key = batch_key(req)
+        assert key == ("d", req.meta["codebook_digest"])
+        bad = ServeRequest(op="decompress", payload=b"garbage")
+        batch_key(bad)
+        assert bad.meta["codebook_digest"] is None
 
 
 class TestRoundTripProperty:

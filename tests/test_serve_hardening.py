@@ -238,7 +238,3 @@ class TestBatchPolicyValidation:
 
     def test_zero_max_delay_allowed_as_explicit_no_coalescing(self):
         assert BatchPolicy(max_delay_s=0.0).max_delay_s == 0.0
-
-    def test_non_positive_poll_rejected(self):
-        with pytest.raises(ValueError, match="poll_s"):
-            BatchPolicy(poll_s=0.0)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.app.compressor import compress_symbols
-from repro.obs.metrics import MetricsRegistry, set_registry
+from repro.obs.metrics import MetricsRegistry, metrics, set_registry
 from repro.serve.queue import Priority, QueueFullError
 from repro.serve.service import CompressionService, ServiceConfig
 from repro.serve.workers import ShardCrashed, default_shard_count
@@ -192,6 +192,45 @@ class TestLifecycle:
         assert "backends" not in s
         assert s["queue"]["maxsize"] == cfg.queue_size
         assert s["uptime_s"] >= 0
+
+
+class TestLatencyFromAdmission:
+    def test_request_behind_held_shard_reports_the_hold(self):
+        """Latency starts at admission: a request that waits behind a
+        held shard reports at least the hold, split into queue and
+        batch wait on its ``serve.request`` span."""
+        hold = 0.2
+        cfg = ServiceConfig(n_shards=1, flight_sample_every=1)
+        release = threading.Event()
+        with CompressionService(cfg) as svc:
+            do_compress = svc._do_compress
+
+            def held(req):
+                if req.meta.get("hold"):
+                    release.wait(5.0)
+                return do_compress(req)
+
+            svc._do_compress = held
+            first = svc.submit_compress(DISTS[0], hold=True,
+                                        request_id="first")
+            second = svc.submit_compress(DISTS[1], request_id="second")
+            time.sleep(hold)
+            release.set()
+            first.result(30.0)
+            assert second.result(30.0)[0] == REFERENCE[1]
+            records = {r.request_id: r for r in svc.flight.recent()}
+        behind = records["second"]
+        assert behind.duration_ms >= hold * 1e3
+        root = next(sp for sp in behind.spans
+                    if sp["name"] == "serve.request")
+        waited = root["attrs"]["queue_wait_ms"] + root["attrs"]["batch_wait_ms"]
+        assert waited >= hold * 1e3 * 0.9
+        assert waited <= behind.duration_ms
+        hist = metrics().histogram(
+            "repro_serve_request_latency_seconds", op="compress"
+        )
+        assert hist.count == 2
+        assert hist.sum >= hold * 2  # both requests waited out the hold
 
 
 class TestDecodeTelemetry:

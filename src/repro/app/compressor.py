@@ -44,7 +44,11 @@ from repro.datasets.quantization import (
     dequantize,
     lorenzo_quantize,
 )
-from repro.histogram.gpu_histogram import MAX_HISTOGRAM_BINS, gpu_histogram
+from repro.histogram.gpu_histogram import (
+    MAX_HISTOGRAM_BINS,
+    GpuHistogramResult,
+    gpu_histogram,
+)
 from repro.huffman.cache import cached_codebook
 from repro.native import SYMBOL_DTYPES
 from repro.obs import metrics as _metrics
@@ -93,7 +97,10 @@ def _record_app_metrics(op: str, report: CompressionReport) -> None:
 
 def _encode_to_bytes(
     data: np.ndarray, num_symbols: int, magnitude: int, device: DeviceSpec,
+    hist: GpuHistogramResult | None = None,
 ) -> tuple[bytes, CompressionReport]:
+    """Histogram (unless ``hist`` brings the counts of ``data``),
+    codebook, encode and serialize ``data``."""
     # int32/int64/uint64 symbols are range-checked and narrowed once, for
     # both the histogram and the encode (the histogram's error if a
     # symbol is outside [0, num_symbols)); the costs keep the input size
@@ -102,7 +109,8 @@ def _encode_to_bytes(
         syms = narrow_symbols(data, num_symbols)
         if syms is None:
             raise ValueError("symbol out of histogram range")
-    hist = gpu_histogram(syms, num_symbols, device=device)
+    if hist is None:
+        hist = gpu_histogram(syms, num_symbols, device=device)
     # The codebook is a pure function of the histogram: repeated compress
     # calls over same-distribution data (timestep streams) skip the whole
     # two-phase construction via the digest-keyed cache.
@@ -116,7 +124,8 @@ def _encode_to_bytes(
     tuning = _resolve_tuning(magnitude, None, 32,
                              _avg_bits(total_bits, data.size))
     enc = parallel_encode(syms, book, tuning=tuning, device=device,
-                          input_bytes=int(data.nbytes))
+                          input_bytes=int(data.nbytes),
+                          total_bits=total_bits)
     payload = serialize_stream(enc.stream, book)
     report = CompressionReport(
         input_bytes=int(data.nbytes),
@@ -281,6 +290,8 @@ def compress_field(
 
     The reconstruction returned by :func:`decompress_field` satisfies
     ``|recon - field| <= error_bound`` point-wise — the SZ contract.
+    The Huffman stage takes the histogram the quantize pass counted as
+    it wrote the codes, so no separate histogram pass reads them.
     """
     field = np.asarray(field, dtype=np.float64)
     if n_bins > MAX_HISTOGRAM_BINS:
@@ -291,8 +302,14 @@ def compress_field(
         with _span("app.quantize", bytes_in=int(field.nbytes)):
             qf = lorenzo_quantize(field, error_bound, n_bins)
 
+        # the histogram stage's span stays, recording that the quantize
+        # pass counted the codes (backend="quantize") rather than a pass
+        with _span("encode.histogram", bytes_in=int(qf.codes.nbytes),
+                   bins=n_bins, device=device.name, backend="quantize"):
+            hist = GpuHistogramResult(qf.histogram, int(qf.codes.size),
+                                      int(qf.codes.nbytes), device)
         payload, enc_report = _encode_to_bytes(qf.codes, n_bins, magnitude,
-                                               device)
+                                               device, hist)
         header = _FIELD_MAGIC + struct.pack(
             "<dIIQ", error_bound, n_bins, len(qf.shape), qf.outliers_idx.size
         )

@@ -153,20 +153,21 @@ def _avg_bits(total_bits: int, n_symbols: int) -> float:
 def _scan_symbol_stats(
     data: np.ndarray,
     book: CanonicalCodebook,
-) -> float:
-    """Average codeword bitwidth, checking every symbol: the stats pass.
+) -> int:
+    """Total codeword bits, checking every symbol: the stats pass.
 
     The compiled length-sum pass when it runs (:func:`native_symbol_bits`);
     otherwise, and to raise a bad symbol's error, the length gather of
-    :func:`~repro.core.scan_pack.checked_lengths`.  The same ``avg_bits``
-    comes out either way.
+    :func:`~repro.core.scan_pack.checked_lengths`.  The same integer
+    total comes out either way; :func:`_avg_bits` turns it into the
+    average bitwidth the tuning rule reads.
     """
     if data.size == 0:
-        return 0.0
+        return 0
     total = native_symbol_bits(data, book)
     if total is None:
         total = int(checked_lengths(data, book).sum(dtype=np.int64))
-    return _avg_bits(total, data.size)
+    return total
 
 
 def _record_encode(
@@ -203,6 +204,7 @@ def gpu_encode(
     device: DeviceSpec = V100,
     impl: str = "scan",
     input_bytes: int | None = None,
+    total_bits: int | None = None,
 ) -> GpuEncodeResult:
     """Encode ``data`` with the reduce-shuffle-merge scheme.
 
@@ -233,7 +235,10 @@ def gpu_encode(
     ``input_bytes`` is the caller's input size when ``data`` is its
     narrowed copy (the app facade narrows int32/int64/uint64 symbols
     once for its histogram and this encode); the modeled costs and the
-    byte counters read it.
+    byte counters read it.  ``total_bits`` is the codeword-bit total of
+    ``data`` under ``book`` when the caller has it (the facade's
+    histogram total; the stats pass counts it for an unpinned call):
+    the compiled scan-pack pass sizes its breaking side channel from it.
     """
     if impl not in ENCODE_IMPLS:
         raise ValueError(f"impl must be one of {ENCODE_IMPLS}, got {impl!r}")
@@ -248,11 +253,13 @@ def gpu_encode(
         syms = _pass_input(data, book, impl)
         if tuning is None:
             with _span("encode.lookup", n_symbols=int(data.size)):
-                avg_bits = _scan_symbol_stats(syms, book)
+                total_bits = _scan_symbol_stats(syms, book)
             tuning = _resolve_tuning(
-                magnitude, reduction_factor, word_bits, avg_bits
+                magnitude, reduction_factor, word_bits,
+                _avg_bits(total_bits, data.size),
             )
-        result = _encode_body(syms, book, tuning, impl, input_bytes)
+        result = _encode_body(syms, book, tuning, impl, input_bytes,
+                              total_bits)
     _record_encode(enc_span, data, result)
     return result
 
@@ -386,6 +393,7 @@ def _pack_chunks(
     book: CanonicalCodebook,
     tuning: EncoderTuning,
     impl: str = "scan",
+    total_bits: int | None = None,
 ) -> PackedChunks:
     """Pack whole chunks (``main.size`` a multiple of the chunk size).
 
@@ -399,6 +407,8 @@ def _pack_chunks(
     compiled pass has written it (``impl="native"`` on the
     ``encode.breaking`` span), the pair's are backtraced from the
     symbols (``impl="numpy"``).  Every host encoder packs through here.
+    ``total_bits`` bounds the codeword bits of ``main`` when the caller
+    has it (:func:`scan_pack_symbols` sizes the side channel from it).
     """
     if impl == "scan":
         with _span("encode.scan_pack", r=tuning.reduction_factor,
@@ -406,7 +416,7 @@ def _pack_chunks(
                    chunks=main.size // tuning.chunk_symbols) as scan_span:
             if native.native_available():
                 scan_span.set_attr(impl="native")
-                packed = scan_pack_symbols(main, book, tuning)
+                packed = scan_pack_symbols(main, book, tuning, total_bits)
             else:
                 _metrics().counter("repro_encode_native_fallback_total",
                                    reason="no_native_kernel").inc()
@@ -441,17 +451,19 @@ def _encode_body(
     tuning: EncoderTuning,
     impl: str = "scan",
     input_bytes: int | None = None,
+    total_bits: int | None = None,
 ) -> GpuEncodeResult:
     """Pack the whole chunks, then the tail, and build the stream, its
     structural costs and the result; ``avg_bits`` comes from the packed
     bit totals (dense chunk bits + broken-cell bits + tail bits).
     ``input_bytes`` is the caller's input size when ``data`` is its
-    narrowed copy (:func:`_pass_input`)."""
+    narrowed copy (:func:`_pass_input`); ``total_bits``, when known, is
+    the codeword-bit total of ``data`` (it bounds the whole chunks')."""
     if input_bytes is None:
         input_bytes = int(data.nbytes)
     n_main = data.size // tuning.chunk_symbols * tuning.chunk_symbols
     try:
-        packed = _pack_chunks(data[:n_main], book, tuning, impl)
+        packed = _pack_chunks(data[:n_main], book, tuning, impl, total_bits)
         with _span("encode.pack_tail", n_symbols=int(data.size - n_main)):
             tail = data[n_main:]
             tail_lens = checked_lengths(tail, book).astype(np.int64)

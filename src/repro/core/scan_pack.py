@@ -236,6 +236,7 @@ def scan_pack_symbols(
     data: np.ndarray,
     book: CanonicalCodebook,
     tuning: EncoderTuning,
+    total_bits: int | None = None,
 ) -> PackedChunks:
     """Whole chunks of ``data`` to the coalesced payload and the broken
     cells' side channel (``side``: ascending uint32 cell indices, their
@@ -247,6 +248,9 @@ def scan_pack_symbols(
     load; other symbol dtypes go through :func:`pass_symbols`.  A symbol
     that is out of range (``IndexError``) or has no codeword
     (``ValueError``) raises :func:`checked_lengths`' error.
+    ``total_bits``, at least the codeword bits of ``data`` (the caller's
+    histogram or stats-pass total), sizes the side channel; without it
+    every symbol counts at ``book.max_length`` bits.
     """
     data = np.asarray(data)
     if data.size % tuning.chunk_symbols:
@@ -257,7 +261,7 @@ def scan_pack_symbols(
     bits, payload, offsets, broken, side, bad = kern.scan_pack(
         pass_symbols(data, book), packed_codeword_table(book), book.codes,
         tuning.group_symbols, tuning.cells_per_chunk, tuning.word_bits,
-        book.max_length,
+        book.max_length, total_bits,
     )
     if bad >= 0:
         checked_lengths(data, book)

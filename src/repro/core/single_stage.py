@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core.encoder import (
     GpuEncodeResult,
+    _avg_bits,
     _encode_body,
     _pass_input,
     _record_encode,
@@ -102,16 +103,19 @@ def single_stage_encode(
     )
     with enc_span:
         syms = _pass_input(data, book)
+        total_bits = None
         if tuning is None:
             with _span("encode.lookup", n_symbols=int(data.size)):
                 # the registered book's packed codeword table is already
                 # warm in the scan-pack digest cache, so this pass is the
                 # entire front half of the pipeline
-                avg_bits = _scan_symbol_stats(syms, book)
+                total_bits = _scan_symbol_stats(syms, book)
             tuning = _resolve_tuning(
-                magnitude, reduction_factor, word_bits, avg_bits
+                magnitude, reduction_factor, word_bits,
+                _avg_bits(total_bits, data.size),
             )
         result = _encode_body(syms, book, tuning,
-                              input_bytes=int(data.nbytes))
+                              input_bytes=int(data.nbytes),
+                              total_bits=total_bits)
     _record_encode(enc_span, data, result)
     return result

@@ -16,7 +16,9 @@ identical error guarantee (|reconstruction - data| <= eb at every point,
 asserted by the test-suite) while staying fully vectorized; values whose
 difference code falls outside the bin range become *outliers*, stored
 verbatim and re-anchoring the chain, mirroring SZ's "unpredictable data"
-path.
+path.  Reconstruction stays on the same integer lattice: each point's
+offset from its anchor is an exact int64 sum of code steps, scaled by
+``2 * eb`` once (cuSZ's dual-quantization).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import native
+from repro.histogram.gpu_histogram import MAX_HISTOGRAM_BINS
 from repro.obs import span as _span
 
 __all__ = [
@@ -70,6 +73,10 @@ class QuantizedField:
     #: positions whose residual exceeded the bin range, stored verbatim
     outliers_idx: np.ndarray  # int64, strictly increasing within [1, n)
     outliers_val: np.ndarray  # float64
+    #: int64 counts of ``codes`` over ``n_bins`` bins, counted by
+    #: :func:`lorenzo_quantize` when ``n_bins <= MAX_HISTOGRAM_BINS``
+    #: (else, and in a hand-built field, ``None``)
+    histogram: np.ndarray | None = None
 
     @property
     def outlier_fraction(self) -> float:
@@ -160,29 +167,40 @@ def lorenzo_quantize(
 
     The codes come in :func:`code_dtype` of ``n_bins`` (uint16 up to
     65536 bins, else uint32) from the compiled pass of
-    :mod:`repro.native`.  Hosts without the module and fields with a
-    quotient that is not finite or of magnitude ``>= 2**62`` (NaN, inf,
-    huge values) run the NumPy body.  The ``quantize.lorenzo`` span
-    records ``backend`` and ``fallback``.
+    :mod:`repro.native`, which also counts them into
+    ``QuantizedField.histogram`` when ``n_bins <= MAX_HISTOGRAM_BINS``
+    (the only bin counts ``compress_field`` accepts).  Hosts without the
+    module and fields with a quotient that is not finite or of magnitude
+    ``>= 2**62`` (NaN, inf, huge values) run the NumPy body and count
+    with ``np.bincount``.  The ``quantize.lorenzo`` span records
+    ``backend``, ``fallback`` and, when counted, ``histogram``.
     """
     if error_bound <= 0:
         raise ValueError("error_bound must be positive")
     if not 4 <= n_bins <= 1 << 32:
         raise ValueError("n_bins must be within [4, 2**32]")
     flat = np.ascontiguousarray(field, dtype=np.float64).reshape(-1)
+    count = n_bins <= MAX_HISTOGRAM_BINS
+    hist = np.empty(n_bins, np.int64) if count else None
     with _span("quantize.lorenzo", n=int(flat.size)) as sp:
         kern, fallback = native.route(code_dtype(n_bins))
         if kern is not None:
             codes = np.empty(flat.size, code_dtype(n_bins))
             out_idx, bad = kern.lorenzo_quantize(
-                flat, 2 * error_bound, n_bins, codes
+                flat, 2 * error_bound, n_bins, codes, hist
             )
             if bad >= 0:
                 fallback = "quotient_range"
         if fallback is None:
             sp.set_attr(backend="native")
+            if count:
+                sp.set_attr(histogram="native")
         else:
             codes, out_idx = _quantize_numpy(flat, error_bound, n_bins)
+            if count:
+                hist = np.bincount(codes, minlength=n_bins).astype(
+                    np.int64, copy=False)
+                sp.set_attr(histogram="numpy")
             sp.set_attr(backend="numpy", fallback=fallback)
         sp.set_attr(outliers=int(out_idx.size))
     return QuantizedField(
@@ -193,6 +211,7 @@ def lorenzo_quantize(
         shape=np.asarray(field).shape,
         outliers_idx=out_idx,
         outliers_val=flat[out_idx],
+        histogram=hist,
     )
 
 
@@ -215,17 +234,21 @@ def _dequantize_numpy(qf: QuantizedField) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=np.float64)
     center = qf.n_bins // 2
-    eb2 = 2 * qf.error_bound
-    # cumulative-sum-with-resets, fully vectorized: zero the step at every
-    # anchor (anchors are exact), then offset each segment of the global
-    # cumsum by its anchor value
-    steps = (qf.codes.astype(np.float64) - center) * eb2
+    # an int64 cumulative sum with resets, fully vectorized: zero the step
+    # at every anchor (anchors are exact), subtract each segment's sum at
+    # its anchor, then add the anchor value to the segment's multiple of
+    # eb2.  Each segment's sum is exact: the global sum wraps modulo 2**64
+    # at worst, and the difference of two wrapped sums is the true one
+    # while it fits in int64 (up to INT64_MAX / 2**32, about 2**31, codes;
+    # the compiled pass refuses longer ones)
+    steps = qf.codes.astype(np.int64) - center
     anchor_pos = np.concatenate([[0], qf.outliers_idx]).astype(np.int64)
     anchor_val = np.concatenate([[qf.first_value], qf.outliers_val])
-    steps[anchor_pos] = 0.0
-    csum = np.cumsum(steps)
-    seg_id = np.searchsorted(anchor_pos, np.arange(n), side="right") - 1
-    return anchor_val[seg_id] + (csum - csum[anchor_pos][seg_id])
+    steps[anchor_pos] = 0
+    q = np.cumsum(steps)
+    seg_len = np.diff(np.append(anchor_pos, n))
+    q -= np.repeat(q[anchor_pos], seg_len)
+    return np.repeat(anchor_val, seg_len) + q * (2 * qf.error_bound)
 
 
 def dequantize(qf: QuantizedField) -> np.ndarray:
@@ -236,6 +259,8 @@ def dequantize(qf: QuantizedField) -> np.ndarray:
     bit-identical to the NumPy body that other dtypes (a hand-built
     :class:`QuantizedField`) and hosts without the module run; the
     ``dequantize.lorenzo`` span records ``backend`` and ``fallback``.
+    Both keep each point's quantized offset from its anchor as an exact
+    int64 ``q`` and write ``anchor + q * 2 * error_bound``.
     """
     n = qf.codes.size
     idx = np.asarray(qf.outliers_idx, dtype=np.int64)
@@ -248,6 +273,9 @@ def dequantize(qf: QuantizedField) -> np.ndarray:
                 np.ascontiguousarray(codes), 2 * qf.error_bound,
                 qf.n_bins // 2, qf.first_value, idx, qf.outliers_val,
             )
+            if bad == -2:  # a centre past 2**32, or ~2**31 uint32 codes
+                raise ValueError("codes could carry the int64 running sum "
+                                 "past 2**63 - 1")
             if bad >= 0:  # check_outliers passed: cannot happen
                 raise ValueError("outlier index out of order or range")
             sp.set_attr(backend="native")

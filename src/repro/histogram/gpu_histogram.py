@@ -88,7 +88,10 @@ def replication_factor(num_bins: int, device: DeviceSpec = V100) -> int:
 class GpuHistogramResult:
     """One histogram and, on first read, its price on the modeled GPU.
 
-    ``histogram`` is the host pass's exact result.  ``replication``,
+    ``histogram`` is the host pass's exact result (or counts taken by
+    another pass over the same symbols: ``compress_field`` hands in the
+    ones its quantize pass counted).  ``blocks`` defaults to two per SM
+    of ``device``, as in :func:`gpu_histogram`.  ``replication``,
     ``conflict_degree`` and ``costs`` are derived from it the first time
     one of them is read, so a caller that only needs the counts (the
     compress facade) never prices the kernel.  Pricing applies the
@@ -98,12 +101,13 @@ class GpuHistogramResult:
     """
 
     def __init__(self, histogram: np.ndarray, n_input: int, nbytes: int,
-                 device: DeviceSpec, blocks: int) -> None:
+                 device: DeviceSpec = V100,
+                 blocks: int | None = None) -> None:
         self.histogram = histogram  # int64 bins
         self._n_input = n_input  # symbols counted
         self._nbytes = nbytes
         self._device = device
-        self._blocks = blocks
+        self._blocks = blocks if blocks is not None else device.sm_count * 2
 
     @cached_property
     def replication(self) -> int:
@@ -224,8 +228,6 @@ def gpu_histogram(
     if not np.issubdtype(data.dtype, np.integer):
         raise TypeError("histogram input must be integer symbols")
     flat = data.reshape(-1)
-    blocks = blocks if blocks is not None else device.sm_count * 2
-
     with _span("encode.histogram", bytes_in=int(flat.nbytes),
                bins=int(num_bins), device=device.name) as sp:
         hist, backend, fallback = host_histogram(flat, num_bins)

@@ -100,7 +100,11 @@ narrowed onto them first):
   (``cells_per_chunk * W / 8`` bytes plus a 4-byte trailing store)
   could pass the payload capacity ``n_out``, and a broken cell whose
   index slot or exact bytes could pass the side channel's capacities,
-  are refused before they are written.
+  are refused before they are written.  The wrapper sizes the side
+  channel from a bound on the input's codeword bits (the caller's
+  total, else every symbol at ``max_length``): a broken cell holds more
+  than ``W`` bits, so at most ``total // (W + 1)`` cells break, in at
+  most ``ceil(total / 8)`` bytes plus one per cell.
 
 Histogram (:func:`repro.histogram.gpu_histogram.host_histogram`;
 oracle :func:`~repro.histogram.gpu_histogram.fast_histogram` after a
@@ -128,13 +132,23 @@ dtypes uint16/uint32:
 - ``lorenzo_quantize_*``: one walk of the prediction chain that writes
   each point's code, records each overflowing point and the run of
   exact-predecessor overflows after it as outliers, and re-anchors
-  there.  A quotient that is not finite or reaches 2^62 in magnitude is
-  never cast to an integer; the pass stops and the caller runs the
-  oracle.
-- ``lorenzo_dequantize_*``: one running sum of the code steps, reset at
-  every anchor, in the oracle's order of operations (no fused
-  multiply-add: ``-ffp-contract=off``).  Every outlier index is checked
-  to increase strictly within the field before it is used.
+  there.  Given a histogram (and its capacity, checked before anything
+  is written), it counts each code as it writes it, so the field's
+  Huffman stage needs no histogram pass of its own.  A quotient that is
+  not finite or reaches 2^62 in magnitude is never cast to an integer;
+  the pass stops and the caller runs the oracle.
+- ``lorenzo_dequantize_*``: one int64 running sum of the code steps,
+  reset at every anchor, and ``anchor + q * 2 * eb`` per point, the
+  oracle's operations (no fused multiply-add).  A field whose sum could
+  pass 2^63 is refused before it is read, and every outlier index is
+  checked to increase strictly within the field before it is used.
+
+Build flags: ``-O2 -ffp-contract=off -fno-math-errno``.  The first
+keeps every multiply and add rounded on its own, as NumPy rounds them;
+the second lets ``(int64_t)rint(t)`` compile to one ``cvtsd2si`` (which
+rounds half-even in the default rounding mode, as ``rint`` does)
+instead of a libm call that must be able to set ``errno``.  The module
+makes no other libm call.
 
 When cffi, a compiler, or a writable cache directory is missing the
 module degrades to ``kernel() -> None`` and every caller runs its NumPy
@@ -191,8 +205,10 @@ PLANE_CAP = 8
 PLANE_BITS = 12
 
 #: the Lorenzo passes must round exactly as NumPy does: no fused
-#: multiply-add (which some targets contract by default) in any build
-_FP_FLAGS = ["-ffp-contract=off"]
+#: multiply-add (which some targets contract by default) in any build;
+#: with no errno to set, ``rint`` and its int64 cast become one
+#: ``cvtsd2si`` (round-half-even in the default rounding mode)
+_FP_FLAGS = ["-ffp-contract=off", "-fno-math-errno"]
 #: ``REPRO_NATIVE_SANITIZE=1`` builds with AddressSanitizer and UBSan
 #: (a test build: Python must preload libasan, see ``make native-asan``)
 _SANITIZE_FLAGS = ["-O1", "-g", "-fsanitize=address,undefined",
@@ -289,7 +305,8 @@ int64_t histogram_u32(const uint32_t *sym, int64_t n, int64_t K,
     int64_t *hist, uint32_t *priv);
 """ + "".join(
     f"""int64_t lorenzo_quantize_{sfx}(const double *x, int64_t n, double eb2,
-    int64_t n_bins, {ct} *codes, int64_t *oidx, int64_t *n_oidx);
+    int64_t n_bins, {ct} *codes, int64_t *oidx, int64_t *n_oidx,
+    int64_t *hist, int64_t n_hist);
 int64_t lorenzo_dequantize_{sfx}(const {ct} *codes, int64_t n, double eb2,
     int64_t center, double first, const int64_t *oidx, const double *oval,
     int64_t n_oidx, double *out);
@@ -1153,7 +1170,9 @@ int64_t NAME(const T *sym, int64_t n, int64_t K, int64_t *hist,           \
  * repro.datasets.quantization.lorenzo_quantize).  Each point i >= 1 of
  * the chain quantizes against the current anchor a:
  * q = rint((x[i] - a) / eb2), NumPy's np.round (round-half-even), and
- * its code is q - q_prev + n_bins / 2.  A code outside [0, n_bins)
+ * its code is q - q_prev + n_bins / 2.  Built with -fno-math-errno, the
+ * cast of rint is one cvtsd2si, which rounds half-even in the default
+ * rounding mode exactly as rint does.  A code outside [0, n_bins)
  * makes i an outlier, and so is every following point whose code from
  * its exact predecessor, rint((x[j] - x[j - 1]) / eb2) + n_bins / 2,
  * falls outside too.  Outliers keep the centre code and their indices
@@ -1161,25 +1180,34 @@ int64_t NAME(const T *sym, int64_t n, int64_t K, int64_t *hist,           \
  * (q_prev = 0).  A quotient that is not finite or reaches 2^62 in
  * magnitude is never cast (NumPy's int64 cast of it is platform
  * defined): the pass returns that point's index and the outputs are
- * partial.  Else it returns -1 and *n_oidx outliers (at most n - 1, so
- * oidx holds n entries). */
+ * partial.  So |q|, |q_prev| < 2^62 and q - q_prev cannot overflow; it
+ * is range-checked before the centre is added.
+ *
+ * hist, when not NULL, receives the count of every code written
+ * (outliers' centre codes and point 0's included), cleared first; its
+ * capacity n_hist must hold n_bins counts, else the pass returns -2
+ * before it writes anything.  Else it returns -1 and *n_oidx outliers
+ * (at most n - 1, so oidx holds n entries). */
 #define LORENZO_QUANTIZE(NAME, T)                                         \
-int64_t NAME(const double *x, int64_t n, double eb2, int64_t n_bins,      \
-             T *codes, int64_t *oidx, int64_t *n_oidx) {                  \
+static inline __attribute__((always_inline)) int64_t                      \
+NAME##_walk(const double *x, int64_t n, double eb2, int64_t n_bins,       \
+            T *codes, int64_t *oidx, int64_t *n_oidx, int64_t *hist,      \
+            const int count) {                                            \
     const int64_t center = n_bins / 2;                                    \
     int64_t no = 0;                                                       \
-    *n_oidx = 0;                                                          \
     if (n == 0) return -1;                                                \
     codes[0] = (T)center;                                                 \
+    if (count) hist[center]++;                                            \
     double a = x[0];                                                      \
     int64_t qp = 0;                                                       \
     for (int64_t i = 1; i < n; ) {                                        \
         double t = (x[i] - a) / eb2;                                      \
         if (!(fabs(t) < 0x1p62)) return i;                                \
         int64_t q = (int64_t)rint(t);                                     \
-        int64_t c = q - qp + center;                                      \
-        if (c >= 0 && c < n_bins) {                                       \
+        uint64_t c = (uint64_t)(q - qp) + (uint64_t)center;               \
+        if (c < (uint64_t)n_bins) {                                       \
             codes[i++] = (T)c;                                            \
+            if (count) hist[c]++;                                         \
             qp = q;                                                       \
             continue;                                                     \
         }                                                                 \
@@ -1194,39 +1222,58 @@ int64_t NAME(const double *x, int64_t n, double eb2, int64_t n_bins,      \
             codes[j] = (T)center;                                         \
             oidx[no++] = j;                                               \
         }                                                                 \
+        if (count) hist[center] += j - i;                                 \
         a = x[j - 1];                                                     \
         qp = 0;                                                           \
         i = j;                                                            \
     }                                                                     \
     *n_oidx = no;                                                         \
     return -1;                                                            \
+}                                                                         \
+int64_t NAME(const double *x, int64_t n, double eb2, int64_t n_bins,      \
+             T *codes, int64_t *oidx, int64_t *n_oidx, int64_t *hist,     \
+             int64_t n_hist) {                                            \
+    *n_oidx = 0;                                                          \
+    if (!hist)                                                            \
+        return NAME##_walk(x, n, eb2, n_bins, codes, oidx, n_oidx,        \
+                           NULL, 0);                                      \
+    if (n_hist < n_bins) return -2;                                       \
+    memset(hist, 0, (size_t)n_bins * sizeof *hist);                       \
+    return NAME##_walk(x, n, eb2, n_bins, codes, oidx, n_oidx, hist, 1);  \
 }
 
 /* Lorenzo dequantize (oracle: the NumPy body of
- * repro.datasets.quantization.dequantize).  One running sum of the
- * steps ((double)code - center) * eb2, in NumPy's cumsum order, where
- * point 0 and every outlier step by 0.0 and reset the base; out[i] =
- * anchor + (sum - base), the anchor being first or the outlier's value.
- * Before it is used, each outlier index must exceed the previous anchor
- * (0 for the first) and lie below n.  Returns -1, or the position in
- * oidx of the first index that does not (out is then partial). */
+ * repro.datasets.quantization.dequantize).  One int64 running sum q of
+ * the code steps code - center, reset to 0 at point 0 and at every
+ * outlier; out[i] = anchor + (double)q * eb2, the anchor being first or
+ * the outlier's value (no fused multiply-add: -ffp-contract=off, as the
+ * oracle rounds).  Every step lies in [-center, tmax], tmax the code
+ * type's largest value, so |q| <= (n - 1) * max(center, tmax): the pass
+ * returns -2 before it reads anything when that product could pass
+ * INT64_MAX, or when center is outside [0, 2^32] (no code type has more
+ * bins).  Before it is used, each outlier index must exceed the previous
+ * anchor (0 for the first) and lie below n.  Returns -1, or the position
+ * in oidx of the first index that does not (out is then partial). */
 #define LORENZO_DEQUANTIZE(NAME, T)                                       \
 int64_t NAME(const T *codes, int64_t n, double eb2, int64_t center,       \
              double first, const int64_t *oidx, const double *oval,       \
              int64_t n_oidx, double *out) {                               \
-    const double c0 = (double)center;                                     \
+    const int64_t tmax = (int64_t)(T)-1;                                  \
+    if (center < 0 || center > ((int64_t)1 << 32)) return -2;             \
+    const int64_t s = center > tmax ? center : tmax;                      \
+    if (n > 1 && n - 1 > INT64_MAX / s) return -2;                        \
     int64_t k = 0, next = n;                                              \
     if (n == 0) return n_oidx ? 0 : -1;                                   \
     if (n_oidx) {                                                         \
         if (oidx[0] < 1 || oidx[0] >= n) return 0;                        \
         next = oidx[0];                                                   \
     }                                                                     \
-    double sum = 0.0, base = 0.0, av = first;                             \
-    out[0] = av + (sum - base);                                           \
+    int64_t q = 0;                                                        \
+    double av = first;                                                    \
+    out[0] = av + (double)q * eb2;                                        \
     for (int64_t i = 1; i < n; i++) {                                     \
         if (i == next) {                                                  \
-            sum += 0.0;                                                   \
-            base = sum;                                                   \
+            q = 0;                                                        \
             av = oval[k++];                                               \
             next = n;                                                     \
             if (k < n_oidx) {                                             \
@@ -1234,9 +1281,9 @@ int64_t NAME(const T *codes, int64_t n, double eb2, int64_t center,       \
                 next = oidx[k];                                           \
             }                                                             \
         } else {                                                          \
-            sum += ((double)codes[i] - c0) * eb2;                         \
+            q += (int64_t)codes[i] - center;                              \
         }                                                                 \
-        out[i] = av + (sum - base);                                       \
+        out[i] = av + (double)q * eb2;                                    \
     }                                                                     \
     return -1;                                                            \
 }
@@ -1618,6 +1665,7 @@ class NativeKernel:
         cells_per_chunk: int,
         word_bits: int,
         max_length: int,
+        total_bits: Optional[int] = None,
     ) -> tuple:
         """``(bits, payload, offsets, broken, side, bad)`` for whole
         chunks of ``data``: per-chunk dense bits, the coalesced uint8
@@ -1628,25 +1676,32 @@ class NativeKernel:
         of the first symbol that is out of range or has no codeword (the
         other outputs are then incomplete).  ``codes`` holds the book's
         uint64 codewords, one per ``table`` entry, and ``max_length``
-        bounds every codeword's length."""
+        bounds every codeword's length.  ``total_bits`` is at least the
+        codeword bits of ``data`` (default: every symbol at
+        ``max_length``); the side channel is sized from it, and a total
+        that understates them is refused like any short capacity."""
         codes = np.require(codes, np.uint64, ["C", "A"])
         if codes.shape != table.shape:
             raise ValueError("codes and gather table disagree in size")
         n_cells = data.size // group_symbols
         n_chunks = n_cells // cells_per_chunk
         # every chunk's worst case (all cells kept) plus the last chunk's
-        # 4-byte trailing store, and every cell broken at max_length bits
-        # per codeword; only the pages the pass writes are touched
+        # 4-byte trailing store; only the pages the pass writes are touched
         out = np.empty(n_chunks * cells_per_chunk * word_bits // 8 + 4,
                        np.uint8)
         offsets = np.empty(n_chunks + 1, np.int64)
         bits = np.empty(n_chunks, np.int64)
         broken = np.empty(n_cells, np.bool_)
+        # a broken cell holds more than W bits, so at most total // (W + 1)
+        # cells break, and their byte-aligned bits take at most one byte
+        # per cell past ceil(total / 8)
+        if total_bits is None:
+            total_bits = data.size * int(max_length)
+        nnz_max = min(n_cells, int(total_bits) // (word_bits + 1))
         wide = group_symbols * 64 > 0xFFFF
-        bidx = np.empty(n_cells, np.uint32)
-        blen = np.empty(n_cells, np.int64 if wide else np.uint16)
-        bpay = np.empty(n_cells * -(-group_symbols * int(max_length) // 8),
-                        np.uint8)
+        bidx = np.empty(nnz_max, np.uint32)
+        blen = np.empty(nnz_max, np.int64 if wide else np.uint16)
+        bpay = np.empty(-(-int(total_bits) // 8) + nnz_max, np.uint8)
         side = self._ffi.new("int64_t[2]")
         data, suffix, sym = self._symbols(data)
         bad = getattr(self._lib, f"scan_pack_{suffix}")(
@@ -1663,7 +1718,7 @@ class NativeKernel:
             raise RuntimeError("scan_pack refused a chunk or a broken cell "
                                "that could overrun its capacity")
         nnz, nbytes = int(side[0]), int(side[1])
-        # copies: the side channel is a sliver of its worst-case buffers
+        # copies: the side channel is a sliver of its bounding buffers
         side_channel = (bidx[:nnz].copy(), blen[:nnz].copy(),
                         bpay[:nbytes].copy())
         return (bits, out[: offsets[-1]], offsets, broken, side_channel,
@@ -1708,25 +1763,41 @@ class NativeKernel:
         return sfx, self._p(f"{ctype} *", codes)
 
     def lorenzo_quantize(
-        self, flat: np.ndarray, eb2: float, n_bins: int, codes: np.ndarray
+        self,
+        flat: np.ndarray,
+        eb2: float,
+        n_bins: int,
+        codes: np.ndarray,
+        hist: Optional[np.ndarray] = None,
     ) -> tuple[np.ndarray, int]:
-        """Quantize ``flat`` into ``codes`` (same size): the returned pair
-        is the int64 outlier indices and ``-1``, or the index of the first
-        point whose quotient is not finite or reaches 2^62 (the outputs
-        are then partial and must not be used)."""
+        """Quantize ``flat`` into ``codes`` (same size), counting every
+        code into ``hist`` (int64, at least ``n_bins`` long) when one is
+        given: the returned pair is the int64 outlier indices and ``-1``,
+        or the index of the first point whose quotient is not finite or
+        reaches 2^62 (the outputs are then partial and must not be
+        used).  A ``hist`` shorter than ``n_bins`` raises
+        ``ValueError`` (the pass refuses it before writing)."""
         if (flat.dtype != np.float64 or flat.ndim != 1
                 or not flat.flags.c_contiguous or codes.shape != flat.shape):
             raise ValueError("values must be contiguous 1-D float64 and "
                              "codes of the same shape")
         suffix, out = self._codes(codes)
+        if hist is None:
+            hp, n_hist = self._ffi.NULL, 0
+        else:
+            if hist.dtype != np.int64 or not hist.flags.c_contiguous:
+                raise ValueError("histogram must be contiguous int64")
+            hp, n_hist = self._p("int64_t *", hist), hist.size
         # holds the worst case (every point but the first an outlier);
         # only the pages the pass writes are ever touched
         oidx = np.empty(flat.size, np.int64)
         n_oidx = self._ffi.new("int64_t *")
         bad = getattr(self._lib, f"lorenzo_quantize_{suffix}")(
             self._p("double *", flat), flat.size, float(eb2), int(n_bins),
-            out, self._p("int64_t *", oidx), n_oidx,
+            out, self._p("int64_t *", oidx), n_oidx, hp, n_hist,
         )
+        if bad == -2:
+            raise ValueError("histogram holds fewer than n_bins counts")
         return oidx[: n_oidx[0]].copy(), int(bad)
 
     def lorenzo_dequantize(
@@ -1741,7 +1812,9 @@ class NativeKernel:
         """``(out, bad)``: the float64 reconstruction of ``codes``, and
         ``-1`` or the position of the first outlier index that does not
         strictly increase within ``[1, codes.size)`` (``out`` is then
-        partial)."""
+        partial).  ``bad`` is ``-2``, with nothing read, when ``center``
+        is not a code or ``codes.size`` steps could carry the int64
+        running sum past 2^63 - 1."""
         suffix, cp = self._codes(codes)
         # aligned too: the outliers may be views into a container
         oidx = np.require(oidx, np.int64, ["C", "A"])

@@ -258,7 +258,8 @@ class TestScanPackUnits:
                  + int(st_.breaking.bit_lengths.sum(dtype=np.int64))
                  + int(st_.tail_bits))
         assert total == int(checked_lengths(syms, book).sum(dtype=np.int64))
-        assert res.avg_bits == _scan_symbol_stats(syms, book)
+        assert _scan_symbol_stats(syms, book) == total
+        assert res.avg_bits == (total / syms.size if syms.size else 0.0)
 
     def test_empty_and_tail_only_inputs(self):
         data = np.arange(2, dtype=np.uint8).repeat(40)
@@ -602,6 +603,51 @@ class TestNativeScanPack:
         got = kern.scan_pack(syms, table, book.codes, G, cpc, W,
                              book.max_length)
         assert got[-1] == -1 and got[2].tolist()[-1] == got[1].size
+
+    def test_wrapper_sizes_the_side_channel_from_the_bit_total(self):
+        """Every cell breaks (8-bit codewords, cells of 32 bits past
+        W = 16), so the side payload needs exactly 1024 bytes: a total
+        whose bound holds them encodes, one whose bound is a byte short
+        is refused by the pass before it overruns."""
+        kern = native.kernel()
+        syms = np.arange(256, dtype=np.uint8).repeat(4)
+        book = book_for(syms, 256)
+        table = packed_codeword_table(book)
+        G, cpc, W = 4, 16, 16
+        exact = int(checked_lengths(syms, book).sum())
+        assert exact == 8192
+        # capacity ceil(total / 8) + min(cells, total // (W + 1)): 256
+        # index slots and 768 + 256 bytes, then 767 + 256
+        for total in (exact, 6144):
+            got = kern.scan_pack(syms, table, book.codes, G, cpc, W,
+                                 book.max_length, total)
+            assert got[-1] == -1 and got[4][0].size == 256
+            assert got[4][2].size == 1024
+        with pytest.raises(RuntimeError, match="overrun"):
+            kern.scan_pack(syms, table, book.codes, G, cpc, W,
+                           book.max_length, 6136)
+
+    def test_callers_hand_down_their_bit_totals(self, monkeypatch):
+        """The facade passes its histogram's total and the registered
+        route its stats pass's total: the exact codeword bits."""
+        from repro.core.single_stage import single_stage_encode
+
+        seen = []
+        real = native.NativeKernel.scan_pack
+
+        def spy(self, data, *args):
+            seen.append(args[-1])
+            return real(self, data, *args)
+
+        monkeypatch.setattr(native.NativeKernel, "scan_pack", spy)
+        rng = np.random.default_rng(8)
+        syms = rng.choice(64, 20_000, p=rng.dirichlet(np.ones(64) * 0.3))
+        syms = syms.astype(np.uint16)
+        book = book_for(syms, 64)
+        exact = int(checked_lengths(syms, book).sum())
+        blob, _ = compress_symbols(syms, 64)
+        single_stage_encode(syms, book)
+        assert seen == [exact, exact]
 
     @given(st.data())
     @settings(max_examples=150, deadline=None,

@@ -56,8 +56,9 @@ test-no-native:
 # histogram, two-queue codeword-length, Lorenzo quantize/dequantize,
 # multi-symbol plane and decode-setup (canonical codes, decode table,
 # lane layout, with their too-small-buffer refusals) tests (the
-# histogram pass also under the gpu_histogram suite, the Lorenzo passes
-# also under the dataset suite), then the conformance fuzz (170 rounds
+# histogram pass also under the gpu_histogram suite and as the
+# registered route's count in the single-stage suite, the Lorenzo
+# passes also under the dataset suite), then the conformance fuzz (170 rounds
 # x 6 ops = 1020 mutants per container on the text and DNA corpora,
 # each decoded in full) and the golden check.
 # The last line is the leg's negative self-test: a raw pass call whose
@@ -70,7 +71,8 @@ native-asan:
 	        tests/test_scan_pack.py tests/test_histogram_pass.py \
 	        tests/test_histogram.py tests/test_quantize_pass.py \
 	        tests/test_datasets.py tests/test_multi_plane.py \
-	        tests/test_two_queue_pass.py tests/test_decode_setup_pass.py
+	        tests/test_two_queue_pass.py tests/test_decode_setup_pass.py \
+	        tests/test_single_stage.py
 	$(ASAN_RUN) $(PY) -m repro.conform.cli --corpora enwik8,genomics \
 	        --fuzz-rounds 170 --out /tmp/CONFORMANCE.asan.json
 	! $(ASAN_RUN) $(PY) tests/asan_negative_probe.py \

@@ -25,8 +25,6 @@ from repro.core.adaptive import adaptive_decode, adaptive_encode
 from repro.core.bitstream import decode_stream, symbol_dtype
 from repro.core.chunk_parallel import parallel_encode
 from repro.core.codebook_parallel import parallel_codebook
-from repro.core.encoder import _avg_bits, _resolve_tuning
-from repro.core.scan_pack import narrow_symbols
 from repro.core.serialization import (
     container_guard,
     deserialize_adaptive,
@@ -50,7 +48,7 @@ from repro.histogram.gpu_histogram import (
     gpu_histogram,
 )
 from repro.huffman.cache import cached_codebook
-from repro.native import SYMBOL_DTYPES
+from repro.native import SYMBOL_DTYPES, narrow_symbols
 from repro.obs import metrics as _metrics
 from repro.obs import span as _span
 
@@ -118,14 +116,11 @@ def _encode_to_bytes(
         hist.histogram,
         lambda: parallel_codebook(hist.histogram, device=device).codebook,
     )
-    # the bit total the encoder's stats pass would count, in O(K) (§IV-C:
-    # r from the average bitwidth); pinning the tuning skips that pass
-    total_bits = int(hist.histogram @ book.lengths)
-    tuning = _resolve_tuning(magnitude, None, 32,
-                             _avg_bits(total_bits, data.size))
-    enc = parallel_encode(syms, book, tuning=tuning, device=device,
-                          input_bytes=int(data.nbytes),
-                          total_bits=total_bits)
+    # the encode takes its bit total from these counts, in O(K) (§IV-C:
+    # r from the average bitwidth)
+    enc = parallel_encode(syms, book, histogram=hist.histogram,
+                          magnitude=magnitude, device=device,
+                          input_bytes=int(data.nbytes))
     payload = serialize_stream(enc.stream, book)
     report = CompressionReport(
         input_bytes=int(data.nbytes),
@@ -192,7 +187,8 @@ def compress_symbols_registered(
 ) -> tuple[bytes, CompressionReport]:
     """Registry-hit compression: single-stage encode with a static book.
 
-    The histogram and codebook-construction stages are skipped entirely
+    The codebook-construction stages are skipped entirely, and the
+    histogram is the encode's own count
     (:mod:`repro.core.single_stage`); the container is byte-identical to
     :func:`compress_symbols` whenever the cold path would have built the
     same codebook.  ``book`` may be a :class:`~repro.huffman.codebook

@@ -44,7 +44,6 @@ from repro.core.reduce_merge import reduce_merge
 from repro.core.scan_pack import (
     PackedChunks,
     checked_lengths,
-    native_symbol_bits,
     pass_symbols,
     scan_pack_symbols,
 )
@@ -57,6 +56,7 @@ from repro.core.tuning import (
 from repro.cuda.costmodel import KernelCost
 from repro.cuda.device import DeviceSpec, V100
 from repro.cuda.launch import KernelInfo, register_kernel
+from repro.histogram.gpu_histogram import host_histogram
 from repro.huffman.codebook import CanonicalCodebook
 from repro.obs import metrics as _metrics
 from repro.obs import span as _span
@@ -150,24 +150,37 @@ def _avg_bits(total_bits: int, n_symbols: int) -> float:
     return total_bits / n_symbols if n_symbols else 0.0
 
 
-def _scan_symbol_stats(
+def _bit_total(
+    syms: np.ndarray,
     data: np.ndarray,
     book: CanonicalCodebook,
+    histogram: np.ndarray | None,
 ) -> int:
-    """Total codeword bits, checking every symbol: the stats pass.
-
-    The compiled length-sum pass when it runs (:func:`native_symbol_bits`);
-    otherwise, and to raise a bad symbol's error, the length gather of
-    :func:`~repro.core.scan_pack.checked_lengths`.  The same integer
-    total comes out either way; :func:`_avg_bits` turns it into the
-    average bitwidth the tuning rule reads.
-    """
-    if data.size == 0:
-        return 0
-    total = native_symbol_bits(data, book)
-    if total is None:
-        total = int(checked_lengths(data, book).sum(dtype=np.int64))
-    return total
+    """Total codeword bits of ``data``, ``histogram @ book.lengths`` in
+    O(K); ``histogram`` holds its counts over the book's alphabet, or,
+    when ``None``, is counted from the pass symbols ``syms``
+    (:func:`~repro.histogram.gpu_histogram.host_histogram`, whose route
+    the ``encode.lookup`` span records).  A symbol the count refuses
+    (out of range, or not an integer) or a counted symbol without a
+    codeword raises :func:`~repro.core.scan_pack.checked_lengths`'
+    error over ``data``."""
+    if histogram is None:
+        with _span("encode.lookup", n_symbols=int(data.size)) as lookup:
+            if syms.dtype.kind in "iu":
+                try:
+                    histogram, backend, fallback = host_histogram(
+                        syms.reshape(-1), book.n_symbols)
+                except ValueError:
+                    pass
+                else:
+                    lookup.set_attr(backend=backend)
+                    if fallback is not None:
+                        lookup.set_attr(fallback=fallback)
+    if histogram is None or histogram[book.lengths == 0].any():
+        checked_lengths(data, book)
+        raise RuntimeError("the histogram disagrees with the NumPy "
+                           "symbol check")
+    return int(histogram @ book.lengths)
 
 
 def _record_encode(
@@ -204,22 +217,23 @@ def gpu_encode(
     device: DeviceSpec = V100,
     impl: str = "scan",
     input_bytes: int | None = None,
-    total_bits: int | None = None,
+    histogram: np.ndarray | None = None,
 ) -> GpuEncodeResult:
     """Encode ``data`` with the reduce-shuffle-merge scheme.
 
     ``tuning`` pins (M, r) explicitly; otherwise ``magnitude`` is used and
     ``r`` comes from the average-bitwidth rule (or ``reduction_factor``
-    when given) over the bit total of the stats pass.  Every symbol must
-    have a codeword in ``book``.
-
-    A pinned tuning skips the stats pass: the app facade resolves it
-    through the same rule from its histogram's bit total
-    (``bits_from="histogram"`` on the stage span, else
-    ``"stats_pass"``).  ``avg_bits`` always comes from the packed bit
-    totals, the same integer total the stats pass counts, and the
-    packing passes check every symbol, so a bad symbol raises the same
-    error either way.
+    when given) over the codeword-bit total ``histogram @ book.lengths``
+    (§IV-C).  ``histogram`` holds the counts of ``data`` over the book's
+    alphabet when the caller has them (the app facade's stage 1); an
+    unpinned call without it counts them itself
+    (:func:`~repro.histogram.gpu_histogram.host_histogram`, inside the
+    ``encode.lookup`` span), and a pinned call without it counts
+    nothing.  Every symbol must have a codeword in ``book``: a count
+    that refuses a symbol, a counted symbol without a codeword, and the
+    packing passes, which check every symbol, all raise
+    :func:`~repro.core.scan_pack.checked_lengths`' error.  ``avg_bits``
+    always comes from the packed bit totals, the same integer total.
 
     ``impl`` selects the host execution strategy — the produced
     :class:`~repro.core.bitstream.EncodedStream` and the modeled kernel
@@ -235,25 +249,44 @@ def gpu_encode(
     ``input_bytes`` is the caller's input size when ``data`` is its
     narrowed copy (the app facade narrows int32/int64/uint64 symbols
     once for its histogram and this encode); the modeled costs and the
-    byte counters read it.  ``total_bits`` is the codeword-bit total of
-    ``data`` under ``book`` when the caller has it (the facade's
-    histogram total; the stats pass counts it for an unpinned call):
-    the compiled scan-pack pass sizes its breaking side channel from it.
+    byte counters read it.  The bit total also sizes the compiled
+    scan-pack pass's breaking side channel.
     """
     if impl not in ENCODE_IMPLS:
         raise ValueError(f"impl must be one of {ENCODE_IMPLS}, got {impl!r}")
+    return _encode_stage(data, book, tuning, magnitude, reduction_factor,
+                         word_bits, device, impl, input_bytes, histogram)
+
+
+def _encode_stage(
+    data: np.ndarray,
+    book: CanonicalCodebook,
+    tuning: EncoderTuning | None,
+    magnitude: int,
+    reduction_factor: int | None,
+    word_bits: int,
+    device: DeviceSpec,
+    impl: str,
+    input_bytes: int | None,
+    histogram: np.ndarray | None,
+    label: str | None = None,
+) -> GpuEncodeResult:
+    """One encode under its ``encode.reduce_shuffle_merge`` stage span
+    (``impl=label``, default ``impl``): the histogram (counted when
+    neither it nor ``tuning`` is given), then the tuning and the encode
+    body."""
     data = np.asarray(data)
     if input_bytes is None:
         input_bytes = int(data.nbytes)
     enc_span = _span("encode.reduce_shuffle_merge",
                      bytes_in=input_bytes, device=device.name,
-                     impl=impl,
-                     bits_from="stats_pass" if tuning is None else "histogram")
+                     impl=label or impl)
     with enc_span:
         syms = _pass_input(data, book, impl)
+        total_bits = None
+        if histogram is not None or tuning is None:
+            total_bits = _bit_total(syms, data, book, histogram)
         if tuning is None:
-            with _span("encode.lookup", n_symbols=int(data.size)):
-                total_bits = _scan_symbol_stats(syms, book)
             tuning = _resolve_tuning(
                 magnitude, reduction_factor, word_bits,
                 _avg_bits(total_bits, data.size),
@@ -270,7 +303,7 @@ def _pass_input(
     """The symbols every pass of an encode reads: narrowed once
     (:func:`~repro.core.scan_pack.pass_symbols`, which raises an
     out-of-range symbol's error) when the compiled passes run them, so
-    the stats pass and the scan-pack pass share one array; else
+    the histogram and the scan-pack pass share one array; else
     ``data``."""
     if impl == "scan" and native.native_available():
         return pass_symbols(data, book)
@@ -470,7 +503,7 @@ def _encode_body(
             tail_buf, tail_bits = pack_codewords(book.codes[tail], tail_lens)
     except (IndexError, ValueError):
         # the passes stop at the first bad symbol of their own part; the
-        # error is the one the stats pass raises over the whole input
+        # error is the one the NumPy check raises over the whole input
         checked_lengths(data, book)
         raise
     stream = EncodedStream(

@@ -61,9 +61,7 @@ __all__ = [
     "analytic_moved_words",
     "checked_lengths",
     "pass_symbols",
-    "narrow_symbols",
     "packed_codeword_table",
-    "native_symbol_bits",
 ]
 
 #: bits of the packed-word length field
@@ -176,60 +174,24 @@ def checked_lengths(
     return lens
 
 
-def narrow_symbols(data: np.ndarray, n_symbols: int) -> np.ndarray | None:
-    """Integer ``data`` cast to the narrowest of the compiled passes'
-    symbol dtypes that holds ``n_symbols - 1``, after one ``min``/``max``
-    range check; ``None`` when a symbol lies outside ``[0, n_symbols)``
-    (so ``2**32 + 3`` is refused rather than wrapped to symbol 3).  An
-    alphabet past 2^32 symbols keeps ``data`` as it is."""
-    if data.size and (int(data.min()) < 0 or int(data.max()) >= n_symbols):
-        return None
-    dtype = _narrowest(n_symbols)
-    return data if dtype is None else data.astype(dtype)
-
-
-def _narrowest(n_symbols: int) -> np.dtype | None:
-    top = max(int(n_symbols) - 1, 0)
-    return next((dt for dt in native.SYMBOL_DTYPES
-                 if top <= np.iinfo(dt).max), None)
-
-
 def pass_symbols(data: np.ndarray, book: CanonicalCodebook) -> np.ndarray:
     """``data`` as a contiguous array of a symbol dtype the compiled
     passes read.
 
     ``uint8``/``uint16``/``uint32`` arrays keep their dtype.  Any other
-    array is narrowed by :func:`narrow_symbols` onto the dtype that
-    holds ``book.n_symbols - 1``; a negative or out-of-range symbol
-    raises :func:`checked_lengths`' ``IndexError`` instead.  A symbol
-    without a codeword is left to the pass, which stops at it.
+    array is narrowed by :func:`repro.native.narrow_symbols` onto the
+    dtype that holds ``book.n_symbols - 1``; a negative or out-of-range
+    symbol raises :func:`checked_lengths`' ``IndexError`` instead.  A
+    symbol without a codeword is left to the pass, which stops at it.
     """
     if data.dtype in native.SYMBOL_DTYPES:
         return np.ascontiguousarray(data)
     if data.dtype.kind in "iu":
-        out = narrow_symbols(data, book.n_symbols)
+        out = native.narrow_symbols(data, book.n_symbols)
         if out is not None:
             return out
     checked_lengths(data, book)  # raises an out-of-range symbol's error
-    return data.astype(_narrowest(book.n_symbols))
-
-
-def native_symbol_bits(
-    data: np.ndarray, book: CanonicalCodebook
-) -> int | None:
-    """Total codeword bits of ``data`` from the compiled stats pass.
-
-    ``None`` when :mod:`repro.native` does not load *or* when ``data``
-    holds a codeword-less symbol: the caller's :func:`checked_lengths`
-    then raises that symbol's exact error (an out-of-range one raises
-    it here, from :func:`pass_symbols`).
-    """
-    kern = native.kernel()
-    if kern is None:
-        return None
-    total, bad = kern.symbol_bits(pass_symbols(data, book),
-                                  packed_codeword_table(book))
-    return total if bad < 0 else None
+    return data.astype(native._narrowest(book.n_symbols))
 
 
 def scan_pack_symbols(
@@ -248,8 +210,8 @@ def scan_pack_symbols(
     load; other symbol dtypes go through :func:`pass_symbols`.  A symbol
     that is out of range (``IndexError``) or has no codeword
     (``ValueError``) raises :func:`checked_lengths`' error.
-    ``total_bits``, at least the codeword bits of ``data`` (the caller's
-    histogram or stats-pass total), sizes the side channel; without it
+    ``total_bits``, at least the codeword bits of ``data`` (from the
+    encode's histogram), sizes the side channel; without it
     every symbol counts at ``book.max_length`` bits.
     """
     data = np.asarray(data)

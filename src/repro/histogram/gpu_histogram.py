@@ -193,23 +193,25 @@ def host_histogram(
 
     The compiled pass of :mod:`repro.native` counts unsigned 8/16/32-bit
     symbols and checks every one against ``num_bins`` as it counts; any
-    other integer dtype is range-checked first (``min``/``max``) and
-    narrowed onto the smallest of those that holds its largest symbol.
-    Hosts without the module run the oracle: the same range check, then
-    :func:`fast_histogram` (``fallback="no_native_kernel"``).  Both
+    other integer dtype is range-checked and narrowed onto the smallest
+    of those that holds ``num_bins - 1`` first
+    (:func:`repro.native.narrow_symbols`).  Hosts without the module run
+    the oracle: a ``min``/``max`` range check, then
+    :func:`fast_histogram` on ``flat`` as it is
+    (``fallback="no_native_kernel"``).  Both
     raise ``ValueError`` for a symbol outside ``[0, num_bins)``.
     """
     kern = native.kernel()
-    if kern is None or flat.dtype not in native.SYMBOL_DTYPES:
-        hi = int(flat.max()) if flat.size else 0
-        if hi >= num_bins or (flat.size and int(flat.min()) < 0):
+    if kern is None:
+        if flat.size and (int(flat.min()) < 0
+                          or int(flat.max()) >= num_bins):
             raise ValueError("symbol out of histogram range")
-        if kern is None:
-            hist = fast_histogram(flat, num_bins).astype(np.int64,
-                                                         copy=False)
-            return hist, "numpy", "no_native_kernel"
-        flat = flat.astype(next(dt for dt in native.SYMBOL_DTYPES
-                                if hi <= np.iinfo(dt).max))
+        hist = fast_histogram(flat, num_bins).astype(np.int64, copy=False)
+        return hist, "numpy", "no_native_kernel"
+    if flat.dtype not in native.SYMBOL_DTYPES:
+        flat = native.narrow_symbols(flat, num_bins)
+        if flat is None:
+            raise ValueError("symbol out of histogram range")
     hist, bad = kern.histogram(np.ascontiguousarray(flat), num_bins)
     if bad >= 0:
         raise ValueError("symbol out of histogram range")

@@ -76,12 +76,6 @@ coalescing copy, which is also the encode route without this module;
 symbols in dtypes other than uint8/16/32 are range-checked and
 narrowed onto them first):
 
-- ``symbol_bits_u*``: the encoder's stats step — total codeword bits
-  over a symbol stream, or the index of the first symbol that is out of
-  the book's range or has no codeword.  Only an encode without a pinned
-  tuning runs it (serve's single-stage encode, an unpinned
-  ``gpu_encode``); the app facade takes the same total from its
-  histogram in O(K).
 - ``scan_pack_u*``: reduce-shuffle-merge, the coalescing copy and the
   breaking-point save collapsed to one pass per chunk.  Each cell
   gathers and merges its ``group_symbols`` codewords and records
@@ -109,13 +103,17 @@ narrowed onto them first):
 Histogram (:func:`repro.histogram.gpu_histogram.host_histogram`;
 oracle :func:`~repro.histogram.gpu_histogram.fast_histogram` after a
 ``min``/``max`` range check; other integer dtypes are range-checked and
-narrowed onto uint8/16/32 first):
+narrowed onto uint8/16/32 first, by :func:`narrow_symbols`):
 
 - ``histogram_u*``: one pass that counts symbol ``i`` into private
   sub-histogram ``i % 4`` and folds the four at the end (the paper's
   replicated bins, §IV-A).  Every symbol is checked against the bin
   count before its increment; the pass returns the index of the first
-  out-of-range one.
+  out-of-range one.  It is also every encode's bit total and coverage
+  check: ``hist @ book.lengths`` and ``hist[book.lengths == 0]`` in
+  O(K), from the app facade's histogram or, for an encode without one
+  (an unpinned ``gpu_encode``, serve's single-stage encode), from a
+  count of its own.
 
 Codebook (:func:`repro.core.codebook_parallel.parallel_codebook`;
 oracle ``codebook_parallel._two_queue_lengths``):
@@ -180,6 +178,7 @@ __all__ = [
     "PLANE_BITS",
     "SYMBOL_DTYPES",
     "kernel",
+    "narrow_symbols",
     "native_available",
     "native_error",
     "route",
@@ -187,6 +186,24 @@ __all__ = [
 
 #: symbol dtypes the scan-pack kernels take (one C variant each)
 SYMBOL_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32))
+
+
+def narrow_symbols(data: np.ndarray, n_symbols: int) -> Optional[np.ndarray]:
+    """Integer ``data`` cast to the narrowest of :data:`SYMBOL_DTYPES`
+    that holds ``n_symbols - 1``, after one ``min``/``max`` range check;
+    ``None`` when a symbol lies outside ``[0, n_symbols)`` (so
+    ``2**32 + 3`` is refused rather than wrapped to symbol 3).  An
+    alphabet past 2^32 symbols keeps ``data`` as it is."""
+    if data.size and (int(data.min()) < 0 or int(data.max()) >= n_symbols):
+        return None
+    dtype = _narrowest(n_symbols)
+    return data if dtype is None else data.astype(dtype, copy=False)
+
+
+def _narrowest(n_symbols: int) -> Optional[np.dtype]:
+    top = max(int(n_symbols) - 1, 0)
+    return next((dt for dt in SYMBOL_DTYPES
+                 if top <= np.iinfo(dt).max), None)
 #: output dtypes the chunk-decode pass writes (uint64 shares the int64
 #: variant: every decoded symbol is below 2^23)
 DECODE_DTYPES = SYMBOL_DTYPES + (np.dtype(np.int64), np.dtype(np.uint64))
@@ -274,12 +291,6 @@ int64_t lane_layout(int64_t n_chunks, int64_t cpc, int64_t G,
     const int64_t *boffsets, int64_t nnz, int64_t n_bpayload,
     int64_t tail_syms, int64_t tail_bits, int64_t n_tail, int64_t *out,
     int64_t n_out);
-int64_t symbol_bits_u8(const uint8_t *sym, int64_t n, const uint64_t *tab,
-    int64_t K, int64_t *total);
-int64_t symbol_bits_u16(const uint16_t *sym, int64_t n, const uint64_t *tab,
-    int64_t K, int64_t *total);
-int64_t symbol_bits_u32(const uint32_t *sym, int64_t n, const uint64_t *tab,
-    int64_t K, int64_t *total);
 int64_t scan_pack_u8(const uint8_t *sym, int64_t n_chunks, int64_t G,
     int64_t cpc, int W, const uint64_t *tab, const uint64_t *codes,
     int64_t K, uint8_t *out, int64_t n_out, int64_t *offsets, int64_t *bits,
@@ -930,25 +941,8 @@ int64_t lane_layout(int64_t n_chunks, int64_t cpc, int64_t G,
 
 /* Encode.  tab is the book's packed gather table, entry
  * (code << 16) | length per symbol (scan_pack.packed_codeword_table);
- * K is its size.  Both passes compare every symbol with K before the
+ * K is its size.  The pass compares every symbol with K before the
  * gather, so no symbol value reads outside tab. */
-
-/* Stats pass: *total = sum of codeword lengths; returns -1, or the index
- * of the first symbol that is out of range or has no codeword. */
-#define SYMBOL_BITS(NAME, T)                                              \
-int64_t NAME(const T *sym, int64_t n, const uint64_t *tab, int64_t K,     \
-             int64_t *total) {                                            \
-    int64_t t = 0;                                                        \
-    for (int64_t i = 0; i < n; i++) {                                     \
-        uint64_t s = sym[i];                                              \
-        if (s >= (uint64_t)K) return i;                                   \
-        int64_t l = (int64_t)(tab[s] & 0xFFFF);                           \
-        if (!l) return i;                                                 \
-        t += l;                                                           \
-    }                                                                     \
-    *total = t;                                                           \
-    return -1;                                                            \
-}
 
 /* One pass per chunk of cpc cells, G = 2^r symbols each, that writes
  * the coalesced payload: chunk c's dense bits go MSB-first into out from
@@ -1288,9 +1282,6 @@ int64_t NAME(const T *codes, int64_t n, double eb2, int64_t center,       \
     return -1;                                                            \
 }
 
-SYMBOL_BITS(symbol_bits_u8, uint8_t)
-SYMBOL_BITS(symbol_bits_u16, uint16_t)
-SYMBOL_BITS(symbol_bits_u32, uint32_t)
 SCAN_PACK(scan_pack_u8, uint8_t)
 SCAN_PACK(scan_pack_u16, uint16_t)
 SCAN_PACK(scan_pack_u32, uint32_t)
@@ -1641,20 +1632,6 @@ class NativeKernel:
         if table.dtype != np.uint64 or not table.flags.c_contiguous:
             raise ValueError("gather table must be contiguous uint64")
         return self._p("uint64_t *", table)
-
-    def symbol_bits(
-        self, data: np.ndarray, table: np.ndarray
-    ) -> tuple[int, int]:
-        """``(total_bits, bad)``: the codeword bits of ``data`` under the
-        packed gather ``table``, and ``-1`` or the index of the first
-        symbol that is out of range or has no codeword (``total_bits``
-        is then meaningless)."""
-        data, suffix, sym = self._symbols(data)
-        total = self._ffi.new("int64_t *")
-        bad = getattr(self._lib, f"symbol_bits_{suffix}")(
-            sym, data.size, self._gather(table), table.size, total
-        )
-        return int(total[0]), int(bad)
 
     def scan_pack(
         self,

@@ -210,19 +210,23 @@ def batch_key(req: ServeRequest) -> Hashable:
             # registry fast path: no histogram, no header peek — the
             # key is the registered content digest itself, so every
             # request referencing the same book coalesces regardless of
-            # its empirical symbol distribution.  Resolution failures
-            # and coverage mismatches raise ValueError *here*, landing
-            # on this request's own future as a 400-class user error
-            # (never an IndexError escaping from a shard mid-encode).
+            # its empirical symbol distribution.  An unknown id or a
+            # non-integer payload raises ValueError *here*, landing on
+            # this request's own future as a 400-class user error; the
+            # symbols are checked on the shard, by the encode's own
+            # count, whose ValueError is that request's alone too.
             from repro.codebooks.registry import process_registry
-            from repro.core.single_stage import validate_coverage
 
             entry = process_registry().get(str(codebook_id))
             if entry is None:
                 raise ValueError(
                     f"unknown codebook_id {str(codebook_id)!r}"
                 )
-            validate_coverage(data, entry.book)
+            if data.size and data.dtype.kind not in "iu":
+                raise ValueError(
+                    "compress payload must be an integer array, "
+                    f"got {data.dtype}"
+                )
             req.meta["codebook_id"] = entry.codebook_id
             req.meta["registry_entry"] = entry
             req.meta["registry_hit"] = True

@@ -441,7 +441,8 @@ class ServeHTTP:
         kw = self._common_submit_kw(headers)
         if "x-repro-codebook-id" in headers:
             # registry fast path: the batcher resolves the reference and
-            # rejects unknown ids / uncovered symbols as 400-class errors
+            # rejects an unknown id, the shard's encode uncovered symbols,
+            # both as 400-class errors
             kw["codebook_id"] = headers["x-repro-codebook-id"]
         try:
             fut = self.service.submit_compress(data, **kw)

@@ -369,8 +369,8 @@ class CompressionService:
             )
         entry = req.meta.get("registry_entry")
         if entry is not None:
-            # registry hit (resolved + coverage-checked by batch_key):
-            # single-stage encode, no histogram/codebook stages
+            # registry hit (resolved by batch_key): single-stage
+            # encode, no codebook stages; its count checks coverage
             _metrics().counter(
                 "repro_serve_encode_path_total", path="single_stage"
             ).inc()

@@ -64,14 +64,12 @@ class TestTracedRoundTrip:
     def test_app_path_takes_the_bit_total_from_the_histogram(
         self, field, registry
     ):
-        """The facade pins the tuning from its histogram, so no encode
-        runs the stats pass (no ``encode.lookup`` span)."""
+        """The facade hands its histogram to the encode, so no encode
+        counts one of its own (no ``encode.lookup`` span)."""
         with tracing() as tracer:
             compress_symbols(np.arange(5, dtype=np.uint8).repeat(300))
             compress_field(field, error_bound=1e-2)
-        encs = [s.to_dict()["attrs"] for s in tracer.spans
-                if s.name == "encode.reduce_shuffle_merge"]
-        assert [a["bits_from"] for a in encs] == ["histogram"] * 2
+        assert tracer.span_names().count("encode.reduce_shuffle_merge") == 2
         assert "encode.lookup" not in tracer.span_names()
 
     def test_codebook_spans_nest_on_the_app_path(self, field, registry):

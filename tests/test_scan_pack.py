@@ -11,9 +11,9 @@ coalesced payload itself, must equal
 and raise the pair's exact errors, and its breaking side channel must
 equal the NumPy backtrace's.  Symbols in a dtype the pass has no
 variant for are range-checked and narrowed onto it, with the same
-errors.  A pinned tuning skips the stats pass, so the packing passes
+errors.  A pinned tuning counts no histogram, so the packing passes
 alone must raise the unpinned call's errors, and the ``avg_bits`` they
-report from their bit totals must equal the stats pass's.
+report from their bit totals must equal the histogram's total.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro import native
 from repro.app.compressor import compress_symbols
 from repro.core.breaking import extract_breaking_symbols, save_breaking
 from repro.core.codebook_parallel import parallel_codebook
-from repro.core.encoder import ENCODE_IMPLS, _scan_symbol_stats, gpu_encode
+from repro.core.encoder import ENCODE_IMPLS, gpu_encode
 from repro.core.reduce_merge import reduce_merge
 from repro.core.scan_pack import (
     analytic_moved_words,
@@ -39,6 +39,7 @@ from repro.core.scan_pack import (
 from repro.core.serialization import serialize_stream
 from repro.core.shuffle_merge import shuffle_merge
 from repro.core.tuning import EncoderTuning
+from repro.histogram.gpu_histogram import host_histogram
 from repro.obs.metrics import MetricsRegistry, set_registry
 from repro.obs.trace import Tracer, tracing
 
@@ -206,7 +207,7 @@ class TestScanPackUnits:
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
     @pytest.mark.parametrize("where", ["chunk", "tail"])
     def test_pinned_tuning_errors_match_unpinned(self, dtype, where):
-        """Without the stats pass the packing passes check every symbol
+        """Without a histogram the packing passes check every symbol
         and raise exactly the unpinned call's error."""
         rng = np.random.default_rng(4)
         tuning = EncoderTuning(6, 2, 32)
@@ -221,7 +222,7 @@ class TestScanPackUnits:
                 assert got[0] is exc
                 assert got == raised(gpu_encode, bad, book, impl=impl)
         # a codeword-less symbol in a chunk and an out-of-range one in
-        # the tail: IndexError wins, as it does for the stats pass
+        # the tail: IndexError wins, as it does for the count
         bad = syms.copy()
         bad[10], bad[-2] = 2, 9
         got = raised(gpu_encode, bad, book, tuning=tuning)
@@ -240,7 +241,7 @@ class TestScanPackUnits:
               suppress_health_check=[HealthCheck.too_slow])
     def test_packed_bit_total_equals_stats_pass(self, data):
         """``avg_bits`` from the packed totals (chunk bits + broken-cell
-        bits + tail bits) is the stats pass's integer total."""
+        bits + tail bits) is the counted histogram's integer total."""
         W = data.draw(st.sampled_from([8, 16, 32]))
         M = data.draw(st.integers(3, 9))
         r = data.draw(st.integers(0, min(3, M - 1)))
@@ -258,7 +259,8 @@ class TestScanPackUnits:
                  + int(st_.breaking.bit_lengths.sum(dtype=np.int64))
                  + int(st_.tail_bits))
         assert total == int(checked_lengths(syms, book).sum(dtype=np.int64))
-        assert _scan_symbol_stats(syms, book) == total
+        hist, _, _ = host_histogram(syms, alphabet)
+        assert int(hist @ book.lengths) == total
         assert res.avg_bits == (total / syms.size if syms.size else 0.0)
 
     def test_empty_and_tail_only_inputs(self):
@@ -301,16 +303,17 @@ class TestScanPackRoute:
             assert registry.total("repro_encode_native_fallback_total",
                                   reason="no_native_kernel") == 1
 
-    def test_stage_span_names_the_bit_total_source(self):
+    def test_stage_span_names_the_bit_total_source(self, kernel_engine):
         data = np.random.default_rng(2).integers(0, 5, 512).astype(np.uint8)
         book = book_for(data, 5)
         unpinned = self._spans(data, book)
-        assert unpinned["encode.reduce_shuffle_merge"]["bits_from"] == \
-            "stats_pass"
-        assert "encode.lookup" in unpinned
+        lookup = unpinned["encode.lookup"]
+        if kernel_engine == "native" and native.native_available():
+            assert lookup["backend"] == "native" and "fallback" not in lookup
+        else:
+            assert lookup["backend"] == "numpy"
+            assert lookup["fallback"] == "no_native_kernel"
         pinned = self._spans(data, book, tuning=EncoderTuning(6, 2, 32))
-        assert pinned["encode.reduce_shuffle_merge"]["bits_from"] == \
-            "histogram"
         assert "encode.lookup" not in pinned
 
     def test_forced_iterative_takes_no_scan_span(self, registry):
@@ -424,7 +427,7 @@ class TestNarrowedSymbols:
 
 class TestNarrowOnce:
     """An unpinned encode narrows other dtypes once, at entry, and hands
-    the narrowed array to both the stats pass and the scan-pack pass."""
+    the narrowed array to both the histogram and the scan-pack pass."""
 
     @pytest.mark.parametrize("entry", ["gpu_encode", "single_stage"])
     def test_one_narrowing_per_encode(self, kernel_engine, monkeypatch,
@@ -629,7 +632,7 @@ class TestNativeScanPack:
 
     def test_callers_hand_down_their_bit_totals(self, monkeypatch):
         """The facade passes its histogram's total and the registered
-        route its stats pass's total: the exact codeword bits."""
+        route its own count's total: the exact codeword bits."""
         from repro.core.single_stage import single_stage_encode
 
         seen = []

@@ -14,10 +14,12 @@ must cost only the offending request (every shard stays alive).
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -144,11 +146,15 @@ class TestServiceFastPath:
 # --------------------------------------------------------------------------
 # HTTP level: the hostile-input 400 contract
 # --------------------------------------------------------------------------
-@pytest.fixture()
-def server():
-    cfg = ServiceConfig(n_shards=2, max_batch=8, max_delay_s=0.003,
-                        queue_size=64, request_max_bytes=1 << 20)
-    svc = CompressionService(cfg)
+def _http_service(**kw):
+    kw = dict(dict(n_shards=2, max_batch=8, max_delay_s=0.003,
+                   queue_size=64, request_max_bytes=1 << 20), **kw)
+    return CompressionService(ServiceConfig(**kw))
+
+
+@contextlib.contextmanager
+def _serving(svc):
+    """Start ``svc`` behind an HTTP front on an ephemeral port."""
     svc.start()
     ready, stop, bound = threading.Event(), threading.Event(), []
     t = threading.Thread(
@@ -166,6 +172,12 @@ def server():
         t.join(10.0)
         svc.close()
         assert not t.is_alive(), "server thread did not shut down cleanly"
+
+
+@pytest.fixture()
+def server():
+    with _serving(_http_service()) as port:
+        yield port
 
 
 def _request(port, method, path, body=b"", headers=None):
@@ -247,3 +259,71 @@ class TestHttpHostileCodebookIds:
             {"X-Repro-Dtype": "uint16", "X-Repro-Codebook-Id": cb_id},
         )
         assert status == 400
+
+
+class TestUncoveredRequestInABatch:
+    def test_only_the_uncovered_request_fails(self):
+        """An uncovered request keyed into the same batch as good ones
+        fails on its shard alone: 400 naming the alphabet, one user
+        error, an ``error`` flight record, and every shard alive."""
+        # a long starvation bound: the held request's own wait must not
+        # flush its key before its batchmates are keyed
+        svc = _http_service(flight_sample_every=1, max_delay_s=30.0)
+        n = 4
+        held, batches = [], []
+        real_key, real_sink = svc.batcher.key_fn, svc.batcher.sink
+
+        def gated_key(req):
+            # hold the first compress request until the others are
+            # queued, so all of them coalesce into one batch
+            if not held:
+                held.append(req)
+                deadline = time.monotonic() + 10.0
+                while svc.queue.depth() < n - 1 \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            return real_key(req)
+
+        def recording_sink(batch):
+            batches.append({r.request_id for r in batch.requests})
+            real_sink(batch)
+
+        svc.batcher.key_fn, svc.batcher.sink = gated_key, recording_sink
+        with _serving(svc) as port:
+            cb_id, rng = _register_over_http(port, alphabet=256)
+            good = rng.integers(0, 256, 2048).astype(np.uint16)
+            hostile = good.copy()
+            hostile[100] = 5000
+            bodies = {f"good-{i}": good for i in range(n - 1)}
+            bodies["uncovered"] = hostile
+            errors_before = svc.stats()["requests"]["user_errors"]
+            answers = {}
+
+            def post(rid, data):
+                answers[rid] = _request(
+                    port, "POST", "/compress", data.tobytes(),
+                    {"X-Repro-Dtype": "uint16",
+                     "X-Repro-Codebook-Id": cb_id,
+                     "X-Repro-Request-Id": rid},
+                )
+
+            threads = [threading.Thread(target=post, args=item)
+                       for item in bodies.items()]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+            assert set(bodies) in batches
+            status, _, body = answers.pop("uncovered")
+            assert status == 400 and b"alphabet" in body
+            for status, _, blob in answers.values():
+                assert status == 200
+                status, _, out = _request(port, "POST", "/decompress", blob)
+                assert status == 200 and out == good.tobytes()
+            assert svc.stats()["requests"]["user_errors"] == errors_before + 1
+            record = next(r for r in svc.flight.recent()
+                          if r.request_id == "uncovered")
+            assert record.status == "error" and record.error == "ValueError"
+            assert svc.pool.alive_count == svc.pool.size == 2
+            status, _, body = _request(port, "GET", "/healthz")
+            assert json.loads(body)["shards_alive"] == 2
